@@ -11,6 +11,11 @@ Benchmarks that route their table through the sweep orchestrator pick up the
 ``--workers`` option (``pytest benchmarks --workers 4``) via the
 ``sweep_runner`` fixture, so the whole table is produced by a parallel
 sweep instead of a sequential driver loop.
+
+The ``BENCH_*.json`` artifacts go to a temporary directory unless
+``REPRO_BENCH_DIR`` is set, so running the suite never rewrites the
+tracked copies at the repository root.  To refresh those, point the
+variable at the root: ``REPRO_BENCH_DIR=. python -m pytest benchmarks``.
 """
 
 import os
@@ -22,6 +27,21 @@ def bench_duration(default: float) -> float:
     """Simulated seconds per run (overridable via REPRO_BENCH_DURATION)."""
     value = os.environ.get("REPRO_BENCH_DURATION")
     return float(value) if value else default
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_artifact_dir(tmp_path_factory):
+    """Send ``BENCH_*.json`` writes to a temp dir when ``REPRO_BENCH_DIR``
+    is unset."""
+    from record import BENCH_DIR_ENV
+    if os.environ.get(BENCH_DIR_ENV):
+        yield
+        return
+    os.environ[BENCH_DIR_ENV] = str(tmp_path_factory.mktemp("bench"))
+    try:
+        yield
+    finally:
+        del os.environ[BENCH_DIR_ENV]
 
 
 def pytest_addoption(parser):

@@ -4,9 +4,10 @@ The crowded-room experiments hammer one query: "how many co-channel
 colliders does this victim see in this slot?"  The historical
 implementation answered with a pairwise scan over every registered member
 (O(members) per slot *per victim*); the occupancy index folds every
-member's hop/activity into per-slot 79-channel rows once and answers each
-victim query from per-victim prefix-summed counts in O(1).  Both paths
-survive in :class:`~repro.baseband.interference.InterferenceField`
+member's hop/activity into one flat slot-by-channel count array once and
+answers each victim query from the cell of its hop channel in O(1).
+Both paths survive in
+:class:`~repro.baseband.interference.InterferenceField`
 (``collisions_pairwise`` vs ``collisions``), so this benchmark times them
 on identical fields and lands the pair in ``BENCH_interference.json``.
 
@@ -19,9 +20,8 @@ Scenarios:
   build + lookup).  The slot span shrinks as N grows so the pairwise
   reference stays affordable; ``per_lookup_us`` in the artifact is the
   normalised cost of one victim-slot query.
-* ``hop_sequence_100k`` — the satellite fix: sequential
-  ``channel_at`` calls (which now extend a list instead of filling a
-  per-slot dict) vs one ``extend_to`` block draw of the same 100k
+* ``hop_sequence_100k`` — sequential ``channel_at`` calls (each one a
+  small bulk draw) vs one ``extend_to`` bulk draw of the same 100k
   channels.
 * ``crowded_room_coupled_64`` — the headline: a fully coupled 64-piconet
   crowded room (every master loop simulated, all feeding one field)

@@ -20,13 +20,14 @@ multi-piconet scenarios (ROADMAP follow-on):
 * :class:`InterferenceField` — the shared medium.  Piconets register by
   name; for any victim transmission the field counts the co-channel
   collisions with every *other* registered member and converts them into a
-  time-varying BER boost.  Counting runs on a per-slot 79-channel
-  *occupancy index* (``slot -> channel -> transmitter count``, built in
-  blocks, with per-victim integer prefix sums), so a per-slot lookup is
-  O(1) instead of a pairwise scan over every member — while producing the
-  exact same integers (and therefore the exact same floats) as the
-  reference pairwise scan, which survives as
-  :meth:`InterferenceField.collisions_pairwise` for the equivalence
+  time-varying BER boost.  Counting runs on one flat *occupancy index*
+  (a ``bytearray`` with ``occ[slot * channels + channel]`` = transmitters
+  on that channel in that slot, built in blocks).  A victim's count is
+  read straight from the cell of its own hop channel, minus its own
+  presence, so a per-slot lookup is O(1) and nothing per victim is cached
+  or invalidated — while producing the exact same integers (and therefore
+  the exact same floats) as the reference pairwise scan, which survives
+  as :meth:`InterferenceField.collisions_pairwise` for the equivalence
   property and the interference benchmark.
 * :class:`InterferenceAwareChannel` — a :class:`~repro.baseband.channel.
   Channel` wrapper that composes a base (per-link) channel with the
@@ -47,12 +48,22 @@ Determinism: all randomness is drawn from
 by slot index, so hop channels and activity are reproducible regardless of
 the order in which they are first queried — and identical across the sweep
 orchestrator's serial / process / batch backends.
+
+Hops and activity are drawn in bulk (:func:`bulk_randrange`,
+:func:`bulk_active`) from ``getrandbits`` words, in exactly the
+Mersenne-Twister order of per-call ``randrange(n)`` / ``random() < duty``
+loops: the same values and the same final generator state.  This is
+done with the standard library alone; numpy was measured for it and
+rejected, because importing it adds 12.6 MB of resident memory (numpy
+2.4, CPython 3.11): a third of the coupled 64-piconet room's peak.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from array import array
+from functools import lru_cache
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.baseband.channel import (
@@ -91,6 +102,73 @@ MAX_COLLISION_BER = 0.5
 #: member into the index; the value only affects performance, never draws.
 OCCUPANCY_BLOCK_SLOTS = 256
 
+#: Most hop channels the byte-wide draws and occupancy cells can carry.
+MAX_CHANNELS = 255
+
+
+def _check_channels(channels: int) -> None:
+    if not 1 <= channels <= MAX_CHANNELS:
+        raise ValueError(
+            f"channels must be within [1, {MAX_CHANNELS}], got {channels}")
+
+
+@lru_cache(maxsize=None)
+def _randrange_tables(n: int) -> Tuple[bytes, bytes]:
+    # getrandbits(k) is the top k bits of one 32-bit word, i.e. the word's
+    # top byte shifted right by 8 - k; randrange rejects results >= n
+    shift = 8 - n.bit_length()
+    return (bytes(byte >> shift for byte in range(256)),
+            bytes(byte for byte in range(256) if byte >> shift >= n))
+
+
+def bulk_randrange(rng: random.Random, n: int, count: int) -> bytes:
+    """``count`` values of ``rng.randrange(n)`` (``1 <= n <= 255``).
+
+    Same values, same final generator state as the per-call loop: every
+    ``randrange`` attempt consumes one 32-bit word, and each round draws
+    only as many words as values are still missing, so no word beyond
+    the per-call loop's is ever consumed.
+    """
+    table, rejected = _randrange_tables(n)
+    drawn = b""
+    while count > 0:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        accepted = words[3::4].translate(table, rejected)
+        drawn += accepted
+        count -= len(accepted)
+    return drawn
+
+
+@lru_cache(maxsize=None)
+def _active_table(limit: int) -> bytes:
+    # top byte below the threshold's: active; above: idle; equal: a tie
+    return bytes(1 if byte < limit else 2 if byte == limit else 0
+                 for byte in range(256))
+
+
+def bulk_active(rng: random.Random, duty: float, count: int) -> bytearray:
+    """``count`` flags of ``rng.random() < duty`` as bytes 0/1.
+
+    ``random()`` is ``m / 2**53`` with ``m`` built from two 32-bit words,
+    and the top byte of ``m`` is the top byte of the first word.  Against
+    the threshold ``ceil(duty * 2**53)`` that byte settles every draw but
+    a 1-in-256 tie, which is recomputed with ``random()``'s own arithmetic.
+    """
+    if count <= 0:
+        return bytearray()
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    flags = bytearray(words[3::8].translate(
+        _active_table(math.ceil(duty * 2.0 ** 53) >> 45)))
+    tie = flags.find(2)
+    while tie >= 0:
+        at = 8 * tie
+        high = int.from_bytes(words[at:at + 4], "little") >> 5
+        low = int.from_bytes(words[at + 4:at + 8], "little") >> 6
+        flags[tie] = (high * 67108864.0 + low) \
+            * (1.0 / 9007199254740992.0) < duty
+        tie = flags.find(2, tie + 1)
+    return flags
+
 
 class HopSequence:
     """One piconet's pseudo-random 79-channel hop sequence.
@@ -98,14 +176,13 @@ class HopSequence:
     ``channel_at(slot)`` is random-access: the underlying draw list is
     extended up to the requested slot, so the channel of any slot is a
     pure function of the seed and the slot index, independent of query
-    order.  :meth:`extend_to` draws whole blocks with the loop state bound
-    once (the occupancy index extends all members this way), preserving
-    the exact draw order of the historical one-at-a-time path.
+    order.  :meth:`extend_to` draws whole blocks in bulk (the occupancy
+    index extends all members this way), preserving the exact draw order
+    of the historical one-at-a-time path.
     """
 
     def __init__(self, rng: random.Random, channels: int = HOP_CHANNELS):
-        if channels < 1:
-            raise ValueError(f"channels must be >= 1, got {channels}")
+        _check_channels(channels)
         self._rng = rng
         self.channels = channels
         self._sequence: List[int] = []
@@ -113,17 +190,12 @@ class HopSequence:
     def extend_to(self, length: int) -> None:
         """Draw hop channels until ``length`` slots are materialised.
 
-        Same RNG calls in the same order as repeated ``channel_at`` —
-        only the Python loop overhead is amortised.
+        Same values and generator state as repeated ``channel_at``.
         """
         sequence = self._sequence
-        if len(sequence) >= length:
-            return
-        append = sequence.append
-        randrange = self._rng.randrange
-        channels = self.channels
-        while len(sequence) < length:
-            append(randrange(channels))
+        if len(sequence) < length:
+            sequence += bulk_randrange(self._rng, self.channels,
+                                       length - len(sequence))
 
     def channels_until(self, length: int) -> List[int]:
         """The first ``length`` hop channels (a shared list; do not mutate)."""
@@ -172,28 +244,24 @@ class InterfererProcess:
         self.hops = hops
         self.duty_cycle = duty_cycle
         self._rng = activity_rng
-        self._activity: List[bool] = []
+        self._activity = bytearray()
         # (slot, enabled) breakpoints in non-decreasing slot order; the
         # member is enabled before the first breakpoint
         self._switches: List[Tuple[int, bool]] = []
         # masked view of _activity, maintained only once a switch exists
-        self._masked: List[bool] = []
+        self._masked = bytearray()
 
     def extend_to(self, length: int) -> None:
         """Draw activity until ``length`` slots are materialised.
 
         Always draws — so the activity pattern at a given duty cycle stays
-        a deterministic function of (seed, slot) alone, in the exact draw
-        order of the historical per-call path.
+        a deterministic function of (seed, slot) alone, with the values
+        and generator state of the historical per-call path.
         """
         activity = self._activity
-        if len(activity) >= length:
-            return
-        append = activity.append
-        rand = self._rng.random
-        duty = self.duty_cycle
-        while len(activity) < length:
-            append(rand() < duty)
+        if len(activity) < length:
+            activity += bulk_active(self._rng, self.duty_cycle,
+                                    length - len(activity))
 
     def set_enabled(self, slot: int, enabled: bool) -> None:
         """Switch the interferer on or off from ``slot`` forward.
@@ -233,10 +301,10 @@ class InterfererProcess:
         masked = self._masked
         raw = self._activity
         for slot in range(len(masked), length):
-            masked.append(raw[slot] if self.enabled_at(slot) else False)
+            masked.append(raw[slot] if self.enabled_at(slot) else 0)
 
-    def activity_until(self, length: int) -> List[bool]:
-        """The first ``length`` *effective* activity flags (a shared list;
+    def activity_until(self, length: int) -> bytearray:
+        """The first ``length`` *effective* activity flags, 0 or 1 (shared;
         do not mutate)."""
         self.extend_to(length)
         if not self._switches:
@@ -254,7 +322,7 @@ class InterfererProcess:
             self.extend_to(slot_index + 1)
         if self._switches and not self.enabled_at(slot_index):
             return False
-        return activity[slot_index]
+        return bool(activity[slot_index])
 
     def transmits_on(self, slot_index: int, channel: int) -> bool:
         """Whether this piconet radiates on ``channel`` in ``slot_index``."""
@@ -284,16 +352,16 @@ class CoupledTransmitter:
         self.name = name
         self.hops = hops
         self.duty_cycle = duty_cycle
-        self._activity: List[bool] = []
+        self._activity = bytearray()
 
     def extend_to(self, length: int) -> None:
         """Pad the activity record with silence up to ``length`` slots."""
         activity = self._activity
         if len(activity) < length:
-            activity.extend([False] * (length - len(activity)))
+            activity += bytes(length - len(activity))
 
-    def activity_until(self, length: int) -> List[bool]:
-        """The first ``length`` activity flags (a shared list; do not
+    def activity_until(self, length: int) -> bytearray:
+        """The first ``length`` activity flags, 0 or 1 (shared; do not
         mutate)."""
         self.extend_to(length)
         return self._activity
@@ -303,35 +371,12 @@ class CoupledTransmitter:
         if slot_index < 0:
             raise ValueError(f"slot_index must be >= 0, got {slot_index}")
         activity = self._activity
-        return slot_index < len(activity) and activity[slot_index]
+        return slot_index < len(activity) and bool(activity[slot_index])
 
     def transmits_on(self, slot_index: int, channel: int) -> bool:
         """Whether this piconet radiates on ``channel`` in ``slot_index``."""
         return self.active_at(slot_index) \
             and self.hops.channel_at(slot_index) == channel
-
-
-class _VictimCache:
-    """Per-victim collision counts and their integer prefix sums.
-
-    ``counts[slot]`` is the exact collider count against the victim in
-    ``slot``; ``prefix[slot]`` is the running total over ``[0, slot)``.
-    Both are integer arrays, so windowed totals are exact — no floating
-    point enters until :meth:`InterferenceField.collision_ber` applies the
-    per-collision BER, with arithmetic identical to the pairwise path.
-    """
-
-    __slots__ = ("counts", "prefix")
-
-    def __init__(self):
-        self.counts = array("l")
-        self.prefix = array("q", [0])
-
-    def truncate(self, slot: int) -> None:
-        """Drop cached slots at and beyond ``slot`` (late radiation)."""
-        if len(self.counts) > slot:
-            del self.counts[slot:]
-            del self.prefix[slot + 1:]
 
 
 class InterferenceField:
@@ -358,8 +403,7 @@ class InterferenceField:
             streams = RandomStreams(0)
         elif isinstance(streams, int):
             streams = RandomStreams(streams)
-        if channels < 1:
-            raise ValueError(f"channels must be >= 1, got {channels}")
+        _check_channels(channels)
         if not 0.0 <= ber_per_collision <= MAX_COLLISION_BER:
             raise ValueError(
                 f"ber_per_collision must be within [0, {MAX_COLLISION_BER}],"
@@ -369,14 +413,13 @@ class InterferenceField:
         self.ber_per_collision = ber_per_collision
         self._members: Dict[str, object] = {}
         # -- the occupancy index --------------------------------------------
-        # one bytearray row per materialised slot: rows[slot][channel] is
-        # the number of members radiating on that channel in that slot
-        # (every member, victims included — collisions() subtracts the
-        # victim's own presence).  Rows extend in blocks; coupled members'
-        # late reports increment already-built rows directly.
-        self._rows: List[bytearray] = []
-        self._rows_built = 0
-        self._victim_caches: Dict[str, _VictimCache] = {}
+        # one flat bytearray: _occ[slot * channels + channel] is the number
+        # of members radiating on that channel in that slot (every member,
+        # victims included — the victim's own presence is subtracted at
+        # query time).  It extends in blocks; coupled members' late
+        # reports increment already-built cells directly.
+        self._occ = bytearray()
+        self._slots_built = 0
 
     # -- membership ----------------------------------------------------------
     def _hops_for(self, name: str) -> HopSequence:
@@ -436,71 +479,46 @@ class InterferenceField:
         block extension and folding never change which RNG values a slot
         gets, so the rebuilt index is byte-identical to a fresh build.
         """
-        self._rows = []
-        self._rows_built = 0
-        self._victim_caches = {}
+        self._occ = bytearray()
+        self._slots_built = 0
 
-    def _ensure_rows(self, upto: int) -> None:
-        """Materialise occupancy rows for every slot below ``upto``.
+    def _ensure_slots(self, upto: int) -> None:
+        """Materialise the occupancy of every slot below ``upto``.
 
         Extends in blocks of :data:`OCCUPANCY_BLOCK_SLOTS`: every member's
         hop and activity sequences are block-extended (same draws, same
-        order as per-slot access) and folded into one bytearray row per
-        slot.  A row counts *all* radiating members, victims included.
+        order as per-slot access) and folded into the index.  A cell
+        counts *all* radiating members, victims included.
         """
-        built = self._rows_built
+        built = self._slots_built
         if upto <= built:
             return
         target = -(-upto // OCCUPANCY_BLOCK_SLOTS) * OCCUPANCY_BLOCK_SLOTS
-        rows = self._rows
         channels = self.channels
-        for _ in range(target - built):
-            rows.append(bytearray(channels))
-        block = rows[built:target]
+        occ = self._occ
+        occ += bytes((target - built) * channels)
         for member in self._members.values():
             hops = member.hops.channels_until(target)
             activity = member.activity_until(target)
-            for row, channel, active in zip(block, hops[built:target],
-                                            activity[built:target]):
-                if active:
-                    row[channel] += 1
-        self._rows_built = target
+            for slot in compress(range(built, target),
+                                 activity[built:target]):
+                occ[slot * channels + hops[slot]] += 1
+        self._slots_built = target
 
-    def _victim_cache(self, victim: str, upto: int) -> _VictimCache:
-        """Collision counts and prefix sums of ``victim`` through ``upto``.
-
-        Counts are built exactly to ``upto`` (not block-rounded): in the
-        coupled mode later reports may only target slots at or beyond the
-        current simulation time, so an exactly-sized cache is never
-        invalidated by the normal event flow (the truncation path stays a
-        defensive net for out-of-order external use).
-        """
-        cache = self._victim_caches.get(victim)
-        if cache is None:
-            self.member(victim)
-            cache = _VictimCache()
-            self._victim_caches[victim] = cache
-        counts = cache.counts
-        built = len(counts)
-        if upto <= built:
-            return cache
-        self._ensure_rows(upto)
-        member = self._members[victim]
-        hops = member.hops.channels_until(upto)
-        activity = member.activity_until(upto)
-        rows = self._rows
-        prefix = cache.prefix
-        total = prefix[-1]
-        append_count = counts.append
-        append_prefix = prefix.append
-        for slot in range(built, upto):
-            count = rows[slot][hops[slot]]
-            if activity[slot]:
-                count -= 1  # the row counts the victim's own presence too
-            append_count(count)
-            total += count
-            append_prefix(total)
-        return cache
+    def _collision_counts(self, victim: str, start: int,
+                          end: int) -> List[int]:
+        """Colliders against ``victim`` in each slot of ``[start, end)``:
+        the index cell of its hop channel, minus its own presence."""
+        member = self.member(victim)
+        if end > self._slots_built:
+            self._ensure_slots(end)
+        # every member's hops cover the built slots
+        hops = member.hops._sequence
+        activity = member.activity_until(end)
+        occ = self._occ
+        channels = self.channels
+        return [occ[slot * channels + hops[slot]] - activity[slot]
+                for slot in range(start, end)]
 
     # -- coupled transmissions -----------------------------------------------
     def report_transmission(self, name: str, start_slot: int,
@@ -509,10 +527,9 @@ class InterferenceField:
         slots)``.
 
         Only :meth:`register_coupled` members report; already-reported
-        slots are idempotent (a slot radiates once).  Rows already
-        materialised are incremented in place; victim caches built past
-        the report (impossible in the causal event flow, possible for
-        out-of-order external callers) are truncated and rebuilt lazily.
+        slots are idempotent (a slot radiates once).  Slots the index
+        already covers are incremented in place, so every later query —
+        including one for a slot before the report's — sees the report.
         """
         if start_slot < 0:
             raise ValueError(f"start_slot must be >= 0, got {start_slot}")
@@ -526,29 +543,27 @@ class InterferenceField:
         end = start_slot + slots
         member.extend_to(end)
         activity = member._activity
-        built = self._rows_built
-        rows = self._rows
-        hops = member.hops
+        built = self._slots_built
+        occ = self._occ
+        channels = self.channels
+        hops = member.hops._sequence  # covers the built slots
         for slot in range(start_slot, end):
             if activity[slot]:
                 continue
-            activity[slot] = True
+            activity[slot] = 1
             if slot < built:
-                rows[slot][hops.channel_at(slot)] += 1
-        if built > start_slot:
-            for cache in self._victim_caches.values():
-                cache.truncate(start_slot)
+                occ[slot * channels + hops[slot]] += 1
 
     # -- timeline switches ---------------------------------------------------
     def set_interferer_enabled(self, name: str, slot: int,
                                enabled: bool) -> None:
         """Switch a duty-cycle interferer on or off from ``slot`` forward.
 
-        Occupancy rows and victim caches at or beyond ``slot`` are dropped
-        — they folded the member's previous effective activity — and
-        rebuild lazily from the same cached draws, so slots before the
-        switch are untouched and the pattern where the member is enabled
-        matches the always-on pattern exactly.
+        The index at and beyond ``slot`` is dropped — it folded the
+        member's previous effective activity — and rebuilds lazily from
+        the same cached draws, so slots before the switch are untouched
+        and the pattern where the member is enabled matches the always-on
+        pattern exactly.
         """
         if slot < 0:
             raise ValueError(f"slot must be >= 0, got {slot}")
@@ -558,22 +573,9 @@ class InterferenceField:
                 f"piconet {name!r} is a coupled member; its activity is "
                 f"reported (report_transmission), not switched")
         member.set_enabled(slot, enabled)
-        if self._rows_built > slot:
-            del self._rows[slot:]
-            self._rows_built = slot
-        self.truncate_victim_caches(slot)
-
-    def truncate_victim_caches(self, slot: int) -> None:
-        """Drop every victim's cached collision counts from ``slot`` on.
-
-        Topology events (a roaming bridge re-times who radiates when) and
-        interferer switches call this; the caches rebuild lazily from the
-        occupancy rows on the next lookup.
-        """
-        if slot < 0:
-            raise ValueError(f"slot must be >= 0, got {slot}")
-        for cache in self._victim_caches.values():
-            cache.truncate(slot)
+        if self._slots_built > slot:
+            del self._occ[slot * self.channels:]
+            self._slots_built = slot
 
     def recorder(self, name: str,
                  slot_us: int = SLOT_US) -> Callable[[int, int], None]:
@@ -593,7 +595,7 @@ class InterferenceField:
         """Co-channel colliders against ``victim`` in ``slot_index``."""
         if slot_index < 0:
             raise ValueError(f"slot_index must be >= 0, got {slot_index}")
-        return self._victim_cache(victim, slot_index + 1).counts[slot_index]
+        return self._collision_counts(victim, slot_index, slot_index + 1)[0]
 
     def collisions_pairwise(self, victim: str, slot_index: int) -> int:
         """Reference pairwise scan over every member (the pre-index
@@ -611,7 +613,7 @@ class InterferenceField:
                 f"horizon_slots must be >= 0, got {horizon_slots}")
         if horizon_slots == 0:
             return 0
-        return self._victim_cache(victim, horizon_slots).prefix[horizon_slots]
+        return sum(self._collision_counts(victim, 0, horizon_slots))
 
     def collision_ber(self, victim: str, slot_index: int) -> float:
         """Effective interference BER on ``victim`` in one slot."""
@@ -624,27 +626,29 @@ class InterferenceField:
                            slots: int) -> float:
         """Mean interference BER over a packet spanning ``slots`` slots.
 
-        A windowed lookup on the prefix sums: a collision-free span (the
-        overwhelmingly common case) returns after one integer subtraction;
-        otherwise the per-slot terms are summed with arithmetic identical
-        to the historical pairwise path, so the float result is
-        bit-identical.
+        The per-slot terms are summed in slot order with arithmetic
+        identical to the historical pairwise path, so the float result is
+        bit-identical; a collision-free span sums to exactly ``0.0``.
         """
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if start_slot < 0:
-            raise ValueError(f"slot_index must be >= 0, got {start_slot}")
+            raise ValueError(f"start_slot must be >= 0, got {start_slot}")
+        # _collision_counts inlined: this is the per-packet hot path
         end = start_slot + slots
-        cache = self._victim_cache(victim, end)
-        prefix = cache.prefix
-        if prefix[end] == prefix[start_slot]:
-            # summing all-zero per-slot BERs yields exactly 0.0 / slots
-            return 0.0
+        member = self.member(victim)
+        if end > self._slots_built:
+            self._ensure_slots(end)
+        hops = member.hops._sequence
+        activity = member.activity_until(end)
+        occ = self._occ
+        channels = self.channels
         total = 0.0
-        ber_per_collision = self.ber_per_collision
-        for count in cache.counts[start_slot:end]:
+        for slot in range(start_slot, end):
+            count = occ[slot * channels + hops[slot]] - activity[slot]
             if count:
-                total += min(MAX_COLLISION_BER, count * ber_per_collision)
+                total += min(MAX_COLLISION_BER,
+                             count * self.ber_per_collision)
         return total / slots
 
     # -- observed statistics (coupled validation) -----------------------------
@@ -668,9 +672,8 @@ class InterferenceField:
                 f"horizon_slots must be >= 0, got {horizon_slots}")
         if horizon_slots == 0:
             return 0.0
-        counts = self._victim_cache(victim, horizon_slots).counts
-        collided = sum(1 for count in counts[:horizon_slots] if count)
-        return collided / horizon_slots
+        counts = self._collision_counts(victim, 0, horizon_slots)
+        return (horizon_slots - counts.count(0)) / horizon_slots
 
     def expected_collision_probability(self, victim: str) -> float:
         """Analytic per-slot collision probability against ``victim``.

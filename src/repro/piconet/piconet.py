@@ -177,10 +177,6 @@ class Piconet:
         #: detached-and-not-reattached flow states (evictions, removes):
         #: kept so the drivers' result helpers still see the statistics
         self._retired_states: Dict[int, FlowState] = {}
-        #: listeners fired (with the current slot) on any topology change —
-        #: park/unpark, flow attach/detach, bridge re-registration; the
-        #: scatternet wires coupled interference-field invalidation here
-        self._topology_listeners: List[Callable[[int], None]] = []
         #: topology changes seen since the start of the run (reported by
         #: slot_accounting only when non-zero, so static scenarios — and
         #: their golden fixtures — are unchanged)
@@ -330,20 +326,11 @@ class Piconet:
         return bool(presence(now_us // SLOT_US))
 
     # ------------------------------------------------------- topology lifecycle
-    def add_topology_listener(self,
-                              listener: Callable[[int], None]) -> None:
-        """Register ``listener(slot_index)`` for every topology change
-        (park/unpark, flow attach/detach, bridge re-registration)."""
-        self._topology_listeners.append(listener)
-
     def _notify_topology_change(self) -> None:
-        """Invalidate executor/observer state derived from the topology."""
+        """Invalidate executor state derived from the topology."""
         self.topology_changes += 1
         if self._batch_kernel is not None:
             self._batch_kernel.notify_topology_change()
-        slot_index = self.env.now // SLOT_US
-        for listener in self._topology_listeners:
-            listener(slot_index)
 
     def detach_flow(self, flow_id: int) -> FlowState:
         """Remove a flow (and its queued segments) from the master loop.

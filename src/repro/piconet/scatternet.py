@@ -107,10 +107,7 @@ class Scatternet:
         re-installs the per-role presence functions on both masters.
         Re-registration is idempotent on the piconet side
         (:meth:`~repro.piconet.piconet.Piconet.set_bridge_presence` resets
-        the per-slave absence accounting and flags a topology change), and
-        in coupled scenarios the topology listeners installed by
-        :meth:`attach_field` truncate the interference field's victim
-        caches from the roam slot forward.
+        the per-slave absence accounting and flags a topology change).
         """
         bridge = self.bridge(name)
         schedule = bridge.reschedule(share_a)
@@ -128,16 +125,10 @@ class Scatternet:
         its actual transmissions drive everyone else's collision BER —
         the ``crowded_room`` coupled mode.  Call after all piconets are
         added and registered with the field.
-
-        Every piconet also gets a topology listener that truncates the
-        field's victim caches at the event slot, so roams and park/unpark
-        events can never leave stale collision counts for slots the new
-        topology will radiate differently.
         """
         self._field = field
         for name, piconet in self._piconets.items():
             piconet.set_air_recorder(field.recorder(name))
-            piconet.add_topology_listener(field.truncate_victim_caches)
 
     @property
     def bridges(self) -> List[BridgeNode]:

@@ -677,8 +677,8 @@ class EventSpec:
     * ``"interferer-on"`` / ``"interferer-off"`` — the 1-based
       ``interferer`` of the scenario's interference field starts/stops
       transmitting from the event slot forward (a microwave or Wi-Fi
-      burst schedule); occupancy blocks and victim caches rebuild from
-      the event slot.
+      burst schedule); the field's occupancy index rebuilds from the
+      event slot.
     """
 
     at_s: float

@@ -44,7 +44,7 @@ Event semantics
     checks the event gives up.
 ``interferer-on`` / ``interferer-off``
     The field's duty-cycle interferer is switched from the event slot
-    forward; occupancy rows and victim caches from that slot are
+    forward; the field's occupancy index from that slot is
     invalidated (:meth:`~repro.baseband.interference.InterferenceField.
     set_interferer_enabled`).
 """

@@ -266,6 +266,35 @@ def test_coupled_member_is_silent_until_reported():
     assert field.count_collisions("p1", 1000) == before
 
 
+def test_mean_collision_ber_validation_names_its_arguments():
+    field = InterferenceField(streams=11)
+    field.register("victim")
+    with pytest.raises(ValueError, match="start_slot must be >= 0"):
+        field.mean_collision_ber("victim", -1, 1)
+    with pytest.raises(ValueError, match="slots must be >= 1"):
+        field.mean_collision_ber("victim", 0, 0)
+
+
+@pytest.mark.parametrize("channels", [0, 256, 1000])
+def test_channel_counts_outside_one_byte_are_rejected(channels):
+    message = r"channels must be within \[1, 255\], got "
+    with pytest.raises(ValueError, match=message):
+        HopSequence(random.Random(0), channels=channels)
+    with pytest.raises(ValueError, match=message):
+        InterferenceField(streams=1, channels=channels)
+
+
+def test_widest_byte_channel_count_is_accepted():
+    field = InterferenceField(streams=1, channels=255)
+    field.register("victim")
+    field.register("other")
+    hops = field.member("victim").hops
+    assert all(0 <= hops.channel_at(slot) < 255 for slot in range(2000))
+    assert field.count_collisions("victim", 2000) \
+        == sum(field.collisions_pairwise("victim", slot)
+               for slot in range(2000))
+
+
 def test_coupled_report_validation():
     field = InterferenceField(streams=11)
     field.register("duty", duty_cycle=1.0)
@@ -278,22 +307,6 @@ def test_coupled_report_validation():
         field.report_transmission("coupled", -1, 1)
     with pytest.raises(ValueError, match="slots"):
         field.report_transmission("coupled", 0, 0)
-
-
-def test_late_report_invalidates_existing_victim_caches():
-    field = InterferenceField(streams=13)
-    field.register_coupled("p1")
-    field.register_coupled("p2")
-    # build victim caches over a horizon while p2 is still silent
-    assert field.count_collisions("p1", 400) == 0
-    # a report into the already-cached span must be reflected
-    field.report_transmission("p2", 0, 400)
-    fresh = InterferenceField(streams=13)
-    fresh.register_coupled("p1")
-    fresh.register_coupled("p2")
-    fresh.report_transmission("p2", 0, 400)
-    assert field.count_collisions("p1", 400) \
-        == fresh.count_collisions("p1", 400) > 0
 
 
 def test_recorder_reports_on_the_slot_grid():
@@ -349,7 +362,7 @@ def test_interferer_switch_masks_without_redrawing():
 
 def test_interferer_switch_invalidates_prebuilt_caches():
     always_on, switched = _switched_pair()
-    # build occupancy rows and victim caches past the switch point first
+    # build the occupancy index past the switch point first
     assert switched.count_collisions("victim", 600) \
         == always_on.count_collisions("victim", 600)
     switched.set_interferer_enabled("other", 200, False)

@@ -1,11 +1,18 @@
 """Property-based tests of the channel-state and interference invariants."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseband.channel import GilbertElliottChannel
-from repro.baseband.interference import InterferenceField
+from repro.baseband.interference import (
+    InterferenceField,
+    bulk_active,
+    bulk_randrange,
+)
 from repro.sim.rng import RandomStreams
 
 probabilities = st.floats(min_value=0.0, max_value=1.0,
@@ -141,7 +148,7 @@ def test_coupled_occupancy_equals_pairwise_scan(seed, reports, horizon):
     field.register_coupled("peer")
     field.register("noise", duty_cycle=0.5)
     # interleave reports with queries so reports land both before and
-    # after the occupancy rows / victim caches cover their slots
+    # after the occupancy index covers their slots
     for index, (start, slots) in enumerate(reports):
         field.report_transmission("peer", start, slots)
         if index % 2:
@@ -178,3 +185,110 @@ def test_field_empirical_rate_approaches_the_analytic_probability():
     expected = (1.0 + 0.5) / field.channels * horizon
     count = field.count_collisions("victim", horizon)
     assert count == pytest.approx(expected, rel=0.15)
+
+
+# ----------------------------------------------- bulk exact-order draws
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+draw_counts = st.integers(min_value=0, max_value=600)
+
+#: duties whose threshold falls exactly on a top-byte boundary (a tie on
+#: every 256th draw) and their nearest neighbours on either side
+TIE_DUTIES = sorted({duty for k in range(257)
+                     for duty in (k / 256,
+                                  math.nextafter(k / 256, 0.0),
+                                  math.nextafter(k / 256, 1.0))
+                     if 0.0 <= duty <= 1.0})
+
+
+@given(seed=seeds, n=st.integers(min_value=1, max_value=255),
+       count=draw_counts)
+@settings(max_examples=300, deadline=None)
+def test_bulk_randrange_equals_the_per_call_loop(seed, n, count):
+    per_call, bulk = random.Random(seed), random.Random(seed)
+    expected = [per_call.randrange(n) for _ in range(count)]
+    assert list(bulk_randrange(bulk, n, count)) == expected
+    assert bulk.getstate() == per_call.getstate()
+
+
+@given(seed=seeds,
+       duty=st.one_of(st.sampled_from(TIE_DUTIES), duty_cycles),
+       count=draw_counts)
+@settings(max_examples=300, deadline=None)
+def test_bulk_active_equals_the_per_call_loop(seed, duty, count):
+    per_call, bulk = random.Random(seed), random.Random(seed)
+    expected = [int(per_call.random() < duty) for _ in range(count)]
+    assert list(bulk_active(bulk, duty, count)) == expected
+    assert bulk.getstate() == per_call.getstate()
+
+
+def pairwise_mean_ber(field, victim, start, slots):
+    """``mean_collision_ber`` recomputed from the pairwise reference."""
+    total = 0.0
+    for slot in range(start, start + slots):
+        count = field.collisions_pairwise(victim, slot)
+        if count:
+            total += min(0.5, count * field.ber_per_collision)
+    return total / slots
+
+
+field_operations = st.lists(st.one_of(
+    st.tuples(st.just("report"), st.sampled_from(("victim", "peer")),
+              st.integers(min_value=0, max_value=380),
+              st.integers(min_value=1, max_value=5)),
+    # the switch slot advances by the drawn step (switches are ordered)
+    st.tuples(st.just("switch"), st.just("noise"),
+              st.integers(min_value=0, max_value=80), st.booleans()),
+    st.tuples(st.just("query"), st.just("victim"),
+              st.integers(min_value=0, max_value=380),
+              st.integers(min_value=1, max_value=5)),
+), max_size=30)
+
+
+@given(seed=seeds, duty=duty_cycles, operations=field_operations)
+@settings(max_examples=80, deadline=None)
+def test_interleaved_reports_switches_and_queries_match_a_fresh_field(
+        seed, duty, operations):
+    """Late reports and switches land whatever the index already covers:
+    every query agrees with the pairwise scan of the same field, and the
+    final state equals a field that saw only the reports and switches."""
+
+    def build():
+        field = InterferenceField(streams=RandomStreams(seed).child("intf"))
+        field.register_coupled("victim")
+        field.register_coupled("peer")
+        field.register("noise", duty_cycle=duty)
+        return field
+
+    field = build()
+    applied = []
+    switch_slot = 0
+    for kind, name, first, second in operations:
+        if kind == "report":
+            field.report_transmission(name, first, second)
+            applied.append((kind, name, first, second))
+        elif kind == "switch":
+            switch_slot += first
+            field.set_interferer_enabled(name, switch_slot, second)
+            applied.append((kind, name, switch_slot, second))
+        else:
+            assert field.mean_collision_ber(name, first, second) \
+                == pairwise_mean_ber(field, name, first, second)
+
+    fresh = build()
+    for kind, name, first, second in applied:
+        if kind == "report":
+            fresh.report_transmission(name, first, second)
+        else:
+            fresh.set_interferer_enabled(name, first, second)
+    horizon = 400
+    pairwise = [field.collisions_pairwise("victim", slot)
+                for slot in range(horizon)]
+    for built in (field, fresh):
+        assert [built.collisions("victim", slot)
+                for slot in range(horizon)] == pairwise
+        assert built.count_collisions("victim", horizon) == sum(pairwise)
+    for start in range(0, horizon - 5, 13):
+        assert field.mean_collision_ber("victim", start, 5) \
+            == fresh.mean_collision_ber("victim", start, 5) \
+            == pairwise_mean_ber(field, "victim", start, 5)
