@@ -5,8 +5,9 @@ event loop — yet in steady state (no SCO reservation boundary, no bridge
 presence change, no pending adaptive-segmentation flip) a poll transaction
 is fully determined the moment the poller plans it: the packets come from
 idempotent queue peeks, the channel outcome from the per-link RNG streams,
-and nothing else in the simulation can interleave before the transaction
-ends.  The :class:`BatchKernel` exploits exactly that window:
+and the only events that can interleave before the transaction ends are
+traffic-source wake-ups, which merely offer packets.  The
+:class:`BatchKernel` exploits exactly that window:
 
 * **plan** — the poller's :class:`~repro.schedulers.base.TransactionPlan`
   plus the steady-state detector below decide whether the next transaction
@@ -16,14 +17,23 @@ ends.  The :class:`BatchKernel` exploits exactly that window:
   ``_finish_transaction``), so both paths perform literally the same
   Python operations in the same order, consuming the same RNG draws from
   the same :class:`~repro.sim.rng.RandomStreams` substreams — results are
-  byte-identical by construction, only the generator suspensions, timeout
-  events and heap traffic are elided.  The memoized FEC tables
+  byte-identical by construction, only the master's generator suspensions,
+  timeout events and heap traffic are elided.  The memoized FEC tables
   (:mod:`repro.baseband.fec`) and the Gilbert-Elliott closed-form n-step
   advance (:meth:`GilbertElliottChannel._advance_to`) keep the per-packet
   channel work constant-time inside the window;
+* **absorb** — before each elided master timeout (downlink end, uplink
+  end, idle end) the kernel reserves the event id the timeout would have
+  taken and fires, through :meth:`Environment.step`, every queued event
+  whose ``(time, priority, id)`` key sorts before the timeout's.  Only
+  *absorbable* events can sort there (see :func:`absorbable`): wake-ups
+  of traffic-source processes and no-op events nobody waits on.  So
+  arrivals land in exactly the heap order of the reference loop, and
+  every later tie breaks the same way because the id counter advances
+  identically;
 * **commit** — deliveries, ARQ failures, EWMA link-quality updates and
   slot accounting land on :class:`FlowState` through those same helpers,
-  and the clock is resynchronized via :meth:`Environment.advance_to`.
+  and the clock steps to the commit instant.
 
 Steady-state / bailout conditions (the kernel hands the step back to the
 event loop the moment any of them trips):
@@ -33,9 +43,13 @@ event loop the moment any of them trips):
 * any slave has a bridge presence schedule (``bridge``) — presence can
   change between the two directions of one transaction;
 * the transaction (its exact peeked packets, both directions) would not
-  end *strictly before* the next scheduled event (``horizon``) — an event
-  at the exact end time must fire before the master resumes (it was pushed
-  earlier, so it wins the heap's insertion-order tie-break);
+  end *strictly before* the next event the kernel cannot absorb
+  (``horizon``): another master's timeout, a timeline runner, the stop
+  event of ``Environment.run(until=...)``, a condition.  An event at the
+  exact end time must fire before the master resumes (it was pushed
+  earlier, so it wins the heap's insertion-order tie-break).  Absorbed
+  events never schedule one (a source only re-arms its own wake-up), so
+  the horizon found when a window opens holds for the whole window;
 * a channel-adaptive segmentation policy flipped its type set during an
   inline transaction (``adaptive_flip``) — the next step runs on the
   reference path;
@@ -58,16 +72,38 @@ import os
 
 from repro.baseband.constants import SLOT_US
 from repro.schedulers.base import TransactionPlan
+from repro.sim.engine import NORMAL
 
 #: environment variable forcing the reference event loop everywhere
 NO_FAST_PATH_ENV = "REPRO_NO_FAST_PATH"
 
 _INFINITY = float("inf")
+#: air time of the shortest transaction, a POLL answered by a NULL
+_SHORTEST_US = 2 * SLOT_US
 
 
 def fast_path_disabled() -> bool:
     """Whether the process-wide escape hatch is set (CLI ``--no-fast-path``)."""
     return bool(os.environ.get(NO_FAST_PATH_ENV))
+
+
+def absorbable(event) -> bool:
+    """Whether a window may fire ``event`` inline (see the module notes).
+
+    True for a successful event whose every waiter is the resume hook of
+    a process flagged ``absorbable`` (a traffic source) that nobody waits
+    on in turn, and for a successful event nobody waits on at all (a
+    finished source or timeline process: firing it changes nothing but
+    the clock).  A failed event is never absorbable: it must abort the
+    run from the event loop.
+    """
+    if not event._ok:
+        return False
+    for callback in event.callbacks:
+        process = getattr(callback, "__self__", None)
+        if not getattr(process, "absorbable", False) or process.callbacks:
+            return False
+    return True
 
 
 class _IdleSentinel:
@@ -151,6 +187,62 @@ class BatchKernel:
         return slots * SLOT_US
 
     # -- execute / commit ------------------------------------------------------
+    @staticmethod
+    def _horizon(env, end):
+        """Time of the next event a window cannot absorb, or ``None`` when
+        a step ending at ``end`` cannot run inline (``horizon``).
+
+        The search for a blocking event visits only queued events due by
+        ``end`` (a heap's subtree never holds an earlier key than its
+        root), so it declines in O(1) when the heap top is one.  Only a
+        step that may run is followed by the full scan for the horizon:
+        in the coupled room a source wake-up often tops the heap while
+        another master is due, and a full scan per declined step cost a
+        quarter of that workload's slots per second.  A window with no
+        such event ahead would never end, so that declines too.
+        """
+        queue = env._queue
+        if not queue:
+            return None
+        if queue[0][0] <= end:
+            size = len(queue)
+            pending = [0]
+            while pending:
+                index = pending.pop()
+                entry = queue[index]
+                if entry[0] <= end:
+                    if not absorbable(entry[3]):
+                        return None
+                    child = 2 * index + 1
+                    if child < size:
+                        pending.append(child)
+                        if child + 1 < size:
+                            pending.append(child + 1)
+        horizon = min((entry[0] for entry in queue
+                       if not absorbable(entry[3])), default=_INFINITY)
+        return None if horizon == _INFINITY else horizon
+
+    @staticmethod
+    def _absorb(env, when) -> None:
+        """Fire every queued event that sorts before the master timeout
+        the reference loop would schedule now to wake at ``when``.
+
+        The timeout's event id is reserved first (``env._eid += 1``), so
+        the ids of everything scheduled later match the reference loop.
+        The caller's horizon check guarantees every event below the key
+        is absorbable.  The master is the active process again afterwards.
+        """
+        eid = env._eid
+        env._eid = eid + 1
+        queue = env._queue
+        bound = (when, NORMAL, eid)
+        if queue[0] < bound:
+            master = env._active_process
+            step = env.step
+            while queue[0] < bound:
+                step()
+            env._active_process = master
+
     def try_idle(self) -> bool:
         """Take the master's idle step inline if the horizon allows it."""
         if self._force_slow:
@@ -170,11 +262,11 @@ class BatchKernel:
         else:
             advance = 1
         end = now + advance * SLOT_US
-        horizon = env.peek()
-        if horizon == _INFINITY or end >= horizon:
+        if self._horizon(env, end) is None:
             self._bail("horizon")
             return False
         piconet.slots_idle += advance
+        self._absorb(env, end)
         env.advance_to(end)
         self.idle_advances += 1
         if not self._in_window:
@@ -195,13 +287,11 @@ class BatchKernel:
         kernel cannot execute is handed back for the event loop to run.
 
         The hot loop writes ``env._now`` directly instead of calling
-        :meth:`Environment.advance_to`: the per-step horizon check proves
-        every jump lands strictly before the next scheduled event, which is
-        exactly the validation ``advance_to`` would repeat (twice per
-        transaction, with a queue peek each) — the check here, against the
-        exact transaction duration, is even stricter.  Nothing inside the
-        window schedules events, so the
-        horizon captured on entry stays exact for the whole window.
+        :meth:`Environment.advance_to`: after :meth:`_absorb` nothing
+        queued sorts before the commit instant, and the per-step horizon
+        check (against the exact transaction duration) keeps every jump
+        strictly before the next event the window cannot absorb — the
+        validation ``advance_to`` would repeat twice per transaction.
         """
         if self._force_slow:
             self._force_slow = False
@@ -220,10 +310,17 @@ class BatchKernel:
             self._bail("bridge")
             return plan
         env = piconet.env
-        horizon = env.peek()
+        queue = env._queue
+        if (queue and queue[0][0] <= env._now + _SHORTEST_US
+                and not absorbable(queue[0][3])):
+            # a blocking event is due before even a POLL/NULL exchange
+            # could end, whatever the plan: decline before peeking
+            self._bail("horizon")
+            return plan
         states = piconet._states
-        if (horizon == _INFINITY
-                or env._now + self._plan_duration_us(states, plan) >= horizon):
+        horizon = self._horizon(
+            env, env._now + self._plan_duration_us(states, plan))
+        if horizon is None:
             self._bail("horizon")
             return plan
         poller = piconet.poller
@@ -234,6 +331,7 @@ class BatchKernel:
         sco_links = piconet.sco_table._links
         bridge_presence = piconet._bridge_presence
         plan_duration = self._plan_duration_us
+        absorb = self._absorb
         begin = piconet._begin_transaction
         apply_downlink = piconet._apply_downlink
         finish = piconet._finish_transaction
@@ -266,6 +364,7 @@ class BatchKernel:
                     plan = self.IDLE
                     break
                 piconet.slots_idle += advance
+                absorb(env, end)
                 env._now = end
                 idles += 1
                 plan = select(end)
@@ -276,9 +375,13 @@ class BatchKernel:
                 before = self._adaptive_snapshot(states, plan)
             # .ptype.slots * SLOT_US == .duration_us, minus two property hops
             txn = begin(plan)
-            env._now = now + txn.dl_packet.ptype.slots * SLOT_US
+            end = now + txn.dl_packet.ptype.slots * SLOT_US
+            absorb(env, end)
+            env._now = end
             apply_downlink(txn)
-            env._now = txn.ul_start + txn.ul_packet.ptype.slots * SLOT_US
+            end = txn.ul_start + txn.ul_packet.ptype.slots * SLOT_US
+            absorb(env, end)
+            env._now = end
             finish(txn)
             transactions += 1
             if adaptive and self._adaptive_snapshot(states, plan) != before:
@@ -288,7 +391,7 @@ class BatchKernel:
                 self._force_slow = True
                 plan = None
                 break
-            plan = select(env._now)
+            plan = select(end)
         self.transactions += transactions
         self.idle_advances += idles
         if (transactions or idles) and not self._in_window:

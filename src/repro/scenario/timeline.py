@@ -10,10 +10,10 @@ appends an outcome record to ``CompiledScenario.timeline_log`` — the
 row-visible trace the ``churn_recovery`` experiment (and any driver)
 reads back.
 
-Fast-path interaction: timeline events are ordinary scheduled events, so
-the :class:`~repro.piconet.batch_kernel.BatchKernel` horizon check already
-guarantees every inline window ends strictly before them — an event never
-fires mid-window.  Events that change the topology additionally flag the
+Fast-path interaction: timeline runners are not traffic sources, so the
+:class:`~repro.piconet.batch_kernel.BatchKernel` cannot absorb their
+wake-ups and its horizon check guarantees every inline window ends
+strictly before them — an event never fires mid-window.  Events that change the topology additionally flag the
 kernel (``topology`` bailout) so the first step *after* the event runs on
 the reference path.
 

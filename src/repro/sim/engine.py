@@ -15,12 +15,10 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Process, Timeout
-
-#: Scheduling priority used for urgent events (interrupts).
-URGENT = 0
-#: Default scheduling priority.
-NORMAL = 1
+# the priorities live with the events (Timeout pushes itself); URGENT is
+# re-exported for callers that schedule by hand
+from repro.sim.events import (  # noqa: F401
+    NORMAL, URGENT, Event, Process, Timeout)
 
 
 class StopSimulation(Exception):

@@ -14,7 +14,13 @@ process completion with :class:`AllOf` / :class:`AnyOf`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
+
+#: Scheduling priority used for urgent events (interrupts).
+URGENT = 0
+#: Default scheduling priority.
+NORMAL = 1
 
 
 class Interrupt(Exception):
@@ -117,11 +123,17 @@ class Timeout(Event):
     def __init__(self, env, delay, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._ok = True
+        # the hottest constructor of every run: Event.__init__ and
+        # Environment._schedule inlined, with the same fields and eid
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._defused = False
         self.delay = delay
-        env._schedule(self, delay=delay)
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env._now + delay, NORMAL, eid, self))
 
 
 class Initialize(Event):
@@ -142,6 +154,11 @@ class Process(Event):
     succeeds with the generator's return value.  If the generator raises,
     the process event fails with that exception.
     """
+
+    #: set by :meth:`repro.traffic.sources.TrafficSource.start`: the process
+    #: only offers packets, so a batch kernel may fire its wake-ups inline
+    #: (:mod:`repro.piconet.batch_kernel`)
+    absorbable = False
 
     def __init__(self, env, generator: Generator):
         if not hasattr(generator, "throw"):
@@ -173,45 +190,50 @@ class Process(Event):
         event._defused = True
         # Deliver before anything else scheduled for the same instant.
         event.callbacks.append(self._resume)
-        self.env._schedule(event, priority=0)
+        self.env._schedule(event, priority=URGENT)
 
     # -- driving ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not Event.PENDING:
             # Already finished (e.g. interrupted after completion race).
             return
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         # Detach from the previous target (relevant for interrupts).
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                self.env._schedule(self)
+                env._schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
             if not isinstance(next_event, Event):
-                self._generator.throw(
-                    TypeError(f"process yielded a non-event: {next_event!r}"))
+                # thrown back into the generator through the try above: what
+                # it yields next is waited for, an uncaught error fails it
+                event = _thrown(env, TypeError(
+                    f"process yielded a non-event: {next_event!r}"))
                 continue
-            if next_event.env is not self.env:
-                self._generator.throw(
-                    ValueError("yielded event belongs to another environment"))
+            if next_event.env is not env:
+                event = _thrown(env, ValueError(
+                    "yielded event belongs to another environment"))
                 continue
 
             if next_event.callbacks is not None:
@@ -222,7 +244,16 @@ class Process(Event):
             # Already processed: continue immediately with its outcome.
             event = next_event
 
-        self.env._active_process = None
+        env._active_process = None
+
+
+def _thrown(env, exception: BaseException) -> Event:
+    """An unscheduled, failed event: resuming a process with it throws
+    ``exception`` into the generator."""
+    event = Event(env)
+    event._ok = False
+    event._value = exception
+    return event
 
 
 class Condition(Event):

@@ -46,9 +46,15 @@ class TrafficSource:
 
     # -- life cycle ------------------------------------------------------------
     def start(self) -> None:
-        """Start generating packets (idempotent)."""
+        """Start generating packets (idempotent).
+
+        The process is flagged ``absorbable``: its wake-ups only offer
+        packets and schedule its own next wake-up, so the batch kernel
+        (:mod:`repro.piconet.batch_kernel`) may fire them inline.
+        """
         if self._process is None:
             self._process = self.piconet.env.process(self._run())
+            self._process.absorbable = True
 
     def stop(self) -> None:
         """Stop generating packets (terminal; a timeline ``flow-remove``
@@ -84,9 +90,10 @@ class TrafficSource:
         return max(1, int(round(target_us)) - self.piconet.env.now)
 
     def _run(self):
+        env = self.piconet.env
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
-        target_us = float(self.piconet.env.now)
+            yield env.timeout(_to_us(self.start_offset))
+        target_us = float(env.now)
         for gap in self._intervals():
             if self._stopped:
                 return
@@ -97,8 +104,8 @@ class TrafficSource:
             # builds up while the >=1 us clamp binds (nominal rate above the
             # simulator resolution) and must not be "repaid" later as an
             # unrealistic burst.
-            target_us = max(target_us, self.piconet.env.now - 0.5)
-            yield self.piconet.env.timeout(self._delay_us(target_us))
+            target_us = max(target_us, env.now - 0.5)
+            yield env.timeout(self._delay_us(target_us))
 
 
 class CBRSource(TrafficSource):

@@ -4,8 +4,9 @@ The byte-identity of the kernel against the reference event loop is
 covered property-based in ``tests/properties/test_fast_path_equivalence``
 and fixture-based in ``tests/experiments/test_golden``; here the kernel's
 mechanics are pinned directly: the clock-resync primitive, the bailout
-counters, and every way of switching the fast path off (config field,
-spec field, environment variable, CLI flag).
+counters, windows that absorb traffic arrivals but end before every
+other event, and every way of switching the fast path off (config
+field, spec field, environment variable, CLI flag).
 """
 
 import os
@@ -18,14 +19,17 @@ from repro.piconet.batch_kernel import NO_FAST_PATH_ENV, BatchKernel
 from repro.piconet.flows import BE, DOWNLINK
 from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.scenario import compile_scenario
-from repro.scenario.factories import figure4_piconet_spec
+from repro.scenario.factories import coupled_room_spec, figure4_piconet_spec
 from repro.scenario.specs import (
+    EventSpec,
     FlowSpec,
     PiconetSpec,
     PollerSpec,
     ScenarioSpec,
+    TimelineSpec,
 )
 from repro.sim.engine import Environment
+from repro.traffic.sources import CBRSource
 
 STEADY_TYPES = ("DH1", "DH3", "DH5")
 
@@ -232,3 +236,157 @@ def test_topology_change_bails_out_of_the_current_window():
     stats = piconet.fast_path_stats()
     assert stats["bailouts"]["topology"] == before + 1
     assert piconet.topology_changes == 1
+
+
+# -- windows that absorb traffic arrivals -------------------------------------
+
+#: one DH5 + NULL transaction of the backlogged steady flow
+DH5_TXN_US = 6 * 625
+
+
+def _sourced_steady_spec(fast_path=True, timeline=None):
+    """The steady piconet plus a slot-aligned CBR downlink on a 2nd slave."""
+    piconet = PiconetSpec(
+        name="steady", slaves=("S1", "S2"),
+        flows=(FlowSpec(1, slave=1, direction=DOWNLINK, traffic_class=BE,
+                        allowed_types=STEADY_TYPES),
+               FlowSpec(2, slave=2, direction=DOWNLINK, traffic_class=BE,
+                        interval_s=4 * 625e-6, size=20,
+                        allowed_types=STEADY_TYPES)),
+        allowed_types=STEADY_TYPES,
+        poller=PollerSpec(kind="round_robin"),
+        fast_path=fast_path)
+    return ScenarioSpec(piconets=(piconet,),
+                        timeline=timeline or TimelineSpec())
+
+
+def _acl_transactions(piconet):
+    return piconet.transactions_gs + piconet.transactions_be
+
+
+def test_figure4_runs_as_one_window_with_all_but_the_last_transaction_inline():
+    spec = ScenarioSpec(piconets=(figure4_piconet_spec(
+        delay_requirement=0.040),))
+    compiled = compile_scenario(spec, seed=3)
+    compiled.run(2.0)
+    piconet = compiled.primary.piconet
+    stats = piconet.fast_path_stats()
+    assert sum(source.packets_generated
+               for source in compiled.primary.sources) > 100
+    assert 1 <= stats["windows"] <= 3
+    # at most the last transaction crosses the stop event of run(until=...)
+    assert stats["transactions"] >= _acl_transactions(piconet) - 1
+    assert stats["bailouts"]["horizon"] <= 3
+
+
+def _traced_run(spec, hard_at_us=None, duration_s=0.1):
+    """Run ``spec`` with a backlog on flow 1 (and an unflagged process
+    waking at ``hard_at_us``); the order of commits and that wake-up."""
+    compiled = compile_scenario(spec, seed=5)
+    piconet = compiled.primary.piconet
+    env = compiled.env
+    for _ in range(60):
+        piconet.offer_packet(1, 2000)
+    log = []
+    finish = piconet._finish_transaction
+
+    def logged_finish(txn):
+        finish(txn)
+        log.append(("commit", env.now))
+
+    piconet._finish_transaction = logged_finish
+
+    def hard(env):
+        yield env.timeout(hard_at_us)
+        log.append(("hard", env.now))
+
+    if hard_at_us is not None:
+        env.process(hard(env))
+    compiled.run(duration_s)
+    return log, piconet.fast_path_stats()
+
+
+def test_window_ends_strictly_before_an_event_it_cannot_absorb():
+    # the wake-up lands exactly on a commit instant: it was scheduled
+    # first, so it fires before the master commits
+    plain, _ = _traced_run(_sourced_steady_spec(fast_path=False))
+    hard_at = plain[12][1]
+    log, stats = _traced_run(_sourced_steady_spec(), hard_at)
+    reference, ref_stats = _traced_run(
+        _sourced_steady_spec(fast_path=False), hard_at)
+    assert log == reference
+    position = log.index(("hard", hard_at))
+    assert log[position + 1] == ("commit", hard_at)
+    assert all(when < hard_at for _kind, when in log[:position])
+    assert stats["windows"] >= 2  # the wake-up split the run
+    assert stats["transactions"] > 0 and ref_stats == {"enabled": False}
+
+
+def test_window_ends_strictly_before_a_timeline_event_and_the_stop_event():
+    at_s = 9 * DH5_TXN_US / 1e6
+    timeline = TimelineSpec(events=(
+        EventSpec(at_s=at_s, kind="flow-remove", flow_id=2),))
+    results = {}
+    for fast in (True, False):
+        compiled = compile_scenario(
+            _sourced_steady_spec(fast, timeline), seed=5)
+        piconet = compiled.primary.piconet
+        for _ in range(60):
+            piconet.offer_packet(1, 2000)
+        compiled.run(0.05)
+        assert compiled.env.now == 50_000  # never past the stop event
+        compiled.run(0.05)
+        assert compiled.env.now == 100_000
+        results[fast] = (piconet.slot_accounting(), piconet.flow_stats(1),
+                         compiled.primary.sources[0].packets_generated,
+                         compiled.timeline_log)
+        if fast:
+            stats = piconet.fast_path_stats()
+    assert results[True] == results[False]
+    assert results[True][1]["delivered_packets"] > 0
+    # the source fired every 4 slots from t=0 until the event stopped it
+    assert results[True][2] == 9 * DH5_TXN_US // (4 * 625) + 1
+    assert stats["bailouts"]["topology"] == 1
+    assert stats["windows"] >= 3  # split by the event and by each stop
+    assert stats["transactions"] > 0
+
+
+def test_master_is_the_active_process_after_an_inline_arrival():
+    compiled = compile_scenario(_sourced_steady_spec(), seed=5)
+    piconet = compiled.primary.piconet
+    env = compiled.env
+    for _ in range(60):
+        piconet.offer_packet(1, 2000)
+    seen = []
+    apply_downlink = piconet._apply_downlink
+
+    def watched(txn):
+        seen.append(env.active_process)
+        apply_downlink(txn)
+
+    piconet._apply_downlink = watched
+    compiled.run(0.1)
+    assert piconet.fast_path_stats()["transactions"] > len(seen) // 2
+    assert compiled.primary.sources[0].packets_generated > 10
+    masters = {id(process) for process in seen}
+    assert len(masters) == 1
+    assert seen[0]._generator.gi_code.co_name == "_master_process"
+
+
+def test_arrival_source_processes_are_flagged_absorbable():
+    compiled = compile_scenario(_sourced_steady_spec(), seed=5)
+    source = compiled.primary.sources[0]
+    assert isinstance(source, CBRSource)
+    compiled.run(0.01)
+    assert source._process.absorbable
+    assert source.packets_generated > 0
+
+
+def test_coupled_room_kernel_still_runs_no_inline_transaction():
+    compiled = compile_scenario(coupled_room_spec(piconets=16), seed=3)
+    compiled.run(0.05)
+    for piconet in compiled.piconets.values():
+        stats = piconet.piconet.fast_path_stats()
+        assert stats["enabled"]
+        assert stats["windows"] == 0
+        assert stats["transactions"] == 0

@@ -142,3 +142,73 @@ def test_process_requires_generator():
     env = Environment()
     with pytest.raises(TypeError):
         env.process(lambda: None)
+
+
+def test_process_that_catches_a_bad_yield_waits_for_its_next_event():
+    env = Environment()
+    log = []
+
+    def recovering(env):
+        try:
+            yield 42
+        except TypeError as exc:
+            log.append(("caught", env.now, "non-event" in str(exc)))
+        yield env.timeout(100)
+        log.append(("woke", env.now))
+
+    process = env.process(recovering(env))
+    env.run()
+    assert log == [("caught", 0, True), ("woke", 100)]
+    assert process.ok and not process.is_alive
+
+
+def test_process_that_catches_a_foreign_event_waits_for_its_next_event():
+    env, other = Environment(), Environment()
+    log = []
+
+    def recovering(env):
+        try:
+            yield other.timeout(5)
+        except ValueError as exc:
+            log.append(("caught", env.now, "another environment" in str(exc)))
+        yield env.timeout(100)
+        log.append(("woke", env.now))
+        return "done"
+
+    process = env.process(recovering(env))
+    assert env.run(until=process) == "done"
+    assert log == [("caught", 0, True), ("woke", 100)]
+
+
+def test_uncaught_bad_yield_fails_the_process_and_aborts_the_run():
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(3)
+        yield "not an event"
+
+    process = env.process(bad(env))
+    with pytest.raises(TypeError, match="non-event"):
+        env.run()
+    assert not process.is_alive
+    assert not process.ok
+    assert isinstance(process.value, TypeError)
+    assert env.now == 3
+
+
+def test_waiter_sees_the_failure_of_a_process_with_a_bad_yield():
+    env = Environment()
+    seen = []
+
+    def bad(env):
+        yield None
+
+    def waiter(env, child):
+        try:
+            yield child
+        except TypeError:
+            seen.append(env.now)
+
+    env.process(waiter(env, env.process(bad(env))))
+    env.run()
+    assert seen == [0]

@@ -1,5 +1,7 @@
-"""Tests of the claim rule in ``tools/perfbench_pairs.py``."""
+"""Tests of the claim and no-regression rules of
+``tools/perfbench_pairs.py``."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -55,3 +57,93 @@ def test_mismatched_or_empty_runs_are_rejected():
         perfbench_pairs.verdict([], [], "higher")
     with pytest.raises(ValueError, match="better must be"):
         perfbench_pairs.verdict(PARENT, PARENT, "faster")
+
+
+# -- the no-regression rule ---------------------------------------------------
+
+def test_change_worse_than_the_bound_is_regressed():
+    slower = [value * 0.7 for value in PARENT]
+    result = perfbench_pairs.regression(PARENT, slower, "higher", 0.25)
+    assert result["worse_by"] == pytest.approx(0.3)
+    assert result["status"] == "regressed"
+
+
+def test_small_steady_loss_inside_the_bound_is_ok():
+    slower = [value * 0.95 for value in PARENT]
+    result = perfbench_pairs.regression(PARENT, slower, "higher", 0.25)
+    assert result["worse_by"] == pytest.approx(0.05)
+    assert result["spread"] == pytest.approx(2.5 / 100.0)
+    assert result["status"] == "ok"
+
+
+def test_spread_wider_than_the_bound_is_unresolved_unless_all_runs_better():
+    noisy = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 90.0, 110.0]
+    result = perfbench_pairs.regression(PARENT, noisy, "higher", 0.25)
+    assert result["spread"] > 0.25
+    assert result["status"] == "unresolved"
+    # every pair won, but the change's worst run is below the parent's best
+    paired_wins = [old + abs(new - 100.0) + 1.0
+                   for old, new in zip(PARENT, noisy)]
+    assert min(paired_wins) < max(PARENT)
+    result = perfbench_pairs.regression(PARENT, paired_wins, "higher", 0.25)
+    assert result["status"] == "unresolved"
+    all_better = [old + abs(new - 100.0) + 5.0
+                  for old, new in zip(PARENT, noisy)]
+    assert min(all_better) > max(PARENT)
+    result = perfbench_pairs.regression(PARENT, all_better, "higher", 0.25)
+    assert result["spread"] > 0.25
+    assert result["status"] == "ok"
+
+
+def test_regression_respects_lower_is_better():
+    slower = [value * 1.2 for value in PARENT]
+    assert perfbench_pairs.regression(
+        PARENT, slower, "lower", 0.1)["status"] == "regressed"
+    assert perfbench_pairs.regression(
+        PARENT, slower, "lower", 0.25)["status"] == "ok"
+
+
+def test_regression_needs_a_nonzero_parent_median():
+    with pytest.raises(ValueError, match="median is zero"):
+        perfbench_pairs.regression([0.0, 0.0], [1.0, 1.0], "lower", 0.1)
+
+
+def test_main_prints_one_row_per_workload(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "slots_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+    speed = {("parent", "fast"): 100.0, ("change", "fast"): 130.0,
+             ("parent", "flat"): 100.0, ("change", "flat"): 60.0}
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = Path(tree).name
+        calls.append((side, workload))
+        return {"slots_per_s": speed[side, workload] + len(calls) % 3,
+                "peak_rss_mb": 30.0}
+
+    monkeypatch.setattr(perfbench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(perfbench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: None)
+    assert perfbench_pairs.main([str(parent), str(change), "--workload",
+                                 "fast", "flat", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    # pairs alternate which side runs first, workload by workload
+    assert calls[:4] == [("parent", "fast"), ("change", "fast"),
+                         ("change", "fast"), ("parent", "fast")]
+    assert len(calls) == 12
+    rows = lines[-3:-1]  # the per-workload rows, then the JSON summary
+    assert [row.split()[0] for row in rows] == ["fast", "flat"]
+    assert "slots_per_s +" in rows[0] and "improved" in rows[0]
+    assert "regressed" in rows[1]
+    summary = json.loads(lines[-1])
+    assert sorted(summary["workloads"]) == ["fast", "flat"]
+    fast = summary["workloads"]["fast"]["slots_per_s"]
+    assert fast["improved"] and fast["regression"]["status"] == "ok"
+    flat = summary["workloads"]["flat"]["slots_per_s"]
+    assert flat["regression"]["status"] == "regressed"
+    assert summary["workloads"]["flat"]["peak_rss_mb"]["regression"][
+        "status"] == "ok"

@@ -1,24 +1,34 @@
 #!/usr/bin/env python
 """Time two checkouts against each other with alternating perfbench runs.
 
-    python tools/perfbench_pairs.py PARENT CHANGE --workload W \\
+    python tools/perfbench_pairs.py PARENT CHANGE --workload W [W ...] \\
         --pairs N --seconds S [--seed K]
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository (for
 example a ``git clone`` of the parent commit and the working tree).  Both
 trees are byte-compiled first: with ``PYTHONDONTWRITEBYTECODE`` set, an
 uncompiled tree pays its compile in every fresh interpreter and reads
-as much slower ``setup_s``.  Then each pair runs ``perfbench/run.py
---trace 0`` once in each checkout, swapping which side goes first from
-one pair to the next so slow drifts in host speed hit both sides alike.
+as much slower ``setup_s``.  Then, workload by workload, each pair runs
+``perfbench/run.py --trace 0`` once in each checkout, swapping which
+side goes first from one pair to the next so slow drifts in host speed
+hit both sides alike.
 
 For every end-to-end metric in ``CHANGE``'s ``BENCHMARK.json`` the tool
 prints each side's median and quartiles over the pairs, how many pairs
-the change won, and the verdict of the claim rule: the change improves
-a metric when it wins at least 9 of every 10 pairs *and* its median
-beats the parent's by more than the parent's interquartile range.  The
-last line of stdout is the same summary as JSON.  A run that is not
-``correct`` or has failed operations aborts the tool (exit 1).
+the change won, and two verdicts:
+
+* the claim rule: the change *improves* a metric when it wins at least
+  9 of every 10 pairs *and* its median beats the parent's by more than
+  the parent's interquartile range;
+* the no-regression rule, from the metric's ``bound`` (a share of the
+  parent's median): ``regressed`` when the change's median is worse than
+  the parent's by more than the bound, ``unresolved`` when either side's
+  spread (interquartile range over median) exceeds the bound and not
+  every change run is better than every parent run, ``ok`` otherwise.
+
+It ends with one row per workload, and the last line of stdout is the
+whole summary as JSON.  A run that is not ``correct`` or has failed
+operations aborts the tool (exit 1).
 """
 
 from __future__ import annotations
@@ -69,6 +79,36 @@ def verdict(parent: Sequence[float], change: Sequence[float],
             "improved": wins >= needed and gap > iqr}
 
 
+def regression(parent: Sequence[float], change: Sequence[float],
+               better: str, bound: float) -> Dict[str, object]:
+    """The no-regression rule on paired runs.
+
+    ``bound`` is the share of the parent's median by which the change's
+    median may be worse.  ``status`` is ``"regressed"`` past it,
+    ``"unresolved"`` when either side's spread (IQR over median) exceeds
+    the bound and not every change run is better than every parent run,
+    else ``"ok"``.
+    """
+    result = verdict(parent, change, better)
+    old, new = result["parent"], result["change"]
+    if not old["median"]:
+        raise ValueError("the parent's median is zero: no relative bound")
+    worse_by = -result["gap"] / abs(old["median"])
+    spread = max((side["q3"] - side["q1"]) / abs(side["median"])
+                 if side["median"] else math.inf for side in (old, new))
+    sign = 1.0 if better == "higher" else -1.0
+    all_better = (min(sign * value for value in change)
+                  > max(sign * value for value in parent))
+    if worse_by > bound:
+        status = "regressed"
+    elif spread > bound and not all_better:
+        status = "unresolved"
+    else:
+        status = "ok"
+    return {"bound": bound, "worse_by": worse_by, "spread": spread,
+            "status": status}
+
+
 def run_once(tree: str, workload: str, seed: int,
              seconds: float) -> Dict[str, float]:
     """One ``perfbench/run.py`` run in ``tree``; its metric values."""
@@ -85,11 +125,61 @@ def run_once(tree: str, workload: str, seed: int,
             for name, metric in result["metrics"].items()}
 
 
+def compare(trees: Dict[str, str], workload: str, pairs: int, seed: int,
+            seconds: float, metrics: Dict[str, dict]) -> Dict[str, dict]:
+    """Alternate ``pairs`` runs of ``workload``; each metric's verdicts."""
+    runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 \
+            else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed,
+                                       seconds))
+        print(f"{workload} pair {pair + 1}/{pairs}: " + "  ".join(
+            f"{name} {runs['parent'][-1][name]:.4g} -> "
+            f"{runs['change'][-1][name]:.4g}" for name in metrics),
+            flush=True)
+
+    summary = {}
+    for name, metric in metrics.items():
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        result = verdict(parent, change, metric["better"])
+        result["regression"] = regression(parent, change, metric["better"],
+                                          metric["bound"])
+        summary[name] = result
+        old, new = result["parent"], result["change"]
+        print(f"{workload} {name} ({metric['better']} is better): parent "
+              f"{old['median']:.4g} [{old['q1']:.4g}, {old['q3']:.4g}]  "
+              f"change {new['median']:.4g} [{new['q1']:.4g}, "
+              f"{new['q3']:.4g}]  wins {result['wins']}/{result['pairs']} "
+              f"(need {result['wins_needed']})  gap {result['gap']:.4g} vs "
+              f"parent IQR {result['parent_iqr']:.4g}  -> "
+              f"{'improved' if result['improved'] else 'not improved'}; "
+              f"bound {metric['bound']:g}: "
+              f"{result['regression']['status']}")
+    return summary
+
+
+def summary_row(workload: str, metrics: Dict[str, dict]) -> str:
+    """One line: each metric's median change and both verdicts."""
+    cells = []
+    for name, result in metrics.items():
+        old = result["parent"]["median"]
+        change = (result["change"]["median"] - old) / abs(old) if old \
+            else math.nan
+        cells.append(f"{name} {change:+.1%} "
+                     f"{'improved' if result['improved'] else '-'} "
+                     f"{result['regression']['status']}")
+    return f"{workload:<30} " + " | ".join(cells)
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+",
+                        action="extend", dest="workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -103,36 +193,16 @@ def main(argv: List[str] = None) -> int:
                        check=True, stdout=subprocess.DEVNULL)
     with open(os.path.join(trees["change"], "BENCHMARK.json"),
               encoding="utf-8") as handle:
-        directions = {metric["name"]: metric["better"]
-                      for metric in json.load(handle)["end_to_end"]}
+        metrics = {metric["name"]: metric
+                   for metric in json.load(handle)["end_to_end"]}
 
-    runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 \
-            else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(trees[side], args.workload,
-                                       args.seed, args.seconds))
-        print(f"pair {pair + 1}/{args.pairs}: " + "  ".join(
-            f"{name} {runs['parent'][-1][name]:.4g} -> "
-            f"{runs['change'][-1][name]:.4g}" for name in directions),
-            flush=True)
-
-    summary = {}
-    for name, better in directions.items():
-        result = verdict([run[name] for run in runs["parent"]],
-                         [run[name] for run in runs["change"]], better)
-        summary[name] = result
-        old, new = result["parent"], result["change"]
-        print(f"{name} ({better} is better): parent {old['median']:.4g} "
-              f"[{old['q1']:.4g}, {old['q3']:.4g}]  change "
-              f"{new['median']:.4g} [{new['q1']:.4g}, {new['q3']:.4g}]  "
-              f"wins {result['wins']}/{result['pairs']} (need "
-              f"{result['wins_needed']})  gap {result['gap']:.4g} vs "
-              f"parent IQR {result['parent_iqr']:.4g}  -> "
-              f"{'improved' if result['improved'] else 'not improved'}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "seconds": args.seconds, "metrics": summary}))
+    summary = {workload: compare(trees, workload, args.pairs, args.seed,
+                                 args.seconds, metrics)
+               for workload in args.workloads}
+    for workload, results in summary.items():
+        print(summary_row(workload, results))
+    print(json.dumps({"seed": args.seed, "seconds": args.seconds,
+                      "pairs": args.pairs, "workloads": summary}))
     return 0
 
 
