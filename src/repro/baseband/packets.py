@@ -23,6 +23,7 @@ HV3       1      30                SCO, unprotected (64 kbit/s voice)
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -131,16 +132,10 @@ def transaction_seconds(downlink: PacketType, uplink: PacketType) -> float:
 
 # -- packet instances ---------------------------------------------------------
 
-_packet_counter = 0
+_packet_ids = itertools.count(1)
 
 
-def _next_packet_id() -> int:
-    global _packet_counter
-    _packet_counter += 1
-    return _packet_counter
-
-
-@dataclass
+@dataclass(slots=True)
 class BasebandPacket:
     """One baseband packet on the air.
 
@@ -170,7 +165,7 @@ class BasebandPacket:
     is_last_segment: bool = False
     hl_packet_size: int = 0
     hl_arrival_time: Optional[float] = None
-    packet_id: int = field(default_factory=_next_packet_id)
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.payload < 0:

@@ -28,8 +28,16 @@ class SegmentationError(ValueError):
     """Raised when a higher-layer packet cannot be segmented or reassembled."""
 
 
+#: one segment of a plan: ``(ptype, payload, segment_index, is_last)``
+PlanEntry = Tuple[PacketType, int, int, bool]
+
+
 class SegmentationPolicy:
     """Base class: maps a higher-layer packet size to baseband packet sizes.
+
+    :meth:`choose_type` must depend only on the remainder (and on the
+    policy's fixed type set): :meth:`segment` memoises the resulting plan
+    per higher-layer size.
 
     Parameters
     ----------
@@ -48,6 +56,7 @@ class SegmentationPolicy:
             sorted(data_types, key=lambda t: (t.max_payload, t.slots)))
         self.largest: PacketType = self.by_capacity[-1]
         self.smallest: PacketType = self.by_capacity[0]
+        self._plans: Dict[int, Tuple[PlanEntry, ...]] = {}
 
     # -- interface ----------------------------------------------------------
     def choose_type(self, remaining: int) -> PacketType:
@@ -76,24 +85,25 @@ class SegmentationPolicy:
         """Number of baseband packets (polls) needed for a packet of ``size``."""
         return len(self.segment_sizes(size))
 
+    def segment_plan(self, size: int) -> Tuple[PlanEntry, ...]:
+        """:meth:`segment_sizes` with each segment's index and last flag,
+        memoised per size."""
+        plan = self._plans.get(size)
+        if plan is None:
+            pieces = self.segment_sizes(size)
+            last = len(pieces) - 1
+            plan = tuple((ptype, payload, index, index == last)
+                         for index, (ptype, payload) in enumerate(pieces))
+            self._plans[size] = plan
+        return plan
+
     def segment(self, size: int, flow_id: Optional[int] = None,
                 hl_packet_id: Optional[int] = None,
                 arrival_time: Optional[float] = None) -> List[BasebandPacket]:
         """Build the actual :class:`BasebandPacket` segments for a packet."""
-        pieces = self.segment_sizes(size)
-        packets = []
-        for index, (ptype, payload) in enumerate(pieces):
-            packets.append(BasebandPacket(
-                ptype=ptype,
-                payload=payload,
-                flow_id=flow_id,
-                hl_packet_id=hl_packet_id,
-                segment_index=index,
-                is_last_segment=(index == len(pieces) - 1),
-                hl_packet_size=size,
-                hl_arrival_time=arrival_time,
-            ))
-        return packets
+        return [BasebandPacket(ptype, payload, flow_id, hl_packet_id, index,
+                               is_last, size, arrival_time)
+                for ptype, payload, index, is_last in self.segment_plan(size)]
 
     def max_segment_slots(self) -> int:
         """Slots of the largest baseband packet the policy can emit."""
@@ -214,6 +224,10 @@ class ChannelAdaptiveSegmentationPolicy(SegmentationPolicy):
     def choose_type(self, remaining: int) -> PacketType:
         return self.active.choose_type(remaining)
 
+    def segment_plan(self, size: int) -> Tuple[PlanEntry, ...]:
+        # each mode keeps its own cache: a flip reads the other one
+        return self.active.segment_plan(size)
+
     def max_segment_slots(self) -> int:
         # worst case over both modes: the mode may flip between the SCO
         # guard's budgeting and the actual transmission
@@ -262,6 +276,22 @@ class Reassembler:
             arrives, a dictionary with keys ``flow_id``, ``hl_packet_id``,
             ``size``, ``arrival_time`` and ``segments``.
         """
+        if segment.is_last_segment and segment.segment_index == 0:
+            key = (segment.flow_id, segment.hl_packet_id)
+            if key not in self._partial:
+                # a single-segment packet completes without a partial record
+                _check_size(key, segment.payload, segment.hl_packet_size)
+                return {
+                    "flow_id": segment.flow_id,
+                    "hl_packet_id": segment.hl_packet_id,
+                    "size": segment.payload,
+                    "arrival_time": segment.hl_arrival_time,
+                    "segments": [segment],
+                }
+        return self._push_partial(segment)
+
+    def _push_partial(self, segment: BasebandPacket) -> Optional[dict]:
+        """:meth:`push` through a partial record (the general path)."""
         if not segment.carries_data and not segment.is_last_segment:
             return None
         key = (segment.flow_id, segment.hl_packet_id)
@@ -277,10 +307,7 @@ class Reassembler:
         if not segment.is_last_segment:
             return None
         del self._partial[key]
-        if state.size and state.received_bytes != state.size:
-            raise SegmentationError(
-                f"reassembled {state.received_bytes} bytes for packet {key}, "
-                f"expected {state.size}")
+        _check_size(key, state.received_bytes, state.size)
         return {
             "flow_id": segment.flow_id,
             "hl_packet_id": segment.hl_packet_id,
@@ -293,3 +320,10 @@ class Reassembler:
     def pending(self) -> int:
         """Number of higher-layer packets currently being reassembled."""
         return len(self._partial)
+
+
+def _check_size(key, received: int, size: int) -> None:
+    if size and received != size:
+        raise SegmentationError(
+            f"reassembled {received} bytes for packet {key}, "
+            f"expected {size}")

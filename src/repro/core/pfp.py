@@ -204,9 +204,10 @@ class PredictiveFairPoller(Poller):
     def _select_be(self, now: float) -> Optional[TransactionPlan]:
         best: Optional[_SlaveState] = None
         best_key = None
+        availability_of = self._slave_availability
+        threshold = self.availability_threshold
         for state in self._be_slaves.values():
-            availability = self._slave_availability(state, now)
-            if availability < self.availability_threshold:
+            if availability_of(state, now) < threshold:
                 continue
             key = (state.fairness_ratio(), state.last_polled_at, state.slave)
             if best is None or key < best_key:
@@ -222,13 +223,17 @@ class PredictiveFairPoller(Poller):
                                ul_flow_id=ul_flow, kind=KIND_BE)
 
     def _slave_availability(self, state: _SlaveState, now: float) -> float:
-        availability = 0.0
+        has_data = self.downlink_has_data
         for flow_id in state.dl_flow_ids:
-            if self.downlink_has_data(flow_id):
+            if has_data(flow_id):
                 return 1.0
+        availability = 0.0
+        predictions = self._ul_predictions
         for flow_id in state.ul_flow_ids:
-            availability = max(
-                availability, self._ul_predictions[flow_id].availability(now))
+            availability = max(availability,
+                               predictions[flow_id].availability(now))
+            if availability >= 1.0:
+                return 1.0  # the maximum: no other flow can raise it
         return availability
 
     def _pick_downlink(self, state: _SlaveState) -> Optional[int]:

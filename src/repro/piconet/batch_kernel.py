@@ -26,11 +26,11 @@ traffic-source wake-ups, which merely offer packets.  The
   end, idle end) the kernel reserves the event id the timeout would have
   taken and fires, through :meth:`Environment.step`, every queued event
   whose ``(time, priority, id)`` key sorts before the timeout's.  Only
-  *absorbable* events can sort there (see :func:`absorbable`): wake-ups
-  of traffic-source processes and no-op events nobody waits on.  So
-  arrivals land in exactly the heap order of the reference loop, and
-  every later tie breaks the same way because the id counter advances
-  identically;
+  *absorbable* events can sort there (see :func:`absorbable`): traffic
+  sources' :class:`~repro.sim.events.Wakeup` entries and no-op events
+  nobody waits on.  So arrivals land in exactly the heap order of the
+  reference loop, and every later tie breaks the same way because the id
+  counter advances identically;
 * **commit** — deliveries, ARQ failures, EWMA link-quality updates and
   slot accounting land on :class:`FlowState` through those same helpers,
   and the clock steps to the commit instant.
@@ -73,6 +73,7 @@ import os
 from repro.baseband.constants import SLOT_US
 from repro.schedulers.base import TransactionPlan
 from repro.sim.engine import NORMAL
+from repro.sim.events import Wakeup
 
 #: environment variable forcing the reference event loop everywhere
 NO_FAST_PATH_ENV = "REPRO_NO_FAST_PATH"
@@ -90,20 +91,15 @@ def fast_path_disabled() -> bool:
 def absorbable(event) -> bool:
     """Whether a window may fire ``event`` inline (see the module notes).
 
-    True for a successful event whose every waiter is the resume hook of
-    a process flagged ``absorbable`` (a traffic source) that nobody waits
-    on in turn, and for a successful event nobody waits on at all (a
-    finished source or timeline process: firing it changes nothing but
-    the clock).  A failed event is never absorbable: it must abort the
-    run from the event loop.
+    True for a :class:`~repro.sim.events.Wakeup` (only traffic sources
+    use them: a wake-up offers packets and re-arms itself, nothing waits
+    on it) and for a successful event nobody waits on (a finished
+    timeline process: firing it changes nothing but the clock).  A
+    failed event is never absorbable: it must abort the run from the
+    event loop.
     """
-    if not event._ok:
-        return False
-    for callback in event.callbacks:
-        process = getattr(callback, "__self__", None)
-        if not getattr(process, "absorbable", False) or process.callbacks:
-            return False
-    return True
+    return event.__class__ is Wakeup or (
+        event._ok and not event.callbacks)
 
 
 class _IdleSentinel:
@@ -155,8 +151,20 @@ class BatchKernel:
         self._in_window = False
 
     def _steady(self) -> bool:
+        """Whether the next step may run inline; books the bailout if not.
+
+        Event-dense scenarios decline here on almost every step, so
+        nothing in it may loop or allocate.
+        """
+        if self._force_slow:
+            self._force_slow = False
+            return False
+        if self._topology_dirty:
+            self._topology_dirty = False
+            self._bail("topology")
+            return False
         piconet = self.piconet
-        if len(piconet.sco_table):
+        if piconet.sco_table._links:
             self._bail("sco")
             return False
         if piconet._bridge_presence:
@@ -174,10 +182,8 @@ class BatchKernel:
         not a bound: channel outcomes never change a transaction's length,
         only whether the segments stay queued for ARQ.
         """
-        dl_state = (states.get(plan.dl_flow_id)
-                    if plan.dl_flow_id is not None else None)
-        ul_state = (states.get(plan.ul_flow_id)
-                    if plan.ul_flow_id is not None else None)
+        dl_state = states.get(plan.dl_flow_id)  # no flow has id None
+        ul_state = states.get(plan.ul_flow_id)
         dl_segment = (dl_state.queue.peek_segment()
                       if dl_state is not None else None)
         ul_segment = (ul_state.queue.peek_segment()
@@ -225,33 +231,27 @@ class BatchKernel:
     @staticmethod
     def _absorb(env, when) -> None:
         """Fire every queued event that sorts before the master timeout
-        the reference loop would schedule now to wake at ``when``.
+        the reference loop would schedule now to wake at ``when``, then
+        move the clock to ``when``.
 
         The timeout's event id is reserved first (``env._eid += 1``), so
         the ids of everything scheduled later match the reference loop.
         The caller's horizon check guarantees every event below the key
-        is absorbable.  The master is the active process again afterwards.
+        is absorbable; none of them resumes a process, so the master
+        stays the active process.
         """
         eid = env._eid
         env._eid = eid + 1
         queue = env._queue
         bound = (when, NORMAL, eid)
         if queue[0] < bound:
-            master = env._active_process
             step = env.step
             while queue[0] < bound:
                 step()
-            env._active_process = master
+        env._now = when
 
     def try_idle(self) -> bool:
         """Take the master's idle step inline if the horizon allows it."""
-        if self._force_slow:
-            self._force_slow = False
-            return False
-        if self._topology_dirty:
-            self._topology_dirty = False
-            self._bail("topology")
-            return False
         if not self._steady():
             return False
         piconet = self.piconet
@@ -267,7 +267,6 @@ class BatchKernel:
             return False
         piconet.slots_idle += advance
         self._absorb(env, end)
-        env.advance_to(end)
         self.idle_advances += 1
         if not self._in_window:
             self._in_window = True
@@ -286,29 +285,16 @@ class BatchKernel:
         ``select`` (fairness indices, uplink rotation), so whatever the
         kernel cannot execute is handed back for the event loop to run.
 
-        The hot loop writes ``env._now`` directly instead of calling
-        :meth:`Environment.advance_to`: after :meth:`_absorb` nothing
-        queued sorts before the commit instant, and the per-step horizon
-        check (against the exact transaction duration) keeps every jump
+        The window writes ``env._now`` directly instead of calling
+        :meth:`Environment.advance_to`: after absorbing, nothing queued
+        sorts before the commit instant, and the per-step horizon check
+        (against the exact transaction duration) keeps every jump
         strictly before the next event the window cannot absorb — the
         validation ``advance_to`` would repeat twice per transaction.
         """
-        if self._force_slow:
-            self._force_slow = False
-            return plan
-        if self._topology_dirty:
-            self._topology_dirty = False
-            self._bail("topology")
+        if not self._steady():
             return plan
         piconet = self.piconet
-        # cheap decline prelude: event-dense scenarios bail here on almost
-        # every transaction, so nothing below may loop or allocate
-        if piconet.sco_table._links:
-            self._bail("sco")
-            return plan
-        if piconet._bridge_presence:
-            self._bail("bridge")
-            return plan
         env = piconet.env
         queue = env._queue
         if (queue and queue[0][0] <= env._now + _SHORTEST_US
@@ -331,6 +317,12 @@ class BatchKernel:
         sco_links = piconet.sco_table._links
         bridge_presence = piconet._bridge_presence
         plan_duration = self._plan_duration_us
+        # a step even the longest transaction the flows can make (both
+        # directions at the policies' largest type) cannot push to the
+        # horizon needs no exact duration
+        longest = 2 * SLOT_US * max(
+            [state.queue.policy.max_segment_slots()
+             for state in states.values()], default=1)
         absorb = self._absorb
         begin = piconet._begin_transaction
         apply_downlink = piconet._apply_downlink
@@ -365,11 +357,11 @@ class BatchKernel:
                     break
                 piconet.slots_idle += advance
                 absorb(env, end)
-                env._now = end
                 idles += 1
                 plan = select(end)
                 continue
-            if now + plan_duration(states, plan) >= horizon:
+            if (now + longest >= horizon
+                    and now + plan_duration(states, plan) >= horizon):
                 break
             if adaptive:
                 before = self._adaptive_snapshot(states, plan)
@@ -377,11 +369,9 @@ class BatchKernel:
             txn = begin(plan)
             end = now + txn.dl_packet.ptype.slots * SLOT_US
             absorb(env, end)
-            env._now = end
             apply_downlink(txn)
             end = txn.ul_start + txn.ul_packet.ptype.slots * SLOT_US
             absorb(env, end)
-            env._now = end
             finish(txn)
             transactions += 1
             if adaptive and self._adaptive_snapshot(states, plan) != before:

@@ -91,14 +91,14 @@ class FlowSpec:
                 and self.flow_id != other.flow_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class HLPacket:
     """A higher-layer (e.g. IP / L2CAP SDU) packet offered to a flow."""
 
     flow_id: int
     size: int
     created: float
-    packet_id: int = field(default_factory=lambda: next(_hl_packet_ids))
+    packet_id: int = field(default_factory=_hl_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size <= 0:

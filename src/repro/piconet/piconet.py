@@ -680,10 +680,12 @@ class Piconet:
             #     moves on) and the *same* slot can serve other traffic —
             #     re-selecting is bounded so a poller that keeps proposing
             #     absent bridges cannot spin the loop within one slot.
-            reselects = len(self.devices.slaves) + 1
+            reselects = None
             while (plan is not None
                     and plan.slave in self._negotiated_bridges
                     and not self._slave_present(plan.slave, self.env.now)):
+                if reselects is None:
+                    reselects = len(self.devices.slaves) + 1
                 self.bridge_skipped_polls += 1
                 self._bridge_skipped_by_slave[plan.slave] = (
                     self._bridge_skipped_by_slave.get(plan.slave, 0) + 1)
@@ -766,10 +768,9 @@ class Piconet:
         txn.plan = plan
         txn.start = self.env._now
 
-        dl_state = (self._states.get(plan.dl_flow_id)
-                    if plan.dl_flow_id is not None else None)
-        ul_state = (self._states.get(plan.ul_flow_id)
-                    if plan.ul_flow_id is not None else None)
+        states = self._states
+        dl_state = states.get(plan.dl_flow_id)  # no flow has id None
+        ul_state = states.get(plan.ul_flow_id)
         txn.dl_state = dl_state
         txn.ul_state = ul_state
 

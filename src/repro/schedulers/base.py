@@ -26,7 +26,7 @@ KIND_SCO = "SCO"
 KIND_IDLE = "IDLE"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionPlan:
     """The poller's decision for one master/slave exchange.
 
@@ -66,7 +66,7 @@ class TransactionPlan:
             raise ValueError(f"invalid slave AM address {self.slave}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentDelivery:
     """One baseband segment successfully delivered to its destination."""
 
@@ -80,7 +80,7 @@ class SegmentDelivery:
     completed_at: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PollOutcome:
     """Everything the poller needs to know about an executed transaction.
 
@@ -175,8 +175,13 @@ class Poller:
 
     def downlink_has_data(self, flow_id: int) -> bool:
         """Whether the master-side queue of ``flow_id`` has data (master knowledge)."""
-        self._require_attached()
-        return self.piconet.queue(flow_id).has_data()
+        piconet = self.piconet
+        if piconet is None:
+            self._require_attached()
+        # an attached flow's queue first: pollers ask on every selection
+        state = piconet._states.get(flow_id)
+        queue = state.queue if state is not None else piconet.queue(flow_id)
+        return queue.has_data()
 
     def flows_of_slave(self, slave: int, traffic_class: Optional[str] = None):
         """Flow specs terminating at ``slave`` (optionally filtered by class).

@@ -41,10 +41,11 @@ class PureRoundRobinPoller(Poller):
         self._index = 0
 
     def select(self, now: float) -> Optional[TransactionPlan]:
-        self._require_attached()
-        if not self._slave_cycle:
+        cycle = self._slave_cycle
+        if not cycle:  # always empty before attach
+            self._require_attached()
             return None
-        slave = self._slave_cycle[self._index % len(self._slave_cycle)]
+        slave = cycle[self._index % len(cycle)]
         self._index += 1
         return self._plan_for(slave)
 
@@ -60,5 +61,4 @@ class PureRoundRobinPoller(Poller):
                         dl_flow = spec.flow_id
             elif ul_flow is None:
                 ul_flow = spec.flow_id
-        return TransactionPlan(slave=slave, dl_flow_id=dl_flow,
-                               ul_flow_id=ul_flow, kind=KIND_BE)
+        return TransactionPlan(slave, dl_flow, ul_flow, KIND_BE)

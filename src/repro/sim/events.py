@@ -9,7 +9,9 @@ Events follow a small life cycle:
 
 Processes are themselves events (they succeed with the value returned by the
 wrapped generator), which allows ``yield env.process(...)`` and waiting for
-process completion with :class:`AllOf` / :class:`AnyOf`.
+process completion with :class:`AllOf` / :class:`AnyOf`.  A generator that
+only ever waits for time can run as a :class:`Wakeup` instead: one bare heap
+entry per wake-up, without a resume or a timeout event.
 """
 
 from __future__ import annotations
@@ -136,6 +138,42 @@ class Timeout(Event):
         heappush(env._queue, (env._now + delay, NORMAL, eid, self))
 
 
+class Wakeup:
+    """A lighter :class:`Process` for a generator yielding only delays.
+
+    Each heap entry ``(time, NORMAL, id, wakeup)`` runs one callback that
+    advances the generator and re-arms the wake-up at ``now + delay``.
+    The first entry is pushed at creation, so times, priorities and event
+    ids match a process yielding ``env.timeout(delay)``.  A finished
+    generator schedules nothing; an exception inside it propagates out of
+    :meth:`Environment.step`.  Nothing can wait on a wake-up.
+    """
+
+    __slots__ = ("env", "callbacks", "_hooks", "_next")
+    _ok = True
+    _defused = False
+
+    def __init__(self, env, generator: Generator):
+        self.env = env
+        self._next = generator.__next__
+        # one list serves every arming: step() swaps it out before firing
+        self._hooks = self.callbacks = [self._fire]
+        env._schedule(self)
+
+    def _fire(self, _wakeup) -> None:
+        try:
+            delay = self._next()
+        except StopIteration:
+            return
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        env = self.env
+        self.callbacks = self._hooks
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env._now + delay, NORMAL, eid, self))
+
+
 class Initialize(Event):
     """Internal event used to start a freshly created process."""
 
@@ -154,11 +192,6 @@ class Process(Event):
     succeeds with the generator's return value.  If the generator raises,
     the process event fails with that exception.
     """
-
-    #: set by :meth:`repro.traffic.sources.TrafficSource.start`: the process
-    #: only offers packets, so a batch kernel may fire its wake-ups inline
-    #: (:mod:`repro.piconet.batch_kernel`)
-    absorbable = False
 
     def __init__(self, env, generator: Generator):
         if not hasattr(generator, "throw"):

@@ -1,16 +1,22 @@
 """Traffic sources.
 
-Sources are simulation processes that offer higher-layer packets to a flow's
-queue.  The paper's evaluation uses CBR sources with a uniformly distributed
-packet size for the Guaranteed Service flows and fixed-size CBR sources for
-the best-effort flows; Poisson, on/off and trace-driven sources are provided
-for the examples and the extension experiments.
+Sources offer higher-layer packets to a flow's queue.  The paper's
+evaluation uses CBR sources with a uniformly distributed packet size for the
+Guaranteed Service flows and fixed-size CBR sources for the best-effort
+flows; Poisson, on/off and trace-driven sources are provided for the
+examples and the extension experiments.
+
+A source's generator yields integer microsecond delays and runs as a
+:class:`~repro.sim.events.Wakeup`, one bare heap entry per arrival, which
+the batch kernel (:mod:`repro.piconet.batch_kernel`) may fire inline.
 """
 
 from __future__ import annotations
 
 import random
 from typing import List, Optional, Sequence, Tuple, Union
+
+from repro.sim.events import Wakeup
 
 SizeSpec = Union[int, Tuple[int, int]]
 
@@ -34,7 +40,7 @@ class TrafficSource:
         self.start_offset = start_offset
         self.packets_generated = 0
         self.bytes_generated = 0
-        self._process = None
+        self._wakeup: Optional[Wakeup] = None
         self._stopped = False
 
     # -- packet sizes ----------------------------------------------------------
@@ -46,23 +52,18 @@ class TrafficSource:
 
     # -- life cycle ------------------------------------------------------------
     def start(self) -> None:
-        """Start generating packets (idempotent).
-
-        The process is flagged ``absorbable``: its wake-ups only offer
-        packets and schedule its own next wake-up, so the batch kernel
-        (:mod:`repro.piconet.batch_kernel`) may fire them inline.
-        """
-        if self._process is None:
-            self._process = self.piconet.env.process(self._run())
-            self._process.absorbable = True
+        """Start generating packets (idempotent): the first wake-up fires
+        now, or after ``start_offset``."""
+        if self._wakeup is None:
+            self._wakeup = Wakeup(self.piconet.env, self._run())
 
     def stop(self) -> None:
         """Stop generating packets (terminal; a timeline ``flow-remove``
         or a GS eviction).
 
-        The generator returns at its next wake-up without emitting;
-        packets already offered stay wherever they are queued.  A stopped
-        source never restarts — :meth:`start` stays a no-op.
+        The generator returns at its next wake-up without emitting or
+        scheduling anything; packets already offered stay wherever they
+        are queued.  A stopped source never restarts.
         """
         self._stopped = True
 
@@ -90,9 +91,10 @@ class TrafficSource:
         return max(1, int(round(target_us)) - self.piconet.env.now)
 
     def _run(self):
+        """Yield the delay (integer us) to each next wake-up."""
         env = self.piconet.env
         if self.start_offset > 0:
-            yield env.timeout(_to_us(self.start_offset))
+            yield _to_us(self.start_offset)
         target_us = float(env.now)
         for gap in self._intervals():
             if self._stopped:
@@ -105,7 +107,7 @@ class TrafficSource:
             # simulator resolution) and must not be "repaid" later as an
             # unrealistic burst.
             target_us = max(target_us, env.now - 0.5)
-            yield env.timeout(self._delay_us(target_us))
+            yield self._delay_us(target_us)
 
 
 class CBRSource(TrafficSource):
@@ -168,7 +170,7 @@ class OnOffSource(TrafficSource):
 
     def _run(self):
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
+            yield _to_us(self.start_offset)
         while not self._stopped:
             on_duration = self.rng.expovariate(1.0 / self.mean_on)
             # Account the on-period in *simulated* time: the per-emission
@@ -184,12 +186,9 @@ class OnOffSource(TrafficSource):
                 self._emit()
                 target_us += self.interval * _US_PER_SECOND
                 target_us = max(target_us, self.piconet.env.now - 0.5)
-                yield self.piconet.env.timeout(self._delay_us(target_us))
+                yield self._delay_us(target_us)
             off_duration = self.rng.expovariate(1.0 / self.mean_off)
-            yield self.piconet.env.timeout(max(1, _to_us(off_duration)))
-
-    def _intervals(self):  # pragma: no cover - _run is overridden
-        raise NotImplementedError
+            yield max(1, _to_us(off_duration))
 
 
 class TraceSource(TrafficSource):
@@ -203,18 +202,15 @@ class TraceSource(TrafficSource):
 
     def _run(self):
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
+            yield _to_us(self.start_offset)
         origin = self.piconet.env.now
         for when, size in self.trace:
             target = origin + _to_us(when)
             delay = target - self.piconet.env.now
             if delay > 0:
-                yield self.piconet.env.timeout(delay)
+                yield delay
             if self._stopped:
                 return
             self.piconet.offer_packet(self.flow_id, size)
             self.packets_generated += 1
             self.bytes_generated += size
-
-    def _intervals(self):  # pragma: no cover - _run is overridden
-        raise NotImplementedError

@@ -15,7 +15,11 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.piconet.batch_kernel import NO_FAST_PATH_ENV, BatchKernel
+from repro.piconet.batch_kernel import (
+    NO_FAST_PATH_ENV,
+    BatchKernel,
+    absorbable,
+)
 from repro.piconet.flows import BE, DOWNLINK
 from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.scenario import compile_scenario
@@ -29,6 +33,7 @@ from repro.scenario.specs import (
     TimelineSpec,
 )
 from repro.sim.engine import Environment
+from repro.sim.events import Wakeup
 from repro.traffic.sources import CBRSource
 
 STEADY_TYPES = ("DH1", "DH3", "DH5")
@@ -373,13 +378,27 @@ def test_master_is_the_active_process_after_an_inline_arrival():
     assert seen[0]._generator.gi_code.co_name == "_master_process"
 
 
-def test_arrival_source_processes_are_flagged_absorbable():
-    compiled = compile_scenario(_sourced_steady_spec(), seed=5)
+def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
+    timeline = TimelineSpec(events=(
+        EventSpec(at_s=0.5, kind="flow-remove", flow_id=2),))
+    # the reference loop leaves the master's own timeout on the heap
+    compiled = compile_scenario(
+        _sourced_steady_spec(fast_path=False, timeline=timeline), seed=5)
     source = compiled.primary.sources[0]
     assert isinstance(source, CBRSource)
     compiled.run(0.01)
-    assert source._process.absorbable
     assert source.packets_generated > 0
+    verdicts = {}
+    for _when, _priority, _eid, event in compiled.env._queue:
+        if isinstance(event, Wakeup):
+            assert event is source._wakeup
+            name = "source"
+        else:
+            (waiter,) = event.callbacks
+            name = waiter.__self__._generator.gi_code.co_name
+        verdicts[name] = absorbable(event)
+    assert verdicts == {"source": True, "_master_process": False,
+                        "_runner": False}
 
 
 def test_coupled_room_kernel_still_runs_no_inline_transaction():

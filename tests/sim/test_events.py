@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim.events import Wakeup
 
 
 def test_event_cannot_trigger_twice():
@@ -212,3 +213,48 @@ def test_waiter_sees_the_failure_of_a_process_with_a_bad_yield():
     env.process(waiter(env, env.process(bad(env))))
     env.run()
     assert seen == [0]
+
+
+# -- wake-ups: generators of delays, fired straight from the heap -------------
+
+def _delays(env, log, tag, delays, as_timeouts):
+    for delay in delays:
+        log.append((tag, env.now))
+        yield env.timeout(delay) if as_timeouts else delay
+    log.append((tag, env.now))
+
+
+def test_wakeup_fires_in_the_heap_order_of_an_equivalent_process():
+    def interleaving(as_wakeup):
+        env = Environment()
+        log = []
+        for tag, delays in (("a", [2, 0, 3, 1]), ("b", [2, 1, 2, 0]),
+                            ("c", [0, 5])):
+            generator = _delays(env, log, tag, delays, not as_wakeup)
+            if as_wakeup:
+                Wakeup(env, generator)
+            else:
+                env.process(generator)
+        env.run()
+        return log
+
+    # ties at t=0, 2, 3 and 5 resolve by event id in both variants
+    assert interleaving(True) == interleaving(False)
+
+
+def test_finished_wakeup_schedules_nothing():
+    env = Environment()
+    log = []
+    Wakeup(env, _delays(env, log, "a", [4, 4], as_timeouts=False))
+    env.run()
+    assert log == [("a", 0), ("a", 4), ("a", 8)]
+    assert env._queue == []
+    assert env._eid == 3  # the first arming and two re-arms
+
+
+def test_wakeup_rejects_a_negative_delay_at_its_time():
+    env = Environment()
+    Wakeup(env, iter([7, -1]))
+    with pytest.raises(ValueError, match="negative delay -1"):
+        env.run()
+    assert env.now == 7

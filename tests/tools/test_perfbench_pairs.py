@@ -147,3 +147,74 @@ def test_main_prints_one_row_per_workload(tmp_path, monkeypatch, capsys):
     assert flat["regression"]["status"] == "regressed"
     assert summary["workloads"]["flat"]["peak_rss_mb"]["regression"][
         "status"] == "ok"
+
+
+# -- the traced comparison ----------------------------------------------------
+
+def _metrics(**values):
+    """``{"value", "unit"}`` metrics the way ``perfbench/run.py`` prints
+    them; names ending in ``_calls``/``steps`` are counts."""
+    return {name.replace("__", "."): {
+        "value": value,
+        "unit": "count" if name.endswith(("_calls", "steps")) else (
+            "s" if name.endswith("_s") else "ratio")}
+        for name, value in values.items()}
+
+
+def test_trace_table_lists_self_times_and_counts_and_flags_differences():
+    parent = _metrics(sim__engine__self_s=0.108, sim__engine__share=0.07,
+                      sim__engine__steps=9697,
+                      core__pfp__select_calls=6196,
+                      trace__wall_s=1.71)
+    change = _metrics(sim__engine__self_s=0.041, sim__engine__share=0.03,
+                      sim__engine__steps=9697,
+                      core__pfp__select_calls=6197,
+                      trace__wall_s=1.55)
+    lines, differing = perfbench_pairs.trace_table(parent, change)
+    assert differing == ["core.pfp.select_calls"]
+    # self times and counts only: shares and other seconds are left out
+    assert [line.split()[0] for line in lines] == [
+        "sim.engine.self_s", "sim.engine.steps", "core.pfp.select_calls"]
+    assert lines[0].split()[1:] == ["0.108", "->", "0.041"]
+    assert lines[1].split()[1:] == ["9,697", "->", "9,697"]
+    assert lines[2].endswith("COUNT DIFFERS")
+    assert not lines[1].endswith("COUNT DIFFERS")
+
+
+def test_trace_table_flags_a_count_on_one_side_only():
+    parent = _metrics(traffic__arrivals_calls=10)
+    change = _metrics(traffic__arrivals_calls=10, extra_calls=3)
+    lines, differing = perfbench_pairs.trace_table(parent, change)
+    assert differing == ["extra_calls"]
+    assert lines[-1].split()[1:4] == ["-", "->", "3"]
+
+
+def test_main_with_trace_prints_the_traced_table(tmp_path, monkeypatch,
+                                                  capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "slots_per_s", "better": "higher", "bound": 0.25}]}))
+    monkeypatch.setattr(perfbench_pairs, "run_once",
+                        lambda tree, *args: {"slots_per_s": 100.0})
+    traced = []
+
+    def fake_run_traced(tree, workload, seed, seconds):
+        traced.append((Path(tree).name, workload, seed))
+        steps = 5 if Path(tree).name == "parent" else 6
+        return _metrics(sim__engine__self_s=0.5, sim__engine__steps=steps)
+
+    monkeypatch.setattr(perfbench_pairs, "run_traced", fake_run_traced)
+    monkeypatch.setattr(perfbench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: None)
+    assert perfbench_pairs.main([str(parent), str(change), "--workload",
+                                 "w", "--pairs", "1", "--seed", "3",
+                                 "--trace"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert traced == [("parent", "w", 3), ("change", "w", 3)]
+    assert "w traced (seed 3): parent -> change" in lines
+    assert any(line.startswith("sim.engine.steps")
+               and line.endswith("COUNT DIFFERS") for line in lines)
+    summary = json.loads(lines[-1])
+    assert summary["differing_counts"] == {"w": ["sim.engine.steps"]}

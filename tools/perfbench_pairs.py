@@ -2,7 +2,7 @@
 """Time two checkouts against each other with alternating perfbench runs.
 
     python tools/perfbench_pairs.py PARENT CHANGE --workload W [W ...] \\
-        --pairs N --seconds S [--seed K]
+        --pairs N --seconds S [--seed K] [--trace]
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository (for
 example a ``git clone`` of the parent commit and the working tree).  Both
@@ -26,9 +26,12 @@ the change won, and two verdicts:
   spread (interquartile range over median) exceeds the bound and not
   every change run is better than every parent run, ``ok`` otherwise.
 
-It ends with one row per workload, and the last line of stdout is the
-whole summary as JSON.  A run that is not ``correct`` or has failed
-operations aborts the tool (exit 1).
+It ends with one row per workload.  With ``--trace`` it then makes one
+``--trace 1`` run per side and workload on the same seed and prints each
+``<layer>.self_s`` and each call count as parent -> change, flagging the
+counts that differ (a pure speedup leaves them all equal).  The last
+line of stdout is the whole summary as JSON.  A run that is not
+``correct`` or has failed operations aborts the tool (exit 1).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 #: share of pairs the change must win for a claimed gain
 MIN_WIN_SHARE = 0.9
@@ -109,20 +112,65 @@ def regression(parent: Sequence[float], change: Sequence[float],
             "status": status}
 
 
-def run_once(tree: str, workload: str, seed: int,
-             seconds: float) -> Dict[str, float]:
-    """One ``perfbench/run.py`` run in ``tree``; its metric values."""
+def run_perfbench(tree: str, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> Dict[str, dict]:
+    """One ``perfbench/run.py`` run in ``tree``; its metrics, each a
+    ``{"value", "unit"}`` mapping."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     output = subprocess.run(command, cwd=tree, check=True, text=True,
                             stdout=subprocess.PIPE).stdout
     result = json.loads(output.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{tree}: run not correct or with failed "
                          f"operations: {json.dumps(result)}")
-    return {name: metric["value"]
-            for name, metric in result["metrics"].items()}
+    return result["metrics"]
+
+
+def run_once(tree: str, workload: str, seed: int,
+             seconds: float) -> Dict[str, float]:
+    """One untraced run in ``tree``; its metric values."""
+    return {name: metric["value"] for name, metric in
+            run_perfbench(tree, workload, seed, seconds).items()}
+
+
+def run_traced(tree: str, workload: str, seed: int,
+               seconds: float) -> Dict[str, dict]:
+    """One ``--trace 1`` run in ``tree``; its per-layer metrics."""
+    return run_perfbench(tree, workload, seed, seconds, trace=1)
+
+
+def trace_table(parent: Dict[str, dict],
+                change: Dict[str, dict]) -> Tuple[List[str], List[str]]:
+    """Each ``<layer>.self_s`` and each count of two traced runs.
+
+    ``parent`` and ``change`` map metric names to ``{"value", "unit"}``
+    (the ``metrics`` of a ``--trace 1`` result).  Returns the table's
+    lines, one metric each as ``parent -> change``, and the names of the
+    counts that differ (or exist on one side only), which the lines flag.
+    """
+    names = list(parent) + [name for name in change if name not in parent]
+    lines, differing = [], []
+    for name in names:
+        old, new = parent.get(name), change.get(name)
+        unit = (old or new)["unit"]
+        if unit == "count":
+            cells = [f"{metric['value']:,.0f}" if metric else "-"
+                     for metric in (old, new)]
+            differs = (old is None or new is None
+                       or old["value"] != new["value"])
+        elif name.endswith(".self_s"):
+            cells = [f"{metric['value']:.3f}" if metric else "-"
+                     for metric in (old, new)]
+            differs = False
+        else:
+            continue
+        if differs:
+            differing.append(name)
+        lines.append(f"{name:<50} {cells[0]:>12} -> {cells[1]:<12}"
+                     + ("  COUNT DIFFERS" if differs else ""))
+    return lines, differing
 
 
 def compare(trees: Dict[str, str], workload: str, pairs: int, seed: int,
@@ -183,6 +231,9 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trace", action="store_true",
+                        help="after the pairs, compare one traced run "
+                             "per side: layer self times and call counts")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -201,8 +252,19 @@ def main(argv: List[str] = None) -> int:
                for workload in args.workloads}
     for workload, results in summary.items():
         print(summary_row(workload, results))
-    print(json.dumps({"seed": args.seed, "seconds": args.seconds,
-                      "pairs": args.pairs, "workloads": summary}))
+    report = {"seed": args.seed, "seconds": args.seconds,
+              "pairs": args.pairs, "workloads": summary}
+    if args.trace:
+        report["differing_counts"] = {}
+        for workload in args.workloads:
+            traced = [run_traced(trees[side], workload, args.seed,
+                                 args.seconds)
+                      for side in ("parent", "change")]
+            lines, differing = trace_table(*traced)
+            print(f"{workload} traced (seed {args.seed}): parent -> change")
+            print("\n".join(lines))
+            report["differing_counts"][workload] = differing
+    print(json.dumps(report))
     return 0
 
 
