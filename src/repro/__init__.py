@@ -11,19 +11,21 @@ The package provides:
   control and delay-bounded polling (fixed-interval poller, variable-interval
   poller and the Predictive Fair Poller);
 * ``repro.schedulers`` — baseline pollers from the literature;
-* ``repro.traffic`` — traffic sources and the paper's Figure-4 workload;
+* ``repro.traffic`` — traffic sources and sinks;
+* ``repro.scenario`` — declarative scenario specs (the paper's Figure-4
+  workload is ``figure4_spec``) compiled into runtime objects;
 * ``repro.experiments`` — drivers that regenerate every table and figure of
   the paper's evaluation;
 * ``repro.analysis`` — statistics and plain-text reporting helpers.
 
 Quick start::
 
-    from repro.traffic import build_figure4_scenario
+    from repro.scenario import figure4_spec
 
-    scenario = build_figure4_scenario(delay_requirement=0.040)
+    scenario = figure4_spec(delay_requirement=0.040).compile(1)
     scenario.run(duration_seconds=10.0)
-    print(scenario.slave_throughputs_kbps())
-    print(scenario.gs_delay_summary())
+    print(scenario.primary.slave_throughputs_kbps())
+    print(scenario.primary.gs_delay_summary())
 """
 
 __version__ = "1.0.0"

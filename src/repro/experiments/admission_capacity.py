@@ -13,12 +13,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import format_table
-from repro.baseband.constants import SLOT_SECONDS
 from repro.experiments.registry import ExperimentSpec, register
 from repro.core.admission import AdmissionController, GSFlowRequest
 from repro.core.poll_efficiency import min_poll_efficiency
 from repro.piconet.flows import DOWNLINK, UPLINK
-from repro.traffic.workloads import ALLOWED_TYPES, figure4_gs_tspec
+from repro.scenario.factories import (
+    ALLOWED_TYPES,
+    MAX_TRANSACTION_SECONDS,
+    figure4_gs_tspec,
+)
 
 
 def _build_requests(rate: float, pairs: int) -> List[GSFlowRequest]:
@@ -39,8 +42,9 @@ def _build_requests(rate: float, pairs: int) -> List[GSFlowRequest]:
 
 
 def _admit_count(requests: Sequence[GSFlowRequest], piggyback_aware: bool) -> int:
-    controller = AdmissionController(max_transaction_seconds=6 * SLOT_SECONDS,
-                                     piggyback_aware=piggyback_aware)
+    controller = AdmissionController(
+        max_transaction_seconds=MAX_TRANSACTION_SECONDS,
+        piggyback_aware=piggyback_aware)
     accepted = 0
     for request in requests:
         if controller.request_admission(request).accepted:

@@ -2,9 +2,9 @@
 
 The :class:`SweepRunner` turns an :class:`~repro.experiments.registry.
 ExperimentSpec` into a list of (parameter point, seed replication) tasks,
-hands them to a pluggable :class:`ExecutionBackend` (inline, one process per
-task, or chunked batches of tasks per process), aggregates the replications
-of every point into mean / confidence-interval rows via
+hands them to a pluggable :class:`ExecutionBackend` (inline, or chunks of
+tasks per pool process, both through :func:`execute_chunk`), aggregates the
+replications of every point into mean / confidence-interval rows via
 :mod:`repro.analysis.stats`, and caches raw task results as JSON on disk
 keyed by ``(experiment, params, seed)`` so repeated sweeps are incremental.
 A progress callback can be attached to observe every completed task (the
@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import math
 import multiprocessing
 import os
 import socket
@@ -79,80 +78,48 @@ class SweepTask:
 # so ``from repro.experiments.orchestrator import ResultCache`` keeps
 # working.
 
+#: one serialised sweep task, as shipped to a worker: experiment, params, seed
+TaskTriple = Tuple[str, Dict[str, object], int]
 
-def execute_point(experiment: str, params: Dict[str, object],
-                  seed: int) -> List[Dict]:
-    """Run one task in the current process (also the worker entry point).
+
+def execute_chunk(tasks: Sequence[TaskTriple],
+                  on_start: Optional[Callable[[int], None]] = None
+                  ) -> Tuple[str, List[List[Dict]], float]:
+    """Run a chunk of tasks in this process: the one worker entry point.
+
+    Every backend executes through it — inline (serial), in pool
+    processes (``process``/``batch``) and in fabric workers (``remote``).
+    ``on_start(index)`` is called before the chunk's ``index``-th task
+    runs, so progress can tick while long points execute; pool
+    submissions pass a picklable hook.  Returns the worker identity, one
+    row list per task, and the seconds the chunk took inside the worker
+    (the adaptive chunk sizing reads them: timing here excludes the time
+    the chunk sat queued behind busy workers).  A raising task propagates.
 
     Workers (fork or spawn) resolve ``experiment`` through the registry:
     importing this module first executes the ``repro.experiments`` package
     ``__init__``, which imports every driver and thereby registers all
     specs.
     """
-    spec = get_experiment(experiment)
-    rows = spec.run_point(dict(params), seed)
-    if isinstance(rows, dict):
-        rows = [rows]
-    return list(rows)
-
-
-def execute_point_identified(experiment: str, params: Dict[str, object],
-                             seed: int) -> Tuple[str, List[Dict]]:
-    """Pool entry point: one task's rows plus the executing worker's id."""
-    return worker_identity(), execute_point(experiment, params, seed)
-
-
-def execute_point_reporting(start_queue, token: int, experiment: str,
-                            params: Dict[str, object], seed: int
-                            ) -> Tuple[str, List[Dict]]:
-    """Worker entry point announcing the task's start on ``start_queue``."""
-    identity = worker_identity()
-    start_queue.put((token, identity))
-    return identity, execute_point(experiment, params, seed)
-
-
-def execute_batch(tasks: Sequence[Tuple[str, Dict[str, object], int]],
-                  start_queue=None,
-                  start_tokens: Optional[Sequence[int]] = None
-                  ) -> List[List[Dict]]:
-    """Worker entry point of the batching backend: run a chunk of tasks.
-
-    With ``start_queue``/``start_tokens`` the worker announces each task of
-    the chunk as it *starts* (not just when the chunk's future resolves),
-    so the parent's progress reporting ticks while long points run.
-    """
-    results = []
-    identity = worker_identity()
-    for index, (experiment, params, seed) in enumerate(tasks):
-        if start_queue is not None:
-            start_queue.put((start_tokens[index], identity))
-        results.append(execute_point(experiment, params, seed))
-    return results
-
-
-def execute_batch_identified(
-        tasks: Sequence[Tuple[str, Dict[str, object], int]],
-        start_queue=None, start_tokens: Optional[Sequence[int]] = None
-        ) -> Tuple[str, List[List[Dict]]]:
-    """:func:`execute_batch` plus the executing worker's identity."""
-    return worker_identity(), execute_batch(tasks, start_queue, start_tokens)
-
-
-def execute_batch_timed(tasks: Sequence[Tuple[str, Dict[str, object], int]],
-                        start_queue=None,
-                        start_tokens: Optional[Sequence[int]] = None
-                        ) -> Tuple[str, List[List[Dict]], float]:
-    """Like :func:`execute_batch_identified`, also with worker-side seconds.
-
-    The adaptive batching backend sizes future chunks from this
-    measurement; timing inside the worker excludes the time the chunk
-    spent queued behind busy workers, which would otherwise inflate the
-    cost estimate by roughly the oversubscription factor.
-    """
     started = time.monotonic()
-    identity, results = execute_batch_identified(tasks, start_queue,
-                                                 start_tokens)
-    return identity, results, time.monotonic() - started
+    results = []
+    for index, (experiment, params, seed) in enumerate(tasks):
+        if on_start is not None:
+            on_start(index)
+        rows = get_experiment(experiment).run_point(dict(params), seed)
+        results.append([rows] if isinstance(rows, dict) else list(rows))
+    return worker_identity(), results, time.monotonic() - started
+
+
+@dataclass(frozen=True)
+class _AnnounceStart:
+    """Picklable start hook: puts ``(slot, worker)`` on the reporter queue."""
+
+    queue: object
+    slots: Tuple[int, ...]
+
+    def __call__(self, index: int) -> None:
+        self.queue.put((self.slots[index], worker_identity()))
 
 
 class _StartReporter:
@@ -184,9 +151,7 @@ class _StartReporter:
             token = self.queue.get()
             if token is None:
                 return
-            # workers put ``(slot, worker_identity)`` pairs
-            slot, worker = token if isinstance(token, tuple) else (token,
-                                                                   None)
+            slot, worker = token  # workers put ``(slot, worker)`` pairs
             try:
                 self._callback(slot, worker)
             except Exception:  # never let a callback kill the drain thread
@@ -196,12 +161,6 @@ class _StartReporter:
         self.queue.put(None)
         self._thread.join(timeout=10)
         self._manager.shutdown()
-
-
-def _optional(context_manager):
-    """Pass a context manager through, or a no-op one for ``None``."""
-    return context_manager if context_manager is not None \
-        else contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------- backends
@@ -263,40 +222,19 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        me = worker_identity()
         for slot, task in pending:
             if self.start_callback is not None:
-                self.start_callback(task, me)
-            yield slot, task, execute_point(task.experiment, task.params,
-                                            task.seed), me
+                self.start_callback(task, worker_identity())
+            worker, (rows,), _ = execute_chunk(
+                [(task.experiment, task.params, task.seed)])
+            yield slot, task, rows, worker
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """One :class:`~concurrent.futures.ProcessPoolExecutor` task per sweep
-    task — the right choice when individual points are expensive."""
-
-    name = "process"
-
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        if not pending:
-            return
-        reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-
-        def submit(pool, slot, task):
-            if queue is not None:
-                return pool.submit(execute_point_reporting, queue, slot,
-                                   task.experiment, task.params, task.seed)
-            return pool.submit(execute_point_identified, task.experiment,
-                               task.params, task.seed)
-
-        with _optional(reporter), ProcessPoolExecutor(
-                max_workers=self.max_workers) as pool:
-            futures = [(slot, task, submit(pool, slot, task))
-                       for slot, task in pending]
-            for slot, task, future in futures:
-                worker, rows = future.result()
-                yield slot, task, rows, worker
+def check_max_workers(backend: str, max_workers: Optional[int]) -> None:
+    """Reject a worker count below one (``None`` means the CPU count)."""
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"{backend} backend: max_workers must be >= 1, "
+                         f"got {max_workers}")
 
 
 class BatchingProcessBackend(ExecutionBackend):
@@ -314,7 +252,8 @@ class BatchingProcessBackend(ExecutionBackend):
     ``target_batch_seconds`` — cheap tasks coalesce into large chunks,
     expensive tasks stay finely chunked for load balancing, and nobody has
     to guess an oversubscribe factor up front.  Passing an explicit
-    ``batch_size`` restores fixed chunking.
+    ``batch_size`` fixes the chunk size instead; the submission loop is the
+    same either way.
 
     Results are yielded strictly in task submission order either way, so
     sweep output stays byte-identical to the serial backend.
@@ -322,12 +261,13 @@ class BatchingProcessBackend(ExecutionBackend):
     Parameters
     ----------
     max_workers:
-        Worker processes (``None`` lets the executor pick).
+        Worker processes (``None`` means the CPU count; below one is
+        rejected).
     batch_size:
         Fixed tasks per chunk; ``None`` (default) sizes chunks adaptively.
     oversubscribe:
-        Chunks kept in flight per worker (load-balancing slack; also the
-        submission window of the adaptive mode).
+        Chunks kept in flight per worker (load-balancing slack and the
+        submission window).
     target_batch_seconds:
         Wall-clock cost the adaptive mode aims at per chunk.
     max_batch_size:
@@ -345,6 +285,7 @@ class BatchingProcessBackend(ExecutionBackend):
                  target_batch_seconds: float = 0.5,
                  max_batch_size: int = 64):
         super().__init__(max_workers)
+        check_max_workers(self.name, max_workers)
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if oversubscribe < 1:
@@ -364,37 +305,6 @@ class BatchingProcessBackend(ExecutionBackend):
         #: smoothed seconds per task, None until the first batch completes
         self._task_cost_ewma: Optional[float] = None
 
-    # ---------------------------------------------------------- fixed mode
-    def _chunk(self, pending: PendingTasks) -> List[PendingTasks]:
-        size = self.batch_size
-        if size is None:
-            workers = self.max_workers or os.cpu_count() or 1
-            size = max(1, math.ceil(len(pending)
-                                    / (workers * self.oversubscribe)))
-        return [pending[start:start + size]
-                for start in range(0, len(pending), size)]
-
-    def _execute_fixed(self, pending: PendingTasks
-                       ) -> Iterator[CompletedTask]:
-        batches = self._chunk(pending)
-        reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-        with _optional(reporter), ProcessPoolExecutor(
-                max_workers=self.max_workers) as pool:
-            futures = [
-                (batch,
-                 pool.submit(execute_batch_identified,
-                             [(task.experiment, task.params, task.seed)
-                              for _, task in batch],
-                             queue,
-                             [slot for slot, _ in batch] if queue else None))
-                for batch in batches]
-            for batch, future in futures:
-                worker, results = future.result()
-                for (slot, task), rows in zip(batch, results):
-                    yield slot, task, rows, worker
-
-    # ------------------------------------------------------- adaptive mode
     def _observe_batch(self, batch_seconds: float, batch_size: int) -> None:
         """Fold one completed batch into the per-task cost EWMA."""
         per_task = batch_seconds / batch_size
@@ -405,7 +315,10 @@ class BatchingProcessBackend(ExecutionBackend):
                 per_task - self._task_cost_ewma)
 
     def _next_batch_size(self, remaining: int) -> int:
-        """Chunk size for the next submission given the observed cost."""
+        """Chunk size of the next submission: the fixed ``batch_size``, or
+        one sized from the observed per-task cost."""
+        if self.batch_size is not None:
+            return min(self.batch_size, remaining)
         if self._task_cost_ewma is None:
             # probe batches stay small until a cost estimate exists
             return 1
@@ -414,15 +327,15 @@ class BatchingProcessBackend(ExecutionBackend):
         size = int(round(self.target_batch_seconds / self._task_cost_ewma))
         return max(1, min(size, self.max_batch_size, remaining))
 
-    def _execute_adaptive(self, pending: PendingTasks
-                          ) -> Iterator[CompletedTask]:
+    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
+        if not pending:
+            return
         workers = self.max_workers or os.cpu_count() or 1
         window = workers * self.oversubscribe
         next_index = 0
         inflight: List[Tuple[PendingTasks, object]] = []
         reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-        with _optional(reporter), ProcessPoolExecutor(
+        with reporter or contextlib.nullcontext(), ProcessPoolExecutor(
                 max_workers=workers) as pool:
 
             def submit_one() -> None:
@@ -430,12 +343,13 @@ class BatchingProcessBackend(ExecutionBackend):
                 size = self._next_batch_size(len(pending) - next_index)
                 batch = pending[next_index:next_index + size]
                 next_index += size
+                hook = None if reporter is None else _AnnounceStart(
+                    reporter.queue, tuple(slot for slot, _ in batch))
                 inflight.append((batch, pool.submit(
-                    execute_batch_timed,
+                    execute_chunk,
                     [(task.experiment, task.params, task.seed)
                      for _, task in batch],
-                    queue,
-                    [slot for slot, _ in batch] if queue else None)))
+                    hook)))
 
             while next_index < len(pending) and len(inflight) < window:
                 submit_one()
@@ -448,13 +362,15 @@ class BatchingProcessBackend(ExecutionBackend):
                 for (slot, task), rows in zip(batch, results):
                     yield slot, task, rows, worker
 
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        if not pending:
-            return
-        if self.batch_size is not None:
-            yield from self._execute_fixed(pending)
-        else:
-            yield from self._execute_adaptive(pending)
+
+class ProcessPoolBackend(BatchingProcessBackend):
+    """``batch`` with chunk size 1: one pool submission per sweep task —
+    the right choice when individual points are expensive."""
+
+    name = "process"
+
+    def __init__(self, max_workers: Optional[int] = None):
+        super().__init__(max_workers, batch_size=1)
 
 
 #: backend name -> class, for the CLI and :func:`make_backend`
@@ -836,7 +752,7 @@ class SweepRunner:
             self.cache.save_manifest(manifest)
 
         since_flush = 0
-        for slot, task, rows, worker in self._execute(pending):
+        for slot, task, rows, worker in self.backend.execute(pending):
             if self.cache is not None:
                 self.cache.put(cache_name, task.params, task.seed, rows)
             results[slot] = rows
@@ -894,11 +810,6 @@ class SweepRunner:
                 manifest.backend = self.backend.name
         manifest.status = "running"
         return manifest
-
-    def _execute(self, pending: Sequence[Tuple[int, SweepTask]]
-                 ) -> Iterator[CompletedTask]:
-        """Yield ``(slot, task, rows, worker)`` per pending task, in order."""
-        yield from self.backend.execute(pending)
 
 
 def format_sweep(result: SweepResult, float_format: str = ".2f") -> str:

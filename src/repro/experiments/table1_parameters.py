@@ -16,11 +16,11 @@ from repro.core.admission import max_admissible_rate
 from repro.core.gs_math import bound_at_token_rate, delay_bound
 from repro.core.gs_manager import GuaranteedServiceManager
 from repro.core.poll_efficiency import min_poll_efficiency
-from repro.traffic.workloads import (
+from repro.scenario.factories import (
     ALLOWED_TYPES,
     MAX_TRANSACTION_SECONDS,
-    build_figure4_scenario,
     figure4_gs_tspec,
+    figure4_spec,
 )
 
 
@@ -36,7 +36,8 @@ def compute_table1_parameters() -> Dict:
 
     # Admit the four GS flows at their token rate; the priorities and wait
     # bounds do not depend on the delay requirement for this workload.
-    scenario = build_figure4_scenario(delay_requirement=None, gs_rate=tspec.r)
+    scenario = figure4_spec(delay_requirement=None,
+                            gs_rate=tspec.r).compile(1).primary
     manager: GuaranteedServiceManager = scenario.manager
 
     flows: List[Dict] = []

@@ -14,11 +14,11 @@ transport problem.  The subsystem has four parts:
 
 :mod:`repro.fabric.worker` / :mod:`repro.fabric.coordinator`
     A worker process (``python -m repro.fabric worker --connect HOST:PORT``)
-    registers with a coordinator, executes ``execute_batch`` chunks and
-    heartbeats; the coordinator dispatches chunks, detects dead or silent
-    workers (missed heartbeats, per-task timeouts) and re-dispatches their
-    chunks to live workers (work stealing) with bounded exponential-backoff
-    retry.
+    registers with a coordinator, executes chunks through
+    :func:`~repro.experiments.orchestrator.execute_chunk` and heartbeats;
+    the coordinator dispatches chunks, detects dead or silent workers
+    (missed heartbeats, per-task timeouts) and re-dispatches their chunks
+    to live workers (work stealing) with bounded exponential-backoff retry.
 
 :mod:`repro.fabric.backend`
     :class:`~repro.fabric.backend.RemoteBackend` — an

@@ -30,7 +30,8 @@ from typing import Dict, Iterator, List, Optional
 
 import repro
 from repro.experiments.orchestrator import (BACKENDS, CompletedTask,
-                                            ExecutionBackend, PendingTasks)
+                                            ExecutionBackend, PendingTasks,
+                                            check_max_workers)
 from repro.fabric.coordinator import Coordinator
 
 #: default number of spawned local workers when ``max_workers`` is unset
@@ -62,8 +63,9 @@ class RemoteBackend(ExecutionBackend):
     ----------
     max_workers:
         Local worker subprocesses to spawn (default
-        :data:`DEFAULT_WORKERS`); ``spawn_workers=0`` spawns none and
-        relies entirely on externally started workers.
+        :data:`DEFAULT_WORKERS`; below one is rejected);
+        ``spawn_workers=0`` spawns none and relies entirely on externally
+        started workers.
     chunk_size:
         Tasks per dispatched chunk; default derives
         ``ceil(pending / (workers * 4))`` capped at
@@ -94,6 +96,7 @@ class RemoteBackend(ExecutionBackend):
                  spawn_workers: Optional[int] = None,
                  coordinator: Optional[Coordinator] = None):
         super().__init__(max_workers)
+        check_max_workers(self.name, max_workers)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size

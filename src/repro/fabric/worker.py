@@ -3,13 +3,13 @@
 A worker is one process (usually ``python -m repro.fabric worker --connect
 HOST:PORT``) that dials a coordinator, registers under a name, and then
 serves ``chunk`` messages: each chunk is a list of serialised sweep tasks
-(``[experiment, params, seed]`` triples) executed through the same
-:func:`repro.experiments.orchestrator.execute_batch` machinery every local
-backend uses — seeds are content-derived, so rows are byte-identical no
-matter which worker (or host) runs the task.  Before executing each task of
-a chunk the worker announces it (``task_start``), which doubles as liveness
-evidence while long points run; a background thread heartbeats on idle
-connections.
+(``[experiment, params, seed]`` triples) executed through
+:func:`repro.experiments.orchestrator.execute_chunk`, the entry point every
+local backend uses — seeds are content-derived, so rows are byte-identical
+no matter which worker (or host) runs the task.  Before executing each task
+of a chunk the worker announces it (``task_start``) from the chunk's start
+hook, which doubles as liveness evidence while long points run; a
+background thread heartbeats on idle connections.
 
 Importing :mod:`repro.experiments.orchestrator` executes the
 ``repro.experiments`` package ``__init__``, which imports every driver and
@@ -24,7 +24,7 @@ import threading
 import traceback
 from typing import Optional
 
-from repro.experiments.orchestrator import execute_point, worker_identity
+from repro.experiments.orchestrator import execute_chunk, worker_identity
 from repro.fabric import protocol
 from repro.fabric.protocol import MessageSocket
 
@@ -124,11 +124,10 @@ def _serve_chunk(sock: MessageSocket, send_lock: threading.Lock,
                  chunk: dict) -> None:
     """Execute one chunk and reply with its rows (or the failure)."""
     chunk_id = chunk["chunk_id"]
-    results = []
     try:
-        for index, (experiment, params, seed) in enumerate(chunk["tasks"]):
-            _announce_task(sock, send_lock, chunk, index)
-            results.append(execute_point(experiment, dict(params), seed))
+        _, results, _ = execute_chunk(
+            chunk["tasks"],
+            lambda index: _announce_task(sock, send_lock, chunk, index))
     except Exception:  # noqa: BLE001 — the coordinator decides what's fatal
         with send_lock:
             sock.send({"type": protocol.CHUNK_ERROR, "chunk_id": chunk_id,

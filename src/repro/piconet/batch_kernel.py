@@ -285,12 +285,11 @@ class BatchKernel:
         ``select`` (fairness indices, uplink rotation), so whatever the
         kernel cannot execute is handed back for the event loop to run.
 
-        The window writes ``env._now`` directly instead of calling
-        :meth:`Environment.advance_to`: after absorbing, nothing queued
-        sorts before the commit instant, and the per-step horizon check
-        (against the exact transaction duration) keeps every jump
-        strictly before the next event the window cannot absorb — the
-        validation ``advance_to`` would repeat twice per transaction.
+        The window writes ``env._now`` directly to jump the clock: after
+        absorbing, nothing queued sorts before the commit instant, and the
+        per-step horizon check (against the exact transaction duration)
+        keeps every jump strictly before the next event the window cannot
+        absorb, so no jump moves backwards or passes a pending event.
         """
         if not self._steady():
             return plan

@@ -25,14 +25,13 @@ from repro.baseband.channel import Channel, ChannelMap
 from repro.piconet.bridge import ROLE_A, ROLE_B, BridgeNode, BridgeSchedule
 from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.sim.coordination import SharedClock
-from repro.sim.engine import Environment
 
 
 class Scatternet:
     """Two or more piconets co-advanced on a shared clock."""
 
-    def __init__(self, env: Optional[Environment] = None):
-        self.clock = SharedClock(env)
+    def __init__(self):
+        self.clock = SharedClock()
         self._piconets: Dict[str, Piconet] = {}
         self._bridges: List[BridgeNode] = []
         self._field = None

@@ -5,7 +5,7 @@
 ``PollerSpec`` / ``ImprovementsSpec``) describes a complete simulation
 run as validated, frozen *data* that round-trips through plain dicts
 (``to_dict`` / ``from_dict``) and compiles into the existing runtime
-objects (``spec.compile(seed, env=None)`` -> ``CompiledScenario``).
+objects (``spec.compile(seed)`` -> ``CompiledScenario``).
 
 Sweep points and the CLI mutate specs declaratively via dotted paths
 (:func:`apply_overrides`, e.g. ``channel.ber=1e-4``); the spec factories

@@ -1,6 +1,6 @@
 """Compile a :class:`~repro.scenario.specs.ScenarioSpec` into runtime objects.
 
-``compile_scenario(spec, seed, env=None)`` is the single construction path
+``compile_scenario(spec, seed)`` is the single construction path
 behind every workload: it builds the piconets (slaves, flows, SCO
 reservations), the per-link channel maps, the Guaranteed Service manager
 and poller, the traffic sources, and — for multi-piconet scenarios — the
@@ -576,30 +576,12 @@ class CompiledScenario:
         return self.interference_field.expected_collision_probability(victim)
 
 
-def compile_scenario(spec: ScenarioSpec, seed: int,
-                     env: Optional[Environment] = None,
-                     channel_overrides: Optional[Dict[str, object]] = None
-                     ) -> CompiledScenario:
-    """Build the runtime objects of ``spec`` under ``seed``.
-
-    ``env`` injects an existing simulation environment (single-piconet
-    scenarios only — multi-piconet scenarios build their own shared clock
-    from it).  ``channel_overrides`` maps piconet names to pre-built
-    :class:`Channel`/:class:`ChannelMap` objects, the programmatic escape
-    hatch for channel models a :class:`ChannelSpec` cannot describe; specs
-    carrying only declarative channels remain fully serializable.
-    """
-    channel_overrides = channel_overrides or {}
-    unknown = sorted(set(channel_overrides)
-                     - {piconet.name for piconet in spec.piconets})
-    if unknown:
-        raise ValueError(
-            f"channel_overrides for unknown piconet(s) {unknown}")
-
+def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
+    """Build the runtime objects of ``spec`` under ``seed``."""
     scatternet = None
-    build_env = env
+    build_env = None
     if spec.bridges or len(spec.piconets) > 1:
-        scatternet = Scatternet(env)
+        scatternet = Scatternet()
         build_env = scatternet.clock.env
 
     interference_field = None
@@ -608,8 +590,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int,
     if coupled:
         # the field is shared by every piconet, so it is built once, up
         # front — unlike the uncoupled single-victim path below, which
-        # builds it inside the (single-iteration) loop only when the
-        # victim's channel is not overridden
+        # builds it inside the (single-iteration) loop
         interference_field, interferers = _compile_coupled_field(spec, seed)
     # piconets whose timeline renegotiates flows need the link-loss feed
     # even when their admission is oblivious (no budgets)
@@ -620,20 +601,18 @@ def compile_scenario(spec: ScenarioSpec, seed: int,
                      if event.kind == "flow-renegotiate"}
     compiled: Dict[str, CompiledPiconet] = {}
     for piconet_spec in spec.piconets:
-        channel = channel_overrides.get(piconet_spec.name)
-        if channel is None:
-            if coupled:
-                channel = interference_channel_map(
-                    interference_field, piconet_spec.name,
-                    base_factory=_base_channel_factory(piconet_spec.channel),
-                    streams=RandomStreams(seed).child(
-                        spec.interference.map_stream))
-            elif spec.interference is not None:
-                interference_field, interferers, channel = \
-                    _compile_interference(spec.interference,
-                                          piconet_spec.channel, seed)
-            else:
-                channel = compile_channel(piconet_spec.channel, seed)
+        if coupled:
+            channel = interference_channel_map(
+                interference_field, piconet_spec.name,
+                base_factory=_base_channel_factory(piconet_spec.channel),
+                streams=RandomStreams(seed).child(
+                    spec.interference.map_stream))
+        elif spec.interference is not None:
+            interference_field, interferers, channel = \
+                _compile_interference(spec.interference,
+                                      piconet_spec.channel, seed)
+        else:
+            channel = compile_channel(piconet_spec.channel, seed)
         budgets = link_budgets_for(spec, piconet_spec) \
             if piconet_spec.admission.aware else None
         compiled[piconet_spec.name] = _compile_piconet(

@@ -2,17 +2,17 @@
 
 Each factory maps the keyword surface of a historical workload builder
 onto a declarative :class:`~repro.scenario.specs.ScenarioSpec` — same
-parameters, same validation, same error messages — so the deprecated
-builders in :mod:`repro.traffic.workloads` /
-:mod:`repro.traffic.scatternet_workloads` are now thin shims over
-``factory(...).compile(seed)``, and experiment drivers construct (and
-declaratively mutate) specs instead of closures.
+parameters, same validation, same error messages — so a workload is
+built as ``factory(...).compile(seed)``, and experiment drivers construct
+(and declaratively mutate) specs instead of closures.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from repro.baseband.constants import SLOT_SECONDS
+from repro.core.token_bucket import TSpec, cbr_tspec
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.scenario.specs import (
     BridgeSpec,
@@ -49,8 +49,16 @@ SCO_VOICE_PACKET = 150
 #: Packet types allowed in the Section 4.1 scenario.
 ALLOWED_TYPES = ("DH1", "DH3")
 
+#: Longest transaction in the Section 4.1 scenario: DH3 downlink + DH3 uplink.
+MAX_TRANSACTION_SECONDS = 6 * SLOT_SECONDS
+
 #: Default slave names of a full seven-slave piconet.
 SEVEN_SLAVES = ("S1", "S2", "S3", "S4", "S5", "S6", "S7")
+
+
+def figure4_gs_tspec() -> TSpec:
+    """The token bucket of each GS flow (p = r = 8.8 kB/s, b = M = 176 B)."""
+    return cbr_tspec(GS_PACKET_INTERVAL_S, GS_MIN_PACKET, GS_MAX_PACKET)
 
 
 def be_rate_bps(slave: int) -> float:
@@ -104,8 +112,8 @@ def figure4_piconet_spec(delay_requirement: Optional[float] = 0.040,
                          name: str = "piconet") -> PiconetSpec:
     """The Section-4.1 piconet as a :class:`PiconetSpec`.
 
-    Parameter semantics match the historical ``build_figure4_scenario``
-    keyword surface one-to-one; see the migration table in
+    Parameter semantics match the keyword surface of the removed Figure-4
+    builder one-to-one; see the migration table in
     ``src/repro/experiments/README.md``.
     """
     if (delay_requirement is None) == (gs_rate is None):

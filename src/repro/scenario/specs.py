@@ -803,7 +803,7 @@ class TimelineSpec:
 class ScenarioSpec:
     """A complete, serializable scenario: piconets, interference, bridges.
 
-    ``compile(seed, env=None)`` produces the runtime objects (see
+    ``compile(seed)`` produces the runtime objects (see
     :mod:`repro.scenario.compile`); ``to_dict``/``from_dict`` round-trip
     the spec through plain JSON-compatible data.
     """
@@ -948,9 +948,8 @@ class ScenarioSpec:
         return cls(piconets=piconets, interference=interference,
                    bridges=bridges, timeline=timeline)
 
-    def compile(self, seed: int, env=None, channel_overrides=None):
+    def compile(self, seed: int):
         """Build the runtime objects of this scenario (see
         :func:`repro.scenario.compile.compile_scenario`)."""
         from repro.scenario.compile import compile_scenario
-        return compile_scenario(self, seed, env=env,
-                                channel_overrides=channel_overrides)
+        return compile_scenario(self, seed)

@@ -96,27 +96,6 @@ class Environment:
             return float("inf")
         return self._queue[0][0]
 
-    def advance_to(self, time) -> None:
-        """Jump the clock to ``time`` without processing any event.
-
-        This is the commit step of the batch fast path
-        (:mod:`repro.piconet.batch_kernel`): a kernel that has executed a
-        stretch of simulation inline resynchronizes the clock so that
-        subsequently created timeouts and ``now`` reads line up.  The jump
-        must not move backwards and must not pass the next scheduled
-        event — skipping over a pending event would silently reorder the
-        simulation, so that is rejected loudly.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot advance to {time!r}: it lies in the past "
-                f"(now={self._now!r})")
-        if time > self.peek():
-            raise ValueError(
-                f"cannot advance to {time!r}: it passes the next scheduled "
-                f"event at {self.peek()!r}")
-        self._now = time
-
     def step(self) -> None:
         """Process the next scheduled event.
 

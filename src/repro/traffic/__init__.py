@@ -8,22 +8,12 @@ from repro.traffic.sources import (
     TrafficSource,
 )
 from repro.traffic.sinks import DelayThroughputSink
-from repro.traffic.workloads import (
-    Figure4Scenario,
-    MultiScoScenario,
-    build_figure4_scenario,
-    build_multi_sco_scenario,
-)
 
 __all__ = [
     "CBRSource",
     "DelayThroughputSink",
-    "Figure4Scenario",
-    "MultiScoScenario",
     "OnOffSource",
     "PoissonSource",
     "TraceSource",
     "TrafficSource",
-    "build_figure4_scenario",
-    "build_multi_sco_scenario",
 ]

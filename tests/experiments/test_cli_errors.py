@@ -39,6 +39,17 @@ def test_invalid_backend_is_rejected_by_argparse():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("backend", ["process", "batch"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_pool_backend_with_fewer_than_one_worker_exits_with_message(
+        backend, workers):
+    result = run_cli("run", "admission_capacity", "--no-cache",
+                     "--backend", backend, "--workers", workers)
+    assert result.returncode != 0
+    assert result.stderr.strip() == (
+        f"{backend} backend: max_workers must be >= 1, got {workers}")
+
+
 def test_malformed_grid_override_exits_with_message():
     result = run_cli("run", "lossy_channel", "--no-cache",
                      "--set", "bit_error_rate=[0.0,1e-3")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.experiments.orchestrator import (
     SerialBackend,
     SweepRunner,
     aggregate_replications,
+    execute_chunk,
     flatten_row,
     format_sweep,
     make_backend,
@@ -137,26 +139,35 @@ def test_worker_pool_matches_inline_execution():
 # ----------------------------------------------------------------- backends
 
 def test_all_backends_produce_byte_identical_rows():
-    # the ISSUE acceptance: serial / process / batch must agree down to the
-    # serialised JSON for a registered spec under the same master seed
+    # serial / process / batch (adaptive and fixed chunks) must agree down
+    # to the serialised JSON for a registered spec under the same master seed
+    backends = {"serial": "serial", "process": "process", "batch": "batch",
+                "batch-3": BatchingProcessBackend(max_workers=2,
+                                                  batch_size=3)}
     results = {
-        name: SweepRunner(max_workers=2, backend=name).run(
+        label: SweepRunner(max_workers=2, backend=backend).run(
             "admission_capacity", master_seed=3)
-        for name in ("serial", "process", "batch")}
+        for label, backend in backends.items()}
     serial = results["serial"]
     assert serial.rows, "sweep produced no rows"
-    assert serial.to_json() == results["process"].to_json()
-    assert serial.to_json() == results["batch"].to_json()
-    for name, result in results.items():
-        assert result.backend == name
+    for label, result in results.items():
+        assert result.to_json() == serial.to_json(), label
+        assert result.backend == label.split("-")[0]
 
 
 def test_backend_resolution_from_max_workers_and_names():
     assert isinstance(SweepRunner(max_workers=1).backend, SerialBackend)
     assert isinstance(SweepRunner(max_workers=0).backend, SerialBackend)
+    # no pool, nothing to size: ``--backend serial --workers 0`` still runs
+    assert isinstance(make_backend("serial", 0), SerialBackend)
     assert isinstance(SweepRunner(max_workers=4).backend, ProcessPoolBackend)
     assert isinstance(SweepRunner(max_workers=None).backend,
                       ProcessPoolBackend)
+    # ``process`` is ``batch`` with chunk size 1, sharing its pool loop
+    process = make_backend("process", 2)
+    assert isinstance(process, BatchingProcessBackend)
+    assert process.batch_size == 1
+    assert "execute" not in vars(ProcessPoolBackend)
     assert isinstance(SweepRunner(backend="batch").backend,
                       BatchingProcessBackend)
     explicit = BatchingProcessBackend(max_workers=2, batch_size=3)
@@ -173,13 +184,82 @@ def test_batching_backend_chunking_and_validation():
     with pytest.raises(ValueError):
         BatchingProcessBackend(oversubscribe=0)
     backend = BatchingProcessBackend(max_workers=2, batch_size=3)
-    pending = [(i, None) for i in range(8)]
-    chunks = backend._chunk(pending)
-    assert [len(c) for c in chunks] == [3, 3, 2]
-    assert [slot for chunk in chunks for slot, _ in chunk] == list(range(8))
-    # derived batch size: ceil(8 / (2 workers * 4 oversubscribe)) = 1
-    assert [len(c) for c in
-            BatchingProcessBackend(max_workers=2)._chunk(pending)] == [1] * 8
+    # a fixed batch size is the chunk size, clamped to the remaining tasks
+    assert [backend._next_batch_size(remaining)
+            for remaining in (8, 5, 2)] == [3, 3, 2]
+    # observed costs never move a fixed chunk size
+    backend._observe_batch(batch_seconds=0.0001, batch_size=3)
+    assert backend._next_batch_size(remaining=100) == 3
+    assert ProcessPoolBackend()._next_batch_size(remaining=100) == 1
+
+
+@pytest.mark.parametrize("name", ["process", "batch", "remote"])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_pool_backends_reject_fewer_than_one_worker(name, workers):
+    with pytest.raises(ValueError) as excinfo:
+        make_backend(name, workers)
+    assert str(excinfo.value) == (f"{name} backend: max_workers must be "
+                                  f">= 1, got {workers}")
+    with pytest.raises(ValueError, match=f"{name} backend"):
+        SweepRunner(max_workers=workers, backend=name)
+
+
+# ------------------------------------------------------------ chunk entry
+
+def test_execute_chunk_announces_each_task_before_it_runs(toy_experiment):
+    log = []
+
+    def on_start(index):
+        log.append(("start", index, len(TOY_CALLS)))
+
+    tasks = [("toy", {"x": 1}, 11), ("toy", {"x": 2}, 12),
+             ("toy", {"x": 3}, 13)]
+    execute_chunk(tasks, on_start)
+    # task ``i`` is announced after ``i`` tasks ran, i.e. before its own
+    assert log == [("start", 0, 0), ("start", 1, 1), ("start", 2, 2)]
+    assert [seed for _, seed in TOY_CALLS] == [11, 12, 13]
+
+
+def test_execute_chunk_returns_worker_rows_per_task_and_seconds(
+        toy_experiment):
+    tasks = [("toy", {"x": 1}, 5), ("toy", {"x": 2}, 6)]
+    worker, results, seconds = execute_chunk(tasks)
+    assert worker == f"{socket.gethostname()}/{os.getpid()}"
+    assert results == [toy_run_point({"x": 1}, 5), toy_run_point({"x": 2}, 6)]
+    assert seconds >= 0.0
+    _, rows, seconds = execute_chunk([])
+    assert rows == [] and seconds >= 0.0
+
+
+def test_execute_chunk_wraps_a_single_row_dict():
+    spec = register(ExperimentSpec(
+        name="toy-dict", description="", grid={"x": [1]},
+        run_point=lambda params, seed: {"x": params["x"]}))
+    try:
+        assert execute_chunk([("toy-dict", {"x": 4}, 0)])[1] == [[{"x": 4}]]
+    finally:
+        unregister(spec.name)
+
+
+def failing_run_point(params, seed):
+    if params["x"] == 2:
+        raise RuntimeError("point 2 exploded")
+    return [{"x": params["x"]}]
+
+
+def test_execute_chunk_propagates_a_raising_task():
+    register(ExperimentSpec(name="toy-fail", description="",
+                            run_point=failing_run_point, grid={"x": [1]}))
+    started = []
+    try:
+        with pytest.raises(RuntimeError, match="point 2 exploded"):
+            execute_chunk([("toy-fail", {"x": 1}, 0),
+                           ("toy-fail", {"x": 2}, 0),
+                           ("toy-fail", {"x": 3}, 0)], started.append)
+    finally:
+        unregister("toy-fail")
+    # the chunk stops at the failing task
+    assert started == [0, 1]
 
 
 def test_adaptive_batching_validation():

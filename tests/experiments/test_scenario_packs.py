@@ -22,7 +22,7 @@ from repro.experiments.scenario_packs import (
     run_heavy_piconet_point,
     run_mixed_sco_gs_point,
 )
-from repro.traffic.workloads import build_figure4_scenario
+from repro.scenario import figure4_spec
 
 NEW_SCENARIOS = ("be_load_scale", "heavy_piconet", "mixed_sco_gs")
 
@@ -79,7 +79,7 @@ def test_mixed_sco_gs_point_carries_voice_and_acl_side_by_side():
 
 def test_mixed_sco_gs_requires_disjoint_sco_slaves():
     with pytest.raises(ValueError, match="sco_slaves"):
-        build_figure4_scenario(delay_requirement=0.04, sco_slaves=(4,))
+        figure4_spec(delay_requirement=0.04, sco_slaves=(4,)).compile(1)
 
 
 def test_be_load_scale_point_scales_offered_load():

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.traffic import build_figure4_scenario
-from repro.traffic.workloads import figure4_gs_tspec
+from repro.scenario import figure4_spec
+from repro.scenario.factories import figure4_gs_tspec
+
+
+def build(seed=1, **kwargs):
+    """The compiled Section 4.1 piconet."""
+    return figure4_spec(**kwargs).compile(seed).primary
 
 
 def test_scenario_wiring_matches_figure4():
-    scenario = build_figure4_scenario(delay_requirement=0.040)
+    scenario = build(delay_requirement=0.040)
     assert len(scenario.piconet.slaves()) == 7
     assert scenario.gs_flow_ids == [1, 2, 3, 4]
     assert scenario.be_flow_ids == [5, 6, 7, 8, 9, 10, 11, 12]
@@ -24,15 +29,15 @@ def test_gs_tspec_matches_paper():
 
 def test_build_requires_exactly_one_gs_parameter():
     with pytest.raises(ValueError):
-        build_figure4_scenario(delay_requirement=None, gs_rate=None)
+        figure4_spec(delay_requirement=None, gs_rate=None)
     with pytest.raises(ValueError):
-        build_figure4_scenario(delay_requirement=0.04, gs_rate=9000.0)
+        figure4_spec(delay_requirement=0.04, gs_rate=9000.0)
     with pytest.raises(ValueError):
-        build_figure4_scenario(delay_requirement=0.04, be_load_scale=-1)
+        figure4_spec(delay_requirement=0.04, be_load_scale=-1)
 
 
 def test_gs_flows_keep_their_throughput_and_bound():
-    scenario = build_figure4_scenario(delay_requirement=0.040, seed=3)
+    scenario = build(seed=3, delay_requirement=0.040)
     scenario.run(4.0)
     throughputs = scenario.slave_throughputs_kbps()
     assert throughputs[1] == pytest.approx(64.0, abs=4.0)
@@ -44,8 +49,7 @@ def test_gs_flows_keep_their_throughput_and_bound():
 
 
 def test_be_traffic_shares_leftover_capacity_fairly():
-    scenario = build_figure4_scenario(delay_requirement=0.034, seed=2,
-                                      be_load_scale=1.5)
+    scenario = build(seed=2, delay_requirement=0.034, be_load_scale=1.5)
     scenario.run(4.0)
     throughputs = scenario.slave_throughputs_kbps()
     be_values = [throughputs[s] for s in (4, 5, 6, 7)]
@@ -55,17 +59,16 @@ def test_be_traffic_shares_leftover_capacity_fairly():
 
 def test_different_seeds_preserve_guarantee():
     for seed in (11, 12):
-        scenario = build_figure4_scenario(delay_requirement=0.036, seed=seed)
+        scenario = build(seed=seed, delay_requirement=0.036)
         scenario.run(2.0)
         for summary in scenario.gs_delay_summary().values():
             assert summary["max_delay_s"] <= 0.036 + 1e-9
 
 
 def test_fixed_interval_poller_also_meets_bound_but_uses_more_slots():
-    variable = build_figure4_scenario(delay_requirement=0.040, seed=5)
+    variable = build(seed=5, delay_requirement=0.040)
     variable.run(2.0)
-    fixed = build_figure4_scenario(delay_requirement=0.040, seed=5,
-                                   variable_interval=False)
+    fixed = build(seed=5, delay_requirement=0.040, variable_interval=False)
     fixed.run(2.0)
     assert fixed.piconet.slots_gs > variable.piconet.slots_gs
     for scenario in (variable, fixed):
@@ -74,14 +77,14 @@ def test_fixed_interval_poller_also_meets_bound_but_uses_more_slots():
 
 
 def test_too_tight_delay_requirement_is_rejected_not_violated():
-    scenario = build_figure4_scenario(delay_requirement=0.012)
+    scenario = build(delay_requirement=0.012)
     assert not scenario.all_gs_admitted
     rejected = [fid for fid, s in scenario.gs_setups.items() if not s.accepted]
     assert rejected   # at least the lowest-priority stream cannot make 12 ms
 
 
 def test_gs_sources_without_be_traffic_leave_capacity_idle():
-    scenario = build_figure4_scenario(delay_requirement=0.040, be_load_scale=0.0)
+    scenario = build(delay_requirement=0.040, be_load_scale=0.0)
     scenario.run(2.0)
     accounting = scenario.piconet.slot_accounting()
     # the idle BE slaves are only probed occasionally (PFP backs off), so the

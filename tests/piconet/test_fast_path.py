@@ -32,7 +32,6 @@ from repro.scenario.specs import (
     ScenarioSpec,
     TimelineSpec,
 )
-from repro.sim.engine import Environment
 from repro.sim.events import Wakeup
 from repro.traffic.sources import CBRSource
 
@@ -56,32 +55,6 @@ def _steady_spec(fast_path=True):
         poller=PollerSpec(kind="round_robin"),
         fast_path=fast_path)
     return ScenarioSpec(piconets=(piconet,))
-
-
-# -- the clock-resync primitive -----------------------------------------------
-
-def test_advance_to_jumps_without_processing_events():
-    env = Environment()
-    env.timeout(100)
-    env.advance_to(50)
-    assert env.now == 50
-    env.advance_to(100)  # exactly the event time is still legal
-    assert env.now == 100
-
-
-def test_advance_to_rejects_moving_backwards():
-    env = Environment()
-    env.timeout(100)
-    env.advance_to(50)
-    with pytest.raises(ValueError, match="past"):
-        env.advance_to(30)
-
-
-def test_advance_to_rejects_passing_the_next_event():
-    env = Environment()
-    env.timeout(100)
-    with pytest.raises(ValueError, match="passes the next scheduled"):
-        env.advance_to(200)
 
 
 # -- kernel engagement and bailout counters -----------------------------------

@@ -1,5 +1,5 @@
-"""Compiling specs: equivalence with the deprecated builders, channels,
-pollers, interference and scatternet wiring."""
+"""Compiling specs: determinism, channels, pollers, interference and
+scatternet wiring."""
 
 import pytest
 
@@ -24,14 +24,6 @@ from repro.scenario import (
     multi_sco_spec,
 )
 from repro.schedulers.round_robin import PureRoundRobinPoller
-from repro.traffic.workloads import (
-    build_figure4_scenario,
-    build_multi_sco_scenario,
-)
-from repro.traffic.scatternet_workloads import (
-    build_bridge_split_scenario,
-    build_interfered_be_scenario,
-)
 
 
 def flow_fingerprint(piconet):
@@ -43,57 +35,7 @@ def flow_fingerprint(piconet):
             for state in piconet.flow_states()]
 
 
-# ------------------------------------------------- builder shim equivalence
-
-def test_figure4_shim_is_byte_identical_to_spec_path():
-    shim = build_figure4_scenario(delay_requirement=0.038, seed=7)
-    shim.run(1.0)
-    compiled = figure4_spec(delay_requirement=0.038).compile(7)
-    compiled.run(1.0)
-    assert flow_fingerprint(shim.piconet) == \
-        flow_fingerprint(compiled.primary.piconet)
-    assert shim.piconet.slot_accounting() == \
-        compiled.primary.piconet.slot_accounting()
-
-
-def test_multi_sco_shim_is_byte_identical_to_spec_path():
-    shim = build_multi_sco_scenario(seed=5)
-    shim.run(1.0)
-    compiled = multi_sco_spec().compile(5)
-    compiled.run(1.0)
-    assert flow_fingerprint(shim.piconet) == \
-        flow_fingerprint(compiled.primary.piconet)
-
-
-def test_interfered_shim_is_byte_identical_to_spec_path():
-    shim = build_interfered_be_scenario((1.0,), seed=3,
-                                        base_bit_error_rate=1e-4)
-    shim.run(1.0)
-    compiled = interfered_be_spec((1.0,), base_bit_error_rate=1e-4) \
-        .compile(3)
-    compiled.run(1.0)
-    assert flow_fingerprint(shim.piconet) == \
-        flow_fingerprint(compiled.primary.piconet)
-    assert shim.interference_failures() == compiled.interference_failures()
-    assert shim.collision_probability() == \
-        pytest.approx(compiled.collision_probability())
-    assert compiled.interferers == ["interferer-1"]
-
-
-def test_bridge_shim_is_byte_identical_to_spec_path():
-    shim = build_bridge_split_scenario(0.5, seed=2)
-    shim.run(1.0)
-    compiled = bridge_split_spec(0.5).compile(2)
-    compiled.run(1.0)
-    assert flow_fingerprint(shim.piconet_a) == \
-        flow_fingerprint(compiled.piconets["A"].piconet)
-    assert flow_fingerprint(shim.piconet_b) == \
-        flow_fingerprint(compiled.piconets["B"].piconet)
-    assert shim.piconet_a.bridge_absent_polls == \
-        compiled.piconets["A"].piconet.bridge_absent_polls
-    assert shim.bridge_throughput_b_kbps() == \
-        pytest.approx(compiled.piconets["B"].acl_throughput_kbps())
-
+# ---------------------------------------------------------------- determinism
 
 def test_compile_is_deterministic_for_same_spec_and_seed():
     spec = figure4_spec(delay_requirement=0.04,
@@ -211,12 +153,6 @@ def test_pfp_poller_is_attached_for_managed_flows():
 
 
 # ------------------------------------------------------------------ plumbing
-
-def test_channel_override_escape_hatch_rejects_unknown_piconet():
-    spec = figure4_spec(delay_requirement=0.04)
-    with pytest.raises(ValueError, match="unknown piconet"):
-        spec.compile(1, channel_overrides={"nope": IdealChannel()})
-
 
 def test_compiled_scenario_piconet_lookup():
     compiled = bridge_split_spec(0.5).compile(1)
