@@ -25,6 +25,12 @@ OVERRIDES = {"rate_bytes_per_second": RATES}
 
 SCENARIO = "analytic_24pt"
 
+#: recorded with the serial variant so the artifact explains its speedup
+SLOW_REMOTE_NOTE = (
+    "24 analytic points: each remote run spawns its local workers, so "
+    "worker start-up dominates and remote stays slower than serial. "
+    "`--backend remote --workers N` is this spawn-local mode.")
+
 
 def _sweep(backend=None):
     runner = SweepRunner(max_workers=1, backend=backend)
@@ -36,6 +42,7 @@ def _sweep(backend=None):
 def test_bench_fabric_dispatch_overhead():
     serial_result, serial_wall = _sweep()
     record("fabric", SCENARIO, "serial", len(RATES), serial_wall,
+           extra={"note": SLOW_REMOTE_NOTE},
            reference_variant="serial", fast_variant="remote_w2")
     print(f"\nfabric dispatch, {len(RATES)} analytic points")
     print(f"  {'serial':<10} {len(RATES) / serial_wall:>12.0f} points/s")

@@ -2,8 +2,9 @@
 
 The package provides:
 
-* ``repro.sim`` — a small discrete-event simulation kernel (the ns-2
-  replacement);
+* ``repro.sim`` — the small discrete-event kernel the model runs on (the
+  ns-2 replacement): timeouts, generator processes, source wake-ups,
+  per-flow monitors and a shared clock;
 * ``repro.baseband`` / ``repro.piconet`` — a slot-accurate Bluetooth
   piconet model (packet types, segmentation, channels, master TDD loop,
   SCO reservations);

@@ -27,6 +27,17 @@ def z_value(level: float) -> float:
     return NormalDist().inv_cdf((1.0 + level) / 2.0)
 
 
+def percentile(data: Sequence[float], q: float) -> float:
+    """The q-th percentile (0 <= q <= 100) of the non-empty, sorted
+    ``data``, interpolating linearly between the two nearest ranks."""
+    pos = (len(data) - 1) * q / 100.0
+    lo, hi = int(math.floor(pos)), int(math.ceil(pos))
+    if lo == hi:
+        return data[lo]
+    frac = pos - lo
+    return data[lo] * (1 - frac) + data[hi] * frac
+
+
 def summarize(samples: Sequence[float]) -> Dict[str, float]:
     """Mean, min, max, standard deviation and common percentiles."""
     if not samples:
@@ -40,18 +51,9 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
         stdev = math.sqrt(sum((x - mean) ** 2 for x in data) / (n - 1))
     else:
         stdev = 0.0
-
-    def percentile(q: float) -> float:
-        pos = (n - 1) * q / 100.0
-        lo, hi = int(math.floor(pos)), int(math.ceil(pos))
-        if lo == hi:
-            return data[lo]
-        frac = pos - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
-
     return {"count": n, "mean": mean, "min": data[0], "max": data[-1],
-            "stdev": stdev, "p50": percentile(50), "p95": percentile(95),
-            "p99": percentile(99)}
+            "stdev": stdev, "p50": percentile(data, 50),
+            "p95": percentile(data, 95), "p99": percentile(data, 99)}
 
 
 def _interval_from_summary(stats: Dict[str, float],

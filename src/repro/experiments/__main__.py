@@ -207,15 +207,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.progress:
         _enable_progress_logging()
         progress = log_progress
-    if args.no_fast_path:
-        # the environment variable (unlike a spec override) reaches every
-        # piconet of every scenario, including those built inside spawned
-        # worker processes, which inherit the environment
-        import os
-
-        from repro.piconet.batch_kernel import NO_FAST_PATH_ENV
-
-        os.environ[NO_FAST_PATH_ENV] = "1"
     overrides = _parse_overrides(args.set)
     runner = SweepRunner(
         max_workers=args.workers,
@@ -331,11 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  "manifest of requested vs completed "
                                  "points and re-execute only the points "
                                  "missing from the result store")
-    run_parser.add_argument("--no-fast-path", action="store_true",
-                            help="force the per-slot reference event loop "
-                                 "(disables the batch kernel everywhere, "
-                                 "including worker processes; results are "
-                                 "identical, only slower)")
     run_parser.add_argument("--set", action="append", default=[],
                             metavar="KEY=VALUE",
                             help="override a grid axis or fixed parameter "

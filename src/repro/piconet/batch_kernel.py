@@ -25,7 +25,7 @@ traffic-source wake-ups, which merely offer packets.  The
 * **absorb** — before each elided master timeout (downlink end, uplink
   end, idle end) the kernel reserves the event id the timeout would have
   taken and fires, through :meth:`Environment.step`, every queued event
-  whose ``(time, priority, id)`` key sorts before the timeout's.  Only
+  whose ``(time, id)`` key sorts before the timeout's.  Only
   *absorbable* events can sort there (see :func:`absorbable`): traffic
   sources' :class:`~repro.sim.events.Wakeup` entries and no-op events
   nobody waits on.  So arrivals land in exactly the heap order of the
@@ -45,7 +45,7 @@ event loop the moment any of them trips):
 * the transaction (its exact peeked packets, both directions) would not
   end *strictly before* the next event the kernel cannot absorb
   (``horizon``): another master's timeout, a timeline runner, the stop
-  event of ``Environment.run(until=...)``, a condition.  An event at the
+  event of ``Environment.run(until=...)``.  An event at the
   exact end time must fire before the master resumes (it was pushed
   earlier, so it wins the heap's insertion-order tie-break).  Absorbed
   events never schedule one (a source only re-arms its own wake-up), so
@@ -60,10 +60,10 @@ event loop the moment any of them trips):
   before it), but the first step *after* it runs on the reference path
   so everything the kernel derives from the topology is revalidated.
 
-``PiconetConfig.fast_path`` (default on) selects the kernel; the
-``REPRO_NO_FAST_PATH`` environment variable — set by the experiments
-CLI's ``--no-fast-path`` flag — forces the reference event loop in this
-process *and* in any worker processes it spawns.
+``PiconetSpec.fast_path`` (default on, compiled into
+``PiconetConfig.fast_path``) selects the kernel; the
+``REPRO_NO_FAST_PATH`` environment variable forces the reference event
+loop in this process *and* in any worker processes it spawns.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import os
 
 from repro.baseband.constants import SLOT_US
 from repro.schedulers.base import TransactionPlan
-from repro.sim.engine import NORMAL
 from repro.sim.events import Wakeup
 
 #: environment variable forcing the reference event loop everywhere
@@ -84,7 +83,7 @@ _SHORTEST_US = 2 * SLOT_US
 
 
 def fast_path_disabled() -> bool:
-    """Whether the process-wide escape hatch is set (CLI ``--no-fast-path``)."""
+    """Whether the process-wide escape hatch ``REPRO_NO_FAST_PATH`` is set."""
     return bool(os.environ.get(NO_FAST_PATH_ENV))
 
 
@@ -217,7 +216,7 @@ class BatchKernel:
                 index = pending.pop()
                 entry = queue[index]
                 if entry[0] <= end:
-                    if not absorbable(entry[3]):
+                    if not absorbable(entry[2]):
                         return None
                     child = 2 * index + 1
                     if child < size:
@@ -225,7 +224,7 @@ class BatchKernel:
                         if child + 1 < size:
                             pending.append(child + 1)
         horizon = min((entry[0] for entry in queue
-                       if not absorbable(entry[3])), default=_INFINITY)
+                       if not absorbable(entry[2])), default=_INFINITY)
         return None if horizon == _INFINITY else horizon
 
     @staticmethod
@@ -237,13 +236,12 @@ class BatchKernel:
         The timeout's event id is reserved first (``env._eid += 1``), so
         the ids of everything scheduled later match the reference loop.
         The caller's horizon check guarantees every event below the key
-        is absorbable; none of them resumes a process, so the master
-        stays the active process.
+        is absorbable; none of them resumes a process.
         """
         eid = env._eid
         env._eid = eid + 1
         queue = env._queue
-        bound = (when, NORMAL, eid)
+        bound = (when, eid)
         if queue[0] < bound:
             step = env.step
             while queue[0] < bound:
@@ -297,7 +295,7 @@ class BatchKernel:
         env = piconet.env
         queue = env._queue
         if (queue and queue[0][0] <= env._now + _SHORTEST_US
-                and not absorbable(queue[0][3])):
+                and not absorbable(queue[0][2])):
             # a blocking event is due before even a POLL/NULL exchange
             # could end, whatever the plan: decline before peeking
             self._bail("horizon")

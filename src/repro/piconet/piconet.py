@@ -85,8 +85,9 @@ class PiconetConfig:
     #: execute steady-state stretches through the batch kernel
     #: (:mod:`repro.piconet.batch_kernel`) instead of per-slot event-loop
     #: steps; results are byte-identical, only wall-clock speed differs.
-    #: The ``REPRO_NO_FAST_PATH`` environment variable (set by the CLI's
-    #: ``--no-fast-path`` flag) forces the reference loop regardless.
+    #: Set only as the compiled form of ``PiconetSpec.fast_path``; the
+    #: ``REPRO_NO_FAST_PATH`` environment variable forces the reference
+    #: loop regardless.
     fast_path: bool = True
 
 

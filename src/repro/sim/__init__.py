@@ -17,45 +17,30 @@ Public API
 ----------
 Environment
     The event loop and simulation clock.
-Event, Timeout, Process, Interrupt, AnyOf, AllOf
-    Event primitives.
-Resource, Store
-    Shared-resource primitives (used for queues and the radio medium).
-Monitor, TimeSeriesMonitor, Counter
-    Measurement helpers.
-RandomStreams
+Event, Timeout, Process, Wakeup
+    Event primitives (a wake-up drives a generator of plain delays).
+SharedClock
+    One clock shared by several co-simulated components.
+Monitor
+    Per-flow sample collection and summary statistics.
+RandomStreams, derive_seed
     Named, independently seeded random-number streams.
 """
 
 from repro.sim.coordination import SharedClock
-from repro.sim.engine import Environment, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from repro.sim.monitor import Counter, Monitor, TimeSeriesMonitor
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Environment
+from repro.sim.events import Event, Process, Timeout, Wakeup
+from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams, derive_seed
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Counter",
     "Environment",
     "Event",
-    "Interrupt",
     "Monitor",
     "Process",
     "RandomStreams",
     "derive_seed",
-    "Resource",
     "SharedClock",
-    "StopSimulation",
-    "Store",
-    "TimeSeriesMonitor",
     "Timeout",
+    "Wakeup",
 ]

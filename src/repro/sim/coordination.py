@@ -10,7 +10,7 @@ field's slot index) means the same instant everywhere.
 :class:`SharedClock` is that one clock: components are built against its
 ``env``, register a human-readable name for error reporting, and the whole
 ensemble advances together through :meth:`run`.  The event queue already
-interleaves all registered processes deterministically (time, priority,
+interleaves all registered processes deterministically (time, then
 insertion order), so co-simulation needs no further machinery — the value
 of this class is making the sharing *explicit* and preventing the classic
 mistake of calling one component's own ``run`` method, which would advance
@@ -50,10 +50,6 @@ class SharedClock:
             known = ", ".join(sorted(self._members)) or "<none>"
             raise KeyError(
                 f"unknown component {name!r}; registered: {known}") from None
-
-    def members(self) -> Dict[str, object]:
-        """Registered components, by name (registration order)."""
-        return dict(self._members)
 
     @property
     def now_seconds(self) -> float:

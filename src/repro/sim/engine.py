@@ -1,9 +1,8 @@
 """The discrete-event loop.
 
-The environment keeps a priority queue of ``(time, priority, sequence, event)``
-tuples.  Ties on time are broken first by an explicit priority (interrupts use
-a higher urgency than normal events) and then by insertion order, which makes
-runs fully deterministic.
+The environment keeps a priority queue of ``(time, sequence, event)``
+tuples.  Ties on time are broken by insertion order, which makes runs fully
+deterministic.
 
 Time is a plain number.  The Bluetooth layers of this project use integer
 microseconds so that the 625 us slot grid is exact, but the kernel itself is
@@ -13,22 +12,17 @@ unit-agnostic.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
-# the priorities live with the events (Timeout pushes itself); URGENT is
-# re-exported for callers that schedule by hand
-from repro.sim.events import (  # noqa: F401
-    NORMAL, URGENT, Event, Process, Timeout)
+from repro.sim.events import Event, Process, Timeout
 
 
 class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Environment.run` at an event."""
+    """Raised internally to stop :meth:`Environment.run` at ``until``."""
 
     @classmethod
     def callback(cls, event: Event) -> None:
-        if event.ok:
-            raise cls(event.value)
-        raise event.value
+        raise cls
 
 
 class EmptySchedule(Exception):
@@ -46,9 +40,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0):
         self._now = initial_time
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock --------------------------------------------------------------
     @property
@@ -56,17 +49,8 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (``None`` between events)."""
-        return self._active_process
-
     # -- event creation -------------------------------------------------------
-    def event(self) -> Event:
-        """Create a new, untriggered :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay, value: Any = None) -> Timeout:
+    def timeout(self, delay, value=None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
@@ -74,27 +58,10 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events) -> Event:
-        from repro.sim.events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, events)
-
     # -- scheduling ------------------------------------------------------------
-    def _schedule(self, event: Event, delay=0, priority: int = NORMAL) -> None:
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, self._eid, event))
+    def _schedule(self, event: Event, delay=0) -> None:
+        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
         self._eid += 1
-
-    def peek(self):
-        """Time of the next scheduled event (``inf`` if none)."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -105,7 +72,7 @@ class Environment:
             If there are no scheduled events left.
         """
         try:
-            when, _prio, _eid, event = heapq.heappop(self._queue)
+            when, _eid, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         if when < self._now:  # pragma: no cover - defensive
@@ -122,40 +89,20 @@ class Environment:
             # Unhandled failure: abort the run loudly.
             raise event._value
 
-    def run(self, until=None) -> Any:
-        """Run until ``until``.
-
-        ``until`` may be ``None`` (run until the queue is empty), a number
-        (run until the clock reaches that time) or an :class:`Event` (run
-        until the event is processed; its value is returned).
-        """
-        stop_event: Optional[Event] = None
+    def run(self, until=None) -> None:
+        """Run until the clock reaches ``until``, or, when ``until`` is
+        ``None``, until the queue is empty."""
         if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    return stop_event.value
-                stop_event.callbacks.append(StopSimulation.callback)
-            else:
-                if until < self._now:
-                    raise ValueError(
-                        f"until={until!r} lies in the past (now={self._now!r})")
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                # NORMAL priority so that events scheduled for exactly
-                # `until` before run() was called are still executed.
-                self._schedule(stop_event, delay=until - self._now)
-                stop_event.callbacks.append(StopSimulation.callback)
+            if until < self._now:
+                raise ValueError(
+                    f"until={until!r} lies in the past (now={self._now!r})")
+            # scheduled last, so that events scheduled for exactly `until`
+            # before run() was called are still executed
+            stop_event = Timeout(self, until - self._now)
+            stop_event.callbacks.append(StopSimulation.callback)
 
         try:
             while True:
                 self.step()
-        except StopSimulation as exc:
-            return exc.args[0]
-        except EmptySchedule:
-            if stop_event is not None and not stop_event.processed:
-                if isinstance(until, Event):
-                    raise RuntimeError(
-                        "run(until=event): event was never triggered")
-            return None
+        except (StopSimulation, EmptySchedule):
+            pass

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
+
+from repro.analysis.stats import percentile
 
 
 class Monitor:
@@ -21,10 +22,6 @@ class Monitor:
     def record(self, value: float) -> None:
         """Add one sample."""
         self.samples.append(float(value))
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Add many samples."""
-        self.samples.extend(float(v) for v in values)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -51,35 +48,13 @@ class Monitor:
     def maximum(self) -> float:
         return max(self.samples) if self.samples else float("nan")
 
-    @property
-    def variance(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return float("nan")
-        mu = self.mean
-        return sum((x - mu) ** 2 for x in self.samples) / (n - 1)
-
-    @property
-    def stdev(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if var == var else float("nan")
-
     def percentile(self, q: float) -> float:
         """Return the q-th percentile (0 <= q <= 100, linear interpolation)."""
         if not self.samples:
             return float("nan")
         if not 0 <= q <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        if lo == hi:
-            return data[lo]
-        frac = pos - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
+        return percentile(sorted(self.samples), q)
 
     def summary(self) -> dict:
         """Return a dictionary with the usual summary statistics."""
@@ -93,66 +68,3 @@ class Monitor:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
-
-
-class TimeSeriesMonitor:
-    """Collects ``(time, value)`` pairs, e.g. queue lengths over time."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("time series must be recorded in time order")
-        self.times.append(float(time))
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted average assuming piecewise-constant values."""
-        if not self.times:
-            return float("nan")
-        end = until if until is not None else self.times[-1]
-        if end < self.times[0]:
-            raise ValueError("'until' precedes the first sample")
-        area = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else end
-            t_next = min(t_next, end)
-            if t_next > t:
-                area += v * (t_next - t)
-        duration = end - self.times[0]
-        if duration <= 0:
-            return self.values[-1]
-        return area / duration
-
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise ValueError("empty time series")
-        return self.times[-1], self.values[-1]
-
-
-class Counter:
-    """A named integer counter with an optional unit label."""
-
-    def __init__(self, name: str = "", unit: str = ""):
-        self.name = name
-        self.unit = unit
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        unit = f" {self.unit}" if self.unit else ""
-        return f"Counter({self.name}={self.value}{unit})"

@@ -6,15 +6,13 @@ and fixture-based in ``tests/experiments/test_golden``; here the kernel's
 mechanics are pinned directly: the clock-resync primitive, the bailout
 counters, windows that absorb traffic arrivals but end before every
 other event, and every way of switching the fast path off (config
-field, spec field, environment variable, CLI flag).
+field, spec field, environment variable).
 """
 
-import os
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.__main__ import main
 from repro.piconet.batch_kernel import (
     NO_FAST_PATH_ENV,
     BatchKernel,
@@ -123,36 +121,6 @@ def test_env_var_disables_the_kernel(monkeypatch):
     piconet = Piconet()  # fast_path defaults to True in the config
     assert piconet._batch_kernel is None
     assert piconet.fast_path_stats() == {"enabled": False}
-
-
-def test_cli_no_fast_path_sets_the_env_var(monkeypatch, capsys):
-    captured = {}
-
-    class _StubResult:
-        def to_json(self):
-            return "{}"
-
-    class _StubRunner:
-        def __init__(self, **kwargs):
-            pass
-
-        def run(self, *args, **kwargs):
-            captured["env"] = os.environ.get(NO_FAST_PATH_ENV)
-            return _StubResult()
-
-    monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
-    monkeypatch.setattr("repro.experiments.__main__.SweepRunner", _StubRunner)
-    # setenv then delenv registers the restore, so the flag's os.environ
-    # write inside main() does not leak into other tests
-    monkeypatch.setenv(NO_FAST_PATH_ENV, "x")
-    monkeypatch.delenv(NO_FAST_PATH_ENV)
-
-    assert main(["run", "figure5", "--json", "-"]) == 0
-    assert captured["env"] is None  # without the flag: fast path stays on
-
-    assert main(["run", "figure5", "--no-fast-path", "--json", "-"]) == 0
-    assert captured["env"] == "1"
-    capsys.readouterr()
 
 
 # -- equivalence smoke test (the property test draws random scenarios) ---------
@@ -329,28 +297,6 @@ def test_window_ends_strictly_before_a_timeline_event_and_the_stop_event():
     assert stats["transactions"] > 0
 
 
-def test_master_is_the_active_process_after_an_inline_arrival():
-    compiled = compile_scenario(_sourced_steady_spec(), seed=5)
-    piconet = compiled.primary.piconet
-    env = compiled.env
-    for _ in range(60):
-        piconet.offer_packet(1, 2000)
-    seen = []
-    apply_downlink = piconet._apply_downlink
-
-    def watched(txn):
-        seen.append(env.active_process)
-        apply_downlink(txn)
-
-    piconet._apply_downlink = watched
-    compiled.run(0.1)
-    assert piconet.fast_path_stats()["transactions"] > len(seen) // 2
-    assert compiled.primary.sources[0].packets_generated > 10
-    masters = {id(process) for process in seen}
-    assert len(masters) == 1
-    assert seen[0]._generator.gi_code.co_name == "_master_process"
-
-
 def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
     timeline = TimelineSpec(events=(
         EventSpec(at_s=0.5, kind="flow-remove", flow_id=2),))
@@ -362,7 +308,7 @@ def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
     compiled.run(0.01)
     assert source.packets_generated > 0
     verdicts = {}
-    for _when, _priority, _eid, event in compiled.env._queue:
+    for _when, _eid, event in compiled.env._queue:
         if isinstance(event, Wakeup):
             assert event is source._wakeup
             name = "source"

@@ -283,6 +283,42 @@ def test_park_unpark_byte_identical_fast_vs_reference(monkeypatch):
     assert _ledger(fast) == _ledger(reference)
 
 
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_raising_timeline_action_aborts_the_run_at_its_time(
+        monkeypatch, fast_path):
+    # the runner process fails with nobody waiting on it.  At 202.5 ms the
+    # master resumes between the push and the pop of that failure, so only
+    # "a failed event is never absorbable" keeps it out of a kernel window:
+    # it must abort Environment.run from the event loop
+    boom = _Boom("flow-remove failed")
+
+    def raising(cp, event, record):
+        raise boom
+
+    monkeypatch.setattr("repro.scenario.timeline._run_flow_remove", raising)
+    if fast_path:
+        monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
+    else:
+        monkeypatch.setenv(NO_FAST_PATH_ENV, "1")
+    compiled = compile_scenario(_timeline_spec(
+        EventSpec(at_s=0.2025, kind="flow-remove", flow_id=2)), seed=3)
+    with pytest.raises(_Boom) as raised:
+        compiled.run(0.8)
+    assert raised.value is boom
+    assert not any(entry.frame.code.name == "_absorb"
+                   for entry in raised.traceback)
+    assert compiled.env.now == 202_500
+    assert compiled.timeline_log == []
+    stats = compiled.primary.piconet.fast_path_stats()
+    assert stats["enabled"] == fast_path
+    if fast_path:
+        assert stats["windows"] > 0
+
+
 def test_timeline_events_bail_out_the_kernel():
     spec = _timeline_spec(
         EventSpec(at_s=0.2, kind="park", slave=4),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Timeout
 from repro.sim.engine import EmptySchedule
 
 
@@ -36,18 +36,6 @@ def test_run_until_time_stops_exactly():
     env.process(proc(env))
     env.run(until=100)
     assert env.now == 100
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(3)
-        return "done"
-
-    result = env.run(until=env.process(proc(env)))
-    assert result == "done"
-    assert env.now == 3
 
 
 def test_run_until_past_time_raises():
@@ -97,13 +85,6 @@ def test_negative_timeout_rejected():
         Timeout(env, -1)
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(12)
-    assert env.peek() == 12
-
-
 def test_unhandled_process_exception_propagates():
     env = Environment()
 
@@ -114,25 +95,6 @@ def test_unhandled_process_exception_propagates():
     env.process(broken(env))
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
-
-
-def test_event_succeed_wakes_waiter():
-    env = Environment()
-    signal = Event(env)
-    values = []
-
-    def waiter(env):
-        value = yield signal
-        values.append(value)
-
-    def trigger(env):
-        yield env.timeout(4)
-        signal.succeed("hello")
-
-    env.process(waiter(env))
-    env.process(trigger(env))
-    env.run()
-    assert values == ["hello"]
 
 
 def test_process_return_value_via_yield():

@@ -1,119 +1,42 @@
-"""Tests of event primitives: success/failure, conditions, interrupts."""
+"""Tests of event primitives: processes, their failures and wake-ups."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import Environment
 from repro.sim.events import Wakeup
-
-
-def test_event_cannot_trigger_twice():
-    env = Environment()
-    event = Event(env)
-    event.succeed(1)
-    with pytest.raises(RuntimeError):
-        event.succeed(2)
 
 
 def test_event_value_unavailable_until_triggered():
     env = Environment()
-    event = Event(env)
+
+    def quick(env):
+        yield env.timeout(1)
+        return "v"
+
+    process = env.process(quick(env))
     with pytest.raises(AttributeError):
-        _ = event.value
-    event.succeed("v")
-    assert event.value == "v"
-
-
-def test_fail_requires_exception_instance():
-    env = Environment()
-    event = Event(env)
-    with pytest.raises(TypeError):
-        event.fail("not an exception")
+        _ = process.value
+    env.run()
+    assert process.value == "v"
 
 
 def test_failed_event_raises_in_waiting_process():
     env = Environment()
-    event = Event(env)
     seen = []
 
-    def waiter(env):
+    def failing(env):
+        yield env.timeout(1)
+        raise ValueError("broken")
+
+    def waiter(env, child):
         try:
-            yield event
+            yield child
         except ValueError as exc:
-            seen.append(str(exc))
+            seen.append((str(exc), env.now))
 
-    def trigger(env):
-        yield env.timeout(1)
-        event.fail(ValueError("broken"))
-
-    env.process(waiter(env))
-    env.process(trigger(env))
+    env.process(waiter(env, env.process(failing(env))))
     env.run()
-    assert seen == ["broken"]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    finish_times = []
-
-    def waiter(env):
-        yield AllOf(env, [env.timeout(5), env.timeout(9), env.timeout(2)])
-        finish_times.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert finish_times == [9]
-
-
-def test_any_of_fires_at_first_event():
-    env = Environment()
-    finish_times = []
-
-    def waiter(env):
-        yield AnyOf(env, [env.timeout(5), env.timeout(9), env.timeout(2)])
-        finish_times.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert finish_times == [2]
-
-
-def test_all_of_empty_list_fires_immediately():
-    env = Environment()
-    condition = AllOf(env, [])
-    assert condition.triggered
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-    causes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as interrupt:
-            causes.append(interrupt.cause)
-            causes.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(10)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert causes == ["wake up", 10]
-
-
-def test_cannot_interrupt_finished_process():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        process.interrupt()
+    assert seen == [("broken", 1)]
 
 
 def test_process_is_alive_until_done():
@@ -123,9 +46,9 @@ def test_process_is_alive_until_done():
         yield env.timeout(5)
 
     process = env.process(quick(env))
-    assert process.is_alive
+    assert not process.triggered
     env.run()
-    assert not process.is_alive
+    assert process.triggered and process.ok
 
 
 def test_yielding_non_event_raises_type_error():
@@ -160,7 +83,7 @@ def test_process_that_catches_a_bad_yield_waits_for_its_next_event():
     process = env.process(recovering(env))
     env.run()
     assert log == [("caught", 0, True), ("woke", 100)]
-    assert process.ok and not process.is_alive
+    assert process.triggered and process.ok
 
 
 def test_process_that_catches_a_foreign_event_waits_for_its_next_event():
@@ -177,7 +100,8 @@ def test_process_that_catches_a_foreign_event_waits_for_its_next_event():
         return "done"
 
     process = env.process(recovering(env))
-    assert env.run(until=process) == "done"
+    env.run()
+    assert process.value == "done"
     assert log == [("caught", 0, True), ("woke", 100)]
 
 
@@ -191,7 +115,7 @@ def test_uncaught_bad_yield_fails_the_process_and_aborts_the_run():
     process = env.process(bad(env))
     with pytest.raises(TypeError, match="non-event"):
         env.run()
-    assert not process.is_alive
+    assert process.triggered
     assert not process.ok
     assert isinstance(process.value, TypeError)
     assert env.now == 3

@@ -1,15 +1,17 @@
-"""Tests of monitors, counters and seeded random streams."""
+"""Tests of the sample monitor and seeded random streams."""
 
 import math
 
 import pytest
 
-from repro.sim import Counter, Monitor, RandomStreams, TimeSeriesMonitor
+from repro.analysis.stats import summarize
+from repro.sim import Monitor, RandomStreams
 
 
 def test_monitor_summary_statistics():
     monitor = Monitor("delays")
-    monitor.extend([1.0, 2.0, 3.0, 4.0])
+    for value in (4, 1, 3, 2):
+        monitor.record(value)
     assert monitor.count == 4
     assert monitor.mean == pytest.approx(2.5)
     assert monitor.minimum == 1.0
@@ -33,37 +35,14 @@ def test_monitor_percentile_bounds_checked():
         monitor.percentile(150)
 
 
-def test_monitor_variance_and_stdev():
+def test_monitor_percentiles_match_summarize():
+    samples = [0.3, 1.7, 0.1, 2.9, 0.8, 1.1, 0.05]
     monitor = Monitor()
-    monitor.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-    assert monitor.variance == pytest.approx(4.571428, rel=1e-5)
-    assert monitor.stdev == pytest.approx(math.sqrt(4.571428), rel=1e-5)
-
-
-def test_time_series_time_average_piecewise_constant():
-    series = TimeSeriesMonitor("queue")
-    series.record(0.0, 0.0)
-    series.record(10.0, 5.0)
-    series.record(20.0, 0.0)
-    # value 0 for 10s, 5 for 10s, then 0 afterwards
-    assert series.time_average(until=20.0) == pytest.approx(2.5)
-    assert series.time_average(until=40.0) == pytest.approx(1.25)
-
-
-def test_time_series_rejects_unordered_times():
-    series = TimeSeriesMonitor()
-    series.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        series.record(4.0, 1.0)
-
-
-def test_counter_increments():
-    counter = Counter("slots", "slots")
-    counter.increment()
-    counter.increment(4)
-    assert int(counter) == 5
-    counter.reset()
-    assert int(counter) == 0
+    for value in samples:
+        monitor.record(value)
+    stats = summarize(samples)
+    for q in (50, 95, 99):
+        assert monitor.percentile(q) == stats[f"p{q}"]
 
 
 def test_random_streams_are_deterministic():

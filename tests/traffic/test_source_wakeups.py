@@ -43,7 +43,7 @@ def record_offers(piconet):
 
 
 def wakeups(env):
-    return [entry for entry in env._queue if isinstance(entry[3], Wakeup)]
+    return [entry for entry in env._queue if isinstance(entry[2], Wakeup)]
 
 
 # -- life cycle ----------------------------------------------------------------
