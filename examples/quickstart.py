@@ -17,8 +17,7 @@ Run with:  python examples/quickstart.py [--duration SECONDS]
 import argparse
 
 from repro.piconet.flows import BE, GS, UPLINK
-from repro.scenario import FlowSpec, PiconetSpec, ScenarioSpec
-from repro.traffic import DelayThroughputSink
+from repro.scenario import FlowSpec, PiconetSpec, ScenarioSpec, gs_bound_met
 
 #: the scenario, declaratively: a voice slave with a 30 ms GS bound and a
 #: laptop offering far more best-effort traffic than fits
@@ -58,15 +57,15 @@ def main() -> None:
 
     compiled.run(duration_seconds=args.duration)
 
-    sink = DelayThroughputSink(scenario.piconet)
-    for row in sink.summary():
-        print(f"flow {row['flow_id']} ({row['class']}): "
-              f"{row['throughput_kbps']:6.1f} kbit/s, "
-              f"mean delay {row['mean_delay_ms']:6.2f} ms, "
-              f"max delay {row['max_delay_ms']:6.2f} ms")
+    for state in scenario.piconet.flow_states():
+        stats = scenario.piconet.flow_stats(state.spec.flow_id)
+        print(f"flow {stats['flow_id']} ({stats['class']}): "
+              f"{stats['throughput_bps'] / 1000.0:6.1f} kbit/s, "
+              f"mean delay {stats['delay_mean'] * 1000.0:6.2f} ms, "
+              f"max delay {stats['delay_max'] * 1000.0:6.2f} ms")
     print(f"slots: {scenario.piconet.slot_accounting()}")
-    voice_max = sink.max_delay(1)
-    print(f"voice delay bound respected: {voice_max <= 0.030}")
+    voice = scenario.gs_delay_summary()[1]
+    print(f"voice delay bound respected: {gs_bound_met(voice)}")
 
 
 if __name__ == "__main__":

@@ -12,12 +12,13 @@ The package provides:
   control and delay-bounded polling (fixed-interval poller, variable-interval
   poller and the Predictive Fair Poller);
 * ``repro.schedulers`` — baseline pollers from the literature;
-* ``repro.traffic`` — traffic sources and sinks;
+* ``repro.traffic`` — traffic sources;
 * ``repro.scenario`` — declarative scenario specs (the paper's Figure-4
   workload is ``figure4_spec``) compiled into runtime objects;
 * ``repro.experiments`` — drivers that regenerate every table and figure of
   the paper's evaluation;
-* ``repro.analysis`` — statistics and plain-text reporting helpers.
+* ``repro.analysis`` — statistics, plain-text tables and the findings
+  pass over completed sweep rows.
 
 Quick start::
 

@@ -3,7 +3,7 @@
 Once sweeps run continuously on the fabric, nobody re-reads every result
 table — so this module scans aggregated sweep rows (a
 :class:`~repro.experiments.orchestrator.SweepResult` payload, or any saved
-``run --json`` file) against a registry of named rules and emits a
+``run --json`` file) against a set of named rules and emits a
 structured findings report.  The idea follows WisIO's multi-perspective
 bottleneck detection for HPC workflows: each rule is one perspective over
 the same rows, and the report is the union of what the perspectives flag.
@@ -32,7 +32,7 @@ Built-in rules:
     :data:`CI_RELATIVE_LIMIT` of its mean magnitude — the mean is noise,
     not signal; the sweep needs more replications.
 
-New rules register with :func:`analysis_rule`; ``python -m
+:data:`ANALYSIS_RULES` maps each name to its rule; ``python -m
 repro.experiments analyze <experiment>`` runs a sweep (store-backed, so
 completed points are free) and prints the report.
 """
@@ -81,23 +81,6 @@ class Finding:
                 "message": self.message}
 
 
-#: ``rule(rows, replications) -> iterable of findings``; rows are the
-#: aggregated sweep rows (each with ``point`` / ``mean`` / ``ci``)
-AnalysisRule = Callable[[List[Mapping], int], Iterable[Finding]]
-
-ANALYSIS_RULES: Dict[str, AnalysisRule] = {}
-
-
-def analysis_rule(name: str) -> Callable[[AnalysisRule], AnalysisRule]:
-    """Register a rule under ``name`` (decorator)."""
-
-    def wrap(rule: AnalysisRule) -> AnalysisRule:
-        ANALYSIS_RULES[name] = rule
-        return rule
-
-    return wrap
-
-
 def _swept_point(row: Mapping) -> Dict[str, object]:
     """The row's parameter point (axes plus defaults), for display."""
     return dict(row.get("point", {}))
@@ -116,7 +99,6 @@ def _truthy_fraction(value: object) -> bool:
 
 # ------------------------------------------------------------------- rules
 
-@analysis_rule("gs_bound_violated")
 def _rule_gs_bound_violated(rows: List[Mapping], replications: int
                             ) -> Iterable[Finding]:
     for index, row in enumerate(rows):
@@ -135,7 +117,6 @@ def _rule_gs_bound_violated(rows: List[Mapping], replications: int
                             f"{_swept_point(row)}")
 
 
-@analysis_rule("compliance_cliff")
 def _rule_compliance_cliff(rows: List[Mapping], replications: int
                            ) -> Iterable[Finding]:
     for index in range(1, len(rows)):
@@ -161,7 +142,6 @@ def _rule_compliance_cliff(rows: List[Mapping], replications: int
                             f"{_swept_point(rows[index])}")
 
 
-@analysis_rule("starved_flows")
 def _rule_starved_flows(rows: List[Mapping], replications: int
                         ) -> Iterable[Finding]:
     for index, row in enumerate(rows):
@@ -193,7 +173,6 @@ def _rule_starved_flows(rows: List[Mapping], replications: int
                             f"moves {busiest:g} at {_swept_point(row)}")
 
 
-@analysis_rule("zero_goodput")
 def _rule_zero_goodput(rows: List[Mapping], replications: int
                        ) -> Iterable[Finding]:
     for index, row in enumerate(rows):
@@ -211,7 +190,6 @@ def _rule_zero_goodput(rows: List[Mapping], replications: int
                         f"{_swept_point(row)}")
 
 
-@analysis_rule("ci_blowup")
 def _rule_ci_blowup(rows: List[Mapping], replications: int
                     ) -> Iterable[Finding]:
     if replications < 2:
@@ -234,11 +212,25 @@ def _rule_ci_blowup(rows: List[Mapping], replications: int
                             f"enough)")
 
 
+#: ``rule(rows, replications) -> iterable of findings``; rows are the
+#: aggregated sweep rows (each with ``point`` / ``mean`` / ``ci``)
+AnalysisRule = Callable[[List[Mapping], int], Iterable[Finding]]
+
+#: every rule, by the name ``analyze --rule`` selects it with
+ANALYSIS_RULES: Dict[str, AnalysisRule] = {
+    "gs_bound_violated": _rule_gs_bound_violated,
+    "compliance_cliff": _rule_compliance_cliff,
+    "starved_flows": _rule_starved_flows,
+    "zero_goodput": _rule_zero_goodput,
+    "ci_blowup": _rule_ci_blowup,
+}
+
+
 # ------------------------------------------------------------------ report
 
 @dataclass
 class AnalysisReport:
-    """Every finding the rule registry produced for one sweep."""
+    """Every finding the rules produced for one sweep."""
 
     experiment: str
     rows_scanned: int
@@ -271,7 +263,7 @@ def analyze_payload(payload: Mapping,
     ``payload`` is the parsed form of
     :meth:`~repro.experiments.orchestrator.SweepResult.to_json` — the same
     dict a saved ``run --json`` file holds.  ``rules`` selects a subset by
-    name (default: every registered rule); unknown names raise
+    name (default: every rule); unknown names raise
     ``ValueError`` with the known ones.
     """
     selected = list(ANALYSIS_RULES) if rules is None else list(rules)

@@ -1,8 +1,8 @@
-"""Plain-text tables for benchmark output and EXPERIMENTS.md."""
+"""Plain-text tables for the experiment drivers and benchmark output."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Iterable, List, Sequence
 
 
 def _format_cell(value: Any, float_format: str) -> str:
@@ -44,14 +44,3 @@ def _is_numeric(cell: str) -> bool:
     except ValueError:
         return False
 
-
-def format_kv(values: Dict[str, Any], float_format: str = ".3f",
-              title: str = "") -> str:
-    """Render a key/value block with aligned keys."""
-    if not values:
-        return title
-    width = max(len(str(k)) for k in values)
-    lines = [title] if title else []
-    for key, value in values.items():
-        lines.append(f"{str(key).ljust(width)} : {_format_cell(value, float_format)}")
-    return "\n".join(lines)

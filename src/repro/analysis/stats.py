@@ -93,10 +93,11 @@ def aggregate_mean_ci(samples: Sequence[float],
     return {"mean": stats["mean"], "ci_low": low, "ci_high": high}
 
 
-def utilisation(busy_slots: int, total_slots: int) -> float:
-    """Fraction of slots spent busy."""
-    if total_slots <= 0:
-        raise ValueError("total_slots must be positive")
-    if busy_slots < 0 or busy_slots > total_slots:
-        raise ValueError("busy_slots must lie within [0, total_slots]")
-    return busy_slots / total_slots
+def jain_fairness(values: Sequence[float]) -> float:
+    """Jain's fairness index of a throughput allocation (1.0 = equal)."""
+    values = [float(v) for v in values]
+    if not values or all(v == 0 for v in values):
+        return float("nan")
+    square_of_sum = sum(values) ** 2
+    sum_of_squares = sum(v * v for v in values)
+    return square_of_sum / (len(values) * sum_of_squares)

@@ -51,10 +51,6 @@ class PacketType:
         """Air time of the packet in seconds."""
         return self.slots * SLOT_SECONDS
 
-    @property
-    def payload_bits(self) -> int:
-        return self.max_payload * 8
-
     def __str__(self) -> str:
         return self.name
 

@@ -203,14 +203,6 @@ class PollStream:
             interval=self.effective_interval,
             max_transaction_time=self.effective_transaction_seconds())
 
-    def complies(self) -> bool:
-        """Eq. 9: the stream's wait bound does not exceed its poll interval.
-
-        With a budget, against the residency-deflated interval — the
-        stricter test a part-time link must pass.
-        """
-        return self.wait_bound <= self.effective_interval + 1e-12
-
 
 @dataclass
 class AdmissionResult:

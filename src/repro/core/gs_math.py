@@ -118,13 +118,6 @@ def rate_for_delay_bound(tspec: TSpec, target: float, ctot: float,
     return rate
 
 
-def max_rate_delay_bound(tspec: TSpec, ctot: float, dtot: float) -> float:
-    """The delay bound in the limit of an infinite service rate (``= dtot``
-    plus nothing) — useful to express feasibility: any target bound strictly
-    above this value is achievable with a finite rate."""
-    return dtot
-
-
 def bound_at_token_rate(tspec: TSpec, ctot: float, dtot: float) -> float:
     """The delay bound obtained when requesting exactly the token rate.
 

@@ -63,10 +63,6 @@ class TSpec:
             raise ValueError("interval must be non-negative")
         return min(self.M + self.p * interval, self.b + self.r * interval)
 
-    def mean_rate_bps(self) -> float:
-        """Token rate expressed in bits per second."""
-        return self.r * 8
-
     def scaled(self, factor: float) -> "TSpec":
         """A TSpec with both rates scaled by ``factor`` (sizes unchanged)."""
         if factor <= 0:

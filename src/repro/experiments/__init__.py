@@ -93,7 +93,6 @@ from repro.experiments.orchestrator import (
     EVENT_START,
     ExecutionBackend,
     ProcessPoolBackend,
-    ResultCache,
     SerialBackend,
     SweepProgress,
     SweepResult,
@@ -118,7 +117,6 @@ __all__ = [
     "ExecutionBackend",
     "ExperimentSpec",
     "ProcessPoolBackend",
-    "ResultCache",
     "SerialBackend",
     "SweepProgress",
     "SweepResult",

@@ -24,7 +24,7 @@ execute (``serial``, ``process``, chunked ``batch``, or ``remote`` on
 fabric workers); ``--progress`` logs one line per completed task to
 stderr.  ``--resume`` records a sweep manifest and re-executes only the
 points missing from the result store; ``analyze`` scans a sweep's rows
-through the :mod:`repro.fabric.analysis` rule registry.
+through the :mod:`repro.analysis.findings` rules.
 
 ``--set`` overrides a grid axis or a fixed parameter by flat key; a
 *dotted* key (``channel.ber=1e-4``) addresses a field of the experiment's
@@ -233,8 +233,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.fabric.analysis import (analyze_payload, analyze_result,
-                                       format_report)
+    from repro.analysis.findings import (analyze_payload, analyze_result,
+                                         format_report)
 
     rules = args.rule or None
     if args.from_json:
@@ -293,45 +293,50 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  help="preview the spec under overrides "
                                       "(flat or dotted keys, repeatable)")
 
+    # the sweep options ``run`` and ``analyze`` share
+    sweep_options = argparse.ArgumentParser(add_help=False)
+    sweep_options.add_argument("--workers", type=int, default=1,
+                               help="worker processes (1 = run inline)")
+    sweep_options.add_argument("--backend", choices=sorted(BACKENDS),
+                               default=None,
+                               help="execution backend (default: serial "
+                                    "for --workers<=1, process otherwise; "
+                                    "batch chunks tasks to amortise spawn "
+                                    "cost)")
+    sweep_options.add_argument("--replications", type=int, default=None,
+                               help="seed replications per sweep point")
+    sweep_options.add_argument("--seed", type=int, default=0,
+                               help="master seed for replication seeds")
+    sweep_options.add_argument("--cache-dir", default=".repro-cache",
+                               help="result store directory "
+                                    "(default: %(default)s)")
+    sweep_options.add_argument("--no-cache", action="store_true",
+                               help="disable the on-disk result store")
+    sweep_options.add_argument("--set", action="append", default=[],
+                               metavar="KEY=VALUE",
+                               help="override a grid axis or fixed "
+                                    "parameter (value parsed as JSON, "
+                                    "repeatable); a dotted key like "
+                                    "channel.ber=1e-4 overrides the "
+                                    "scenario spec — a JSON list value "
+                                    "sweeps it as an extra axis")
+
     run_parser = commands.add_parser(
-        "run", help="run one experiment's sweep")
+        "run", parents=[sweep_options], help="run one experiment's sweep")
     run_parser.add_argument("experiment", help="registered experiment name")
-    run_parser.add_argument("--workers", type=int, default=1,
-                            help="worker processes (1 = run inline)")
-    run_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                            default=None,
-                            help="execution backend (default: serial for "
-                                 "--workers<=1, process otherwise; batch "
-                                 "chunks tasks to amortise spawn cost)")
     run_parser.add_argument("--progress", action="store_true",
                             help="log per-task progress to stderr")
-    run_parser.add_argument("--replications", type=int, default=None,
-                            help="seed replications per sweep point")
-    run_parser.add_argument("--seed", type=int, default=0,
-                            help="master seed for replication seeds")
     run_parser.add_argument("--json", metavar="PATH",
                             help="write the aggregated result as JSON "
                                  "('-' for stdout)")
-    run_parser.add_argument("--cache-dir", default=".repro-cache",
-                            help="result cache directory "
-                                 "(default: %(default)s)")
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="disable the on-disk result cache")
     run_parser.add_argument("--resume", action="store_true",
                             help="resume an interrupted sweep: record a "
                                  "manifest of requested vs completed "
                                  "points and re-execute only the points "
                                  "missing from the result store")
-    run_parser.add_argument("--set", action="append", default=[],
-                            metavar="KEY=VALUE",
-                            help="override a grid axis or fixed parameter "
-                                 "(value parsed as JSON, repeatable); a "
-                                 "dotted key like channel.ber=1e-4 "
-                                 "overrides the scenario spec — a JSON "
-                                 "list value sweeps it as an extra axis")
 
     analyze_parser = commands.add_parser(
-        "analyze",
+        "analyze", parents=[sweep_options],
         help="run an experiment (store-backed) and scan its rows for "
              "anomalies: violated GS bounds, compliance cliffs, starved "
              "flows, zero goodput, CI blowups")
@@ -344,30 +349,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     analyze_parser.add_argument("--rule", action="append", default=[],
                                 metavar="NAME",
                                 help="run only this rule (repeatable; "
-                                     "default: every registered rule)")
+                                     "default: every rule)")
     analyze_parser.add_argument("--json", action="store_true",
                                 help="emit the findings report as JSON")
     analyze_parser.add_argument("--strict", action="store_true",
                                 help="exit 2 when any critical finding is "
                                      "flagged")
-    analyze_parser.add_argument("--workers", type=int, default=1,
-                                help="worker processes (1 = run inline)")
-    analyze_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                                default=None,
-                                help="execution backend for the sweep")
-    analyze_parser.add_argument("--replications", type=int, default=None,
-                                help="seed replications per sweep point")
-    analyze_parser.add_argument("--seed", type=int, default=0,
-                                help="master seed for replication seeds")
-    analyze_parser.add_argument("--cache-dir", default=".repro-cache",
-                                help="result store directory "
-                                     "(default: %(default)s)")
-    analyze_parser.add_argument("--no-cache", action="store_true",
-                                help="disable the on-disk result store")
-    analyze_parser.add_argument("--set", action="append", default=[],
-                                metavar="KEY=VALUE",
-                                help="override a grid axis or fixed "
-                                     "parameter before analyzing")
 
     regen_parser = commands.add_parser(
         "regen-golden",

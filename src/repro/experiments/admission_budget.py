@@ -42,6 +42,7 @@ from repro.scenario import (
     bridge_split_spec,
     figure4_piconet_spec,
     forbid_overrides,
+    gs_bound_met,
     resolve_point_spec,
 )
 
@@ -49,8 +50,7 @@ from repro.scenario import (
 BRIDGE_FLOW_ID = 4
 
 
-def _admission_row(scenario, mode: str, requirement: float,
-                   duration_seconds: float) -> Dict:
+def _admission_row(scenario, mode: str, duration_seconds: float) -> Dict:
     """Admit, run, and summarize one piconet under either admission mode.
 
     Unlike the packs that bail out on any rejection, rejection IS the
@@ -67,8 +67,7 @@ def _admission_row(scenario, mode: str, requirement: float,
         "rejected_flows": rejected,
     }
     summary = scenario.gs_delay_summary()
-    compliant = [fid for fid in admitted
-                 if summary[fid]["max_delay_s"] <= requirement + 1e-9]
+    compliant = [fid for fid in admitted if gs_bound_met(summary[fid])]
     piconet = scenario.piconet
     throughput = sum(piconet.flow_state(fid).delivered_bytes
                      for fid in admitted) * 8 / duration_seconds
@@ -110,7 +109,6 @@ def admission_vs_ber_spec(params: Dict) -> ScenarioSpec:
 
 def run_admission_vs_ber_point(params: Dict, seed: int) -> List[Dict]:
     """One point: the GS flow set admitted against a lossy channel."""
-    requirement = params.get("delay_requirement", 0.040)
     duration_seconds = params.get("duration_seconds", 5.0)
     scenario = resolve_point_spec(
         params, admission_vs_ber_spec).compile(seed).primary
@@ -119,7 +117,7 @@ def run_admission_vs_ber_point(params: Dict, seed: int) -> List[Dict]:
         "bit_error_rate": params["bit_error_rate"],
         "interferer_duty": params.get("interferer_duty", 0.0),
         **_admission_row(scenario, params["admission_mode"],
-                         requirement, duration_seconds),
+                         duration_seconds),
     }
     return [row]
 
@@ -148,7 +146,6 @@ def bridge_residency_admission_spec(params: Dict) -> ScenarioSpec:
 def run_bridge_residency_admission_point(params: Dict,
                                          seed: int) -> List[Dict]:
     """One point: bridge residency as an admission-time input."""
-    requirement = params.get("delay_requirement", 0.040)
     duration_seconds = params.get("duration_seconds", 5.0)
     compiled = resolve_point_spec(
         params, bridge_residency_admission_spec).compile(seed)
@@ -157,7 +154,7 @@ def run_bridge_residency_admission_point(params: Dict,
     row = {
         "bridge_share": params["bridge_share"],
         **_admission_row(scenario_a, params["admission_mode"],
-                         requirement, duration_seconds),
+                         duration_seconds),
     }
     row["bridge_flow_admitted"] = \
         scenario_a.gs_setups[BRIDGE_FLOW_ID].accepted

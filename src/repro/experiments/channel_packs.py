@@ -79,9 +79,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.baseband.constants import SLOT_US
+from repro.experiments.figure5 import rejected_row
 from repro.experiments.registry import ExperimentSpec, register
-from repro.experiments.scenario_packs import _gs_metrics, _be_metrics, \
-    _rejected_row
+from repro.experiments.scenario_packs import _gs_metrics, _be_metrics
 from repro.scenario import (
     ChannelSpec,
     ScenarioSpec,
@@ -89,6 +89,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     coupled_room_spec,
+    gs_bound_met,
     interfered_be_spec,
     multi_sco_spec,
     resolve_point_spec,
@@ -124,15 +125,13 @@ def run_link_quality_mix_point(params: Dict, seed: int) -> List[Dict]:
     scenario = resolve_point_spec(
         params, link_quality_mix_spec).compile(seed).primary
     if not scenario.all_gs_admitted:
-        return [_rejected_row(scenario, requirement)]
+        return [rejected_row(scenario, requirement)]
     scenario.run(duration_seconds)
-    piconet = scenario.piconet
     row: Dict = {"base_bit_error_rate": base_ber, "admitted": True}
     for slave, value in scenario.slave_throughputs_kbps().items():
         row[f"S{slave}"] = value
     row["retx"] = {
-        f"S{slave}": sum(piconet.flow_state(fid).retransmissions
-                         for fid in flows)
+        f"S{slave}": scenario.arq_counters(flows)["retransmissions"]
         for slave, flows in sorted(scenario.slave_flows.items())}
     row["gs"] = _gs_metrics(scenario, duration_seconds)
     row["be"] = _be_metrics(scenario, duration_seconds)
@@ -169,17 +168,16 @@ def run_bursty_channel_point(params: Dict, seed: int) -> List[Dict]:
     scenario = resolve_point_spec(
         params, bursty_channel_spec).compile(seed).primary
     if not scenario.all_gs_admitted:
-        return [_rejected_row(scenario, requirement)]
+        return [rejected_row(scenario, requirement)]
     scenario.run(duration_seconds)
-    piconet = scenario.piconet
-    gs_states = [piconet.flow_state(fid) for fid in scenario.gs_flow_ids]
     return [{
         "bad_dwell_slots": params["bad_dwell_slots"],
         "admitted": True,
         "gs": _gs_metrics(scenario, duration_seconds),
         "be": _be_metrics(scenario, duration_seconds),
-        "gs_retransmissions": sum(s.retransmissions for s in gs_states),
-        "idle_slots": piconet.slots_idle,
+        "gs_retransmissions": scenario.arq_counters(
+            scenario.gs_flow_ids)["retransmissions"],
+        "idle_slots": scenario.piconet.slots_idle,
     }]
 
 
@@ -211,16 +209,11 @@ def run_dm_vs_dh_point(params: Dict, seed: int) -> List[Dict]:
     duration_seconds = params.get("duration_seconds", 5.0)
     scenario = resolve_point_spec(params, dm_vs_dh_spec).compile(seed).primary
     scenario.run(duration_seconds)
-    piconet = scenario.piconet
-    states = [piconet.flow_state(fid) for fid in scenario.be_flow_ids]
     return [{
         "bit_error_rate": params["bit_error_rate"],
         "policy": params["policy"],
         "acl_kbps": scenario.acl_throughput_kbps(),
-        "retransmissions": sum(s.retransmissions for s in states),
-        "segments_not_received": sum(s.segments_not_received
-                                     for s in states),
-        "crc_failures": sum(s.crc_failures for s in states),
+        **scenario.arq_counters(scenario.be_flow_ids),
     }]
 
 
@@ -275,17 +268,12 @@ def run_two_piconet_interference_point(params: Dict, seed: int) -> List[Dict]:
         params, two_piconet_interference_spec).compile(seed)
     scenario = compiled.primary
     compiled.run(duration_seconds)
-    piconet = scenario.piconet
-    states = [piconet.flow_state(fid) for fid in scenario.be_flow_ids]
     return [{
         "interferer_duty": params["interferer_duty"],
         "acl_kbps": scenario.acl_throughput_kbps(),
         "collision_probability": compiled.collision_probability(),
         "interference_failures": compiled.interference_failures(),
-        "retransmissions": sum(s.retransmissions for s in states),
-        "segments_not_received": sum(s.segments_not_received
-                                     for s in states),
-        "crc_failures": sum(s.crc_failures for s in states),
+        **scenario.arq_counters(scenario.be_flow_ids),
     }]
 
 
@@ -313,7 +301,7 @@ def run_bridge_split_point(params: Dict, seed: int) -> List[Dict]:
     scenario_b = compiled.piconets["B"]
     if not scenario_a.all_gs_admitted:
         return [{"bridge_share": share,
-                 **_rejected_row(scenario_a, requirement)}]
+                 **rejected_row(scenario_a, requirement)}]
     compiled.run(duration_seconds)
     bridge_gs = scenario_a.gs_delay_summary()[4]
     piconet_a, piconet_b = scenario_a.piconet, scenario_b.piconet
@@ -324,8 +312,7 @@ def run_bridge_split_point(params: Dict, seed: int) -> List[Dict]:
         "be": _be_metrics(scenario_a, duration_seconds),
         "bridge": {
             "gs_max_delay_s": bridge_gs["max_delay_s"],
-            "gs_bound_violated": (
-                bridge_gs["max_delay_s"] > requirement + 1e-9),
+            "gs_bound_violated": not gs_bound_met(bridge_gs),
             "absent_polls_a": piconet_a.bridge_absent_polls,
             "absent_polls_b": piconet_b.bridge_absent_polls,
             "b_kbps": scenario_b.acl_throughput_kbps(),
@@ -365,15 +352,14 @@ def run_crowded_room_point(params: Dict, seed: int) -> List[Dict]:
     scenario = compiled.primary
     compiled.run(duration_seconds)
     per_piconet = scenario.acl_throughput_kbps()
-    piconet = scenario.piconet
-    states = [piconet.flow_state(fid) for fid in scenario.be_flow_ids]
     return [{
         "piconets": piconets,
         "per_piconet_kbps": per_piconet,
         "aggregate_kbps": per_piconet * piconets,
         "collision_probability": compiled.collision_probability(),
         "interference_failures": compiled.interference_failures(),
-        "retransmissions": sum(s.retransmissions for s in states),
+        "retransmissions": scenario.arq_counters(
+            scenario.be_flow_ids)["retransmissions"],
     }]
 
 

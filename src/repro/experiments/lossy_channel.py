@@ -28,6 +28,7 @@ from repro.scenario import (
     compile_channel,
     figure4_spec,
     forbid_overrides,
+    gs_bound_met,
     resolve_point_spec,
 )
 
@@ -78,7 +79,6 @@ def scenario_spec(params: Dict) -> ScenarioSpec:
 def run_point(params: Dict, seed: int) -> List[Dict]:
     """One bit error rate of the lossy-channel extension."""
     ber = params["bit_error_rate"]
-    delay_requirement = params.get("delay_requirement", 0.040)
     scenario = resolve_point_spec(params, scenario_spec).compile(seed).primary
     if not scenario.all_gs_admitted:
         return []
@@ -95,12 +95,9 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
                              / len(delays)) * 1000.0,
         "gs_max_delay_ms": max(d["max_delay_s"]
                                for d in delays.values()) * 1000.0,
-        "gs_retransmissions": sum(s.retransmissions for s in gs_states),
-        "gs_segments_not_received": sum(s.segments_not_received
-                                        for s in gs_states),
-        "gs_crc_failures": sum(s.crc_failures for s in gs_states),
-        "bound_met": max(d["max_delay_s"] for d in delays.values())
-        <= delay_requirement + 1e-9,
+        **{f"gs_{name}": count for name, count
+           in scenario.arq_counters(scenario.gs_flow_ids).items()},
+        "bound_met": all(gs_bound_met(d) for d in delays.values()),
         "idle_slots": piconet.slots_idle,
     }]
 

@@ -34,7 +34,7 @@ from typing import (Callable, ClassVar, Dict, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from repro.analysis.stats import aggregate_mean_ci
-from repro.fabric.store import (ResultCache, SweepManifest, canonical_params,
+from repro.fabric.store import (ResultStore, SweepManifest, canonical_params,
                                 entry_digest)
 from repro.sim.rng import derive_seed
 
@@ -70,13 +70,6 @@ class SweepTask:
     params: Dict[str, object]
     seed: int
 
-
-# ``ResultCache`` (the on-disk cache of raw task results, historically
-# defined here) is now the content-addressed result store of the fabric:
-# same layout, same addressing, plus atomic-write/quarantine/gc semantics
-# and hit/miss counters.  See :mod:`repro.fabric.store`; re-imported above
-# so ``from repro.experiments.orchestrator import ResultCache`` keeps
-# working.
 
 #: one serialised sweep task, as shipped to a worker: experiment, params, seed
 TaskTriple = Tuple[str, Dict[str, object], int]
@@ -624,7 +617,7 @@ class SweepRunner:
                  backend: Union[ExecutionBackend, str, None] = None,
                  progress: Optional[ProgressCallback] = None):
         self.max_workers = max_workers
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.cache = ResultStore(cache_dir) if cache_dir else None
         self.confidence = confidence
         self.backend = self._resolve_backend(backend, max_workers)
         self.progress = progress

@@ -31,37 +31,23 @@ treatment over replications.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
+from repro.analysis.stats import jain_fairness
 from repro.experiments import figure5 as _figure5
+from repro.experiments.figure5 import rejected_row
 from repro.experiments.registry import ExperimentSpec, register
 from repro.piconet.flows import UPLINK
 from repro.scenario import (
     ScenarioSpec,
     figure4_spec,
     forbid_overrides,
+    gs_bound_met,
     resolve_point_spec,
 )
 
 #: slaves of the heavy scenario: the full piconet carries best effort
 HEAVY_BE_SLAVES = (1, 2, 3, 4, 5, 6, 7)
-
-
-def _jain_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index of a throughput allocation (1.0 = equal)."""
-    values = [float(v) for v in values]
-    if not values or all(v == 0 for v in values):
-        return float("nan")
-    square_of_sum = sum(values) ** 2
-    sum_of_squares = sum(v * v for v in values)
-    return square_of_sum / (len(values) * sum_of_squares)
-
-
-def _rejected_row(scenario, requirement: float) -> Dict:
-    rejected = [fid for fid, setup in scenario.gs_setups.items()
-                if not setup.accepted]
-    return {"delay_requirement_s": requirement, "admitted": False,
-            "rejected_flows": rejected}
 
 
 def _gs_metrics(scenario, duration_seconds: float) -> Dict:
@@ -72,9 +58,8 @@ def _gs_metrics(scenario, duration_seconds: float) -> Dict:
     return {
         "throughput_kbps": throughput / 1000.0,
         "max_delay_s": max(d["max_delay_s"] for d in summary.values()),
-        "bound_violated": any(
-            d["max_delay_s"] > d["requested_bound_s"] + 1e-9
-            for d in summary.values()),
+        "bound_violated": not all(
+            gs_bound_met(d) for d in summary.values()),
     }
 
 
@@ -85,7 +70,7 @@ def _be_metrics(scenario, duration_seconds: float) -> Dict:
         for fid in scenario.be_flow_ids]
     return {
         "throughput_kbps": sum(per_flow_kbps),
-        "fairness": _jain_fairness(per_flow_kbps),
+        "fairness": jain_fairness(per_flow_kbps),
     }
 
 
@@ -105,7 +90,7 @@ def run_heavy_piconet_point(params: Dict, seed: int) -> List[Dict]:
     scenario = resolve_point_spec(
         params, heavy_piconet_spec).compile(seed).primary
     if not scenario.all_gs_admitted:
-        return [_rejected_row(scenario, requirement)]
+        return [rejected_row(scenario, requirement)]
     scenario.run(duration_seconds)
     row: Dict = {"delay_requirement_s": requirement, "admitted": True}
     for slave, value in scenario.slave_throughputs_kbps().items():
@@ -135,7 +120,7 @@ def run_mixed_sco_gs_point(params: Dict, seed: int) -> List[Dict]:
     scenario = resolve_point_spec(
         params, mixed_sco_gs_spec).compile(seed).primary
     if not scenario.all_gs_admitted:
-        return [_rejected_row(scenario, requirement)]
+        return [rejected_row(scenario, requirement)]
     scenario.run(duration_seconds)
     piconet = scenario.piconet
     voice = piconet.flow_state(scenario.sco_flow_ids[0])

@@ -1,5 +1,4 @@
-"""Distributed sweep fabric: remote workers, a shared result store, and
-automated sweep analysis.
+"""Distributed sweep fabric: remote workers and a shared result store.
 
 The fabric is the "one laptop -> fleet" layer over the sweep orchestrator
 (:mod:`repro.experiments.orchestrator`).  Sweep tasks were already
@@ -28,17 +27,15 @@ transport problem.  The subsystem has four parts:
     byte-identical to the ``serial`` backend because seeds are
     content-derived and results are aggregated in submission order.
 
-:mod:`repro.fabric.store` / :mod:`repro.fabric.analysis`
+:mod:`repro.fabric.store`
     A content-addressed on-disk result store keyed by the existing
     ``(experiment@version, canonical_params, seed)`` scheme (atomic writes,
-    corruption quarantine, ``gc``/``stats``), sweep manifests that make
-    interrupted sweeps resumable (``run --resume``), and a rule registry
-    that scans completed sweep rows for GS-bound violations, compliance
-    cliffs, starved flows, zero-goodput rows and CI blowups
-    (``analyze <experiment>``).
+    corruption quarantine, ``gc``/``stats``) and sweep manifests that make
+    interrupted sweeps resumable (``run --resume``).  The findings pass
+    that scans completed rows lives in :mod:`repro.analysis.findings`.
 
 This package deliberately avoids importing the orchestrator at import time
-(``store``/``protocol``/``analysis`` are dependency-free); the backend,
+(``store``/``protocol`` are dependency-free); the backend,
 worker and coordinator modules import it lazily so
 ``repro.experiments.orchestrator`` can itself build on
 :mod:`repro.fabric.store` without a cycle.

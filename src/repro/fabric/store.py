@@ -5,10 +5,9 @@ seed)``; the sha256 of that triple is the entry's address, so the store is
 content-addressed by *task identity*: any parameter, seed or result-schema
 change misses cleanly, and two hosts running the same sweep write the same
 entry names.  One JSON file per entry lives under
-``directory/<experiment@version>/<sha256>.json`` — the exact layout the
-orchestrator's ``ResultCache`` has used since PR 1, so existing caches keep
-working and :class:`ResultCache` is now a thin compatibility view over
-:class:`ResultStore`.
+``directory/<experiment@version>/<sha256>.json``, the layout the
+orchestrator's on-disk cache has always used, so existing caches keep
+working.
 
 Guarantees:
 
@@ -43,7 +42,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 #: subdirectory (next to the experiment entry dirs) holding sweep manifests
 MANIFEST_DIR = "_manifests"
@@ -171,14 +170,6 @@ class ResultStore:
         return [name for name in names
                 if name != MANIFEST_DIR
                 and os.path.isdir(os.path.join(self.directory, name))]
-
-    def iter_entries(self) -> Iterator[Tuple[str, str]]:
-        """Yield ``(experiment_label, entry_path)`` for every ``*.json``."""
-        for label in self._experiment_dirs():
-            folder = os.path.join(self.directory, label)
-            for name in sorted(os.listdir(folder)):
-                if name.endswith(".json"):
-                    yield label, os.path.join(folder, name)
 
     @staticmethod
     def _entry_is_orphan(label: str, path: str) -> bool:
@@ -363,13 +354,3 @@ class SweepManifest:
                    status=str(payload.get("status", "running")),
                    backend=str(payload.get("backend", "serial")))
 
-
-class ResultCache(ResultStore):
-    """Backwards-compatible name of the orchestrator's on-disk cache.
-
-    Historically a standalone JSON cache in
-    :mod:`repro.experiments.orchestrator`; it is now literally the result
-    store (same layout, same addressing), kept as a distinct class so
-    ``SweepRunner(cache_dir=...).cache`` and existing imports keep
-    working.
-    """

@@ -509,9 +509,6 @@ class Piconet:
             self._specs_by_slave_cache = cache
         return cache.get(slave, [])
 
-    def gs_flow_specs(self) -> List[FlowSpec]:
-        return [spec for spec in self.flow_specs() if spec.is_gs]
-
     def slaves(self) -> List[Slave]:
         return self.devices.slaves
 

@@ -28,6 +28,7 @@ from repro.scenario.compile import (
     compile_channel,
     compile_scenario,
     describe_link_budgets,
+    gs_bound_met,
     link_budgets_for,
 )
 from repro.scenario.factories import (
@@ -102,6 +103,7 @@ __all__ = [
     "figure4_piconet_spec",
     "forbid_overrides",
     "figure4_spec",
+    "gs_bound_met",
     "interfered_be_spec",
     "link_budgets_for",
     "multi_sco_piconet_spec",

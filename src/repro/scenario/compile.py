@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.baseband.channel import (
     Channel,
@@ -275,6 +275,25 @@ def describe_link_budgets(spec: ScenarioSpec) -> List[Dict[str, object]]:
 
 # -------------------------------------------------------------- piconets
 
+#: slack of a delay-bound verdict, absorbing float round-off between the
+#: microsecond clock and the requested bound in seconds
+BOUND_TOLERANCE_S = 1e-9
+
+
+def gs_bound_met(summary: dict) -> bool:
+    """Whether a GS flow kept its own delay bound, judged on its
+    :meth:`CompiledPiconet.gs_delay_summary` entry.
+
+    The bound is the one the flow requested (a flow admitted by rate is
+    held to its analytical bound).  A flow that delivered no packet has a
+    NaN maximum delay and counts as *not* met.
+    """
+    bound = summary["requested_bound_s"]
+    if bound is None:
+        bound = summary["analytical_bound_s"]
+    return summary["max_delay_s"] <= bound + BOUND_TOLERANCE_S
+
+
 @dataclass
 class CompiledPiconet:
     """One piconet's runtime objects plus the result helpers drivers use."""
@@ -290,9 +309,6 @@ class CompiledPiconet:
     sco_flow_ids: List[int]
     #: slave -> flow ids, in flow declaration order
     slave_flows: Dict[int, List[int]] = field(default_factory=dict)
-    #: the common requested delay bound of the GS flows (None when the
-    #: flows requested explicit rates or disagree on the bound)
-    delay_requirement: Optional[float] = None
     #: GS setups withdrawn by a timeline ``park`` event, re-submitted to
     #: admission at ``unpark`` (see :mod:`repro.scenario.timeline`)
     parked_gs_setups: Dict[int, GSFlowSetup] = field(default_factory=dict)
@@ -325,7 +341,7 @@ class CompiledPiconet:
             bound = (self.manager.delay_bound_for(flow_id)
                      if setup.accepted else float("nan"))
             summary[flow_id] = {
-                "requested_bound_s": self.delay_requirement,
+                "requested_bound_s": setup.requested_delay_bound,
                 "analytical_bound_s": bound,
                 "max_delay_s": state.delays.maximum,
                 "mean_delay_s": state.delays.mean,
@@ -333,6 +349,14 @@ class CompiledPiconet:
                 "packets": state.delivered_packets,
             }
         return summary
+
+    def arq_counters(self, flow_ids: Iterable[int]) -> Dict[str, int]:
+        """Retransmissions, unreceived segments and CRC failures summed
+        over ``flow_ids``."""
+        states = [self.piconet.flow_state(fid) for fid in flow_ids]
+        return {name: sum(getattr(state, name) for state in states)
+                for name in ("retransmissions", "segments_not_received",
+                             "crc_failures")}
 
     def voice_stats(self) -> Dict[int, dict]:
         """Per SCO flow: delivered rate, worst delay and residual errors."""
@@ -484,8 +508,6 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
         sources.append(CBRSource(piconet, flow.flow_id, flow.interval_s,
                                  flow.size, rng=rng, start_offset=offset))
 
-    bounds = {flow.delay_bound for flow in managed
-              if flow.delay_bound is not None}
     sco_ids = set(spec.sco_flow_ids)
     return CompiledPiconet(
         spec=spec,
@@ -501,7 +523,6 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
                      if flow.traffic_class == "BE"],
         sco_flow_ids=list(spec.sco_flow_ids),
         slave_flows=slave_flows,
-        delay_requirement=bounds.pop() if len(bounds) == 1 else None,
     )
 
 

@@ -1,4 +1,9 @@
-"""Traffic generation and measurement."""
+"""Traffic generation: the sources that offer packets to piconet flows.
+
+Delivered traffic is read back per flow through
+:meth:`repro.piconet.piconet.Piconet.flow_stats` and
+:class:`repro.scenario.CompiledPiconet`.
+"""
 
 from repro.traffic.sources import (
     CBRSource,
@@ -7,11 +12,9 @@ from repro.traffic.sources import (
     TraceSource,
     TrafficSource,
 )
-from repro.traffic.sinks import DelayThroughputSink
 
 __all__ = [
     "CBRSource",
-    "DelayThroughputSink",
     "OnOffSource",
     "PoissonSource",
     "TraceSource",

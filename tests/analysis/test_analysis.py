@@ -6,10 +6,8 @@ import pytest
 
 from repro.analysis import (
     confidence_interval,
-    format_kv,
     format_table,
     summarize,
-    utilisation,
     z_value,
 )
 
@@ -62,16 +60,6 @@ def test_confidence_interval_widens_with_level():
     assert (default[1] - default[0]) < (wide[1] - wide[0])
 
 
-def test_utilisation_bounds():
-    assert utilisation(800, 1600) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        utilisation(-1, 100)
-    with pytest.raises(ValueError):
-        utilisation(10, 0)
-    with pytest.raises(ValueError):
-        utilisation(101, 100)
-
-
 def test_format_table_alignment_and_content():
     text = format_table(["name", "value"], [["alpha", 1.5], ["b", 22.25]],
                         float_format=".1f", title="demo")
@@ -90,11 +78,3 @@ def test_format_table_rejects_ragged_rows():
 def test_format_table_renders_booleans():
     text = format_table(["ok"], [[True], [False]])
     assert "yes" in text and "no" in text
-
-
-def test_format_kv_alignment():
-    text = format_kv({"rate": 8.8, "flows": 4}, title="params")
-    lines = text.splitlines()
-    assert lines[0] == "params"
-    assert lines[1].startswith("rate ")
-    assert format_kv({}) == ""

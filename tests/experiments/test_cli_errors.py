@@ -257,3 +257,21 @@ def test_parse_overrides_rejects_malformed_assignments(assignment, message):
 def test_main_translates_registry_keyerror_to_systemexit():
     with pytest.raises(SystemExit, match="unknown experiment"):
         main(["run", "nope", "--no-cache"])
+
+
+# ------------------------------------------------------ per-flow GS bounds
+
+@pytest.mark.parametrize("experiment, point", [
+    ("bursty_channel", "bad_dwell_slots=5"),
+    ("link_quality_mix", "base_bit_error_rate=1e-4"),
+    ("churn_recovery", "burst_start_s=0.25"),
+])
+def test_gs_flows_with_differing_bounds_run_cleanly(experiment, point,
+                                                    capsys):
+    """One GS flow's bound overridden: every flow is judged against its
+    own bound instead of a piconet-wide one that no longer exists."""
+    code = main(["run", experiment, "--no-cache", "--set", point,
+                 "--set", "duration_seconds=0.5",
+                 "--set", "flows.0.delay_bound=0.03"])
+    assert code == 0
+    assert "gs_bound_violated" in capsys.readouterr().out

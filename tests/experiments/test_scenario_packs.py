@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.stats import jain_fairness
 from repro.experiments import experiment_names, get_experiment
 from repro.experiments.orchestrator import SweepRunner
 from repro.experiments.scenario_packs import (
-    _jain_fairness,
     run_be_load_scale_point,
     run_heavy_piconet_point,
     run_mixed_sco_gs_point,
@@ -35,11 +35,11 @@ def test_scenario_packs_are_registered_with_grids():
 
 
 def test_jain_fairness_bounds():
-    assert _jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-    assert _jain_fairness([1.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
+    assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
+    assert jain_fairness([1.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
     import math
-    assert math.isnan(_jain_fairness([]))
-    assert math.isnan(_jain_fairness([0.0, 0.0]))
+    assert math.isnan(jain_fairness([]))
+    assert math.isnan(jain_fairness([0.0, 0.0]))
 
 
 def test_heavy_piconet_point_serves_all_seven_slaves():

@@ -6,12 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.__main__ import main as experiments_main
-from repro.fabric.analysis import (
-    ANALYSIS_RULES,
-    analysis_rule,
-    analyze_payload,
-    format_report,
-)
+from repro.analysis.findings import analyze_payload, format_report
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
@@ -104,20 +99,6 @@ def test_clean_sweep_has_no_findings():
 def test_unknown_rule_name_raises():
     with pytest.raises(ValueError, match="unknown analysis rule"):
         analyze_payload(payload_with([]), rules=["no_such_rule"])
-
-
-def test_new_rules_register_via_decorator():
-    @analysis_rule("always_quiet")
-    def _quiet(rows, replications):
-        return []
-
-    try:
-        assert "always_quiet" in ANALYSIS_RULES
-        report = analyze_payload(payload_with([{"point": {}, "mean": {}}]),
-                                 rules=["always_quiet"])
-        assert not report.findings
-    finally:
-        del ANALYSIS_RULES["always_quiet"]
 
 
 # ------------------------------------------------- the acceptance fixture

@@ -7,7 +7,6 @@ import pytest
 
 from repro.fabric.store import (
     CORRUPT_SUFFIX,
-    ResultCache,
     ResultStore,
     SweepManifest,
     canonical_params,
@@ -187,9 +186,3 @@ def test_load_manifest_missing_or_corrupt_is_none(store):
         handle.write("not json")
     assert store.load_manifest(manifest.sweep_digest()) is None
 
-
-def test_result_cache_is_a_store_view(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    assert isinstance(cache, ResultStore)
-    cache.put("toy@v1", {"x": 1}, 0, ROWS)
-    assert ResultStore(str(tmp_path)).get("toy@v1", {"x": 1}, 0) == ROWS

@@ -164,7 +164,7 @@ def test_compiled_scenario_piconet_lookup():
 def test_compiled_piconet_voice_stats_and_delay_requirement():
     compiled = multi_sco_spec().compile(2)
     built = compiled.primary
-    assert built.delay_requirement is None
+    assert built.gs_delay_summary() == {}
     compiled.run(0.5)
     stats = built.voice_stats()
     assert sorted(stats) == built.sco_flow_ids

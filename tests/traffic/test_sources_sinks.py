@@ -1,4 +1,4 @@
-"""Tests of the traffic sources and the measurement sink."""
+"""Tests of the traffic sources and the per-flow statistics they feed."""
 
 import random
 
@@ -9,7 +9,7 @@ from repro.core.token_bucket import check_trace_conformance
 from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, UPLINK
 from repro.schedulers.base import KIND_BE, Poller
-from repro.traffic import CBRSource, DelayThroughputSink, OnOffSource, PoissonSource, TraceSource
+from repro.traffic import CBRSource, OnOffSource, PoissonSource, TraceSource
 
 
 class ServeSlaveOne(Poller):
@@ -147,15 +147,14 @@ def test_start_offset_delays_first_packet():
 
 
 def test_sink_summary_and_helpers():
+    """A source's delivered traffic, read back through ``flow_stats``."""
     piconet = make_piconet()
     CBRSource(piconet, 1, 0.020, 176).start()
     piconet.run(1.0)
-    sink = DelayThroughputSink(piconet)
-    rows = sink.summary()
-    assert len(rows) == 1
-    assert rows[0]["flow_id"] == 1
-    assert rows[0]["throughput_kbps"] == pytest.approx(70.4, rel=0.1)
-    assert sink.max_delay(1) >= sink.mean_delay(1) - 1e-12
-    assert sink.delivered_packets(1) > 0
-    assert sink.slave_throughput_kbps(1) == pytest.approx(
-        rows[0]["throughput_kbps"], rel=1e-6)
+    stats = piconet.flow_stats(1)
+    assert stats["flow_id"] == 1
+    assert stats["throughput_bps"] / 1000.0 == pytest.approx(70.4, rel=0.1)
+    assert stats["delay_max"] >= stats["delay_mean"] - 1e-12
+    assert stats["delivered_packets"] > 0
+    assert piconet.slave_throughput_bps(1) == pytest.approx(
+        stats["throughput_bps"], rel=1e-6)
