@@ -3,10 +3,10 @@
 The crowded-room experiments hammer one query: "how many co-channel
 colliders does this victim see in this slot?"  The historical
 implementation answered with a pairwise scan over every registered member
-(O(members) per slot *per victim*); the occupancy index folds every
-member's hop/activity into one flat slot-by-channel count array once and
-answers each victim query from the cell of its hop channel in O(1).
-Both paths survive in
+(O(members) per slot *per victim*); the field now counts every member's
+colliders per slot in bulk once (duty-cycle members by byte arithmetic
+over whole blocks, reported air in a slot-by-channel occupancy index)
+and answers each victim query in O(1).  Both paths survive in
 :class:`~repro.baseband.interference.InterferenceField`
 (``collisions_pairwise`` vs ``collisions``), so this benchmark times them
 on identical fields and lands the pair in ``BENCH_interference.json``.
@@ -20,6 +20,10 @@ Scenarios:
   build + lookup).  The slot span shrinks as N grows so the pairwise
   reference stays affordable; ``per_lookup_us`` in the artifact is the
   normalised cost of one victim-slot query.
+* ``duty_counts_32k`` — ``count_collisions`` over 32,000 slots of a
+  duty-only field (a victim plus three interferers, figure 4's shape):
+  the pairwise reference per slot vs the bulk byte-arithmetic counts
+  (block build included, draws pre-warmed for both).
 * ``hop_sequence_100k`` — sequential ``channel_at`` calls (each one a
   small bulk draw) vs one ``extend_to`` bulk draw of the same 100k
   channels.
@@ -138,6 +142,52 @@ def test_bench_collision_lookup_speedup(benchmark):
                        / entries[8][PAIRWISE]["per_lookup_us"])
     indexed_growth = large / small
     assert indexed_growth < pairwise_growth
+
+
+#: slots and member duties of the duty-count scenario (figure 4's field)
+DUTY_SLOTS = 32_000
+DUTY_MEMBERS = (("victim", 1.0), ("i1", 0.6), ("i2", 0.5), ("i3", 0.4))
+
+
+def _duty_field() -> InterferenceField:
+    field = InterferenceField(streams=RandomStreams(3).child("bench"))
+    for name, duty in DUTY_MEMBERS:
+        field.register(name, duty_cycle=duty)
+    _prewarm(field, DUTY_SLOTS)
+    return field
+
+
+def test_bench_duty_count_bulk_speedup(benchmark):
+    """Pairwise per-slot scan vs the bulk duty-cycle counts."""
+
+    def run():
+        walls = {}
+        field = _duty_field()
+        started = time.perf_counter()
+        expected = sum(field.collisions_pairwise("victim", slot)
+                       for slot in range(DUTY_SLOTS))
+        walls[PAIRWISE] = time.perf_counter() - started
+        field = _duty_field()
+        started = time.perf_counter()
+        total = field.count_collisions("victim", DUTY_SLOTS)
+        walls["bulk_counts"] = time.perf_counter() - started
+        assert total == expected
+        return walls
+
+    walls = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    for variant, wall in walls.items():
+        payload = record("interference", "duty_counts_32k", variant,
+                         DUTY_SLOTS, wall,
+                         reference_variant=PAIRWISE,
+                         fast_variant="bulk_counts")
+        print(f"\nduty_counts_32k [{variant}]: {DUTY_SLOTS} slots in "
+              f"{wall * 1000:.1f}ms")
+    speedup = payload["scenarios"]["duty_counts_32k"]["speedup"]
+    benchmark.extra_info["speedup"] = speedup
+    print(f"duty_counts_32k: bulk-count speedup {speedup}x")
+    # soft floor so a loaded machine cannot flake the suite; the artifact
+    # records the truth
+    assert walls[PAIRWISE] >= 3.0 * walls["bulk_counts"]
 
 
 def test_bench_hop_sequence_block_extension(benchmark):

@@ -71,7 +71,7 @@ class TransmissionResult:
         return self.ok
 
 
-#: Shared success/outcome singletons (the vast majority of transmissions).
+#: The three outcomes: every channel returns one, so compare by identity.
 TX_OK = TransmissionResult(received=True, payload_intact=True)
 TX_NOT_RECEIVED = TransmissionResult(received=False, payload_intact=False)
 TX_PAYLOAD_CORRUPT = TransmissionResult(received=True, payload_intact=False)
@@ -96,6 +96,7 @@ class Channel:
         ``now_us`` lets stateful channels advance their link state by the
         *elapsed time* since the previous transmission; stateless channels
         ignore it, and omitting it falls back to per-transmission stepping.
+        The result is one of the three ``TX_*`` singletons.
         """
         raise NotImplementedError
 
@@ -119,8 +120,8 @@ class _StochasticChannel(Channel):
 
     def _sample(self, probabilities: PacketErrorProbabilities
                 ) -> TransmissionResult:
-        if probabilities.not_received > 0.0 and \
-                self.rng.random() < probabilities.not_received:
+        not_received = probabilities.not_received
+        if not_received > 0.0 and self.rng.random() < not_received:
             return TX_NOT_RECEIVED
         if probabilities.payload > 0.0 and \
                 self.rng.random() < probabilities.payload:
@@ -238,6 +239,8 @@ class GilbertElliottChannel(_StochasticChannel):
         # misses share the process-wide (type, payload, ber) table in
         # repro.baseband.fec across all links
         self._memo: Dict[Tuple[bool, str, int], PacketErrorProbabilities] = {}
+        # n-step bad probability per (gap slots, state): few distinct gaps
+        self._n_step_memo: Dict[Tuple[int, bool], float] = {}
 
     # -- state evolution -----------------------------------------------------
     @property
@@ -283,7 +286,8 @@ class GilbertElliottChannel(_StochasticChannel):
             return start_bad
         pi_bad = self.p_gb / total
         decay = (1.0 - total) ** slots
-        return pi_bad + (start_bad - pi_bad) * decay
+        # rounding can leave the closed form a hair outside [0, 1]
+        return min(1.0, max(0.0, pi_bad + (start_bad - pi_bad) * decay))
 
     def _advance_to(self, now_us: int) -> None:
         """Advance the state over the slots elapsed since the last update.
@@ -301,7 +305,11 @@ class GilbertElliottChannel(_StochasticChannel):
         self._last_update_us += slots * self.slot_us
         if self.p_gb + self.p_bg == 0.0:
             return
-        p_bad = self.n_step_bad_probability(slots)
+        key = (slots, self.state_good)
+        p_bad = self._n_step_memo.get(key)
+        if p_bad is None:
+            p_bad = self._n_step_memo[key] = \
+                self.n_step_bad_probability(slots)
         self.state_good = self.rng.random() >= p_bad
 
     # -- error model ---------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict
 
 from repro.baseband.packets import BasebandPacket, PacketType
@@ -169,7 +169,7 @@ class PacketErrorProbabilities:
     header: float
     payload: float
 
-    @property
+    @cached_property
     def not_received(self) -> float:
         """Probability the packet is missed outright (access or header)."""
         return 1.0 - (1.0 - self.access) * (1.0 - self.header)

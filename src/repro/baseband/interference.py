@@ -20,15 +20,12 @@ multi-piconet scenarios (ROADMAP follow-on):
 * :class:`InterferenceField` — the shared medium.  Piconets register by
   name; for any victim transmission the field counts the co-channel
   collisions with every *other* registered member and converts them into a
-  time-varying BER boost.  Counting runs on one flat *occupancy index*
-  (a ``bytearray`` with ``occ[slot * channels + channel]`` = transmitters
-  on that channel in that slot, built in blocks).  A victim's count is
-  read straight from the cell of its own hop channel, minus its own
-  presence, so a per-slot lookup is O(1) and nothing per victim is cached
-  or invalidated — while producing the exact same integers (and therefore
-  the exact same floats) as the reference pairwise scan, which survives
-  as :meth:`InterferenceField.collisions_pairwise` for the equivalence
-  property and the interference benchmark.
+  time-varying BER boost.  Collisions with duty-cycle members (drawn up
+  front) are counted in bulk per block, one byte per slot per member; only
+  reported air goes into the *occupancy index* (coupled transmitters per
+  slot and channel).  A lookup is O(1) per slot and yields the exact
+  integers (so the exact floats) of the reference pairwise scan,
+  :meth:`InterferenceField.collisions_pairwise`.
 * :class:`InterferenceAwareChannel` — a :class:`~repro.baseband.channel.
   Channel` wrapper that composes a base (per-link) channel with the
   field's collision BER, so interference slots straight into
@@ -63,8 +60,9 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import compress
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from itertools import combinations, compress
+from operator import add
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baseband.channel import (
     Channel,
@@ -72,7 +70,6 @@ from repro.baseband.channel import (
     TransmissionResult,
     TX_NOT_RECEIVED,
     TX_OK,
-    TX_PAYLOAD_CORRUPT,
     _StochasticChannel,
 )
 from repro.baseband.constants import SLOT_US
@@ -97,13 +94,17 @@ DEFAULT_COLLISION_BER = 0.05
 #: probability > 0.5 would carry information again).
 MAX_COLLISION_BER = 0.5
 
-#: Slots the occupancy index materialises per extension step.  Block
-#: extension amortises the per-slot Python loop overhead of folding every
-#: member into the index; the value only affects performance, never draws.
+#: The field's collision counts grow by whole blocks, at least doubling (by
+#: at most MAX_GROWTH_SLOTS) so long runs rarely pay the per-block Python
+#: overhead; both values only affect performance, never draws.
 OCCUPANCY_BLOCK_SLOTS = 256
+MAX_GROWTH_SLOTS = 4096
 
 #: Most hop channels the byte-wide draws and occupancy cells can carry.
 MAX_CHANNELS = 255
+
+#: Marks the zero bytes (same channel) of two XORed hop blocks with 1.
+_SAME_CHANNEL = bytes((1,)) + bytes(255)
 
 
 def _check_channels(channels: int) -> None:
@@ -176,8 +177,8 @@ class HopSequence:
     ``channel_at(slot)`` is random-access: the underlying draw list is
     extended up to the requested slot, so the channel of any slot is a
     pure function of the seed and the slot index, independent of query
-    order.  :meth:`extend_to` draws whole blocks in bulk (the occupancy
-    index extends all members this way), preserving the exact draw order
+    order.  :meth:`extend_to` draws whole blocks in bulk (the field
+    extends all members this way), preserving the exact draw order
     of the historical one-at-a-time path.
     """
 
@@ -298,10 +299,19 @@ class InterfererProcess:
         return enabled
 
     def _extend_masked(self, length: int) -> None:
+        # one slice per switch interval: the raw draws where the member is
+        # enabled, silence where it is not
         masked = self._masked
         raw = self._activity
-        for slot in range(len(masked), length):
-            masked.append(raw[slot] if self.enabled_at(slot) else 0)
+        start = len(masked)
+        enabled = True
+        for at, state in self._switches:
+            if at > start:
+                end = min(at, length)
+                masked += raw[start:end] if enabled else bytes(end - start)
+                start = end
+            enabled = state
+        masked += raw[start:length] if enabled else bytes(length - start)
 
     def activity_until(self, length: int) -> bytearray:
         """The first ``length`` *effective* activity flags, 0 or 1 (shared;
@@ -412,14 +422,14 @@ class InterferenceField:
         self.channels = channels
         self.ber_per_collision = ber_per_collision
         self._members: Dict[str, object] = {}
-        # -- the occupancy index --------------------------------------------
-        # one flat bytearray: _occ[slot * channels + channel] is the number
-        # of members radiating on that channel in that slot (every member,
-        # victims included — the victim's own presence is subtracted at
-        # query time).  It extends in blocks; coupled members' late
-        # reports increment already-built cells directly.
-        self._occ = bytearray()
-        self._slots_built = 0
+        # -- the collision counts (built up to _slots_built) -----------------
+        # _duty_counts[name][slot]: other duty-cycle members on name's hop
+        # channel (no entries without duty-cycle members).  The occupancy
+        # index holds reported air only: _occ[slot * channels + channel] is
+        # the coupled members radiating there (empty without coupled
+        # members); late reports increment already-built cells.
+        # _ber_table[count] is the per-slot BER of ``count`` colliders.
+        self._reset_index()
 
     # -- membership ----------------------------------------------------------
     def _hops_for(self, name: str) -> HopSequence:
@@ -431,6 +441,9 @@ class InterferenceField:
         """Add a piconet to the field (victim and interferer alike)."""
         if name in self._members:
             raise ValueError(f"piconet {name!r} already registered")
+        # a bulk count byte sums the other duty-cycle members: <= 255
+        if sum(not m.coupled for m in self._members.values()) >= 256:
+            raise ValueError("a field holds at most 256 duty-cycle members")
         family = self.streams.child(f"piconet:{name}")
         member = InterfererProcess(
             name=name,
@@ -471,54 +484,97 @@ class InterferenceField:
         """Registered piconet names, in registration order."""
         return list(self._members)
 
-    # -- the occupancy index -------------------------------------------------
+    # -- the collision counts ------------------------------------------------
     def _reset_index(self) -> None:
-        """Invalidate the index (a member joined).
+        """Invalidate the counts and the index (a member joined).
 
         Rebuilding re-reads every member's *cached* hop/activity values —
-        block extension and folding never change which RNG values a slot
-        gets, so the rebuilt index is byte-identical to a fresh build.
+        block extension never changes which RNG values a slot gets, so the
+        rebuilt counts are byte-identical to a fresh build.
         """
+        self._duty_counts: Dict[str, bytearray] = {}
         self._occ = bytearray()
+        self._coupled = any(member.coupled
+                            for member in self._members.values())
         self._slots_built = 0
+        self._ber_table = tuple(
+            min(MAX_COLLISION_BER, count * self.ber_per_collision)
+            for count in range(len(self._members)))
 
     def _ensure_slots(self, upto: int) -> None:
-        """Materialise the occupancy of every slot below ``upto``.
+        """Materialise the collision counts of every slot below ``upto``.
 
         Extends in blocks of :data:`OCCUPANCY_BLOCK_SLOTS`: every member's
         hop and activity sequences are block-extended (same draws, same
-        order as per-slot access) and folded into the index.  A cell
-        counts *all* radiating members, victims included.
+        order as per-slot access).  Coupled members are folded into the
+        index slot by slot; the duty-cycle counts take one big-integer
+        pass per pair of members (README ADR-006): the same-channel mask
+        of the XORed hop blocks, ANDed with a duty-cycle member's 0/1
+        activity, adds to the other member's total.
         """
         built = self._slots_built
         if upto <= built:
             return
+        upto = max(upto, built + min(built, MAX_GROWTH_SLOTS))
         target = -(-upto // OCCUPANCY_BLOCK_SLOTS) * OCCUPANCY_BLOCK_SLOTS
+        size = target - built
         channels = self.channels
         occ = self._occ
-        occ += bytes((target - built) * channels)
-        for member in self._members.values():
+        if self._coupled:
+            occ += bytes(size * channels)
+        duty: Dict[str, int] = {}
+        for name, member in self._members.items():
             hops = member.hops.channels_until(target)
             activity = member.activity_until(target)
-            for slot in compress(range(built, target),
-                                 activity[built:target]):
-                occ[slot * channels + hops[slot]] += 1
+            if member.coupled:
+                for slot in compress(range(built, target),
+                                     activity[built:target]):
+                    occ[slot * channels + hops[slot]] += 1
+            else:
+                duty[name] = int.from_bytes(activity[built:target], "little")
+        if duty:
+            hop_blocks = [(name, int.from_bytes(
+                bytes(member.hops._sequence[built:target]), "little"))
+                for name, member in self._members.items()]
+            totals = dict.fromkeys(self._members, 0)
+            for (first, first_hops), (second, second_hops) in combinations(
+                    hop_blocks, 2):
+                if first in duty or second in duty:
+                    same = int.from_bytes((first_hops ^ second_hops).to_bytes(
+                        size, "little").translate(_SAME_CHANNEL), "little")
+                    if second in duty:
+                        totals[first] += same & duty[second]
+                    if first in duty:
+                        totals[second] += same & duty[first]
+            for name, total in totals.items():
+                self._duty_counts.setdefault(name, bytearray()).extend(
+                    total.to_bytes(size, "little"))
         self._slots_built = target
 
     def _collision_counts(self, victim: str, start: int,
-                          end: int) -> List[int]:
+                          end: int) -> Sequence[int]:
         """Colliders against ``victim`` in each slot of ``[start, end)``:
-        the index cell of its hop channel, minus its own presence."""
-        member = self.member(victim)
+        its bulk count against the duty-cycle members plus, in a field
+        with coupled members, the index cell of its hop channel minus its
+        own reported presence."""
         if end > self._slots_built:
             self._ensure_slots(end)
-        # every member's hops cover the built slots
-        hops = member.hops._sequence
-        activity = member.activity_until(end)
-        occ = self._occ
-        channels = self.channels
-        return [occ[slot * channels + hops[slot]] - activity[slot]
-                for slot in range(start, end)]
+        counts = self._duty_counts.get(victim)
+        if counts is not None:
+            counts = counts[start:end]
+            if not self._coupled:
+                return counts
+        member = self.member(victim)
+        hops = member.hops._sequence  # covers the built slots
+        occ, channels = self._occ, self.channels
+        if member.coupled:
+            own = member._activity
+            air = [occ[slot * channels + hops[slot]] - own[slot]
+                   for slot in range(start, end)]
+        else:
+            air = [occ[slot * channels + hops[slot]]
+                   for slot in range(start, end)]
+        return air if counts is None else list(map(add, air, counts))
 
     # -- coupled transmissions -----------------------------------------------
     def report_transmission(self, name: str, start_slot: int,
@@ -559,8 +615,8 @@ class InterferenceField:
                                enabled: bool) -> None:
         """Switch a duty-cycle interferer on or off from ``slot`` forward.
 
-        The index at and beyond ``slot`` is dropped — it folded the
-        member's previous effective activity — and rebuilds lazily from
+        The counts at and beyond ``slot`` are dropped — they counted the
+        member's previous effective activity — and rebuild lazily from
         the same cached draws, so slots before the switch are untouched
         and the pattern where the member is enabled matches the always-on
         pattern exactly.
@@ -575,6 +631,8 @@ class InterferenceField:
         member.set_enabled(slot, enabled)
         if self._slots_built > slot:
             del self._occ[slot * self.channels:]
+            for counts in self._duty_counts.values():
+                del counts[slot:]
             self._slots_built = slot
 
     def recorder(self, name: str,
@@ -599,8 +657,8 @@ class InterferenceField:
 
     def collisions_pairwise(self, victim: str, slot_index: int) -> int:
         """Reference pairwise scan over every member (the pre-index
-        implementation) — kept as the ground truth of the occupancy
-        index's equivalence property and the interference benchmark."""
+        implementation) — kept as the ground truth of the collision
+        counts' equivalence property and the interference benchmark."""
         channel = self.member(victim).hops.channel_at(slot_index)
         return sum(1 for name, member in self._members.items()
                    if name != victim
@@ -617,38 +675,29 @@ class InterferenceField:
 
     def collision_ber(self, victim: str, slot_index: int) -> float:
         """Effective interference BER on ``victim`` in one slot."""
-        collisions = self.collisions(victim, slot_index)
-        if collisions == 0:
-            return 0.0
-        return min(MAX_COLLISION_BER, collisions * self.ber_per_collision)
+        return self._ber_table[self.collisions(victim, slot_index)]
 
     def mean_collision_ber(self, victim: str, start_slot: int,
                            slots: int) -> float:
         """Mean interference BER over a packet spanning ``slots`` slots.
 
-        The per-slot terms are summed in slot order with arithmetic
+        The non-zero per-slot terms are summed in slot order with arithmetic
         identical to the historical pairwise path, so the float result is
-        bit-identical; a collision-free span sums to exactly ``0.0``.
+        bit-identical; a collision-free span is exactly ``0.0``.
         """
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if start_slot < 0:
             raise ValueError(f"start_slot must be >= 0, got {start_slot}")
-        # _collision_counts inlined: this is the per-packet hot path
-        end = start_slot + slots
-        member = self.member(victim)
-        if end > self._slots_built:
-            self._ensure_slots(end)
-        hops = member.hops._sequence
-        activity = member.activity_until(end)
-        occ = self._occ
-        channels = self.channels
+        counts = self._collision_counts(victim, start_slot,
+                                        start_slot + slots)
+        if not max(counts):
+            return 0.0
+        table = self._ber_table
         total = 0.0
-        for slot in range(start_slot, end):
-            count = occ[slot * channels + hops[slot]] - activity[slot]
+        for count in counts:
             if count:
-                total += min(MAX_COLLISION_BER,
-                             count * self.ber_per_collision)
+                total += table[count]
         return total / slots
 
     # -- observed statistics (coupled validation) -----------------------------
@@ -773,19 +822,17 @@ class InterferenceAwareChannel(_StochasticChannel):
             self._cursor_us += packet.duration_us
         base_result = self.base.transmit(packet, now_us)
         ber = self.field.mean_collision_ber(
-            self.piconet, now_us // self.slot_us, packet.slots)
-        interference = TX_OK
-        if ber > 0.0:
-            interference = self._sample(
-                self._interference_probabilities(packet, ber))
-        if base_result.ok and not interference.ok:
+            self.piconet, now_us // self.slot_us, packet.ptype.slots)
+        if ber == 0.0:
+            return base_result
+        interference = self._sample(
+            self._interference_probabilities(packet, ber))
+        # results are the three channel singletons: compare by identity
+        if interference is TX_OK or base_result is TX_NOT_RECEIVED:
+            return base_result
+        if base_result is TX_OK:
             self.interference_failures += 1
-        received = base_result.received and interference.received
-        if not received:
-            return TX_NOT_RECEIVED
-        if not (base_result.payload_intact and interference.payload_intact):
-            return TX_PAYLOAD_CORRUPT
-        return TX_OK
+        return interference
 
 
 def interference_channel_map(field: InterferenceField, piconet: str,

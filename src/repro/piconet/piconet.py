@@ -119,7 +119,7 @@ class FlowState:
     def record_failure(self, result: TransmissionResult) -> None:
         """Account one failed ARQ segment by its failure section."""
         self.retransmissions += 1
-        if not result.received:
+        if result is TX_NOT_RECEIVED:
             self.segments_not_received += 1
         else:
             self.crc_failures += 1
@@ -824,10 +824,10 @@ class Piconet:
             dl_result = self.channels.transmit(txn.plan.slave, DOWNLINK,
                                                txn.dl_packet, now_us=txn.start)
         txn.dl_result = dl_result
-        txn.dl_error = dl_segment is not None and not dl_result.ok
+        txn.dl_error = dl_result is not TX_OK  # TX_OK without a segment
         if dl_segment is not None:
             dl_state = txn.dl_state
-            if dl_result.ok:
+            if dl_result is TX_OK:
                 dl_state.queue.confirm_segment()
                 delivery = self._deliver(
                     dl_state, dl_segment,
@@ -852,10 +852,10 @@ class Piconet:
             ul_result = self.channels.transmit(plan.slave, UPLINK,
                                                txn.ul_packet,
                                                now_us=txn.ul_start)
-        ul_error = ul_segment is not None and not ul_result.ok
+        ul_error = ul_result is not TX_OK
         if ul_segment is not None:
             ul_state = txn.ul_state
-            if ul_result.ok:
+            if ul_result is TX_OK:
                 ul_state.queue.confirm_segment()
                 delivery = self._deliver(
                     ul_state, ul_segment,
@@ -869,8 +869,8 @@ class Piconet:
         dl_segment = txn.dl_segment
         dl_result = txn.dl_result
         slots = txn.dl_packet.ptype.slots + txn.ul_packet.ptype.slots
-        carried = (dl_segment is not None and dl_result.ok) \
-            or (ul_segment is not None and ul_result.ok)
+        carried = (dl_segment is not None and dl_result is TX_OK) \
+            or (ul_segment is not None and ul_result is TX_OK)
         if plan.kind == KIND_GS:
             self.slots_gs += slots
             self.transactions_gs += 1
@@ -891,12 +891,12 @@ class Piconet:
             start=txn.start,
             end=self.env.now,
             slots=slots,
-            dl_carried_data=dl_segment is not None and dl_result.ok,
-            ul_carried_data=ul_segment is not None and ul_result.ok,
+            dl_carried_data=dl_segment is not None and dl_result is TX_OK,
+            ul_carried_data=ul_segment is not None and ul_result is TX_OK,
             dl_error=txn.dl_error,
             ul_error=ul_error,
-            dl_not_received=dl_segment is not None and not dl_result.received,
-            ul_not_received=ul_segment is not None and not ul_result.received,
+            dl_not_received=dl_result is TX_NOT_RECEIVED,
+            ul_not_received=ul_result is TX_NOT_RECEIVED,
             dl_link=(plan.slave, DOWNLINK),
             ul_link=(plan.slave, UPLINK),
             bridge_absent=txn.bridge_absent,
@@ -956,7 +956,7 @@ class Piconet:
             else:
                 result = self.channels.transmit(
                     link.slave, direction, segment, now_us=slot_start)
-            if not result.ok:
+            if result is not TX_OK:
                 # SCO has no retransmission: the (corrupted or erased)
                 # payload is still played out, only the residual error is
                 # counted — a missed access code erases the whole frame,

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from repro.baseband.channel import (
+    TX_NOT_RECEIVED,
+    TX_OK,
+    TX_PAYLOAD_CORRUPT,
     ChannelMap,
     GilbertElliottChannel,
     IdealChannel,
@@ -12,6 +15,7 @@ from repro.baseband.channel import (
 )
 from repro.baseband.interference import (
     HOP_CHANNELS,
+    OCCUPANCY_BLOCK_SLOTS,
     HopSequence,
     InterfererProcess,
     InterferenceAwareChannel,
@@ -387,3 +391,83 @@ def test_interferer_switch_rejects_coupled_members():
     field.register_coupled("p1")
     with pytest.raises(TypeError, match="coupled"):
         field.set_interferer_enabled("p1", 0, False)
+
+
+def test_masked_activity_slices_match_the_per_slot_switch_reference():
+    member = InterfererProcess("m", HopSequence(random.Random(1)),
+                               random.Random(2), duty_cycle=0.7)
+    # three switches inside the first block; the masked view is built in
+    # two steps so the second starts mid-interval
+    for slot, enabled in ((40, False), (90, True), (150, False)):
+        member.set_enabled(slot, enabled)
+    member.activity_until(60)
+    masked = member.activity_until(OCCUPANCY_BLOCK_SLOTS)
+    raw = member._activity
+    assert list(masked[:OCCUPANCY_BLOCK_SLOTS]) == [
+        raw[slot] if member.enabled_at(slot) else 0
+        for slot in range(OCCUPANCY_BLOCK_SLOTS)]
+    assert any(raw[:40]) and any(raw[90:150])
+
+
+# -------------------------------------------- bulk counts / reported air
+
+def test_only_reported_air_allocates_occupancy_cells():
+    def duty_field():
+        field = InterferenceField(streams=5)
+        for name, duty in (("victim", 1.0), ("a", 0.6), ("b", 0.5),
+                           ("c", 0.4)):
+            field.register(name, duty_cycle=duty)
+        return field
+
+    duty_only = duty_field()
+    assert duty_only.count_collisions("victim", 1000) > 0
+    duty_only.mean_collision_ber("victim", 995, 5)
+    assert len(duty_only._occ) == 0
+
+    mixed = duty_field()
+    mixed.register_coupled("peer")
+    mixed.count_collisions("victim", 1000)
+    assert len(mixed._occ) >= 1000 * mixed.channels
+
+    # a field without duty-cycle members keeps no bulk counts at all
+    coupled_only = InterferenceField(streams=5)
+    coupled_only.register_coupled("p1")
+    coupled_only.register_coupled("p2")
+    coupled_only.report_transmission("p2", 0, 500)
+    assert coupled_only.count_collisions("p1", 1000) > 0
+    assert coupled_only._duty_counts == {}
+
+
+def _interference_aware(base):
+    field = InterferenceField(streams=8, ber_per_collision=0.002)
+    field.register("victim")
+    for index in range(6):
+        field.register(f"i{index}", duty_cycle=1.0)
+    return InterferenceAwareChannel(base=base, field=field,
+                                    piconet="victim",
+                                    rng=random.Random(9))
+
+
+@pytest.mark.parametrize("make", [
+    IdealChannel,
+    lambda: LossyChannel(bit_error_rate=2e-3, rng=random.Random(1)),
+    lambda: LossyChannel(packet_error_rate=0.3, rng=random.Random(1)),
+    lambda: GilbertElliottChannel(p_gb=0.2, p_bg=0.2, ber_bad=5e-3,
+                                  rng=random.Random(1)),
+    lambda: _interference_aware(None),
+    lambda: _interference_aware(GilbertElliottChannel(
+        p_gb=0.2, p_bg=0.2, ber_bad=5e-3, rng=random.Random(1))),
+], ids=["ideal", "iid-ber", "iid-per", "gilbert", "interference",
+        "interference-gilbert"])
+def test_transmit_returns_one_of_the_three_singletons(make):
+    """The piconet and the interference wrapper compare results by
+    identity, so every model must answer with the shared singletons."""
+    singletons = (TX_OK, TX_NOT_RECEIVED, TX_PAYLOAD_CORRUPT)
+    channel = make()
+    seen = set()
+    for index in range(300):
+        now_us = None if index % 3 == 0 else index * 4 * 625
+        result = channel.transmit(dh3_packet(), now_us=now_us)
+        assert any(result is singleton for singleton in singletons)
+        seen.add(id(result))
+    assert len(seen) >= (1 if isinstance(channel, IdealChannel) else 2)

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baseband.channel import GilbertElliottChannel
@@ -35,6 +35,8 @@ def iterated_bad_probability(p_gb: float, p_bg: float, slots: int,
 @given(p_gb=probabilities, p_bg=probabilities,
        slots=st.integers(min_value=0, max_value=400),
        from_good=st.booleans())
+# rounding once took this one to -5.6e-17
+@example(p_gb=0.5, p_bg=1.0, slots=1, from_good=False)
 @settings(max_examples=200, deadline=None)
 def test_closed_form_n_step_matches_explicit_single_slot_steps(
         p_gb, p_bg, slots, from_good):
@@ -292,3 +294,47 @@ def test_interleaved_reports_switches_and_queries_match_a_fresh_field(
         assert field.mean_collision_ber("victim", start, 5) \
             == fresh.mean_collision_ber("victim", start, 5) \
             == pairwise_mean_ber(field, "victim", start, 5)
+
+
+@given(seed=seeds,
+       victim_duty=st.one_of(st.none(), st.floats(
+           min_value=0.0, max_value=1.0, exclude_max=True,
+           allow_nan=False)),
+       duties=st.lists(duty_cycles, min_size=1, max_size=3),
+       reports=st.lists(st.tuples(st.sampled_from(("victim", "peer")),
+                                  st.integers(min_value=0, max_value=290),
+                                  st.integers(min_value=1, max_value=5)),
+                        max_size=10),
+       horizon=st.integers(min_value=1, max_value=300))
+@settings(max_examples=30, deadline=None)
+def test_mixed_field_matches_pairwise_for_every_victim(
+        seed, victim_duty, duties, reports, horizon):
+    """Duty-cycle and coupled members side by side: every member, as the
+    victim, reads the bulk counts plus the reported-air index exactly as
+    the pairwise reference counts it.  ``victim_duty`` of ``None`` makes
+    the victim coupled; otherwise it is a duty-cycle member below 1."""
+    field = InterferenceField(streams=RandomStreams(seed).child("intf"))
+    if victim_duty is None:
+        field.register_coupled("victim")
+    else:
+        field.register("victim", duty_cycle=victim_duty)
+    field.register_coupled("peer")
+    for index, duty in enumerate(duties):
+        field.register(f"i{index}", duty_cycle=duty)
+    for index, (name, start, slots) in enumerate(reports):
+        if field.member(name).coupled:
+            field.report_transmission(name, start, slots)
+        if index % 2:  # later reports land on already-built cells
+            field.count_collisions("peer", horizon)
+    for name in field.members():
+        pairwise = [field.collisions_pairwise(name, slot)
+                    for slot in range(horizon)]
+        assert [field.collisions(name, slot)
+                for slot in range(horizon)] == pairwise
+        assert field.count_collisions(name, horizon) == sum(pairwise)
+        assert field.observed_collision_fraction(name, horizon) \
+            == (horizon - pairwise.count(0)) / horizon
+        for start in range(0, horizon, 7):
+            slots = min(5, horizon - start)
+            assert field.mean_collision_ber(name, start, slots) \
+                == pairwise_mean_ber(field, name, start, slots)
