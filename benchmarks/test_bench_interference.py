@@ -205,7 +205,7 @@ def test_bench_hop_sequence_block_extension(benchmark):
         started = time.perf_counter()
         blocked.extend_to(slots)
         results["extend_to_block"] = time.perf_counter() - started
-        assert blocked.channels_until(slots) == channels
+        assert list(blocked.channels_until(slots)) == channels
         return results
 
     walls = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)

@@ -174,7 +174,7 @@ def bulk_active(rng: random.Random, duty: float, count: int) -> bytearray:
 class HopSequence:
     """One piconet's pseudo-random 79-channel hop sequence.
 
-    ``channel_at(slot)`` is random-access: the underlying draw list is
+    ``channel_at(slot)`` is random-access: the underlying byte buffer is
     extended up to the requested slot, so the channel of any slot is a
     pure function of the seed and the slot index, independent of query
     order.  :meth:`extend_to` draws whole blocks in bulk (the field
@@ -186,7 +186,7 @@ class HopSequence:
         _check_channels(channels)
         self._rng = rng
         self.channels = channels
-        self._sequence: List[int] = []
+        self._sequence = bytearray()
 
     def extend_to(self, length: int) -> None:
         """Draw hop channels until ``length`` slots are materialised.
@@ -198,8 +198,9 @@ class HopSequence:
             sequence += bulk_randrange(self._rng, self.channels,
                                        length - len(sequence))
 
-    def channels_until(self, length: int) -> List[int]:
-        """The first ``length`` hop channels (a shared list; do not mutate)."""
+    def channels_until(self, length: int) -> bytearray:
+        """The first ``length`` hop channels (a shared buffer; do not
+        mutate)."""
         self.extend_to(length)
         return self._sequence
 
@@ -534,7 +535,7 @@ class InterferenceField:
                 duty[name] = int.from_bytes(activity[built:target], "little")
         if duty:
             hop_blocks = [(name, int.from_bytes(
-                bytes(member.hops._sequence[built:target]), "little"))
+                member.hops.channels_until(target)[built:target], "little"))
                 for name, member in self._members.items()]
             totals = dict.fromkeys(self._members, 0)
             for (first, first_hops), (second, second_hops) in combinations(

@@ -47,7 +47,6 @@ from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.piconet.scatternet import Scatternet
 from repro.scenario.specs import (
     ChannelSpec,
-    InterferenceSpec,
     PiconetSpec,
     PollerSpec,
     ScenarioSpec,
@@ -126,35 +125,15 @@ def _base_channel_factory(base: ChannelSpec):
     return lambda link, rng: maker(rng)
 
 
-def _compile_interference(spec: InterferenceSpec, base: ChannelSpec,
-                          seed: int):
-    """The interference field and the victim's composed channel map."""
-    streams = RandomStreams(seed)
-    field_kwargs = {} if spec.ber_per_collision is None else \
-        {"ber_per_collision": spec.ber_per_collision}
-    interference_field = InterferenceField(
-        streams=streams.child(spec.stream), **field_kwargs)
-    interference_field.register(spec.victim, duty_cycle=1.0)
-    interferers = []
-    for index, duty in enumerate(spec.interferer_duties, start=1):
-        name = f"interferer-{index}"
-        interference_field.register(name, duty_cycle=duty)
-        interferers.append(name)
-    channel = interference_channel_map(
-        interference_field, spec.victim,
-        base_factory=_base_channel_factory(base),
-        streams=streams.child(spec.map_stream))
-    return interference_field, interferers, channel
+def _interference_field(spec: ScenarioSpec, seed: int):
+    """The scenario's interference field and its interferer names.
 
-
-def _compile_coupled_field(spec: ScenarioSpec, seed: int):
-    """The shared field of a coupled (crowded-room) scenario.
-
-    Every simulated piconet registers as a *coupled* member — its activity
-    will come from the master loop's air recorder, not a duty cycle — in
-    spec order, so the ``piconet:<name>`` hop-stream derivation matches
-    the uncoupled field's for the same names.  ``interferer_duties`` still
-    add stochastic background piconets on top.
+    The simulated piconets register first, in spec order, so the
+    ``piconet:<name>`` hop-stream derivation is the same in both modes:
+    as *coupled* members in a crowded room (their activity comes from the
+    master loop's air recorder), otherwise the single victim with duty
+    cycle 1.0.  Then every ``interferer_duties`` entry registers a
+    stochastic background piconet ``interferer-<i>``.
     """
     interference = spec.interference
     field_kwargs = {} if interference.ber_per_collision is None else \
@@ -162,9 +141,10 @@ def _compile_coupled_field(spec: ScenarioSpec, seed: int):
     interference_field = InterferenceField(
         streams=RandomStreams(seed).child(interference.stream),
         **field_kwargs)
+    register = interference_field.register_coupled if interference.coupled \
+        else interference_field.register
     for piconet_spec in spec.piconets:
-        interference_field.register_coupled(piconet_spec.name,
-                                            duty_cycle=1.0)
+        register(piconet_spec.name, duty_cycle=1.0)
     interferers = []
     for index, duty in enumerate(interference.interferer_duties, start=1):
         name = f"interferer-{index}"
@@ -607,12 +587,8 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
 
     interference_field = None
     interferers: List[str] = []
-    coupled = spec.interference is not None and spec.interference.coupled
-    if coupled:
-        # the field is shared by every piconet, so it is built once, up
-        # front — unlike the uncoupled single-victim path below, which
-        # builds it inside the (single-iteration) loop
-        interference_field, interferers = _compile_coupled_field(spec, seed)
+    if spec.interference is not None:
+        interference_field, interferers = _interference_field(spec, seed)
     # piconets whose timeline renegotiates flows need the link-loss feed
     # even when their admission is oblivious (no budgets)
     default_name = spec.piconets[0].name
@@ -622,16 +598,12 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
                      if event.kind == "flow-renegotiate"}
     compiled: Dict[str, CompiledPiconet] = {}
     for piconet_spec in spec.piconets:
-        if coupled:
+        if interference_field is not None:
             channel = interference_channel_map(
                 interference_field, piconet_spec.name,
                 base_factory=_base_channel_factory(piconet_spec.channel),
                 streams=RandomStreams(seed).child(
                     spec.interference.map_stream))
-        elif spec.interference is not None:
-            interference_field, interferers, channel = \
-                _compile_interference(spec.interference,
-                                      piconet_spec.channel, seed)
         else:
             channel = compile_channel(piconet_spec.channel, seed)
         budgets = link_budgets_for(spec, piconet_spec) \
@@ -642,7 +614,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
         if scatternet is not None:
             scatternet.adopt_piconet(piconet_spec.name,
                                      compiled[piconet_spec.name].piconet)
-    if coupled:
+    if interference_field is not None and spec.interference.coupled:
         # feed every master loop's actual transmissions into the field
         if scatternet is not None:
             scatternet.attach_field(interference_field)

@@ -1,4 +1,4 @@
-"""Declarative spec mutation: dotted-path overrides with type coercion.
+"""Declarative spec mutation: dotted-path overrides decoded by declared type.
 
 Sweep grids and the CLI's ``--set`` flag mutate scenario specs by *path*
 instead of threading new keyword arguments through every layer::
@@ -14,11 +14,15 @@ convenience, a leading segment that names a piconet routes into it, and —
 for single-piconet scenarios — a leading segment that is a
 :class:`~repro.scenario.specs.PiconetSpec` field routes into the only
 piconet (so ``channel.ber`` means ``piconets.0.channel.ber``).  Tuple
-fields are indexed numerically (``flows.2``).  Values are coerced to the
-target's type where the intent is unambiguous (int -> float, JSON list ->
-tuple, integral float -> int); everything else — unknown paths, bad
-indices, impossible coercions — raises ``ValueError`` with the known
-field names, which the experiments CLI turns into a clean ``SystemExit``.
+fields are indexed numerically (``flows.2``).  A value is decoded by
+:func:`repro.scenario.specs.decode` against the *declared* type of the
+field or tuple element it replaces — the same codec ``from_dict`` and the
+spec constructors use, so a ``--set`` value and the same value in a
+serialized payload give the same spec (int -> float, JSON list -> tuple,
+integral float -> int, mapping -> spec).  Everything else — unknown paths,
+bad indices, values of the wrong type — raises a one-line ``ValueError``
+(``cannot set '<path>': ...``), which the experiments CLI turns into a
+clean ``SystemExit``.
 
 Every mutation rebuilds the frozen dataclass chain via
 ``dataclasses.replace``, so the specs' construction-time validation
@@ -28,90 +32,53 @@ re-runs on the mutated result.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping
+import typing
+from typing import Any, Callable, Mapping, Union
 
-from repro.scenario.specs import PiconetSpec, ScenarioSpec
-
-
-def _coerce(value: Any, current: Any, path: str) -> Any:
-    """Coerce ``value`` toward the type of the field's current value."""
-    if dataclasses.is_dataclass(current):
-        # a nested spec object is replaced wholesale by its serialized form
-        if isinstance(value, Mapping):
-            return type(current).from_dict(value)
-        raise ValueError(
-            f"cannot set {path!r}: expected a {type(current).__name__} "
-            f"mapping, got {value!r}")
-    if isinstance(current, tuple) and current \
-            and dataclasses.is_dataclass(current[0]):
-        # a tuple of spec objects (flows, sco_links, ...) accepts a list
-        # of serialized mappings of the same spec class
-        element_cls = type(current[0])
-        if not isinstance(value, (list, tuple)) or not all(
-                isinstance(item, Mapping) for item in value):
-            raise ValueError(
-                f"cannot set {path!r}: expected a list of "
-                f"{element_cls.__name__} mappings, got {value!r}")
-        return tuple(element_cls.from_dict(item) for item in value)
-    if isinstance(value, list):
-        value = tuple(_coerce_sequence_item(item) for item in value)
-    if current is None or value is None:
-        return value
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        raise ValueError(
-            f"cannot set {path!r}: expected a bool, got {value!r}")
-    if isinstance(current, float):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
-        if not isinstance(value, float):
-            raise ValueError(
-                f"cannot set {path!r}: expected a number, got {value!r}")
-        return value
-    if isinstance(current, int) and not isinstance(current, bool) \
-            and isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-        raise ValueError(
-            f"cannot set {path!r}: expected an integer, got {value!r}")
-    if isinstance(current, str) and not isinstance(value, str):
-        raise ValueError(
-            f"cannot set {path!r}: expected a string, got {value!r}")
-    if isinstance(current, tuple) and not isinstance(value, tuple):
-        raise ValueError(
-            f"cannot set {path!r}: expected a list, got {value!r}")
-    return value
+from repro.scenario.specs import (
+    PiconetSpec,
+    ScenarioSpec,
+    Spec,
+    declared_types,
+    decode,
+)
 
 
-def _coerce_sequence_item(item: Any) -> Any:
-    return tuple(_coerce_sequence_item(inner) for inner in item) \
-        if isinstance(item, list) else item
+def _item_type(hint: Any, index: int) -> Any:
+    """The declared type of element ``index`` of a tuple-typed field."""
+    if typing.get_origin(hint) is Union:
+        hint = next(member for member in typing.get_args(hint)
+                    if typing.get_origin(member) is tuple)
+    args = typing.get_args(hint)
+    return args[0] if args[-1] is Ellipsis else args[index]
 
 
-def _set_on(obj: Any, segments: list, value: Any, path: str) -> Any:
-    """Return a copy of ``obj`` with ``segments`` replaced by ``value``."""
+def _decode_at(hint: Any, value: Any, path: str) -> Any:
+    try:
+        return decode(hint, value)
+    except ValueError as error:
+        raise ValueError(f"cannot set {path!r}: {error}") from None
+
+
+def _set_on(obj: Any, segments: list, value: Any, path: str,
+            hint: Any = None) -> Any:
+    """Return a copy of ``obj`` (of declared type ``hint``) with
+    ``segments`` replaced by ``value``, decoded against the declared type
+    of the field or tuple element it replaces."""
     head, rest = segments[0], segments[1:]
-    if dataclasses.is_dataclass(obj):
-        names = [spec_field.name for spec_field in dataclasses.fields(obj)]
-        if head not in names:
+    if isinstance(obj, Spec):
+        types = declared_types(type(obj))
+        if head not in types:
             raise ValueError(
                 f"cannot set {path!r}: {type(obj).__name__} has no field "
-                f"{head!r}; known: {', '.join(names)}")
-        current = getattr(obj, head)
-        replacement = _set_on(current, rest, value, path) if rest \
-            else _coerce(value, current, path)
+                f"{head!r}; known: {', '.join(types)}")
+        replacement = _set_on(getattr(obj, head), rest, value, path,
+                              types[head]) if rest \
+            else _decode_at(types[head], value, path)
         try:
             return dataclasses.replace(obj, **{head: replacement})
         except ValueError as error:
             raise ValueError(f"cannot set {path!r}: {error}") from None
-        except (AttributeError, TypeError) as error:
-            # a replacement value the spec's own validation chokes on
-            # (wrong shape inside a container, unexpected type) must still
-            # surface as a clean one-line error, never a traceback
-            raise ValueError(
-                f"cannot set {path!r}: invalid value {value!r} "
-                f"({error})") from None
     if isinstance(obj, tuple):
         try:
             index = int(head)
@@ -123,9 +90,9 @@ def _set_on(obj: Any, segments: list, value: Any, path: str) -> Any:
             raise ValueError(
                 f"cannot set {path!r}: index {index} out of range for "
                 f"{len(obj)} element(s)")
-        element = obj[index]
-        replacement = _set_on(element, rest, value, path) if rest \
-            else _coerce(value, element, path)
+        item = _item_type(hint, index)
+        replacement = _set_on(obj[index], rest, value, path, item) if rest \
+            else _decode_at(item, value, path)
         return obj[:index] + (replacement,) + obj[index + 1:]
     raise ValueError(
         f"cannot set {path!r}: cannot descend into a "

@@ -12,15 +12,24 @@ process boundaries as plain dicts (:meth:`ScenarioSpec.to_dict` /
 them into the existing runtime objects (piconet, flows, sources, GS
 manager, poller, channel map, interference field, scatternet).
 
-Validation happens at construction: every spec class checks its fields in
-``__post_init__``, so an invalid spec cannot exist — a mutated sweep point
-fails at the mutation site with a clear message, not deep inside a worker.
+Every spec class derives from :class:`Spec`, which owns the one codec for
+plain scenario data (:func:`decode`, README ADR-007): construction decodes
+each field against its declared type (a list becomes a tuple, a mapping a
+nested spec, an int a float, an integral float an int; a bool or a str is
+accepted only as itself) and then runs the class's own range and
+cross-field checks (``_validate``).  ``from_dict``, the constructors and
+the ``--set`` overrides therefore agree on every value, and an invalid
+spec cannot exist — a mutated sweep point fails at the mutation site with
+a one-line message, not deep inside a worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+import functools
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.piconet.bridge import BridgeSchedule
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
@@ -72,40 +81,178 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _reject_unknown(cls, data: Mapping[str, Any]) -> None:
-    known = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} field(s) {unknown}; "
-            f"known: {', '.join(sorted(known))}")
+class _Mismatch(ValueError):
+    """A plain value that does not decode to its declared type."""
+
+    def __init__(self, expected: str, value: Any) -> None:
+        super().__init__(f"expected {expected}, got {value!r}")
+        self.expected = expected
+        self.value = value
+
+
+#: what a scalar declared type expects, as the error messages name it
+_EXPECTED = {bool: "a bool", int: "an integer", float: "a number",
+             str: "a string"}
+
+
+@functools.lru_cache(maxsize=None)
+def declared_types(cls: type) -> Dict[str, Any]:
+    """Field name -> declared type of spec class ``cls``, in field order
+    (resolved once per class; do not mutate)."""
+    hints = typing.get_type_hints(cls)
+    return {spec_field.name: hints[spec_field.name]
+            for spec_field in fields(cls)}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_decoders(cls: type) -> Tuple[Tuple[str, Callable], ...]:
+    return tuple((name, _decoder(hint))
+                 for name, hint in declared_types(cls).items())
+
+
+def decode(hint: Any, value: Any) -> Any:
+    """The value of declared type ``hint`` that plain ``value`` stands for.
+
+    The one coercion table of the scenario layer (README ADR-007): a
+    mapping becomes a spec (through its ``from_dict``); a list or tuple
+    becomes a ``Tuple[X, ...]`` element by element (a string never does);
+    ``Optional``/``Union`` decode against the member matching the value's
+    shape (a sequence or not); an int becomes a float; an integral float
+    becomes an int; a bool or a str is accepted only as itself.  Anything
+    else raises a ``ValueError`` naming what was expected.
+    """
+    return _decoder(hint)(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The :func:`decode` table for one declared type, built once per type
+    so constructing a spec costs one call per field."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        optional = type(None) in args
+        members = [member for member in args if member is not type(None)]
+        tuples = [member for member in members
+                  if typing.get_origin(member) is tuple]
+        others = [member for member in members if member not in tuples]
+        on_sequence = _decoder((tuples or members)[0])
+        on_other = _decoder((others or members)[0])
+
+        def decode_union(value):
+            if value is None and optional:
+                return None
+            if isinstance(value, (list, tuple)):
+                return on_sequence(value)
+            return on_other(value)
+        return decode_union
+    if origin is tuple and args[-1] is Ellipsis:
+        item = args[0]
+        decode_item = _decoder(item)
+        specs = is_dataclass(item)
+        expected = f"a list of {item.__name__} mappings" if specs \
+            else "a list"
+
+        def decode_tuple(value):
+            if not isinstance(value, (list, tuple)) or specs and not all(
+                    isinstance(entry, (item, Mapping)) for entry in value):
+                raise _Mismatch(expected, value)
+            return tuple(map(decode_item, value))
+        return decode_tuple
+    if origin is tuple:
+        decoders = tuple(map(_decoder, args))
+
+        def decode_pair(value):
+            if not isinstance(value, (list, tuple)) \
+                    or len(value) != len(decoders):
+                raise _Mismatch(f"a list of {len(decoders)} items", value)
+            return tuple(decode_entry(entry)
+                         for decode_entry, entry in zip(decoders, value))
+        return decode_pair
+    if is_dataclass(hint):
+        article = "an" if hint.__name__[0] in "AEIOU" else "a"
+        expected = f"{article} {hint.__name__} mapping"
+
+        def decode_spec(value):
+            if type(value) is hint:
+                return value
+            if isinstance(value, Mapping):
+                return hint.from_dict(value)
+            raise _Mismatch(expected, value)
+        return decode_spec
+    expected = _EXPECTED[hint]
+
+    def decode_scalar(value):
+        if type(value) is hint:
+            return value
+        if hint is float and type(value) is int:
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        if hint is int and type(value) is float and value.is_integer():
+            return int(value)
+        raise _Mismatch(expected, value)
+    return decode_scalar
 
 
 def _plain(value: Any) -> Any:
     """Render one field value as JSON-compatible plain data."""
-    if is_dataclass(value):
+    if isinstance(value, Spec):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
 
 
-def _spec_dict(spec) -> Dict[str, Any]:
-    """The canonical plain-dict rendering of a spec dataclass."""
-    return {spec_field.name: _plain(getattr(spec, spec_field.name))
-            for spec_field in fields(spec)}
+class Spec:
+    """The shared base of every spec dataclass: one codec for plain data.
 
+    Construction decodes each field by its declared type (:func:`decode`)
+    and then runs the class's own range and cross-field checks
+    (:meth:`_validate`); :meth:`to_dict`/:meth:`from_dict` render and read
+    the JSON-compatible form.
+    """
 
-def _tuple_of(values: Optional[Sequence], what: str) -> tuple:
-    if values is None:
-        return ()
-    if isinstance(values, (str, bytes)):
-        raise ValueError(f"{what} must be a sequence, got {values!r}")
-    return tuple(values)
+    def __post_init__(self) -> None:
+        for name, decode_field in _field_decoders(type(self)):
+            value = getattr(self, name)
+            try:
+                decoded = decode_field(value)
+            except _Mismatch as error:
+                raise ValueError(
+                    f"{type(self).__name__}.{name} must be "
+                    f"{error.expected}, got {error.value!r}") from None
+            if decoded is not value:
+                object.__setattr__(self, name, decoded)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Range and cross-field checks over the decoded fields."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The canonical plain-dict rendering (JSON-compatible)."""
+        return {name: _plain(getattr(self, name))
+                for name in declared_types(type(self))}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """The spec ``data`` describes (the inverse of :meth:`to_dict`)."""
+        known = declared_types(cls)
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.__name__} field(s) {unknown}; "
+                f"known: {', '.join(sorted(known))}")
+        missing = [spec_field.name for spec_field in fields(cls)
+                   if spec_field.default is MISSING
+                   and spec_field.name not in data]
+        if missing:
+            raise ValueError(f"missing {cls.__name__} field(s) {missing}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
-class ImprovementsSpec:
+class ImprovementsSpec(Spec):
     """The Section-3.2 poller improvements and admission options."""
 
     variable_interval: bool = True
@@ -114,24 +261,9 @@ class ImprovementsSpec:
     postpone_after_unsuccessful: bool = True
     skip_when_no_downlink_data: bool = True
 
-    def __post_init__(self) -> None:
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            _require(isinstance(value, bool),
-                     f"ImprovementsSpec.{spec_field.name} must be a bool, "
-                     f"got {value!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ImprovementsSpec":
-        _reject_unknown(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class PollerSpec:
+class PollerSpec(Spec):
     """Which intra-piconet scheduler serves the ACL traffic.
 
     ``kind`` is ``"pfp"`` (the paper's Predictive Fair Poller over the
@@ -147,35 +279,21 @@ class PollerSpec:
     kind: str = "pfp"
     only_slaves: Optional[Tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(self.kind in POLLER_KINDS,
                  f"unknown poller kind {self.kind!r}; known: "
                  f"{', '.join(POLLER_KINDS)}")
         if self.only_slaves is not None:
-            object.__setattr__(self, "only_slaves",
-                               _tuple_of(self.only_slaves, "only_slaves"))
             _require(self.kind == "round_robin",
                      "only_slaves is only meaningful for the round_robin "
                      f"poller, not {self.kind!r}")
-            _require(all(isinstance(s, int) and 1 <= s <= 7
-                         for s in self.only_slaves),
+            _require(all(1 <= s <= 7 for s in self.only_slaves),
                      f"only_slaves must be AM addresses in 1..7, got "
                      f"{self.only_slaves!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PollerSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        if data.get("only_slaves") is not None:
-            data["only_slaves"] = tuple(data["only_slaves"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Spec):
     """The radio environment of one piconet's links.
 
     ``model`` selects the error process of every ``(slave, direction)``
@@ -204,7 +322,7 @@ class ChannelSpec:
     slave_ber_scale: Tuple[Tuple[int, float], ...] = ()
     stream: str = "channel-map"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(self.model in CHANNEL_MODELS,
                  f"unknown channel model {self.model!r}; known: "
                  f"{', '.join(CHANNEL_MODELS)}")
@@ -215,17 +333,12 @@ class ChannelSpec:
         _require(0.0 < self.stationary_bad < 1.0,
                  f"stationary_bad must lie strictly within (0, 1), got "
                  f"{self.stationary_bad}")
-        object.__setattr__(
-            self, "slave_ber_scale",
-            tuple((slave, scale)
-                  for slave, scale in _tuple_of(self.slave_ber_scale,
-                                                "slave_ber_scale")))
         if self.slave_ber_scale:
             _require(self.model == "iid",
                      "slave_ber_scale only applies to the iid model, not "
                      f"{self.model!r}")
             slaves = [slave for slave, _scale in self.slave_ber_scale]
-            _require(all(isinstance(s, int) and 1 <= s <= 7 for s in slaves),
+            _require(all(1 <= s <= 7 for s in slaves),
                      f"slave_ber_scale slaves must lie in 1..7, got {slaves}")
             _require(len(set(slaves)) == len(slaves),
                      f"slave_ber_scale slaves must not repeat: {slaves}")
@@ -234,22 +347,9 @@ class ChannelSpec:
         _require(bool(self.stream),
                  "stream must name a RandomStreams substream")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChannelSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        if "slave_ber_scale" in data:
-            data["slave_ber_scale"] = tuple(
-                (int(slave), float(scale))
-                for slave, scale in data["slave_ber_scale"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(Spec):
     """How Guaranteed Service admission treats the link realities.
 
     ``"oblivious"`` (the default) is the paper's algorithm on the ideal
@@ -275,7 +375,7 @@ class AdmissionSpec:
     estimator_alpha: float = 0.05
     estimator_seed_loss: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(self.mode in ADMISSION_MODES,
                  f"unknown admission mode {self.mode!r}; known: "
                  f"{', '.join(ADMISSION_MODES)}")
@@ -296,17 +396,9 @@ class AdmissionSpec:
     def aware(self) -> bool:
         return self.mode == "budget-aware"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionSpec":
-        _reject_unknown(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Spec):
     """One unidirectional traffic flow and its (optional) CBR source.
 
     ``interval_s``/``size`` describe the source: one packet of ``size``
@@ -332,8 +424,8 @@ class FlowSpec:
     delay_bound: Optional[float] = None
     rate: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        _require(isinstance(self.flow_id, int) and self.flow_id > 0,
+    def _validate(self) -> None:
+        _require(self.flow_id > 0,
                  f"flow_id must be a positive integer, got {self.flow_id!r}")
         _require(self.direction in (UPLINK, DOWNLINK),
                  f"direction must be {UPLINK!r} or {DOWNLINK!r}, got "
@@ -341,16 +433,11 @@ class FlowSpec:
         _require(self.traffic_class in (GS, BE),
                  f"traffic_class must be {GS!r} or {BE!r}, got "
                  f"{self.traffic_class!r}")
-        _require(isinstance(self.slave, int) and 1 <= self.slave <= 7,
+        _require(1 <= self.slave <= 7,
                  f"slave AM address must lie in 1..7, got {self.slave!r}")
-        if self.allowed_types is not None:
-            object.__setattr__(self, "allowed_types",
-                               _tuple_of(self.allowed_types, "allowed_types"))
-            _require(bool(self.allowed_types),
-                     "allowed_types may not be empty (use None to inherit "
-                     "the piconet default)")
-        if isinstance(self.size, list):
-            object.__setattr__(self, "size", tuple(self.size))
+        _require(self.allowed_types != (),
+                 "allowed_types may not be empty (use None to inherit "
+                 "the piconet default)")
         if self.interval_s is None:
             _require(self.size is None,
                      "size without interval_s describes no source; set both "
@@ -363,11 +450,10 @@ class FlowSpec:
             _require(self.size is not None,
                      "a source needs a packet size (set size)")
             if isinstance(self.size, tuple):
-                _require(len(self.size) == 2
-                         and 0 < self.size[0] <= self.size[1],
+                _require(0 < self.size[0] <= self.size[1],
                          f"size range needs 0 < min <= max, got {self.size}")
             else:
-                _require(isinstance(self.size, int) and self.size > 0,
+                _require(self.size > 0,
                          f"size must be a positive byte count or a "
                          f"(min, max) range, got {self.size!r}")
         _require(not (self.stagger and self.rng_stream is None),
@@ -400,25 +486,9 @@ class FlowSpec:
             return self.size
         return (self.size, self.size)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = _spec_dict(self)
-        if isinstance(self.size, tuple):
-            data["size"] = list(self.size)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        if isinstance(data.get("size"), (list, tuple)):
-            data["size"] = tuple(int(bound) for bound in data["size"])
-        if data.get("allowed_types") is not None:
-            data["allowed_types"] = tuple(data["allowed_types"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ScoSpec:
+class ScoSpec(Spec):
     """One reserved SCO voice link on a slave.
 
     The bound uplink/downlink flows (by id) must live on the same slave and
@@ -431,24 +501,16 @@ class ScoSpec:
     dl_flow_id: Optional[int] = None
     ul_flow_id: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        _require(isinstance(self.slave, int) and 1 <= self.slave <= 7,
+    def _validate(self) -> None:
+        _require(1 <= self.slave <= 7,
                  f"slave AM address must lie in 1..7, got {self.slave!r}")
         _require(self.packet_type in SCO_PACKET_TYPES,
                  f"packet_type must be one of {', '.join(SCO_PACKET_TYPES)}, "
                  f"got {self.packet_type!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScoSpec":
-        _reject_unknown(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class PiconetSpec:
+class PiconetSpec(Spec):
     """One piconet: slaves, flows, SCO reservations, channel and poller.
 
     ``rng_namespace`` scopes the piconet's source streams to a
@@ -474,14 +536,8 @@ class PiconetSpec:
     admission: AdmissionSpec = AdmissionSpec()
     rng_namespace: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(bool(self.name), "a piconet needs a non-empty name")
-        _require(isinstance(self.fast_path, bool),
-                 f"fast_path must be a bool, got {self.fast_path!r}")
-        for attribute in ("slaves", "flows", "sco_links", "allowed_types",
-                          "robust_types"):
-            object.__setattr__(self, attribute,
-                               _tuple_of(getattr(self, attribute), attribute))
         _require(1 <= len(self.slaves) <= 7,
                  f"a piconet holds 1..7 slaves, got {len(self.slaves)}")
         _require(bool(self.allowed_types), "allowed_types may not be empty")
@@ -519,36 +575,9 @@ class PiconetSpec:
         return tuple(flow.flow_id for flow in self.flows
                      if flow.flow_id in bound)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PiconetSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        for attribute in ("slaves", "allowed_types", "robust_types"):
-            if attribute in data:
-                data[attribute] = tuple(data[attribute])
-        if "flows" in data:
-            data["flows"] = tuple(FlowSpec.from_dict(flow)
-                                  for flow in data["flows"])
-        if "sco_links" in data:
-            data["sco_links"] = tuple(ScoSpec.from_dict(sco)
-                                      for sco in data["sco_links"])
-        if isinstance(data.get("channel"), Mapping):
-            data["channel"] = ChannelSpec.from_dict(data["channel"])
-        if isinstance(data.get("poller"), Mapping):
-            data["poller"] = PollerSpec.from_dict(data["poller"])
-        if isinstance(data.get("improvements"), Mapping):
-            data["improvements"] = ImprovementsSpec.from_dict(
-                data["improvements"])
-        if isinstance(data.get("admission"), Mapping):
-            data["admission"] = AdmissionSpec.from_dict(data["admission"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class InterferenceSpec:
+class InterferenceSpec(Spec):
     """Co-located piconets modelled as an interference field.
 
     The scenario's (single) simulated piconet registers as ``victim`` with
@@ -573,13 +602,8 @@ class InterferenceSpec:
     stream: str = "interference"
     map_stream: str = "channel-map"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(bool(self.victim), "the victim piconet needs a name")
-        _require(isinstance(self.coupled, bool),
-                 f"coupled must be a bool, got {self.coupled!r}")
-        object.__setattr__(self, "interferer_duties",
-                           _tuple_of(self.interferer_duties,
-                                     "interferer_duties"))
         _require(all(0.0 <= duty <= 1.0 for duty in self.interferer_duties),
                  f"interferer duty cycles must lie within [0, 1], got "
                  f"{self.interferer_duties!r}")
@@ -590,20 +614,9 @@ class InterferenceSpec:
         _require(bool(self.stream) and bool(self.map_stream),
                  "stream and map_stream must name RandomStreams substreams")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "InterferenceSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        if "interferer_duties" in data:
-            data["interferer_duties"] = tuple(data["interferer_duties"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class BridgeSpec:
+class BridgeSpec(Spec):
     """One scatternet bridge time-sharing two of the scenario's piconets.
 
     ``negotiated`` models a hold agreement the masters know about: instead
@@ -623,10 +636,10 @@ class BridgeSpec:
     negotiated: bool = False
     name: str = "bridge"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for label, slave in (("slave_a", self.slave_a),
                              ("slave_b", self.slave_b)):
-            _require(isinstance(slave, int) and 1 <= slave <= 7,
+            _require(1 <= slave <= 7,
                      f"{label} must be an AM address in 1..7, got {slave!r}")
         _require(self.piconet_a != self.piconet_b,
                  "a bridge links two distinct piconets")
@@ -641,17 +654,9 @@ class BridgeSpec:
                               share_a=self.share_a,
                               switch_slots=self.switch_slots)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BridgeSpec":
-        _reject_unknown(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class EventSpec:
+class EventSpec(Spec):
     """One scheduled topology or load change on the scenario's timeline.
 
     ``at_s`` is the simulation time (seconds from the start of the run) at
@@ -695,15 +700,13 @@ class EventSpec:
     min_observations: int = 25
     tolerance: float = 0.05
 
-    def __post_init__(self) -> None:
-        _require(isinstance(self.at_s, (int, float)) and self.at_s >= 0,
+    def _validate(self) -> None:
+        _require(self.at_s >= 0,
                  f"at_s must be a non-negative time in seconds, got "
                  f"{self.at_s!r}")
         _require(self.kind in EVENT_KINDS,
                  f"unknown event kind {self.kind!r}; known: "
                  f"{', '.join(EVENT_KINDS)}")
-        if isinstance(self.flow, Mapping):
-            object.__setattr__(self, "flow", FlowSpec.from_dict(self.flow))
         used = {name for name in ("slave", "bridge", "share_a", "flow",
                                   "flow_id", "interferer")
                 if getattr(self, name) is not None}
@@ -724,45 +727,33 @@ class EventSpec:
         _require(not extra,
                  f"{self.kind!r} event does not use {sorted(extra)}")
         if self.slave is not None:
-            _require(isinstance(self.slave, int) and 1 <= self.slave <= 7,
+            _require(1 <= self.slave <= 7,
                      f"slave AM address must lie in 1..7, got {self.slave!r}")
         if self.share_a is not None:
             _require(0.0 <= self.share_a <= 1.0,
                      f"share_a must lie within [0, 1], got {self.share_a}")
         if self.flow_id is not None:
-            _require(isinstance(self.flow_id, int) and self.flow_id > 0,
+            _require(self.flow_id > 0,
                      f"flow_id must be a positive integer, got "
                      f"{self.flow_id!r}")
         if self.interferer is not None:
-            _require(isinstance(self.interferer, int) and self.interferer >= 1,
+            _require(self.interferer >= 1,
                      f"interferer must be a 1-based index, got "
                      f"{self.interferer!r}")
-        _require(isinstance(self.max_retries, int) and self.max_retries >= 0,
+        _require(self.max_retries >= 0,
                  f"max_retries must be a non-negative integer, got "
                  f"{self.max_retries!r}")
         _require(self.backoff_s > 0,
                  f"backoff_s must be positive, got {self.backoff_s}")
-        _require(isinstance(self.min_observations, int)
-                 and self.min_observations >= 1,
+        _require(self.min_observations >= 1,
                  f"min_observations must be a positive integer, got "
                  f"{self.min_observations!r}")
         _require(0.0 <= self.tolerance < 1.0,
                  f"tolerance must lie within [0, 1), got {self.tolerance}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EventSpec":
-        _reject_unknown(cls, data)
-        data = dict(data)
-        if isinstance(data.get("flow"), Mapping):
-            data["flow"] = FlowSpec.from_dict(data["flow"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TimelineSpec:
+class TimelineSpec(Spec):
     """The scenario's ordered schedule of :class:`EventSpec` changes.
 
     Events must be ordered by ``at_s`` (non-decreasing); equal-time events
@@ -773,15 +764,7 @@ class TimelineSpec:
 
     events: Tuple[EventSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        events = _tuple_of(self.events, "events")
-        object.__setattr__(self, "events", tuple(
-            EventSpec.from_dict(event) if isinstance(event, Mapping)
-            else event
-            for event in events))
-        for event in self.events:
-            _require(isinstance(event, EventSpec),
-                     f"timeline events must be EventSpecs, got {event!r}")
+    def _validate(self) -> None:
         times = [event.at_s for event in self.events]
         _require(all(a <= b for a, b in zip(times, times[1:])),
                  f"timeline events must be ordered by at_s, got {times}")
@@ -789,18 +772,9 @@ class TimelineSpec:
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"events": [event.to_dict() for event in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TimelineSpec":
-        _reject_unknown(cls, data)
-        return cls(events=tuple(EventSpec.from_dict(event)
-                                for event in data.get("events", ())))
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """A complete, serializable scenario: piconets, interference, bridges.
 
     ``compile(seed)`` produces the runtime objects (see
@@ -813,11 +787,7 @@ class ScenarioSpec:
     bridges: Tuple[BridgeSpec, ...] = ()
     timeline: TimelineSpec = TimelineSpec()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "piconets",
-                           _tuple_of(self.piconets, "piconets"))
-        object.__setattr__(self, "bridges",
-                           _tuple_of(self.bridges, "bridges"))
+    def _validate(self) -> None:
         _require(bool(self.piconets), "a scenario needs at least one piconet")
         names = [piconet.name for piconet in self.piconets]
         _require(len(set(names)) == len(names),
@@ -846,11 +816,6 @@ class ScenarioSpec:
                      f"{self.interference.victim!r} must name the "
                      f"scenario's piconet {self.piconets[0].name!r} (so "
                      f"dotted overrides can anchor at it)")
-        if isinstance(self.timeline, Mapping):
-            object.__setattr__(self, "timeline",
-                               TimelineSpec.from_dict(self.timeline))
-        _require(isinstance(self.timeline, TimelineSpec),
-                 f"timeline must be a TimelineSpec, got {self.timeline!r}")
         self._validate_timeline(by_name)
 
     def _validate_timeline(self, by_name: Dict[str, PiconetSpec]) -> None:
@@ -920,33 +885,6 @@ class ScenarioSpec:
                 return piconet
         known = ", ".join(p.name for p in self.piconets)
         raise KeyError(f"unknown piconet {name!r}; known: {known}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "piconets": [piconet.to_dict() for piconet in self.piconets],
-            "interference": (self.interference.to_dict()
-                             if self.interference is not None else None),
-            "bridges": [bridge.to_dict() for bridge in self.bridges],
-            "timeline": self.timeline.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        _reject_unknown(cls, data)
-        piconets = tuple(PiconetSpec.from_dict(piconet)
-                         for piconet in data.get("piconets", ()))
-        interference = data.get("interference")
-        if isinstance(interference, Mapping):
-            interference = InterferenceSpec.from_dict(interference)
-        bridges = tuple(BridgeSpec.from_dict(bridge)
-                        for bridge in data.get("bridges", ()))
-        timeline = data.get("timeline")
-        if isinstance(timeline, Mapping):
-            timeline = TimelineSpec.from_dict(timeline)
-        elif timeline is None:
-            timeline = TimelineSpec()
-        return cls(piconets=piconets, interference=interference,
-                   bridges=bridges, timeline=timeline)
 
     def compile(self, seed: int):
         """Build the runtime objects of this scenario (see

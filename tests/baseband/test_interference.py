@@ -231,10 +231,10 @@ def test_hop_sequence_block_extension_matches_per_slot_draws():
     per_slot = [one_at_a_time.channel_at(slot) for slot in range(500)]
     blocked = HopSequence(seeded())
     blocked.extend_to(500)
-    assert blocked.channels_until(500) == per_slot
+    assert list(blocked.channels_until(500)) == per_slot
     # block extension is idempotent and never truncates
     blocked.extend_to(100)
-    assert blocked.channels_until(500) == per_slot
+    assert list(blocked.channels_until(500)) == per_slot
 
 
 def test_occupancy_index_survives_late_registration():

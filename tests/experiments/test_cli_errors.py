@@ -172,6 +172,17 @@ def test_describe_dotted_set_bad_value_exits_with_message():
     assert "Traceback" not in result.stderr
 
 
+def test_describe_fractional_size_bound_exits_with_one_line():
+    # the size bound is decoded against its declared int type at --set
+    # time, not accepted here and left to fail inside compile
+    result = run_cli("describe", "figure5",
+                     "--set", "flows.3.size=[[100, 200.5]]")
+    assert result.returncode != 0
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and "expected an integer" in lines[0]
+
+
 def test_describe_with_emptied_grid_axis_reports_cleanly():
     result = run_cli("describe", "figure5", "--set", "delay_requirement=[]")
     assert result.returncode == 0

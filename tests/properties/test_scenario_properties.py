@@ -2,13 +2,18 @@
 
 * ``ScenarioSpec.from_dict(spec.to_dict()) == spec`` over randomly
   generated valid specs (through an actual JSON encode/decode, so any
-  type the wire format cannot carry fails here); and
+  type the wire format cannot carry fails here);
+* the wire path and the override path decode plain values alike: a JSON
+  value set at a leaf of ``to_dict()`` and read back with ``from_dict``
+  gives the same spec as ``override_spec`` at that path, or both raise
+  ``ValueError``; and
 * ``compile()`` determinism: the same spec + seed produce byte-identical
   aggregated sweep rows no matter which execution backend ran the tasks —
   shipping the spec as a serialized ``scenario`` payload through the
   orchestrator's plain-dict task tuples.
 """
 
+import copy
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +32,7 @@ from repro.scenario import (
     ScenarioSpec,
     ScoSpec,
     figure4_spec,
+    override_spec,
 )
 
 small_floats = st.floats(min_value=0.001, max_value=1.0, allow_nan=False,
@@ -162,6 +168,73 @@ def test_spec_round_trips_through_json(spec):
     assert ScenarioSpec.from_dict(json.loads(wire)) == spec
     # serialization is deterministic: same spec -> same wire bytes
     assert json.dumps(spec.to_dict(), sort_keys=True) == wire
+
+
+def leaf_paths(data, prefix=()):
+    """Every path to a scalar (or an empty list) inside plain ``data``."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list) and data:
+        items = enumerate(data)
+    else:
+        return [prefix]
+    return [path for key, value in items
+            for path in leaf_paths(value, prefix + (str(key),))]
+
+
+#: plain JSON values of every shape a leaf may hold, valid or not
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 300),
+    st.floats(-1.0, 400.0, allow_nan=False),
+    st.sampled_from([0.5, 1.0, 96.0, 200.5]),
+    st.sampled_from(["", "iid", "DH1", "UL", "GS", "round_robin", "S1"]),
+    st.lists(st.integers(0, 8), max_size=3),
+    st.lists(st.sampled_from(["DH1", "DM3"]), max_size=2))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[int(key) if isinstance(data, list) else key]
+    return data
+
+
+def _set_at(data, path, value):
+    parent, last = _at(data, path[:-1]), path[-1]
+    parent[int(last) if isinstance(parent, list) else last] = value
+
+
+def _neighbours(value):
+    """The leaf's own value and its other-typed spellings (1 <-> 1.0)."""
+    if isinstance(value, bool):
+        return [value, not value, int(value)]
+    if isinstance(value, int):
+        return [value, float(value), value + 1]
+    if isinstance(value, float):
+        return [value, int(value), value * 2]
+    return [value]
+
+
+def _outcome(build):
+    try:
+        spec = build()
+    except ValueError:
+        return None
+    return spec, json.dumps(spec.to_dict(), sort_keys=True)
+
+
+@given(scenario_specs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_wire_path_matches_override_path(spec, data):
+    plain = spec.to_dict()
+    path = data.draw(st.sampled_from(leaf_paths(plain)))
+    value = data.draw(st.one_of(
+        st.sampled_from(_neighbours(_at(plain, path))), json_values))
+    wire = copy.deepcopy(plain)
+    _set_at(wire, path, value)
+    by_wire = _outcome(
+        lambda: ScenarioSpec.from_dict(json.loads(json.dumps(wire))))
+    by_override = _outcome(lambda: override_spec(spec, ".".join(path), value))
+    assert by_wire == by_override
 
 
 @st.composite

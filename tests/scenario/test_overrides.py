@@ -7,6 +7,7 @@ from repro.scenario import (
     apply_overrides,
     bridge_split_spec,
     figure4_spec,
+    interfered_be_spec,
     override_spec,
     resolve_point_spec,
     split_spec_overrides,
@@ -57,6 +58,17 @@ def test_numeric_coercions(spec):
         .bridges[0].period_slots == 120
 
 
+def test_values_decode_by_declared_type_not_current_value():
+    # the field's current value is None; its declared type is a float
+    spec = interfered_be_spec((1.0,))
+    mutated = override_spec(spec, "interference.ber_per_collision", 1)
+    assert type(mutated.interference.ber_per_collision) is float
+    sized = override_spec(figure4_spec(delay_requirement=0.04),
+                          "flows.3.size", [100.0, 200])
+    assert sized.piconets[0].flows[3].size == (100, 200)
+    assert type(sized.piconets[0].flows[3].size[0]) is int
+
+
 def test_list_values_coerce_to_tuples(spec):
     mutated = override_spec(spec, "allowed_types", ["DM1", "DM3"])
     assert mutated.piconets[0].allowed_types == ("DM1", "DM3")
@@ -79,6 +91,14 @@ def test_list_values_coerce_to_tuples(spec):
     ("name.sub", 1, "cannot descend into"),
     ("channel.ber", 7.0, "within \\[0, 1\\]"),
     ("piconet", 1, "needs a field after it"),
+    # a size bound is decoded by its declared type (int), not truncated or
+    # passed on as a float the compile step cannot multiply with
+    ("flows.3.size", [100, 200.5], "expected an integer"),
+    ("flows.3.size.1", 200.5, "expected an integer"),
+    ("slaves", "S1", "expected a list"),
+    ("channel.ber", True, "expected a number"),
+    pytest.param("channel.ber", 10 ** 400, "expected a number",
+                 id="channel.ber-int-beyond-float-range"),
 ])
 def test_override_error_paths(spec, path, value, message):
     target = bridge_split_spec(0.5) if path.startswith("bridges") else spec
@@ -137,6 +157,10 @@ def test_nested_spec_objects_replace_via_serialized_mappings(spec):
     ("flows", [[1, 2]], "list of FlowSpec mappings"),
     ("flows", 7, "list of FlowSpec mappings"),
     ("sco_links", [{"slave": 99}], "cannot set"),
+    ("channel", "iid", "expected a ChannelSpec mapping"),
+    ("interference", "x", "expected an InterferenceSpec mapping"),
+    ("timeline", {"events": 3}, "list of EventSpec mappings"),
+    ("flows", [{"flow_id": 1}], "missing FlowSpec field"),
 ])
 def test_structured_replacements_fail_cleanly(spec, path, value, message):
     # malformed structured values must raise ValueError (the CLI turns it

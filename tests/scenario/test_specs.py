@@ -1,8 +1,13 @@
 """Validation and serialization of the declarative spec layer."""
 
+import copy
+import functools
 import json
 
 import pytest
+
+from repro.experiments.golden import GOLDEN_OVERRIDES
+from repro.experiments.registry import iter_experiments
 
 from repro.scenario import (
     BridgeSpec,
@@ -18,6 +23,7 @@ from repro.scenario import (
     figure4_spec,
     interfered_be_spec,
     multi_sco_spec,
+    resolve_point_spec,
 )
 
 
@@ -28,6 +34,18 @@ def voice_flow(**overrides):
     return FlowSpec(**base)
 
 
+def golden_point_factories():
+    """One spec factory per golden point of every spec-backed experiment."""
+    return [
+        pytest.param(functools.partial(resolve_point_spec, point,
+                                       experiment.scenario),
+                     id=f"{experiment.name}-{index}")
+        for experiment in iter_experiments()
+        if experiment.scenario is not None
+        for index, point in enumerate(experiment.points(
+            GOLDEN_OVERRIDES.get(experiment.name)))]
+
+
 # ----------------------------------------------------------- construction
 
 @pytest.mark.parametrize("factory", [
@@ -36,6 +54,7 @@ def voice_flow(**overrides):
     lambda: multi_sco_spec(),
     lambda: interfered_be_spec((1.0, 0.5), base_bit_error_rate=1e-4),
     lambda: bridge_split_spec(0.5, negotiated=True),
+    *golden_point_factories(),
 ])
 def test_factories_produce_json_round_trippable_specs(factory):
     spec = factory()
@@ -219,6 +238,53 @@ def test_from_dict_rejects_unknown_fields():
         ChannelSpec.from_dict({"model": "iid", "bogus": 1})
     with pytest.raises(ValueError, match="unknown ScenarioSpec field"):
         ScenarioSpec.from_dict({"piconets": [], "extra": True})
+
+
+def _figure4_payload(mutate):
+    payload = copy.deepcopy(figure4_spec(delay_requirement=0.04).to_dict())
+    mutate(payload)
+    return payload
+
+
+def _set_flow_size(payload):
+    payload["piconets"][0]["flows"][3]["size"] = [100, 200.5]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set_flow_size, "FlowSpec.size must be an integer, got 200.5"),
+    (lambda p: p["piconets"][0].update(channel="iid"),
+     "PiconetSpec.channel must be a ChannelSpec mapping"),
+    (lambda p: p["piconets"][0].update(slaves="S1"),
+     "PiconetSpec.slaves must be a list, got 'S1'"),
+    (lambda p: p["piconets"][0]["channel"].update(ber=True),
+     "ChannelSpec.ber must be a number"),
+    (lambda p: p.update(interference="x"),
+     "ScenarioSpec.interference must be an InterferenceSpec mapping"),
+    (lambda p: p.update(timeline={"events": 3}),
+     "TimelineSpec.events must be a list of EventSpec mappings"),
+    (lambda p: p["piconets"][0]["flows"][0].pop("slave"),
+     "missing FlowSpec field"),
+], ids=["fractional-size", "channel-string", "slaves-string", "bool-ber",
+        "interference-string", "events-int", "missing-field"])
+def test_from_dict_rejects_misdecoded_payloads(mutate, message):
+    # every wire-path mismatch fails with a one-line ValueError, the same
+    # decision the --set path makes (tests/scenario/test_overrides.py)
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec.from_dict(_figure4_payload(mutate))
+
+
+def test_from_dict_decodes_by_declared_type():
+    # an integral float becomes an int, an int becomes a float
+    period = BridgeSpec.from_dict({"period_slots": 96.0}).period_slots
+    assert period == 96 and type(period) is int
+    ber = ChannelSpec.from_dict({"ber": 0}).ber
+    assert ber == 0.0 and type(ber) is float
+    assert json.dumps(ChannelSpec.from_dict({"ber": 0}).to_dict()) \
+        == json.dumps(ChannelSpec().to_dict())
+    # construction decodes too: lists become tuples, element by element
+    flow = voice_flow(size=[144.0, 176])
+    assert flow.size == (144, 176) and type(flow.size[0]) is int
+    assert PiconetSpec(slaves=["a", "b"]).slaves == ("a", "b")
 
 
 def test_sco_flow_ids_follow_flow_order():
