@@ -181,9 +181,10 @@ def test_bench_steady_state_poll(benchmark):
     stats = compiled.primary.piconet.fast_path_stats()
     assert stats["enabled"] and stats["transactions"] > 0
     assert slots >= duration * 1600 * 0.95
-    # the acceptance gate is >= 3x (see BENCH_master_loop.json); assert a
-    # softer floor here, on medians over alternating rounds, so a loaded
-    # CI machine cannot flake the suite
+    # the gate: the kernel keeps at least a 2x lead over the reference
+    # loop, on medians over alternating rounds so a loaded CI machine
+    # cannot flake it (BENCH_master_loop.json records the last measured
+    # speedup; it holds no gate of its own)
     assert speedup >= 2.0
 
 

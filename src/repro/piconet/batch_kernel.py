@@ -17,18 +17,19 @@ traffic-source wake-ups, which merely offer packets.  The
   ``_finish_transaction``), so both paths perform literally the same
   Python operations in the same order, consuming the same RNG draws from
   the same :class:`~repro.sim.rng.RandomStreams` substreams — results are
-  byte-identical by construction, only the master's generator suspensions,
-  timeout events and heap traffic are elided.  The memoized FEC tables
+  byte-identical by construction, only the master's suspensions (the
+  re-armings of its :class:`~repro.sim.events.LoopWakeup`, one heap entry
+  each) are elided.  The memoized FEC tables
   (:mod:`repro.baseband.fec`) and the Gilbert-Elliott closed-form n-step
   advance (:meth:`GilbertElliottChannel._advance_to`) keep the per-packet
   channel work constant-time inside the window;
-* **absorb** — before each elided master timeout (downlink end, uplink
-  end, idle end) the kernel reserves the event id the timeout would have
+* **absorb** — before each elided master wake-up (downlink end, uplink
+  end, idle end) the kernel reserves the event id the wake-up would have
   taken and fires, through :meth:`Environment.step`, every queued event
-  whose ``(time, id)`` key sorts before the timeout's.  Only
+  whose ``(time, id)`` key sorts before the wake-up's.  Only
   *absorbable* events can sort there (see :func:`absorbable`): traffic
-  sources' :class:`~repro.sim.events.Wakeup` entries and no-op events
-  nobody waits on.  So arrivals land in exactly the heap order of the
+  sources' plain :class:`~repro.sim.events.Wakeup` entries and no-op
+  events nobody waits on.  So arrivals land in exactly the heap order of the
   reference loop, and every later tie breaks the same way because the id
   counter advances identically;
 * **commit** — deliveries, ARQ failures, EWMA link-quality updates and
@@ -44,7 +45,7 @@ event loop the moment any of them trips):
   change between the two directions of one transaction;
 * the transaction (its exact peeked packets, both directions) would not
   end *strictly before* the next event the kernel cannot absorb
-  (``horizon``): another master's timeout, a timeline runner, the stop
+  (``horizon``): another master's wake-up, a timeline runner, the stop
   event of ``Environment.run(until=...)``.  An event at the
   exact end time must fire before the master resumes (it was pushed
   earlier, so it wins the heap's insertion-order tie-break).  Absorbed
@@ -90,12 +91,13 @@ def fast_path_disabled() -> bool:
 def absorbable(event) -> bool:
     """Whether a window may fire ``event`` inline (see the module notes).
 
-    True for a :class:`~repro.sim.events.Wakeup` (only traffic sources
-    use them: a wake-up offers packets and re-arms itself, nothing waits
-    on it) and for a successful event nobody waits on (a finished
-    timeline process: firing it changes nothing but the clock).  A
-    failed event is never absorbable: it must abort the run from the
-    event loop.
+    True for a plain :class:`~repro.sim.events.Wakeup` (a traffic
+    source: it offers packets and re-arms itself, nothing waits on it)
+    and for a successful event nobody waits on (a finished timeline
+    process: firing it changes nothing but the clock).  Never true for a
+    master's :class:`~repro.sim.events.LoopWakeup`, which the exact class
+    test excludes: its step may run a whole transaction.  A failed event
+    is never absorbable: it must abort the run from the event loop.
     """
     return event.__class__ is Wakeup or (
         event._ok and not event.callbacks)
@@ -229,14 +231,14 @@ class BatchKernel:
 
     @staticmethod
     def _absorb(env, when) -> None:
-        """Fire every queued event that sorts before the master timeout
-        the reference loop would schedule now to wake at ``when``, then
-        move the clock to ``when``.
+        """Fire every queued event that sorts before the master wake-up
+        the reference loop would schedule now for ``when``, then move the
+        clock to ``when``.
 
-        The timeout's event id is reserved first (``env._eid += 1``), so
+        The wake-up's event id is reserved first (``env._eid += 1``), so
         the ids of everything scheduled later match the reference loop.
         The caller's horizon check guarantees every event below the key
-        is absorbable; none of them resumes a process.
+        is absorbable; none of them resumes a process or a master.
         """
         eid = env._eid
         env._eid = eid + 1
@@ -320,6 +322,11 @@ class BatchKernel:
         longest = 2 * SLOT_US * max(
             [state.queue.policy.max_segment_slots()
              for state in states.values()], default=1)
+        # every queued id is below the one an elided wake-up reserves, so
+        # an entry sorts before the wake-up exactly when it is due by its
+        # time: when none is (queue[0][0] > end), a step only takes the id
+        # and moves the clock, without the _absorb call (the queue is never
+        # empty: the horizon event stays on it)
         absorb = self._absorb
         begin = piconet._begin_transaction
         apply_downlink = piconet._apply_downlink
@@ -353,7 +360,11 @@ class BatchKernel:
                     plan = self.IDLE
                     break
                 piconet.slots_idle += advance
-                absorb(env, end)
+                if queue[0][0] <= end:
+                    absorb(env, end)
+                else:
+                    env._eid += 1
+                    env._now = end
                 idles += 1
                 plan = select(end)
                 continue
@@ -365,10 +376,18 @@ class BatchKernel:
             # .ptype.slots * SLOT_US == .duration_us, minus two property hops
             txn = begin(plan)
             end = now + txn.dl_packet.ptype.slots * SLOT_US
-            absorb(env, end)
+            if queue[0][0] <= end:
+                absorb(env, end)
+            else:
+                env._eid += 1
+                env._now = end
             apply_downlink(txn)
             end = txn.ul_start + txn.ul_packet.ptype.slots * SLOT_US
-            absorb(env, end)
+            if queue[0][0] <= end:
+                absorb(env, end)
+            else:
+                env._eid += 1
+                env._now = end
             finish(txn)
             transactions += 1
             if adaptive and self._adaptive_snapshot(states, plan) != before:

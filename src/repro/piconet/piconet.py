@@ -57,6 +57,7 @@ from repro.schedulers.base import (
     TransactionPlan,
 )
 from repro.sim.engine import Environment
+from repro.sim.events import LoopWakeup
 from repro.sim.monitor import Monitor
 
 #: control packets reused across all transactions: POLL and NULL carry no
@@ -542,7 +543,7 @@ class Piconet:
     def start(self) -> None:
         """Start the master TDD loop (idempotent)."""
         if not self._started:
-            self.env.process(self._master_process())
+            LoopWakeup(self.env, self._master_process())
             self._started = True
             self._run_started_at = self.env.now
 
@@ -656,6 +657,9 @@ class Piconet:
         return {"enabled": True, **stats}
 
     # ------------------------------------------------------------ master loop
+    # The loop and its steps yield integer microsecond delays: the loop
+    # runs as a LoopWakeup, one heap entry per suspension, with the event
+    # ids a process yielding env.timeout(delay) would take.
     def _master_process(self):
         kernel = self._batch_kernel
         while True:
@@ -743,7 +747,7 @@ class Piconet:
         else:
             advance = 1
         self.slots_idle += advance
-        yield self.env.timeout(advance * SLOT_US)
+        yield advance * SLOT_US
 
     # The transaction is split into plan (_begin_transaction), execute
     # (either the generator below or the batch kernel) and commit
@@ -754,10 +758,10 @@ class Piconet:
     def _execute_transaction(self, plan: TransactionPlan):
         txn = self._begin_transaction(plan)
         # -- downlink ------------------------------------------------------
-        yield self.env.timeout(txn.dl_packet.duration_us)
+        yield txn.dl_packet.ptype.slots * SLOT_US
         self._apply_downlink(txn)
         # -- uplink ---------------------------------------------------------
-        yield self.env.timeout(txn.ul_packet.duration_us)
+        yield txn.ul_packet.ptype.slots * SLOT_US
         self._finish_transaction(txn)
 
     def _begin_transaction(self, plan: TransactionPlan) -> _Transaction:
@@ -933,7 +937,7 @@ class Piconet:
         start = self.env.now
         if self._air_recorder is not None:
             self._air_recorder(start, 2)
-        yield self.env.timeout(2 * SLOT_US)
+        yield 2 * SLOT_US
         self.slots_sco += 2
         for slot_offset, direction in enumerate((DOWNLINK, UPLINK)):
             flow_id = flows.get("DL" if direction == DOWNLINK else "UL")

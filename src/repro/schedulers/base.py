@@ -59,11 +59,23 @@ class TransactionPlan:
     gs_flow_id: Optional[int] = None
     info: Optional[Dict[str, Any]] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_GS, KIND_BE, KIND_SCO):
-            raise ValueError(f"invalid transaction kind {self.kind!r}")
-        if not 1 <= self.slave <= 7:
-            raise ValueError(f"invalid slave AM address {self.slave}")
+    # written out (the dataclass keeps a class's own __init__): pollers
+    # build one plan per transaction, and a generated __init__ would add
+    # a __post_init__ call to each
+    def __init__(self, slave: int, dl_flow_id: Optional[int] = None,
+                 ul_flow_id: Optional[int] = None, kind: str = KIND_BE,
+                 gs_flow_id: Optional[int] = None,
+                 info: Optional[Dict[str, Any]] = None) -> None:
+        if kind not in (KIND_GS, KIND_BE, KIND_SCO):
+            raise ValueError(f"invalid transaction kind {kind!r}")
+        if not 1 <= slave <= 7:
+            raise ValueError(f"invalid slave AM address {slave}")
+        self.slave = slave
+        self.dl_flow_id = dl_flow_id
+        self.ul_flow_id = ul_flow_id
+        self.kind = kind
+        self.gs_flow_id = gs_flow_id
+        self.info = info
 
 
 @dataclass(slots=True)

@@ -5,13 +5,20 @@ evaluated its polling mechanisms on ns-2 with Bluetooth extensions; here a
 small, dependency-free discrete-event engine plays that role.
 
 The design follows the familiar process-interaction style (generator
-coroutines yielding events), so simulation code reads like the pseudo-code
-in the paper:
+coroutines), so simulation code reads like the pseudo-code in the paper.
+A generator that only waits for time yields plain delays and runs as a
+:class:`Wakeup`, one heap entry per wake-up (traffic sources, and every
+piconet master's TDD loop):
 
-    def source(env, queue):
+    def source(queue):
         while True:
-            yield env.timeout(20_000)          # 20 ms in microseconds
+            yield 20_000                       # 20 ms in microseconds
             queue.put(Packet(...))
+
+    Wakeup(env, source(queue))
+
+A generator that waits on other events (a timeline runner) yields them
+and runs as a :class:`Process`.
 
 Public API
 ----------

@@ -10,7 +10,8 @@ Events follow a small life cycle:
 Processes are themselves events (they succeed with the value returned by the
 wrapped generator), which allows ``yield env.process(...)``.  A generator that
 only ever waits for time can run as a :class:`Wakeup` instead: one bare heap
-entry per wake-up, without a resume or a timeout event.
+entry per wake-up, without a resume or a timeout event.  Traffic sources run
+as plain wake-ups, every piconet master's TDD loop as a :class:`LoopWakeup`.
 """
 
 from __future__ import annotations
@@ -91,9 +92,16 @@ class Wakeup:
     Each heap entry ``(time, id, wakeup)`` runs one callback that
     advances the generator and re-arms the wake-up at ``now + delay``.
     The first entry is pushed at creation, so times and event ids match a
-    process yielding ``env.timeout(delay)``.  A finished
-    generator schedules nothing; an exception inside it propagates out of
-    :meth:`Environment.step`.  Nothing can wait on a wake-up.
+    process yielding ``env.timeout(delay)``: the first entry takes the id
+    the process's start event took, each re-arming the id of one timeout.
+    A finished generator schedules nothing; an exception inside it
+    propagates out of :meth:`Environment.step`.  Nothing can wait on a
+    wake-up.
+
+    A plain ``Wakeup`` promises that firing it only offers packets and
+    re-arms itself (traffic sources), so a batch-kernel window may fire
+    it inline (:func:`~repro.piconet.batch_kernel.absorbable`); a
+    generator that does more runs as a :class:`LoopWakeup`.
     """
 
     __slots__ = ("env", "callbacks", "_hooks", "_next")
@@ -118,6 +126,17 @@ class Wakeup:
         eid = env._eid
         env._eid = eid + 1
         heappush(env._queue, (env._now + delay, eid, self))
+
+
+class LoopWakeup(Wakeup):
+    """A :class:`Wakeup` that is never fired inline by a batch window.
+
+    It drives a piconet master's TDD loop, whose every step may run a
+    transaction, so only :meth:`Environment.step` may fire it.  The
+    heap mechanics are those of its base.
+    """
+
+    __slots__ = ()
 
 
 class Initialize(Event):

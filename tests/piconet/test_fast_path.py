@@ -30,7 +30,7 @@ from repro.scenario.specs import (
     ScenarioSpec,
     TimelineSpec,
 )
-from repro.sim.events import Wakeup
+from repro.sim.events import LoopWakeup, Wakeup
 from repro.traffic.sources import CBRSource
 
 STEADY_TYPES = ("DH1", "DH3", "DH5")
@@ -300,7 +300,7 @@ def test_window_ends_strictly_before_a_timeline_event_and_the_stop_event():
 def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
     timeline = TimelineSpec(events=(
         EventSpec(at_s=0.5, kind="flow-remove", flow_id=2),))
-    # the reference loop leaves the master's own timeout on the heap
+    # the reference loop leaves the master's own wake-up on the heap
     compiled = compile_scenario(
         _sourced_steady_spec(fast_path=False, timeline=timeline), seed=5)
     source = compiled.primary.sources[0]
@@ -309,7 +309,10 @@ def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
     assert source.packets_generated > 0
     verdicts = {}
     for _when, _eid, event in compiled.env._queue:
-        if isinstance(event, Wakeup):
+        if isinstance(event, LoopWakeup):
+            # a wake-up's generator is the __self__ of its _next
+            name = event._next.__self__.gi_code.co_name
+        elif isinstance(event, Wakeup):
             assert event is source._wakeup
             name = "source"
         else:

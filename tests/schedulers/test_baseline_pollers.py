@@ -80,6 +80,30 @@ def test_round_robin_alternates_between_slaves():
     assert slaves == [1, 2, 1, 2]
 
 
+def test_round_robin_plans_follow_attached_and_detached_flows():
+    piconet = two_slave_piconet()
+    poller = PureRoundRobinPoller()
+    piconet.attach_poller(poller)
+
+    def flows_of_next_slave_1_plan():
+        plan = next(plan for plan in (poller.select(0) for _ in range(2))
+                    if plan.slave == 1)
+        return plan.dl_flow_id, plan.ul_flow_id
+
+    assert flows_of_next_slave_1_plan() == (None, 1)
+    piconet.add_flow_runtime(
+        FlowSpec(4, slave=1, direction=DOWNLINK, traffic_class=BE))
+    assert flows_of_next_slave_1_plan() == (4, 1)
+    piconet.detach_flow(1)
+    assert flows_of_next_slave_1_plan() == (4, None)
+    # with two downlink flows the plan follows the queues
+    piconet.add_flow_runtime(
+        FlowSpec(5, slave=1, direction=DOWNLINK, traffic_class=BE))
+    assert flows_of_next_slave_1_plan() == (4, None)
+    piconet.offer_packet(5, 176)
+    assert flows_of_next_slave_1_plan() == (5, None)
+
+
 def test_fep_demotes_idle_slaves_and_promotes_on_data():
     piconet = two_slave_piconet()
     poller = FairExhaustivePoller(probe_period=5)

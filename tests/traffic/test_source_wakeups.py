@@ -19,7 +19,7 @@ from repro.scenario.specs import (
     PollerSpec,
     ScenarioSpec,
 )
-from repro.sim.events import Wakeup
+from repro.sim.events import LoopWakeup, Wakeup
 from repro.traffic import (
     CBRSource,
     OnOffSource,
@@ -43,7 +43,10 @@ def record_offers(piconet):
 
 
 def wakeups(env):
-    return [entry for entry in env._queue if isinstance(entry[2], Wakeup)]
+    """The sources' heap entries: every wake-up but the master loop's."""
+    return [entry for entry in env._queue
+            if isinstance(entry[2], Wakeup)
+            and not isinstance(entry[2], LoopWakeup)]
 
 
 # -- life cycle ----------------------------------------------------------------
