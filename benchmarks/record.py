@@ -16,15 +16,14 @@ Artifact shape::
       "machine": {"python": ..., "platform": ..., "cpu_count": ...},
       "scenarios": {
         "steady_state_poll": {
-          "event_loop":   {"slots": ..., "wall_seconds": ..., "slots_per_second": ...},
-          "batch_kernel": {...},
-          "speedup": 3.8
+          "event_loop": {"slots": ..., "wall_seconds": ..., "slots_per_second": ...}
         }
       }
     }
 
-``speedup`` is (re)derived whenever both the ``event_loop`` and
-``batch_kernel`` variants of a scenario are present.
+A benchmark family that compares two variants of a scenario names them
+(``reference_variant`` / ``fast_variant``), and ``speedup`` is (re)derived
+whenever both are present.
 """
 
 from __future__ import annotations
@@ -34,14 +33,10 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 #: directory override for the artifact (default: the repository root)
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
-
-#: variant labels the speedup is derived from
-REFERENCE_VARIANT = "event_loop"
-FAST_VARIANT = "batch_kernel"
 
 
 def machine_fingerprint() -> Dict[str, object]:
@@ -77,17 +72,16 @@ def _load(path: Path, benchmark: str) -> Dict[str, object]:
 def record(benchmark: str, scenario: str, variant: str,
            slots: int, wall_seconds: float,
            extra: Dict[str, object] = None,
-           reference_variant: str = REFERENCE_VARIANT,
-           fast_variant: str = FAST_VARIANT) -> Dict[str, object]:
+           reference_variant: Optional[str] = None,
+           fast_variant: Optional[str] = None) -> Dict[str, object]:
     """Merge one measurement into the benchmark's artifact and return it.
 
     The artifact always reflects the *latest* run of each
     (scenario, variant) pair on the current machine; the machine
     fingerprint is refreshed on every write.  ``extra`` attaches
-    explanatory detail (e.g. the fast path's bailout counters) to the
-    variant entry; ``reference_variant``/``fast_variant`` rename the pair
-    the per-scenario ``speedup`` is derived from (benchmark families that
-    compare something other than event loop vs batch kernel).
+    explanatory detail (e.g. the lookup counts behind a rate) to the
+    variant entry; ``reference_variant``/``fast_variant`` name the pair
+    the per-scenario ``speedup`` is derived from, if any.
     """
     path = artifact_path(benchmark)
     payload = _load(path, benchmark)
@@ -102,18 +96,11 @@ def record(benchmark: str, scenario: str, variant: str,
     }
     if extra:
         entry[variant].update(extra)
-    reference = entry.get(reference_variant)
-    fast = entry.get(fast_variant)
+    reference = entry.get(reference_variant) if reference_variant else None
+    fast = entry.get(fast_variant) if fast_variant else None
     if reference and fast and reference["slots_per_second"]:
         entry["speedup"] = round(
             fast["slots_per_second"] / reference["slots_per_second"], 2)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return payload
-
-
-def recorded_speedup(benchmark: str, scenario: str) -> float:
-    """The artifact's current speedup for ``scenario`` (0.0 if absent)."""
-    payload = _load(artifact_path(benchmark), benchmark)
-    entry = payload.get("scenarios", {}).get(scenario, {})
-    return float(entry.get("speedup", 0.0))

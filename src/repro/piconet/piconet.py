@@ -42,7 +42,6 @@ from repro.baseband.segmentation import (
     ChannelAdaptiveSegmentationPolicy,
     Reassembler,
 )
-from repro.piconet.batch_kernel import BatchKernel, fast_path_disabled
 from repro.piconet.device import DeviceRegistry, Slave
 from repro.piconet.flows import DOWNLINK, FlowSpec, GS, HLPacket, UPLINK
 from repro.piconet.queues import FlowQueue
@@ -83,13 +82,6 @@ class PiconetConfig:
     adaptive_segmentation: bool = False
     #: the FEC type set the adaptive policy falls back to under loss
     robust_types: tuple = ("DM1", "DM3")
-    #: execute steady-state stretches through the batch kernel
-    #: (:mod:`repro.piconet.batch_kernel`) instead of per-slot event-loop
-    #: steps; results are byte-identical, only wall-clock speed differs.
-    #: Set only as the compiled form of ``PiconetSpec.fast_path``; the
-    #: ``REPRO_NO_FAST_PATH`` environment variable forces the reference
-    #: loop regardless.
-    fast_path: bool = True
 
 
 @dataclass
@@ -129,13 +121,10 @@ class FlowState:
 class _Transaction:
     """In-flight state of one planned master/slave exchange.
 
-    The plan layer (:meth:`Piconet._begin_transaction`) snapshots the
-    queues, packets and bridge presence; the execute layer is either the
-    event-loop generator (:meth:`Piconet._execute_transaction`) or the
-    batch kernel, and both drive the same commit helpers
-    (:meth:`Piconet._apply_downlink` / :meth:`Piconet._finish_transaction`)
-    so the two paths perform literally the same operations in the same
-    order — byte-identical results by construction.
+    :meth:`Piconet._begin_transaction` snapshots the queues, packets and
+    bridge presence at transaction start; the master loop then commits
+    the downlink (:meth:`Piconet._apply_downlink`) and the uplink
+    (:meth:`Piconet._finish_transaction`) at the end of each direction.
     """
 
     __slots__ = ("plan", "start", "dl_state", "ul_state", "dl_segment",
@@ -195,17 +184,13 @@ class Piconet:
         #: path skips building PollOutcome/SegmentDelivery entirely)
         self._poller_wants_outcome = False
         #: link observers: ``fn(slave, direction, error)`` called for every
-        #: observed data transmission (both executors share the commit
-        #: helpers, so the batch kernel feeds them identically); empty for
-        #: every scenario that does not ask for budget-aware admission
+        #: observed data transmission; empty for every scenario that does
+        #: not ask for budget-aware admission
         self._link_observers: List[Callable[[int, str, bool], None]] = []
         #: air recorder: ``fn(start_us, slots)`` called when this piconet
         #: puts a transaction on the air (coupled interference feeds the
         #: shared field from it); ``None`` for every uncoupled scenario
         self._air_recorder: Optional[Callable[[int, int], None]] = None
-        self._batch_kernel = (BatchKernel(self)
-                              if self.config.fast_path
-                              and not fast_path_disabled() else None)
 
         # slot / transaction accounting
         self.slots_idle = 0
@@ -295,9 +280,7 @@ class Piconet:
         adopts a new residency schedule) is idempotent: the slave's
         absent/skipped-poll accounting restarts with the new schedule
         instead of layering it over the counts the old schedule produced,
-        and a topology change is signalled so the batch kernel and any
-        attached interference field drop state derived from the old
-        schedule.
+        and the roam counts as a topology change.
         """
         if slave not in self.devices:
             raise ValueError(f"slave {slave} is not part of the piconet")
@@ -312,7 +295,7 @@ class Piconet:
                 self._negotiated_bridges.add(slave)
             else:
                 self._negotiated_bridges.discard(slave)
-            self._notify_topology_change()
+            self.topology_changes += 1
             return
         self._bridge_presence[slave] = presence
         if negotiated:
@@ -328,12 +311,6 @@ class Piconet:
         return bool(presence(now_us // SLOT_US))
 
     # ------------------------------------------------------- topology lifecycle
-    def _notify_topology_change(self) -> None:
-        """Invalidate executor state derived from the topology."""
-        self.topology_changes += 1
-        if self._batch_kernel is not None:
-            self._batch_kernel.notify_topology_change()
-
     def detach_flow(self, flow_id: int) -> FlowState:
         """Remove a flow (and its queued segments) from the master loop.
 
@@ -361,7 +338,7 @@ class Piconet:
         self._specs_by_slave_cache = None
         if self.poller is not None:
             self.poller.on_flows_detached((flow_id,))
-        self._notify_topology_change()
+        self.topology_changes += 1
         return state
 
     def attach_flow_state(self, state: FlowState) -> None:
@@ -384,16 +361,16 @@ class Piconet:
         self._specs_by_slave_cache = None
         if self.poller is not None:
             self.poller.on_flows_attached((state,))
-        self._notify_topology_change()
+        self.topology_changes += 1
 
     def add_flow_runtime(self, spec: FlowSpec) -> FlowState:
         """Register a *new* flow while the simulation runs (a timeline
-        ``flow-add``): :meth:`add_flow` plus the poller and fast-path
-        notifications construction-time registration does not need."""
+        ``flow-add``): :meth:`add_flow` plus the poller notification and
+        topology count construction-time registration does not need."""
         state = self.add_flow(spec)
         if self.poller is not None:
             self.poller.on_flows_attached((state,))
-        self._notify_topology_change()
+        self.topology_changes += 1
         return state
 
     def park_slave(self, slave: int) -> List[FlowState]:
@@ -460,10 +437,9 @@ class Piconet:
         The coupled interference mode wires this to
         :meth:`~repro.baseband.interference.InterferenceField.recorder`, so
         the piconet's *actual* air time — not a duty-cycle model — drives
-        every co-located piconet's collision BER.  Both executors fire it
-        from the shared transaction helpers, at the *start* of each
-        transaction, so the field only ever learns about slots at or after
-        the current virtual time."""
+        every co-located piconet's collision BER.  It fires at the *start*
+        of each transaction, so the field only ever learns about slots at
+        or after the current virtual time."""
         self._air_recorder = recorder
 
     # -------------------------------------------------------------- inspection
@@ -640,39 +616,39 @@ class Piconet:
         return accounting
 
     def fast_path_stats(self) -> dict:
-        """Batch-kernel window/bailout counters.
-
-        Kept separate from :meth:`slot_accounting` on purpose: golden
-        fixtures byte-compare the accounting keys, and these counters
-        describe the executor, not the simulated system.  The returned
-        dict (including the nested ``bailouts`` mapping) is a fresh copy
-        on every call — callers that stash one piconet's stats (the
-        benchmark artifacts do) must never alias the kernel's live
-        counters, or a later run would mutate the recorded numbers.
-        """
-        if self._batch_kernel is None:
-            return {"enabled": False}
-        stats = self._batch_kernel.stats()
-        stats["bailouts"] = dict(stats["bailouts"])
-        return {"enabled": True, **stats}
+        """``{"enabled": False}``: the repository benchmark reads it."""
+        return {"enabled": False}
 
     # ------------------------------------------------------------ master loop
-    # The loop and its steps yield integer microsecond delays: the loop
-    # runs as a LoopWakeup, one heap entry per suspension, with the event
-    # ids a process yielding env.timeout(delay) would take.
+    # The loop yields integer microsecond delays and runs as a LoopWakeup:
+    # one event id per suspension, the ids a process yielding
+    # env.timeout(delay) would take.  A transaction is planned at its start
+    # (_begin_transaction) and committed per direction (_apply_downlink at
+    # the downlink end, _finish_transaction at the uplink end).
     def _master_process(self):
-        kernel = self._batch_kernel
+        env = self.env
+        poller = self.poller
+        sco_table = self.sco_table
+        # the backing containers: runtime changes stay visible
+        sco_links = sco_table._links
+        negotiated = self._negotiated_bridges
+        align = self.config.align_even_slots
+        begin = self._begin_transaction
+        apply_downlink = self._apply_downlink
+        finish = self._finish_transaction
         while True:
-            slot_index = self.env.now // SLOT_US
+            now = env._now
+            slot_index = now // SLOT_US
 
             # 1. honour SCO reservations
-            link = self.sco_table.link_for_slot(slot_index) if len(self.sco_table) else None
-            if link is not None:
-                yield from self._execute_sco(link)
-                continue
+            if sco_links:
+                link = sco_table.link_for_slot(slot_index)
+                if link is not None:
+                    yield from self._execute_sco(link)
+                    continue
 
             # 2. ask the poller
-            plan = self.poller.select(self.env.now) if self.poller is not None else None
+            plan = poller.select(now) if poller is not None else None
 
             # 2b. a negotiated hold schedule lets the master *know* the
             #     bridge is away: skip the planned poll instead of burning
@@ -682,21 +658,19 @@ class Piconet:
             #     moves on) and the *same* slot can serve other traffic —
             #     re-selecting is bounded so a poller that keeps proposing
             #     absent bridges cannot spin the loop within one slot.
-            reselects = None
-            while (plan is not None
-                    and plan.slave in self._negotiated_bridges
-                    and not self._slave_present(plan.slave, self.env.now)):
-                if reselects is None:
-                    reselects = len(self.devices.slaves) + 1
-                self.bridge_skipped_polls += 1
-                self._bridge_skipped_by_slave[plan.slave] = (
-                    self._bridge_skipped_by_slave.get(plan.slave, 0) + 1)
-                self.poller.notify(self._skipped_outcome(plan))
-                reselects -= 1
-                if reselects <= 0:
-                    plan = None
-                    break
-                plan = self.poller.select(self.env.now)
+            if negotiated:
+                reselects = len(self.devices.slaves) + 1
+                while (plan is not None and plan.slave in negotiated
+                        and not self._slave_present(plan.slave, now)):
+                    self.bridge_skipped_polls += 1
+                    self._bridge_skipped_by_slave[plan.slave] = (
+                        self._bridge_skipped_by_slave.get(plan.slave, 0) + 1)
+                    poller.notify(self._skipped_outcome(plan))
+                    reselects -= 1
+                    if reselects <= 0:
+                        plan = None
+                        break
+                    plan = poller.select(now)
 
             # 3. never start an ACL transaction that would overlap the next
             #    SCO reservation.  The master knows the exact packet it will
@@ -705,8 +679,8 @@ class Piconet:
             #    budgeting the policy maximum for *both* directions would
             #    starve ACL entirely next to an HV3 link (4 free slots per
             #    6-slot period, but a DH3-capable worst case of 6).
-            if plan is not None and len(self.sco_table):
-                next_reservation = self.sco_table.next_reservation(slot_index)
+            if plan is not None and sco_links:
+                next_reservation = sco_table.next_reservation(slot_index)
                 if next_reservation is not None:
                     dl_slots = 1
                     if plan.dl_flow_id is not None:
@@ -719,50 +693,17 @@ class Piconet:
                     if slot_index + dl_slots + ul_slots > next_reservation:
                         plan = None
 
-            # 4. steady-state stretches run through the batch kernel; it
-            #    executes the very same plan/commit helpers inline and
-            #    hands back whatever it could not consume (a plan is never
-            #    select-ed twice — pollers mutate state in select)
+            # 4. idle to the next usable master slot, or run the exchange
             if plan is None:
-                if kernel is not None and kernel.try_idle():
-                    continue
-                yield from self._idle()
+                advance = 2 if align and slot_index % 2 == 0 else 1
+                self.slots_idle += advance
+                yield advance * SLOT_US
                 continue
-
-            if kernel is not None:
-                plan = kernel.run(plan)
-                if plan is None:
-                    continue
-                if plan is BatchKernel.IDLE:
-                    yield from self._idle()
-                    continue
-
-            yield from self._execute_transaction(plan)
-
-    def _idle(self):
-        """Advance to the next usable master transmission slot."""
-        if self.config.align_even_slots:
-            slot_index = self.env.now // SLOT_US
-            advance = 2 if slot_index % 2 == 0 else 1
-        else:
-            advance = 1
-        self.slots_idle += advance
-        yield advance * SLOT_US
-
-    # The transaction is split into plan (_begin_transaction), execute
-    # (either the generator below or the batch kernel) and commit
-    # (_apply_downlink / _finish_transaction).  The generator is the
-    # semantic reference: it only adds event-loop suspensions between the
-    # very same helper calls the kernel makes inline, so the two paths are
-    # byte-identical by construction.
-    def _execute_transaction(self, plan: TransactionPlan):
-        txn = self._begin_transaction(plan)
-        # -- downlink ------------------------------------------------------
-        yield txn.dl_packet.ptype.slots * SLOT_US
-        self._apply_downlink(txn)
-        # -- uplink ---------------------------------------------------------
-        yield txn.ul_packet.ptype.slots * SLOT_US
-        self._finish_transaction(txn)
+            txn = begin(plan)
+            yield txn.dl_packet.ptype.slots * SLOT_US
+            apply_downlink(txn)
+            yield txn.ul_packet.ptype.slots * SLOT_US
+            finish(txn)
 
     def _begin_transaction(self, plan: TransactionPlan) -> _Transaction:
         """Plan step: snapshot queues, packets and bridge presence."""

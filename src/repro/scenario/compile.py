@@ -411,8 +411,7 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
                            name=spec.name,
                            align_even_slots=spec.align_even_slots,
                            adaptive_segmentation=spec.adaptive_segmentation,
-                           robust_types=spec.robust_types,
-                           fast_path=spec.fast_path)
+                           robust_types=spec.robust_types)
     piconet = Piconet(env=env, channel=channel, config=config)
     for name in spec.slaves:
         piconet.add_slave(name)

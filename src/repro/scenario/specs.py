@@ -527,9 +527,6 @@ class PiconetSpec(Spec):
     adaptive_segmentation: bool = False
     robust_types: Tuple[str, ...] = ("DM1", "DM3")
     align_even_slots: bool = True
-    #: run steady-state stretches through the batch kernel (byte-identical
-    #: to the event loop; ``False`` forces the per-slot reference path)
-    fast_path: bool = True
     channel: ChannelSpec = ChannelSpec()
     poller: PollerSpec = PollerSpec()
     improvements: ImprovementsSpec = ImprovementsSpec()

@@ -30,19 +30,26 @@ class PureRoundRobinPoller(Poller):
         self._slave_cycle: List[int] = []
         self._index = 0
         #: slave -> its plan, for slaves whose plan cannot change until
-        #: the flows do (at most one downlink flow)
+        #: the flows do (at most one flow each way)
         self._plans: Dict[int, TransactionPlan] = {}
+        #: slave -> visits that picked one of its uplink flows
+        self._uplink_turns: Dict[int, int] = {}
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
+        self._index = 0
+        self._uplink_turns = {}
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Cycle over the slaves that have flows now; the position in the
+        cycle carries over, cached plans do not."""
         self._plans = {}
-        self._slave_cycle = [slave.address for slave in piconet.slaves()
-                             if piconet.flow_specs()
-                             and any(spec.slave == slave.address
-                                     for spec in piconet.flow_specs())
+        with_flows = {spec.slave for spec in self.piconet.flow_specs()}
+        self._slave_cycle = [slave.address for slave in self.piconet.slaves()
+                             if slave.address in with_flows
                              and (self.only_slaves is None
                                   or slave.address in self.only_slaves)]
-        self._index = 0
 
     def select(self, now: float) -> Optional[TransactionPlan]:
         cycle = self._slave_cycle
@@ -55,14 +62,14 @@ class PureRoundRobinPoller(Poller):
         return plan if plan is not None else self._plan_for(slave)
 
     def on_flows_attached(self, states) -> None:
-        self._plans = {}
+        self._rebuild()
 
     def on_flows_detached(self, flow_ids) -> None:
-        self._plans = {}
+        self._rebuild()
 
     def _plan_for(self, slave: int) -> TransactionPlan:
         dl_flow = None
-        ul_flow = None
+        uplinks = []
         downlinks = 0
         # the piconet's cached per-slave grouping, read-only (select runs
         # once per transaction — this is the poller's hot path)
@@ -72,11 +79,17 @@ class PureRoundRobinPoller(Poller):
                 if dl_flow is None or self.downlink_has_data(spec.flow_id):
                     if dl_flow is None or not self.downlink_has_data(dl_flow):
                         dl_flow = spec.flow_id
-            elif ul_flow is None:
-                ul_flow = spec.flow_id
+            else:
+                uplinks.append(spec.flow_id)
+        ul_flow = None
+        if uplinks:
+            # each visit polls the next uplink flow of the slave
+            turn = self._uplink_turns.get(slave, 0)
+            self._uplink_turns[slave] = turn + 1
+            ul_flow = uplinks[turn % len(uplinks)]
         plan = TransactionPlan(slave, dl_flow, ul_flow, KIND_BE)
-        if downlinks <= 1:
-            # the choice reads no queue: the plan holds until the flows
-            # change (nothing mutates a round-robin plan)
+        if downlinks <= 1 and len(uplinks) <= 1:
+            # the choice reads no queue and has no turn to take: the plan
+            # holds until the flows change (nothing mutates a plan)
             self._plans[slave] = plan
         return plan

@@ -17,6 +17,11 @@ piconet master's TDD loop):
 
     Wakeup(env, source(queue))
 
+A master's loop runs as a :class:`~repro.sim.events.LoopWakeup`: when
+nothing else is due before its next step it resumes at once, without the
+heap round trip, and a traffic source due first fires inline.  Heap
+order, event ids and results are those of the plain wake-up.
+
 A generator that waits on other events (a timeline runner) yields them
 and runs as a :class:`Process`.
 

@@ -11,7 +11,9 @@ Processes are themselves events (they succeed with the value returned by the
 wrapped generator), which allows ``yield env.process(...)``.  A generator that
 only ever waits for time can run as a :class:`Wakeup` instead: one bare heap
 entry per wake-up, without a resume or a timeout event.  Traffic sources run
-as plain wake-ups, every piconet master's TDD loop as a :class:`LoopWakeup`.
+as plain wake-ups, every piconet master's TDD loop as a :class:`LoopWakeup`,
+which resumes without the heap round trip whenever nothing else is due
+first.
 """
 
 from __future__ import annotations
@@ -99,9 +101,8 @@ class Wakeup:
     wake-up.
 
     A plain ``Wakeup`` promises that firing it only offers packets and
-    re-arms itself (traffic sources), so a batch-kernel window may fire
-    it inline (:func:`~repro.piconet.batch_kernel.absorbable`); a
-    generator that does more runs as a :class:`LoopWakeup`.
+    re-arms itself (traffic sources), so a :class:`LoopWakeup` may fire
+    it inline; a generator that does more runs as a ``LoopWakeup``.
     """
 
     __slots__ = ("env", "callbacks", "_hooks", "_next")
@@ -129,14 +130,49 @@ class Wakeup:
 
 
 class LoopWakeup(Wakeup):
-    """A :class:`Wakeup` that is never fired inline by a batch window.
+    """A :class:`Wakeup` that skips its heap round trip when it can.
 
-    It drives a piconet master's TDD loop, whose every step may run a
-    transaction, so only :meth:`Environment.step` may fire it.  The
-    heap mechanics are those of its base.
+    It drives a piconet master's TDD loop.  After each step it takes the
+    event id re-arming would take and looks at the heap top: a plain
+    :class:`Wakeup` that sorts before ``(when, id)`` fires inline through
+    :meth:`Environment.step`; anything else that sorts before it gets the
+    entry pushed and waits its turn; when nothing does, the clock moves
+    to ``when`` and the generator resumes at once.  So times, event ids
+    and the order of every callback are those of the heap path, and so
+    is the heap when an inline wake-up raises: the entry is pushed
+    before the exception leaves.
     """
 
     __slots__ = ()
+
+    def _fire(self, _wakeup) -> None:
+        env = self.env
+        queue = env._queue
+        step = env.step
+        advance = self._next
+        while True:
+            try:
+                delay = advance()
+            except StopIteration:
+                return
+            if delay < 0:
+                raise ValueError(f"negative delay {delay}")
+            when = env._now + delay
+            eid = env._eid
+            env._eid = eid + 1
+            key = (when, eid)
+            while queue and queue[0] < key:
+                if queue[0][2].__class__ is not Wakeup:
+                    self.callbacks = self._hooks
+                    heappush(queue, (when, eid, self))
+                    return
+                try:
+                    step()
+                except BaseException:
+                    self.callbacks = self._hooks
+                    heappush(queue, (when, eid, self))
+                    raise
+            env._now = when
 
 
 class Initialize(Event):

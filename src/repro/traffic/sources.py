@@ -8,7 +8,7 @@ examples and the extension experiments.
 
 A source's generator yields integer microsecond delays and runs as a
 :class:`~repro.sim.events.Wakeup`, one bare heap entry per arrival, which
-the batch kernel (:mod:`repro.piconet.batch_kernel`) may fire inline.
+a master's :class:`~repro.sim.events.LoopWakeup` may fire inline.
 """
 
 from __future__ import annotations

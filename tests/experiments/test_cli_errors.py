@@ -158,11 +158,15 @@ def test_dotted_set_on_analytic_experiment_exits_with_message():
 
 
 def test_dotted_set_unknown_spec_path_exits_with_message():
-    result = run_cli("run", "figure5", "--no-cache",
-                     "--set", "channel.nope=1")
-    assert result.returncode != 0
-    assert "has no field 'nope'" in result.stderr
-    assert "Traceback" not in result.stderr
+    for path, value, message in (
+            ("channel.nope", "1", "has no field 'nope'"),
+            # a stale executor switch fails like any unknown field
+            ("piconets.0.fast_path", "false", "has no field 'fast_path'")):
+        result = run_cli("run", "figure5", "--no-cache",
+                         "--set", f"{path}={value}")
+        assert result.returncode != 0
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
 
 def test_describe_dotted_set_bad_value_exits_with_message():

@@ -24,6 +24,7 @@ from repro.experiments.golden import (
     regenerate,
 )
 from repro.experiments.registry import experiment_names
+from repro.sim.events import LoopWakeup, Wakeup
 
 
 def test_every_registered_experiment_has_a_fixture():
@@ -60,14 +61,14 @@ def test_golden_rows_are_byte_identical(experiment):
 @pytest.mark.parametrize("experiment", experiment_names())
 def test_golden_rows_are_byte_identical_without_fast_path(experiment,
                                                           monkeypatch):
-    # the slot-batch kernel must be invisible in the results: the same
-    # fixtures hold byte-for-byte with the fast path disabled (the
-    # REPRO_NO_FAST_PATH escape hatch the --no-fast-path CLI flag sets)
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
+    # the master's heap bypass must be invisible in the results: the same
+    # fixtures hold byte-for-byte when every master re-arms through the
+    # heap like a plain wake-up
+    monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
     diff = compare(experiment)
     assert diff["actual"] == diff["expected"], (
-        f"{experiment}: the reference event loop diverged from the golden "
-        f"fixture — the fast path and the event loop are no longer "
+        f"{experiment}: the heap path diverged from the golden fixture — "
+        f"the master's heap bypass and the heap are no longer "
         f"byte-identical")
 
 

@@ -1,27 +1,24 @@
-"""Unit tests of the slot-batch fast path (plan / execute / commit kernel).
+"""Unit tests of the master's heap bypass.
 
-The byte-identity of the kernel against the reference event loop is
-covered property-based in ``tests/properties/test_fast_path_equivalence``
-and fixture-based in ``tests/experiments/test_golden``; here the kernel's
-mechanics are pinned directly: the clock-resync primitive, the bailout
-counters, windows that absorb traffic arrivals but end before every
-other event, and every way of switching the fast path off (config
-field, spec field, environment variable).
+A master's :class:`~repro.sim.events.LoopWakeup` resumes its TDD loop
+without the heap round trip whenever nothing is due before its next
+step, and fires traffic-source wake-ups that are due first inline.  The
+byte-identity of the bypass against the plain heap path (``LoopWakeup._fire``
+patched to ``Wakeup._fire``) is covered property-based in
+``tests/properties/test_fast_path_equivalence`` and fixture-based in
+``tests/experiments/test_golden``; here its mechanics are pinned
+directly: steady stretches that never touch the heap, and every event
+other than a source that sends the master back to it.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from repro.piconet.batch_kernel import (
-    NO_FAST_PATH_ENV,
-    BatchKernel,
-    absorbable,
-)
 from repro.piconet.flows import BE, DOWNLINK
-from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.scenario import compile_scenario
-from repro.scenario.factories import coupled_room_spec, figure4_piconet_spec
+from repro.scenario.factories import figure4_piconet_spec
 from repro.scenario.specs import (
     EventSpec,
     FlowSpec,
@@ -36,90 +33,84 @@ from repro.traffic.sources import CBRSource
 STEADY_TYPES = ("DH1", "DH3", "DH5")
 
 
-@pytest.fixture(autouse=True)
-def _fast_path_enabled(monkeypatch):
-    # these tests pin kernel mechanics, so they must not inherit an outer
-    # REPRO_NO_FAST_PATH (e.g. a full-suite run under the kill switch)
-    monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
+@pytest.fixture
+def heap_fires(monkeypatch):
+    """The times at which the heap fired a master's wake-up: one per
+    start and one per heap round trip the bypass could not skip."""
+    fires = []
+    fire = LoopWakeup._fire
+
+    def counted(self, wakeup):
+        fires.append(self.env.now)
+        fire(self, wakeup)
+
+    monkeypatch.setattr(LoopWakeup, "_fire", counted)
+    return fires
 
 
-def _steady_spec(fast_path=True):
+def _steady_spec():
     """One slave, one sourceless BE downlink, round-robin poller."""
     piconet = PiconetSpec(
         name="steady", slaves=("S1",),
         flows=(FlowSpec(1, slave=1, direction=DOWNLINK, traffic_class=BE,
                         allowed_types=STEADY_TYPES),),
         allowed_types=STEADY_TYPES,
-        poller=PollerSpec(kind="round_robin"),
-        fast_path=fast_path)
+        poller=PollerSpec(kind="round_robin"))
     return ScenarioSpec(piconets=(piconet,))
 
 
-# -- kernel engagement and bailout counters -----------------------------------
+@contextmanager
+def _master_path(bypass):
+    """Without ``bypass`` a master started in the block re-arms through
+    the heap like a plain wake-up."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not bypass:
+            patch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+        yield
 
-def test_kernel_runs_steady_state_inline():
+
+# -- stretches that never touch the heap --------------------------------------
+
+def test_kernel_runs_steady_state_inline(heap_fires):
     compiled = compile_scenario(_steady_spec(), seed=1)
     compiled.run(1.0)
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"]
-    assert stats["windows"] >= 1
-    assert stats["transactions"] > 0
-    # the run's stop event eventually falls within one transaction bound
-    assert stats["bailouts"]["horizon"] >= 1
-    assert stats["bailouts"]["sco"] == 0
-    assert stats["bailouts"]["bridge"] == 0
+    assert heap_fires == [0]  # only the start: every step bypassed the heap
+    # the last transaction crosses the stop event
+    assert compiled.primary.piconet.slot_accounting()["accounted"] >= 1590
 
 
-def test_kernel_bails_on_sco_reservations():
-    spec = ScenarioSpec(piconets=(
-        figure4_piconet_spec(delay_requirement=0.040, sco_slaves=(4,),
-                             be_slaves=(5, 6, 7)),))
-    compiled = compile_scenario(spec, seed=1)
+def test_idle_kernel_window_on_pollerless_piconet(heap_fires):
+    # a piconet whose poller never plans idles, through the bypass too
+    spec = replace(
+        _steady_spec().piconets[0],
+        poller=PollerSpec(kind="round_robin", only_slaves=()))
+    compiled = compile_scenario(ScenarioSpec(piconets=(spec,)), seed=1)
     compiled.run(0.5)
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"]
-    assert stats["bailouts"]["sco"] > 0
-    assert stats["transactions"] == 0  # never inline while SCO is reserved
+    assert heap_fires == [0]
+    assert compiled.primary.piconet.slot_accounting()["idle"] == 800
 
 
-def test_stats_shape_matches_kernel_counters():
-    compiled = compile_scenario(_steady_spec(), seed=1)
-    compiled.run(0.2)
-    kernel = compiled.primary.piconet._batch_kernel
-    assert compiled.primary.piconet.fast_path_stats() == {
-        "enabled": True,
-        "windows": kernel.windows,
-        "transactions": kernel.transactions,
-        "idle_advances": kernel.idle_advances,
-        "bailouts": kernel.bailouts,
-    }
+def test_figure4_runs_as_one_window_with_all_but_the_last_transaction_inline(
+        heap_fires):
+    # every event of figure 4 but the stop event is a source wake-up,
+    # which the bypass fires inline
+    spec = ScenarioSpec(piconets=(figure4_piconet_spec(
+        delay_requirement=0.040),))
+    compiled = compile_scenario(spec, seed=3)
+    compiled.run(2.0)
+    assert sum(source.packets_generated
+               for source in compiled.primary.sources) > 100
+    assert heap_fires == [0]
+    # the master's next step waits on the heap behind the stop event
+    (master,) = [event for _when, _eid, event in compiled.env._queue
+                 if isinstance(event, LoopWakeup)]
+    assert master.callbacks is not None
 
 
-# -- the off switches ----------------------------------------------------------
-
-def test_spec_fast_path_false_disables_the_kernel():
-    compiled = compile_scenario(_steady_spec(fast_path=False), seed=1)
-    piconet = compiled.primary.piconet
-    assert piconet._batch_kernel is None
-    assert piconet.fast_path_stats() == {"enabled": False}
-    compiled.run(0.2)  # the reference path still runs the scenario
-    assert piconet.slot_accounting()["accounted"] >= 0.2 * 1600 * 0.95
-
-
-def test_config_fast_path_false_disables_the_kernel():
-    piconet = Piconet(config=PiconetConfig(fast_path=False))
-    assert piconet._batch_kernel is None
-    assert Piconet().fast_path_stats() == {
-        "enabled": True, "windows": 0, "transactions": 0,
-        "idle_advances": 0,
-        "bailouts": {"sco": 0, "bridge": 0, "horizon": 0,
-                     "adaptive_flip": 0, "topology": 0}}
-
-
-def test_env_var_disables_the_kernel(monkeypatch):
-    monkeypatch.setenv(NO_FAST_PATH_ENV, "1")
-    piconet = Piconet()  # fast_path defaults to True in the config
-    assert piconet._batch_kernel is None
+def test_fast_path_stats_returns_an_independent_copy():
+    piconet = compile_scenario(_steady_spec(), seed=1).primary.piconet
+    stats = piconet.fast_path_stats()
+    stats["enabled"] = True
     assert piconet.fast_path_stats() == {"enabled": False}
 
 
@@ -127,70 +118,26 @@ def test_env_var_disables_the_kernel(monkeypatch):
 
 def test_backlogged_run_is_identical_on_both_paths():
     results = {}
-    for fast in (True, False):
-        spec = _steady_spec(fast_path=fast)
-        compiled = compile_scenario(spec, seed=3)
+    for bypass in (True, False):
+        compiled = compile_scenario(_steady_spec(), seed=3)
         for _ in range(40):
             compiled.primary.piconet.offer_packet(1, 16000)
-        compiled.run(2.0)
+        with _master_path(bypass):
+            compiled.run(2.0)
         piconet = compiled.primary.piconet
-        results[fast] = (piconet.slot_accounting(), piconet.flow_stats(1))
+        results[bypass] = (piconet.slot_accounting(), piconet.flow_stats(1),
+                           compiled.env._eid)
     assert results[True] == results[False]
     assert results[True][1]["delivered_packets"] > 0
 
 
-def test_idle_kernel_window_on_pollerless_piconet():
-    # a piconet whose poller never plans falls back to pure idling, which
-    # the kernel also takes inline (try_idle)
-    spec = replace(
-        _steady_spec().piconets[0],
-        poller=PollerSpec(kind="round_robin", only_slaves=()))
-    compiled = compile_scenario(ScenarioSpec(piconets=(spec,)), seed=1)
-    compiled.run(0.5)
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"]
-    assert stats["idle_advances"] > 0
-
-
-def test_idle_sentinel_repr():
-    assert repr(BatchKernel.IDLE) == "<BatchKernel.IDLE>"
-
-
-def test_fast_path_stats_returns_an_independent_copy():
-    compiled = compile_scenario(_steady_spec(), seed=1)
-    compiled.run(0.2)
-    piconet = compiled.primary.piconet
-    stats = piconet.fast_path_stats()
-    stats["windows"] = -1
-    stats["bailouts"]["topology"] = 999
-    fresh = piconet.fast_path_stats()
-    assert fresh["windows"] >= 0
-    assert fresh["bailouts"]["topology"] == 0
-    assert piconet._batch_kernel.bailouts["topology"] == 0
-
-
-def test_topology_change_bails_out_of_the_current_window():
-    compiled = compile_scenario(_steady_spec(), seed=1)
-    compiled.run(0.2)
-    piconet = compiled.primary.piconet
-    before = piconet.fast_path_stats()["bailouts"]["topology"]
-    from repro.piconet.flows import FlowSpec as RuntimeFlowSpec
-    piconet.add_flow_runtime(RuntimeFlowSpec(
-        2, slave=1, direction=DOWNLINK, traffic_class=BE,
-        allowed_types=STEADY_TYPES))
-    compiled.run(0.2)
-    stats = piconet.fast_path_stats()
-    assert stats["bailouts"]["topology"] == before + 1
-    assert piconet.topology_changes == 1
-
-
-# -- windows that absorb traffic arrivals -------------------------------------
+# -- events that send the master back to the heap -----------------------------
 
 #: one DH5 + NULL transaction of the backlogged steady flow
 DH5_TXN_US = 6 * 625
 
 
-def _sourced_steady_spec(fast_path=True, timeline=None):
+def _sourced_steady_spec(timeline=None):
     """The steady piconet plus a slot-aligned CBR downlink on a 2nd slave."""
     piconet = PiconetSpec(
         name="steady", slaves=("S1", "S2"),
@@ -200,35 +147,16 @@ def _sourced_steady_spec(fast_path=True, timeline=None):
                         interval_s=4 * 625e-6, size=20,
                         allowed_types=STEADY_TYPES)),
         allowed_types=STEADY_TYPES,
-        poller=PollerSpec(kind="round_robin"),
-        fast_path=fast_path)
+        poller=PollerSpec(kind="round_robin"))
     return ScenarioSpec(piconets=(piconet,),
                         timeline=timeline or TimelineSpec())
 
 
-def _acl_transactions(piconet):
-    return piconet.transactions_gs + piconet.transactions_be
-
-
-def test_figure4_runs_as_one_window_with_all_but_the_last_transaction_inline():
-    spec = ScenarioSpec(piconets=(figure4_piconet_spec(
-        delay_requirement=0.040),))
-    compiled = compile_scenario(spec, seed=3)
-    compiled.run(2.0)
-    piconet = compiled.primary.piconet
-    stats = piconet.fast_path_stats()
-    assert sum(source.packets_generated
-               for source in compiled.primary.sources) > 100
-    assert 1 <= stats["windows"] <= 3
-    # at most the last transaction crosses the stop event of run(until=...)
-    assert stats["transactions"] >= _acl_transactions(piconet) - 1
-    assert stats["bailouts"]["horizon"] <= 3
-
-
-def _traced_run(spec, hard_at_us=None, duration_s=0.1):
-    """Run ``spec`` with a backlog on flow 1 (and an unflagged process
-    waking at ``hard_at_us``); the order of commits and that wake-up."""
-    compiled = compile_scenario(spec, seed=5)
+def _traced_run(bypass, hard_at_us=None, duration_s=0.1):
+    """Run the sourced steady piconet with a backlog on flow 1 (and a
+    process waking at ``hard_at_us``); the order of commits and that
+    wake-up."""
+    compiled = compile_scenario(_sourced_steady_spec(), seed=5)
     piconet = compiled.primary.piconet
     env = compiled.env
     for _ in range(60):
@@ -248,24 +176,20 @@ def _traced_run(spec, hard_at_us=None, duration_s=0.1):
 
     if hard_at_us is not None:
         env.process(hard(env))
-    compiled.run(duration_s)
-    return log, piconet.fast_path_stats()
+    with _master_path(bypass):
+        compiled.run(duration_s)
+    return log
 
 
 def test_window_ends_strictly_before_an_event_it_cannot_absorb():
     # the wake-up lands exactly on a commit instant: it was scheduled
     # first, so it fires before the master commits
-    plain, _ = _traced_run(_sourced_steady_spec(fast_path=False))
-    hard_at = plain[12][1]
-    log, stats = _traced_run(_sourced_steady_spec(), hard_at)
-    reference, ref_stats = _traced_run(
-        _sourced_steady_spec(fast_path=False), hard_at)
-    assert log == reference
+    hard_at = _traced_run(bypass=False)[12][1]
+    log = _traced_run(True, hard_at)
+    assert log == _traced_run(False, hard_at)
     position = log.index(("hard", hard_at))
     assert log[position + 1] == ("commit", hard_at)
     assert all(when < hard_at for _kind, when in log[:position])
-    assert stats["windows"] >= 2  # the wake-up split the run
-    assert stats["transactions"] > 0 and ref_stats == {"enabled": False}
 
 
 def test_window_ends_strictly_before_a_timeline_event_and_the_stop_event():
@@ -273,61 +197,40 @@ def test_window_ends_strictly_before_a_timeline_event_and_the_stop_event():
     timeline = TimelineSpec(events=(
         EventSpec(at_s=at_s, kind="flow-remove", flow_id=2),))
     results = {}
-    for fast in (True, False):
-        compiled = compile_scenario(
-            _sourced_steady_spec(fast, timeline), seed=5)
+    for bypass in (True, False):
+        compiled = compile_scenario(_sourced_steady_spec(timeline), seed=5)
         piconet = compiled.primary.piconet
         for _ in range(60):
             piconet.offer_packet(1, 2000)
-        compiled.run(0.05)
-        assert compiled.env.now == 50_000  # never past the stop event
-        compiled.run(0.05)
+        with _master_path(bypass):
+            compiled.run(0.05)
+            assert compiled.env.now == 50_000  # never past the stop event
+            compiled.run(0.05)
         assert compiled.env.now == 100_000
-        results[fast] = (piconet.slot_accounting(), piconet.flow_stats(1),
-                         compiled.primary.sources[0].packets_generated,
-                         compiled.timeline_log)
-        if fast:
-            stats = piconet.fast_path_stats()
+        results[bypass] = (piconet.slot_accounting(), piconet.flow_stats(1),
+                           compiled.primary.sources[0].packets_generated,
+                           compiled.timeline_log, compiled.env._eid)
     assert results[True] == results[False]
     assert results[True][1]["delivered_packets"] > 0
     # the source fired every 4 slots from t=0 until the event stopped it
     assert results[True][2] == 9 * DH5_TXN_US // (4 * 625) + 1
-    assert stats["bailouts"]["topology"] == 1
-    assert stats["windows"] >= 3  # split by the event and by each stop
-    assert stats["transactions"] > 0
 
 
-def test_source_wakeups_are_absorbable_master_and_timeline_events_not():
+def test_bypass_leaves_master_and_timeline_wakeups_on_the_heap():
     timeline = TimelineSpec(events=(
         EventSpec(at_s=0.5, kind="flow-remove", flow_id=2),))
-    # the reference loop leaves the master's own wake-up on the heap
-    compiled = compile_scenario(
-        _sourced_steady_spec(fast_path=False, timeline=timeline), seed=5)
-    source = compiled.primary.sources[0]
-    assert isinstance(source, CBRSource)
-    compiled.run(0.01)
-    assert source.packets_generated > 0
-    verdicts = {}
-    for _when, _eid, event in compiled.env._queue:
-        if isinstance(event, LoopWakeup):
-            # a wake-up's generator is the __self__ of its _next
-            name = event._next.__self__.gi_code.co_name
-        elif isinstance(event, Wakeup):
-            assert event is source._wakeup
-            name = "source"
-        else:
-            (waiter,) = event.callbacks
-            name = waiter.__self__._generator.gi_code.co_name
-        verdicts[name] = absorbable(event)
-    assert verdicts == {"source": True, "_master_process": False,
-                        "_runner": False}
-
-
-def test_coupled_room_kernel_still_runs_no_inline_transaction():
-    compiled = compile_scenario(coupled_room_spec(piconets=16), seed=3)
-    compiled.run(0.05)
-    for piconet in compiled.piconets.values():
-        stats = piconet.piconet.fast_path_stats()
-        assert stats["enabled"]
-        assert stats["windows"] == 0
-        assert stats["transactions"] == 0
+    heaps = {}
+    for bypass in (True, False):
+        compiled = compile_scenario(_sourced_steady_spec(timeline), seed=5)
+        source = compiled.primary.sources[0]
+        assert isinstance(source, CBRSource)
+        with _master_path(bypass):
+            compiled.run(0.01)
+        assert source.packets_generated > 0
+        heaps[bypass] = sorted(
+            (when, eid, type(event).__name__)
+            for when, eid, event in compiled.env._queue)
+    assert heaps[True] == heaps[False]
+    # the master, the source and the timeline runner's timeout
+    assert sorted(kind for _when, _eid, kind in heaps[True]) == [
+        "LoopWakeup", "Timeout", "Wakeup"]

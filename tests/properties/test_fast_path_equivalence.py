@@ -1,27 +1,29 @@
-"""Property test: the batch kernel is byte-identical to the event loop.
+"""Property test: the master's heap bypass is byte-identical to the heap.
 
-The slot-batch fast path (:mod:`repro.piconet.batch_kernel`) promises to
-be a pure executor optimization — same helpers, same order, same RNG
-draws — so for *any* valid scenario the simulation results must match the
-per-slot reference event loop exactly, not approximately.  This test
-draws randomized scenarios (single piconets, interference fields,
-scatternet bridges; SCO links, adaptive segmentation, every poller kind,
-ideal/iid/Gilbert-Elliott channels) from the same strategies the
-serialization property tests use, runs each once per path, and compares
-every piconet's per-flow statistics, per-packet delay samples and slot
-ledger for exact equality.
+A master's :class:`~repro.sim.events.LoopWakeup` resumes its loop without
+the heap round trip when nothing is due first and fires traffic-source
+wake-ups inline.  It promises the heap's event order, event ids and RNG
+draws, so for *any* valid scenario the results must match a run in which
+the master re-arms through the heap like any plain
+:class:`~repro.sim.events.Wakeup` (``LoopWakeup._fire`` patched to
+``Wakeup._fire``) exactly, not approximately.  This test draws randomized
+scenarios (single piconets, interference fields, scatternet bridges; SCO
+links, adaptive segmentation, every poller kind, ideal/iid/Gilbert-Elliott
+channels) from the same strategies the serialization property tests use,
+runs each both ways, and compares every piconet's per-flow statistics,
+per-packet delay samples, slot ledger and the event-id counter.
 
-The kernel fires traffic-source wake-ups inline, so a second strategy
-aims at heap-order ties: slot-aligned CBR sources (intervals of whole
-slots, start offsets on even slots, where transactions end), mixed with
-Poisson, on/off and trace sources and a timeline ``flow-remove`` that
-stops a source mid-window.
+The bypass fires source wake-ups inline, so a second strategy aims at
+heap-order ties: slot-aligned CBR sources (intervals of whole slots,
+start offsets on even slots, where transactions end), mixed with Poisson,
+on/off and trace sources and a timeline ``flow-remove`` that stops a
+source between two master steps.
 """
 
-import dataclasses
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_scenario_properties import scenario_specs
 
@@ -36,6 +38,7 @@ from repro.scenario import (
     TimelineSpec,
     compile_scenario,
 )
+from repro.sim.events import LoopWakeup, Wakeup
 from repro.traffic.sources import (
     CBRSource,
     OnOffSource,
@@ -46,12 +49,6 @@ from repro.traffic.sources import (
 DURATION_S = 0.4
 SEED = 7
 SLOT_S = 625e-6
-
-
-def _with_fast_path(spec, fast):
-    return dataclasses.replace(spec, piconets=tuple(
-        dataclasses.replace(piconet, fast_path=fast)
-        for piconet in spec.piconets))
 
 
 def _log_order(piconet):
@@ -71,8 +68,10 @@ def _log_order(piconet):
     return log
 
 
-def _observed(spec, fast, sources=()):
+def _observed(spec, bypass, sources=()):
     """Run one variant and capture everything the repo reports on.
+
+    Without ``bypass`` every master re-arms through the heap.
 
     Each of ``sources`` builds, from the primary piconet, an extra
     traffic source, which then starts with the compiled ones (and a
@@ -85,17 +84,23 @@ def _observed(spec, fast, sources=()):
     deterministic behaviour both paths must reproduce identically, so the
     error becomes the observation instead of discarding the example.
     """
-    try:
-        compiled = compile_scenario(_with_fast_path(spec, fast), seed=SEED)
-        primary = compiled.primary
-        primary.sources.extend(build(primary.piconet) for build in sources)
-        order = _log_order(primary.piconet)
-        compiled.run(DURATION_S)
-    except ValueError as error:
-        return f"ValueError: {error}"
+    with pytest.MonkeyPatch.context() as patch:
+        if not bypass:
+            patch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+        try:
+            compiled = compile_scenario(spec, seed=SEED)
+            primary = compiled.primary
+            primary.sources.extend(
+                build(primary.piconet) for build in sources)
+            order = _log_order(primary.piconet)
+            compiled.run(DURATION_S)
+        except ValueError as error:
+            return f"ValueError: {error}"
     observed = {"timeline": compiled.timeline_log, "order": order,
-                # every elided master timeout reserved its event id
-                "event_ids": compiled.env._eid}
+                # every bypassed master step took its event id
+                "event_ids": compiled.env._eid,
+                "heap": sorted((when, eid) for when, eid, _event
+                               in compiled.env._queue)}
     for name, piconet in compiled.piconets.items():
         pic = piconet.piconet
         observed[name] = {
@@ -114,7 +119,7 @@ def _observed(spec, fast, sources=()):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fast_path_results_byte_identical(spec):
-    assert _observed(spec, fast=True) == _observed(spec, fast=False)
+    assert _observed(spec, bypass=True) == _observed(spec, bypass=False)
 
 
 @st.composite

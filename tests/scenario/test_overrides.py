@@ -99,6 +99,7 @@ def test_list_values_coerce_to_tuples(spec):
     ("channel.ber", True, "expected a number"),
     pytest.param("channel.ber", 10 ** 400, "expected a number",
                  id="channel.ber-int-beyond-float-range"),
+    ("piconets.0.fast_path", False, "PiconetSpec has no field 'fast_path'"),
 ])
 def test_override_error_paths(spec, path, value, message):
     target = bridge_split_spec(0.5) if path.startswith("bridges") else spec

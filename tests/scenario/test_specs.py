@@ -264,8 +264,12 @@ def _set_flow_size(payload):
      "TimelineSpec.events must be a list of EventSpec mappings"),
     (lambda p: p["piconets"][0]["flows"][0].pop("slave"),
      "missing FlowSpec field"),
+    # the executor switch of older payloads is gone with the executor
+    (lambda p: p["piconets"][0].update({"fast_path": False}),
+     "^unknown PiconetSpec field\\(s\\) \\['fast_path'\\]"),
 ], ids=["fractional-size", "channel-string", "slaves-string", "bool-ber",
-        "interference-string", "events-int", "missing-field"])
+        "interference-string", "events-int", "missing-field",
+        "stale-fast-path"])
 def test_from_dict_rejects_misdecoded_payloads(mutate, message):
     # every wire-path mismatch fails with a one-line ValueError, the same
     # decision the --set path makes (tests/scenario/test_overrides.py)

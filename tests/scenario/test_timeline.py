@@ -6,9 +6,9 @@ driven end to end through a compiled scenario — park/unpark with GS
 withdraw/re-admission, mid-run flow add/remove, bridge roaming,
 interferer switching, and renegotiate-on-violation including the
 eviction path (a rejected renegotiation must fully detach the flow).
-The fast-path interaction is covered by running the same timeline
-scenario on the batch kernel and the reference event loop and comparing
-the ledgers byte for byte.
+The interaction with the master's heap bypass is covered by running the
+same timeline scenario with and without it and comparing the ledgers
+byte for byte.
 """
 
 import json
@@ -16,7 +16,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.piconet.batch_kernel import NO_FAST_PATH_ENV
 from repro.scenario import (
     EventSpec,
     ScenarioSpec,
@@ -27,6 +26,7 @@ from repro.scenario import (
     compile_scenario,
 )
 from repro.scenario.factories import figure4_spec
+from repro.sim.events import LoopWakeup, Wakeup
 
 
 def _timeline_spec(*events) -> ScenarioSpec:
@@ -255,7 +255,7 @@ def test_rejected_renegotiation_evicts_the_flow_completely():
     assert compiled.primary.gs_delay_summary()[1]["packets"] == delivered
 
 
-# -- runtime: fast-path byte-identity -----------------------------------------
+# -- runtime: heap-bypass byte-identity ----------------------------------------
 
 def _ledger(compiled):
     primary = compiled.primary
@@ -270,61 +270,47 @@ def test_park_unpark_byte_identical_fast_vs_reference(monkeypatch):
         EventSpec(at_s=0.2, kind="park", slave=1),
         EventSpec(at_s=0.4, kind="unpark", slave=1))
 
-    monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
-    fast = compile_scenario(spec, seed=3)
-    fast.run(0.8)
-    assert fast.primary.piconet.fast_path_stats()["enabled"]
+    bypassed = compile_scenario(spec, seed=3)
+    bypassed.run(0.8)
 
-    monkeypatch.setenv(NO_FAST_PATH_ENV, "1")
+    # the master re-arms through the heap like a plain wake-up
+    monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
     reference = compile_scenario(spec, seed=3)
     reference.run(0.8)
-    assert not reference.primary.piconet.fast_path_stats()["enabled"]
 
-    assert _ledger(fast) == _ledger(reference)
+    assert _ledger(bypassed) == _ledger(reference)
+    assert bypassed.env._eid == reference.env._eid
 
 
 class _Boom(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
+#: the code of the master's heap bypass (before any patch)
+_BYPASS_CODE = LoopWakeup._fire.__code__
+
+
+@pytest.mark.parametrize("bypass", [True, False])
 def test_raising_timeline_action_aborts_the_run_at_its_time(
-        monkeypatch, fast_path):
-    # the runner process fails with nobody waiting on it.  At 202.5 ms the
-    # master resumes between the push and the pop of that failure, so only
-    # "a failed event is never absorbable" keeps it out of a kernel window:
-    # it must abort Environment.run from the event loop
+        monkeypatch, bypass):
+    # the runner process fails with nobody waiting on it, at an instant
+    # the master also steps at.  The failed process is not a source
+    # wake-up, so the master goes back on the heap behind it instead of
+    # firing it inline: it must abort Environment.run from the event loop
     boom = _Boom("flow-remove failed")
 
     def raising(cp, event, record):
         raise boom
 
     monkeypatch.setattr("repro.scenario.timeline._run_flow_remove", raising)
-    if fast_path:
-        monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
-    else:
-        monkeypatch.setenv(NO_FAST_PATH_ENV, "1")
+    if not bypass:
+        monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
     compiled = compile_scenario(_timeline_spec(
         EventSpec(at_s=0.2025, kind="flow-remove", flow_id=2)), seed=3)
     with pytest.raises(_Boom) as raised:
         compiled.run(0.8)
     assert raised.value is boom
-    assert not any(entry.frame.code.name == "_absorb"
+    assert not any(entry.frame.code.raw is _BYPASS_CODE
                    for entry in raised.traceback)
     assert compiled.env.now == 202_500
     assert compiled.timeline_log == []
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"] == fast_path
-    if fast_path:
-        assert stats["windows"] > 0
-
-
-def test_timeline_events_bail_out_the_kernel():
-    spec = _timeline_spec(
-        EventSpec(at_s=0.2, kind="park", slave=4),
-        EventSpec(at_s=0.4, kind="unpark", slave=4))
-    compiled = compile_scenario(spec, seed=1)
-    compiled.run(0.8)
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"]
-    assert stats["bailouts"]["topology"] >= 2  # one per topology change

@@ -104,6 +104,38 @@ def test_round_robin_plans_follow_attached_and_detached_flows():
     assert flows_of_next_slave_1_plan() == (5, None)
 
 
+def test_round_robin_serves_every_uplink_flow_of_a_slave():
+    piconet = Piconet()
+    piconet.add_slave()
+    for flow_id in (1, 2):
+        piconet.add_flow(FlowSpec(flow_id, slave=1, direction=UPLINK,
+                                  traffic_class=BE))
+    piconet.attach_poller(PureRoundRobinPoller())
+    for flow_id in (1, 2):
+        CBRSource(piconet, flow_id, 0.020, 100).start()
+    piconet.run(1.0)
+    for flow_id in (1, 2):
+        state = piconet.flow_state(flow_id)
+        assert (state.queue.offered_packets, state.delivered_packets) \
+            == (50, 50), f"flow {flow_id}"
+
+
+def test_round_robin_polls_a_slave_whose_first_flow_arrives_late():
+    piconet = Piconet()
+    piconet.add_slave()
+    piconet.add_slave()
+    piconet.add_flow(FlowSpec(1, slave=1, direction=DOWNLINK,
+                              traffic_class=BE))
+    piconet.attach_poller(PureRoundRobinPoller())
+    piconet.run(0.1)
+    piconet.add_flow_runtime(
+        FlowSpec(2, slave=2, direction=DOWNLINK, traffic_class=BE))
+    CBRSource(piconet, 2, 0.020, 100).start()
+    piconet.run(1.0)
+    state = piconet.flow_state(2)
+    assert (state.queue.offered_packets, state.delivered_packets) == (50, 50)
+
+
 def test_fep_demotes_idle_slaves_and_promotes_on_data():
     piconet = two_slave_piconet()
     poller = FairExhaustivePoller(probe_period=5)

@@ -135,23 +135,29 @@ def test_negative_delay_is_rejected():
     assert piconet.env.now == 1000
 
 
-def _kernel_spec(fast_path):
+def _inline_spec():
     """A backlogged round-robin downlink plus a CBR downlink, so the
-    batch kernel fires the source's wake-ups inline."""
+    master's wake-up fires the source's wake-ups inline."""
     piconet = PiconetSpec(
         name="p", slaves=("S1", "S2"),
         flows=(FlowSpec(1, slave=1, direction=DOWNLINK, traffic_class=BE,
                         allowed_types=("DH1", "DH3", "DH5")),
                FlowSpec(2, slave=2, direction=DOWNLINK, traffic_class=BE,
                         interval_s=4 * 625e-6, size=20)),
-        poller=PollerSpec(kind="round_robin"), fast_path=fast_path)
+        poller=PollerSpec(kind="round_robin"))
     return ScenarioSpec(piconets=(piconet,))
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
+#: the code of the master's heap bypass (before any patch)
+_BYPASS_CODE = LoopWakeup._fire.__code__
+
+
+@pytest.mark.parametrize("bypass", [True, False])
 def test_exception_in_an_inline_arrival_aborts_the_run_at_its_time(
-        fast_path):
-    compiled = compile_scenario(_kernel_spec(fast_path), seed=1)
+        monkeypatch, bypass):
+    if not bypass:
+        monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+    compiled = compile_scenario(_inline_spec(), seed=1)
     piconet = compiled.primary.piconet
     for _ in range(40):
         piconet.offer_packet(1, 2000)
@@ -166,10 +172,15 @@ def test_exception_in_an_inline_arrival_aborts_the_run_at_its_time(
     with pytest.raises(_Boom, match="arrival at 50000") as raised:
         compiled.run(0.1)
     assert compiled.env.now == 50_000
-    # on the fast path the wake-up fired inside a kernel window
-    inline = any(entry.frame.code.name == "_absorb"
+    # with the bypass the wake-up fired inside the master's
+    inline = any(entry.frame.code.raw is _BYPASS_CODE
                  for entry in raised.traceback)
-    assert inline == fast_path
+    assert inline == bypass
+    # the master's entry went back on the heap before the error left:
+    # the keys a run on the heap alone leaves behind
+    assert compiled.env._eid == 63
+    assert sorted((when, eid) for when, eid, _event
+                  in compiled.env._queue) == [(50000, 62), (100000, 2)]
 
 
 # -- emission times, pinned against the process-based sources ------------------

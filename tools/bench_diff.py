@@ -26,11 +26,10 @@ recorded by ``test_bench_churn_recovery_timeline``::
         benchmarks/test_bench_master_loop.py::test_bench_churn_recovery_timeline
     python tools/bench_diff.py BENCH_master_loop.json /tmp/BENCH_master_loop.json
 
-Only the freshly recorded ``churn_recovery_timeline`` rows appear on the
-new side; the others print as one-sided and never gate.  The fast
-variant's ``fast_path_stats`` ride along in the artifact (not diffed
-here), so a rate drop can be read against its bailout counters — e.g. a
-``topology`` count says the kernel kept bailing for timeline events.
+Only the freshly recorded ``churn_recovery_timeline`` row appears on the
+new side; the others print as one-sided and never gate.  Detail a
+benchmark attaches to a variant entry (e.g. the interference lookups
+behind a rate) rides along in the artifact but is not diffed here.
 """
 
 from __future__ import annotations
