@@ -7,8 +7,8 @@ greedy best-effort uploader competing for the remaining capacity — then
 compiles and runs it, printing the resulting throughput and delays.
 
 The spec is *data*: it validates at construction, round-trips through
-``to_dict()``/``from_dict()`` (so sweeps and remote workers can ship it as
-plain JSON), and ``compile(seed)`` builds the piconet, admission control,
+``to_dict()``/``from_dict()`` (so sweeps can ship it to pool processes
+as plain JSON), and ``compile(seed)`` builds the piconet, admission control,
 poller and traffic sources in one step.
 
 Run with:  python examples/quickstart.py [--duration SECONDS]

@@ -1,7 +1,7 @@
 """Automated analysis of completed sweep rows: bottlenecks and anomalies.
 
-Once sweeps run continuously on the fabric, nobody re-reads every result
-table — so this module scans aggregated sweep rows (a
+Once sweeps run unattended, nobody re-reads every result table — so this
+module scans aggregated sweep rows (a
 :class:`~repro.experiments.orchestrator.SweepResult` payload, or any saved
 ``run --json`` file) against a set of named rules and emits a
 structured findings report.  The idea follows WisIO's multi-perspective

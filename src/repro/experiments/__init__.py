@@ -92,7 +92,6 @@ from repro.experiments.orchestrator import (
     EVENT_DONE,
     EVENT_START,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     SweepProgress,
     SweepResult,
@@ -116,7 +115,6 @@ __all__ = [
     "EVENT_START",
     "ExecutionBackend",
     "ExperimentSpec",
-    "ProcessPoolBackend",
     "SerialBackend",
     "SweepProgress",
     "SweepResult",

@@ -12,19 +12,19 @@ Usage::
         --set bit_error_rate='[0.0,1e-3]' --set duration_seconds=2.0
     python -m repro.experiments run figure5 --set channel.ber=1e-4 \
         --set channel.model=iid
-    python -m repro.experiments run figure5 --backend remote --workers 4 \
-        --resume
+    python -m repro.experiments run figure5 --workers 4 --resume
     python -m repro.experiments analyze churn_recovery
     python -m repro.experiments regen-golden [EXPERIMENT ...]
 
 ``run`` caches raw task results under ``--cache-dir`` (default
 ``.repro-cache``), so repeated invocations only execute new
 (experiment, params, seed) combinations.  ``--backend`` selects how tasks
-execute (``serial``, ``process``, chunked ``batch``, or ``remote`` on
-fabric workers); ``--progress`` logs one line per completed task to
-stderr.  ``--resume`` records a sweep manifest and re-executes only the
-points missing from the result store; ``analyze`` scans a sweep's rows
-through the :mod:`repro.analysis.findings` rules.
+execute: ``serial`` inline, or ``batch``, one process pool of
+``--workers`` processes that ships adaptively sized chunks of tasks (the
+default for ``--workers`` above 1); ``--progress`` logs one line per
+completed task to stderr.  ``--resume`` records a sweep manifest and
+re-executes only the points missing from the result store; ``analyze``
+scans a sweep's rows through the :mod:`repro.analysis.findings` rules.
 
 ``--set`` overrides a grid axis or a fixed parameter by flat key; a
 *dotted* key (``channel.ber=1e-4``) addresses a field of the experiment's
@@ -42,7 +42,6 @@ import logging
 import sys
 from typing import Dict, List, Optional
 
-import repro.fabric.backend  # noqa: F401  — registers the "remote" backend
 from repro.experiments.orchestrator import (
     BACKENDS,
     SweepRunner,
@@ -89,11 +88,17 @@ def _parse_overrides(assignments: List[str]) -> Dict[str, object]:
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     spec = get_experiment(args.experiment)
-    overrides = _parse_overrides(args.set)
+    points = spec.points(_parse_overrides(args.set))
+    # resolve the first point before printing anything, so a bad --set
+    # fails with its one-line error instead of after half a description
+    resolved = None
+    if points and spec.scenario is not None:
+        from repro.scenario import resolve_point_spec
+
+        resolved = resolve_point_spec(points[0], spec.scenario)
     print(f"{spec.name}: {spec.description}")
     print(f"  replications: {spec.replications}   "
           f"stochastic: {spec.stochastic}   version: {spec.version}")
-    points = spec.points(overrides)
     # show the axes as resolved (--set may shrink/extend grid axes or add
     # dotted spec axes), not the registered grid
     axis_names = list(spec.grid) + [key for key in (points[0] if points
@@ -113,13 +118,10 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     if not points:
         print("  (an override emptied a grid axis — nothing to resolve)")
         return 0
-    if spec.scenario is None:
+    if resolved is None:
         print("  scenario: (none — analytic experiment)")
         return 0
-    from repro.scenario import resolve_point_spec
-
     first = points[0]
-    resolved = resolve_point_spec(first, spec.scenario)
     shown = {key: value for key, value in first.items()
              if key in spec.grid or "." in key}
     print(f"  scenario (resolved for the first point "
@@ -300,9 +302,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep_options.add_argument("--backend", choices=sorted(BACKENDS),
                                default=None,
                                help="execution backend (default: serial "
-                                    "for --workers<=1, process otherwise; "
-                                    "batch chunks tasks to amortise spawn "
-                                    "cost)")
+                                    "for --workers<=1, batch otherwise; "
+                                    "batch runs adaptively sized chunks "
+                                    "of tasks in one process pool)")
     sweep_options.add_argument("--replications", type=int, default=None,
                                help="seed replications per sweep point")
     sweep_options.add_argument("--seed", type=int, default=0,

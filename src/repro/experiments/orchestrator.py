@@ -46,9 +46,7 @@ def worker_identity() -> str:
 
     Progress events carry it (:attr:`SweepProgress.worker`) so
     :func:`log_progress` can show *where* each point ran: the parent
-    process for the serial backend, a pool process for ``process`` /
-    ``batch``, a named fabric worker (possibly on another host) for
-    ``remote``.
+    process for the serial backend, a pool process for ``batch``.
     """
     return f"{socket.gethostname()}/{os.getpid()}"
 
@@ -80,8 +78,8 @@ def execute_chunk(tasks: Sequence[TaskTriple],
                   ) -> Tuple[str, List[List[Dict]], float]:
     """Run a chunk of tasks in this process: the one worker entry point.
 
-    Every backend executes through it — inline (serial), in pool
-    processes (``process``/``batch``) and in fabric workers (``remote``).
+    Both backends execute through it — inline (``serial``) and in pool
+    processes (``batch``).
     ``on_start(index)`` is called before the chunk's ``index``-th task
     runs, so progress can tick while long points execute; pool
     submissions pass a picklable hook.  Returns the worker identity, one
@@ -171,12 +169,13 @@ class ExecutionBackend:
     pending task, **in the order the tasks were submitted** — the runner
     aggregates (and serialises cache writes) in yield order, which keeps
     sweep results byte-identical across backends.  ``worker`` names where
-    the task ran (``host/pid`` or a fabric worker name) and is display-only:
-    it never reaches the cached rows or the aggregated result.
+    the task ran (``host/pid``) and is display-only: it never reaches the
+    cached rows or the aggregated result.
 
-    Every backend accepts ``max_workers`` (ignored by backends without a
-    worker pool), so :func:`make_backend` can instantiate any registered
-    backend uniformly.
+    The two registered backends are :class:`SerialBackend` and
+    :class:`BatchingProcessBackend` (README ADR-010).  Both accept
+    ``max_workers`` (ignored by the serial one), so :func:`make_backend`
+    can instantiate either uniformly.
     """
 
     #: registry key used by :func:`make_backend` and the CLI ``--backend``
@@ -186,7 +185,7 @@ class ExecutionBackend:
         self.max_workers = max_workers
         #: when set (the runner wires it to its progress reporting), the
         #: backend announces each task as it *starts* executing — from a
-        #: helper thread for the process-pool backends — together with the
+        #: helper thread for the process pool — together with the
         #: executing worker's identity when known
         self.start_callback: Optional[
             Callable[["SweepTask", Optional[str]], None]] = None
@@ -223,78 +222,52 @@ class SerialBackend(ExecutionBackend):
             yield slot, task, rows, worker
 
 
-def check_max_workers(backend: str, max_workers: Optional[int]) -> None:
-    """Reject a worker count below one (``None`` means the CPU count)."""
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"{backend} backend: max_workers must be >= 1, "
-                         f"got {max_workers}")
-
-
 class BatchingProcessBackend(ExecutionBackend):
-    """Ship contiguous chunks of tasks per pool submission.
+    """Run the tasks in one process pool, a contiguous chunk per submission.
 
     Sweeps with many cheap points (analytic experiments, short simulated
     durations, large grids) spend a noticeable share of their wall clock on
     per-task executor round trips: pickling, queue wakeups and result
     marshalling.  Chunking amortises that cost.
 
-    By default the chunk size is **adaptive**: the backend starts with
-    single-task probe batches, keeps an EWMA of the observed per-task cost
-    (batch wall time divided by batch size, measured as batches complete)
-    and sizes every subsequent chunk to take about
-    ``target_batch_seconds`` — cheap tasks coalesce into large chunks,
-    expensive tasks stay finely chunked for load balancing, and nobody has
-    to guess an oversubscribe factor up front.  Passing an explicit
-    ``batch_size`` fixes the chunk size instead; the submission loop is the
-    same either way.
+    The chunk size is **adaptive**: the backend starts with single-task
+    probe batches, keeps an EWMA of the observed per-task cost (batch wall
+    time divided by batch size, measured as batches complete) and sizes
+    every subsequent chunk to take about :attr:`TARGET_BATCH_SECONDS` —
+    cheap tasks coalesce into large chunks, expensive tasks stay finely
+    chunked for load balancing.  The sizing knobs are class constants;
+    a test that needs another value patches the constant.
 
-    Results are yielded strictly in task submission order either way, so
-    sweep output stays byte-identical to the serial backend.
+    Results are yielded strictly in task submission order, so sweep output
+    stays byte-identical to the serial backend.
 
     Parameters
     ----------
     max_workers:
         Worker processes (``None`` means the CPU count; below one is
         rejected).
-    batch_size:
-        Fixed tasks per chunk; ``None`` (default) sizes chunks adaptively.
-    oversubscribe:
-        Chunks kept in flight per worker (load-balancing slack and the
-        submission window).
-    target_batch_seconds:
-        Wall-clock cost the adaptive mode aims at per chunk.
-    max_batch_size:
-        Upper bound on an adaptively sized chunk (keeps progress reporting
-        and load balancing alive even for microsecond tasks).
     """
 
     name = "batch"
 
+    #: fixed tasks per chunk; ``None`` sizes chunks adaptively
+    BATCH_SIZE: ClassVar[Optional[int]] = None
+    #: chunks kept in flight per worker (load-balancing slack and the
+    #: submission window)
+    OVERSUBSCRIBE = 4
+    #: wall-clock cost an adaptively sized chunk aims at
+    TARGET_BATCH_SECONDS = 0.5
+    #: upper bound on an adaptively sized chunk (keeps progress reporting
+    #: and load balancing alive even for microsecond tasks)
+    MAX_BATCH_SIZE = 64
     #: EWMA weight of the newest per-task cost observation
     COST_ALPHA = 0.4
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 batch_size: Optional[int] = None, oversubscribe: int = 4,
-                 target_batch_seconds: float = 0.5,
-                 max_batch_size: int = 64):
+    def __init__(self, max_workers: Optional[int] = None):
         super().__init__(max_workers)
-        check_max_workers(self.name, max_workers)
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if oversubscribe < 1:
-            raise ValueError(
-                f"oversubscribe must be >= 1, got {oversubscribe}")
-        if target_batch_seconds <= 0:
-            raise ValueError(
-                f"target_batch_seconds must be positive, got "
-                f"{target_batch_seconds}")
-        if max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {max_batch_size}")
-        self.batch_size = batch_size
-        self.oversubscribe = oversubscribe
-        self.target_batch_seconds = target_batch_seconds
-        self.max_batch_size = max_batch_size
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"{self.name} backend: max_workers must be "
+                             f">= 1, got {max_workers}")
         #: smoothed seconds per task, None until the first batch completes
         self._task_cost_ewma: Optional[float] = None
 
@@ -308,23 +281,23 @@ class BatchingProcessBackend(ExecutionBackend):
                 per_task - self._task_cost_ewma)
 
     def _next_batch_size(self, remaining: int) -> int:
-        """Chunk size of the next submission: the fixed ``batch_size``, or
-        one sized from the observed per-task cost."""
-        if self.batch_size is not None:
-            return min(self.batch_size, remaining)
+        """Chunk size of the next submission: the fixed :attr:`BATCH_SIZE`,
+        or one sized from the observed per-task cost."""
+        if self.BATCH_SIZE is not None:
+            return min(self.BATCH_SIZE, remaining)
         if self._task_cost_ewma is None:
             # probe batches stay small until a cost estimate exists
             return 1
         if self._task_cost_ewma <= 0:
-            return min(remaining, self.max_batch_size)
-        size = int(round(self.target_batch_seconds / self._task_cost_ewma))
-        return max(1, min(size, self.max_batch_size, remaining))
+            return min(remaining, self.MAX_BATCH_SIZE)
+        size = int(round(self.TARGET_BATCH_SECONDS / self._task_cost_ewma))
+        return max(1, min(size, self.MAX_BATCH_SIZE, remaining))
 
     def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
         if not pending:
             return
         workers = self.max_workers or os.cpu_count() or 1
-        window = workers * self.oversubscribe
+        window = workers * self.OVERSUBSCRIBE
         next_index = 0
         inflight: List[Tuple[PendingTasks, object]] = []
         reporter = self._start_reporter(pending)
@@ -356,37 +329,20 @@ class BatchingProcessBackend(ExecutionBackend):
                     yield slot, task, rows, worker
 
 
-class ProcessPoolBackend(BatchingProcessBackend):
-    """``batch`` with chunk size 1: one pool submission per sweep task —
-    the right choice when individual points are expensive."""
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        super().__init__(max_workers, batch_size=1)
-
-
 #: backend name -> class, for the CLI and :func:`make_backend`
 BACKENDS: Dict[str, type] = {
     backend.name: backend
-    for backend in (SerialBackend, ProcessPoolBackend, BatchingProcessBackend)
+    for backend in (SerialBackend, BatchingProcessBackend)
 }
 
 
 def make_backend(name: str,
                  max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a backend by registry name (``serial``/``process``/...).
-
-    The fabric's ``remote`` backend registers itself on import; asking for
-    it by name imports :mod:`repro.fabric.backend` on demand, so the
-    orchestrator stays importable without the fabric and vice versa.
-    """
-    if name not in BACKENDS and name == "remote":
-        import repro.fabric.backend  # noqa: F401  (registers "remote")
+    """Instantiate a backend by registry name (``serial`` or ``batch``)."""
     try:
         backend_cls = BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted(set(BACKENDS) | {"remote"}))
+        known = ", ".join(sorted(BACKENDS))
         raise ValueError(
             f"unknown execution backend {name!r}; known: {known}") from None
     return backend_cls(max_workers=max_workers)
@@ -405,7 +361,7 @@ class SweepProgress:
 
     ``event`` is :data:`EVENT_DONE` when the task's rows arrived (the
     historical meaning) and :data:`EVENT_START` when a task began
-    executing — the process-pool backends ship start events out of their
+    executing — the ``batch`` backend ships start events out of its
     workers over a lightweight queue, so long-running points tick when
     they *begin*, not only when they resolve.  Start events are reported
     from a helper thread; callbacks must be thread-safe (the standard
@@ -428,9 +384,8 @@ class SweepProgress:
     cached: bool = False
     #: :data:`EVENT_START` or :data:`EVENT_DONE`
     event: str = EVENT_DONE
-    #: where the task ran — ``host/pid`` (serial and pool backends) or the
-    #: fabric worker's name (remote backend); ``None`` for cache hits and
-    #: backends that cannot attribute the task
+    #: where the task ran — ``host/pid`` of the executing process;
+    #: ``None`` for cache hits and backends that cannot attribute the task
     worker: Optional[str] = None
 
 
@@ -588,7 +543,7 @@ class SweepRunner:
     Parameters
     ----------
     max_workers:
-        Worker processes; ``None`` lets the executor pick, ``0``/``1`` runs
+        Worker processes; ``None`` means the CPU count, ``0``/``1`` runs
         every task inline (serial backend).  Only consulted when ``backend``
         does not name/carry one explicitly.
     cache_dir:
@@ -597,13 +552,13 @@ class SweepRunner:
         Confidence level of the aggregated intervals.
     backend:
         How tasks execute: an :class:`ExecutionBackend` instance, a backend
-        name (``"serial"``, ``"process"``, ``"batch"`` — instantiated with
-        ``max_workers``), or ``None`` to derive the historical behaviour
-        from ``max_workers`` (inline for ``<= 1``, process pool otherwise).
+        name (``"serial"`` or ``"batch"`` — instantiated with
+        ``max_workers``), or ``None`` to derive it from ``max_workers``
+        (inline for ``<= 1``, the ``batch`` pool otherwise).
     progress:
         Optional callback invoked with a :class:`SweepProgress` once per
         task *start* (``event="start"``, shipped out of worker processes
-        by the pool backends and delivered from a helper thread — the
+        by the ``batch`` pool and delivered from a helper thread — the
         callback must be thread-safe) and once per completion
         (``event="done"``, also covering cache hits).  Callbacks that only
         care about completions should return early unless
@@ -635,7 +590,7 @@ class SweepRunner:
                 f"got {backend!r}")
         if max_workers is not None and max_workers <= 1:
             return SerialBackend()
-        return ProcessPoolBackend(max_workers)
+        return BatchingProcessBackend(max_workers)
 
     # ------------------------------------------------------------- planning
 

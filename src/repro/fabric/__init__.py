@@ -1,44 +1,17 @@
-"""Distributed sweep fabric: remote workers and a shared result store.
+"""Sweep result store: content-addressed task results and sweep manifests.
 
-The fabric is the "one laptop -> fleet" layer over the sweep orchestrator
-(:mod:`repro.experiments.orchestrator`).  Sweep tasks were already
-serialisable ``(experiment, params, seed)`` triples with content-derived
-seeds, so shipping them to other processes — or other hosts — is purely a
-transport problem.  The subsystem has four parts:
+:mod:`repro.fabric.store` holds the :class:`~repro.fabric.store.ResultStore`
+the sweep orchestrator (:mod:`repro.experiments.orchestrator`) caches raw
+task results in, keyed by the ``(experiment@version, canonical_params,
+seed)`` scheme (atomic writes, corruption quarantine, ``gc``/``stats``),
+and the :class:`~repro.fabric.store.SweepManifest` that makes interrupted
+sweeps resumable (``run --resume``).  ``python -m repro.fabric stats|gc``
+inspects and cleans a store.  The findings pass that scans completed rows
+lives in :mod:`repro.analysis.findings`.
 
-:mod:`repro.fabric.protocol`
-    A length-prefixed JSON message framing over plain sockets
-    (:class:`~repro.fabric.protocol.MessageSocket`), shared by workers and
-    the coordinator.
-
-:mod:`repro.fabric.worker` / :mod:`repro.fabric.coordinator`
-    A worker process (``python -m repro.fabric worker --connect HOST:PORT``)
-    registers with a coordinator, executes chunks through
-    :func:`~repro.experiments.orchestrator.execute_chunk` and heartbeats;
-    the coordinator dispatches chunks, detects dead or silent workers
-    (missed heartbeats, per-task timeouts) and re-dispatches their chunks
-    to live workers (work stealing) with bounded exponential-backoff retry.
-
-:mod:`repro.fabric.backend`
-    :class:`~repro.fabric.backend.RemoteBackend` — an
-    :class:`~repro.experiments.orchestrator.ExecutionBackend` that slots
-    into ``BACKENDS`` as ``"remote"``, spawning local worker subprocesses
-    by default (external workers can join the same port).  Rows are
-    byte-identical to the ``serial`` backend because seeds are
-    content-derived and results are aggregated in submission order.
-
-:mod:`repro.fabric.store`
-    A content-addressed on-disk result store keyed by the existing
-    ``(experiment@version, canonical_params, seed)`` scheme (atomic writes,
-    corruption quarantine, ``gc``/``stats``) and sweep manifests that make
-    interrupted sweeps resumable (``run --resume``).  The findings pass
-    that scans completed rows lives in :mod:`repro.analysis.findings`.
-
-This package deliberately avoids importing the orchestrator at import time
-(``store``/``protocol`` are dependency-free); the backend,
-worker and coordinator modules import it lazily so
-``repro.experiments.orchestrator`` can itself build on
-:mod:`repro.fabric.store` without a cycle.
+Sweeps execute on one host (README ADR-010): the ``serial`` backend or one
+adaptive process pool (``batch``).  The store module is stdlib-only, so
+the orchestrator builds on it without an import cycle.
 """
 
 from repro.fabric.store import (  # noqa: F401

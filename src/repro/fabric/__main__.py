@@ -1,11 +1,6 @@
-"""Command-line front end of the sweep fabric.
+"""Command-line front end of the sweep result store.
 
 Usage::
-
-    # serve chunks for a coordinator (spawned automatically by
-    # `python -m repro.experiments run --backend remote`, or started by
-    # hand on any host that can reach the coordinator's port)
-    python -m repro.fabric worker --connect HOST:PORT [--name NAME]
 
     # inspect / clean the content-addressed result store
     python -m repro.fabric stats [--store DIR]
@@ -20,24 +15,11 @@ experiment's current one.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from typing import List, Optional
 
 #: default store directory — the same default the experiments CLI caches to
 DEFAULT_STORE = ".repro-cache"
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.fabric.protocol import parse_address
-    from repro.fabric.worker import run_worker
-
-    logging.basicConfig(level=logging.INFO,
-                        format="%(asctime)s %(name)s %(message)s")
-    host, port = parse_address(args.connect)
-    run_worker(host, port, name=args.name,
-               heartbeat_interval=args.heartbeat_interval)
-    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -74,21 +56,8 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fabric",
-        description="Distributed sweep fabric: workers and the shared "
-                    "result store.")
+        description="Inspect and clean the sweep result store.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    worker_parser = commands.add_parser(
-        "worker", help="serve sweep chunks for a coordinator")
-    worker_parser.add_argument("--connect", required=True,
-                               metavar="HOST:PORT",
-                               help="coordinator address to register with")
-    worker_parser.add_argument("--name", default=None,
-                               help="worker name (default: host/pid)")
-    worker_parser.add_argument("--heartbeat-interval", type=float,
-                               default=1.0, metavar="SECONDS",
-                               help="idle heartbeat period "
-                                    "(default: %(default)s)")
 
     stats_parser = commands.add_parser(
         "stats", help="summarise the result store")
@@ -105,8 +74,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "worker":
-            return _cmd_worker(args)
         if args.command == "stats":
             return _cmd_stats(args)
         return _cmd_gc(args)

@@ -33,7 +33,8 @@ exactly which points were re-executed (see
 :meth:`repro.experiments.orchestrator.SweepRunner.run`).
 
 This module must stay import-light (stdlib only): the orchestrator imports
-it, and the rest of the fabric imports the orchestrator.
+it, and the store CLI (:mod:`repro.fabric.__main__`) imports the experiment
+registry.
 """
 
 from __future__ import annotations

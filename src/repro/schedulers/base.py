@@ -152,10 +152,14 @@ class Poller:
 
     def __init__(self):
         self.piconet = None
+        #: slave -> plans built for it that picked one of its uplink flows
+        #: (:meth:`build_plan_for_slave` rotates through them)
+        self._uplink_turns: Dict[int, int] = {}
 
     def attach(self, piconet) -> None:
         """Bind the poller to a piconet (called by ``Piconet.attach_poller``)."""
         self.piconet = piconet
+        self._uplink_turns = {}
 
     # -- scheduling interface ---------------------------------------------------
     def select(self, now: float) -> Optional[TransactionPlan]:
@@ -211,13 +215,26 @@ class Poller:
     def build_plan_for_slave(self, slave: int, kind: str = KIND_BE,
                              traffic_class: Optional[str] = None,
                              gs_flow_id: Optional[int] = None) -> TransactionPlan:
-        """Convenience: a plan serving the slave's DL and UL flows of a class."""
+        """A plan serving the slave's flows (of one class, if given).
+
+        The downlink flow is the first one whose queue has data, else the
+        first one.  The uplink flow rotates: each call takes the slave's
+        next uplink flow, so a slave with several uplink flows has every
+        one of them polled in turn.
+        """
         dl_flow = None
-        ul_flow = None
+        uplinks = []
         for spec in self.flows_of_slave(slave, traffic_class):
-            if spec.is_downlink and dl_flow is None:
-                dl_flow = spec.flow_id
-            elif spec.is_uplink and ul_flow is None:
-                ul_flow = spec.flow_id
-        return TransactionPlan(slave=slave, dl_flow_id=dl_flow, ul_flow_id=ul_flow,
-                               kind=kind, gs_flow_id=gs_flow_id)
+            if spec.is_downlink:
+                if dl_flow is None or (
+                        not self.downlink_has_data(dl_flow)
+                        and self.downlink_has_data(spec.flow_id)):
+                    dl_flow = spec.flow_id
+            else:
+                uplinks.append(spec.flow_id)
+        ul_flow = None
+        if uplinks:
+            turn = self._uplink_turns.get(slave, 0)
+            self._uplink_turns[slave] = turn + 1
+            ul_flow = uplinks[turn % len(uplinks)]
+        return TransactionPlan(slave, dl_flow, ul_flow, kind, gs_flow_id)

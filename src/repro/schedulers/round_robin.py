@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
+from repro.schedulers.base import Poller, TransactionPlan
 
 
 class PureRoundRobinPoller(Poller):
@@ -32,13 +32,10 @@ class PureRoundRobinPoller(Poller):
         #: slave -> its plan, for slaves whose plan cannot change until
         #: the flows do (at most one flow each way)
         self._plans: Dict[int, TransactionPlan] = {}
-        #: slave -> visits that picked one of its uplink flows
-        self._uplink_turns: Dict[int, int] = {}
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
         self._index = 0
-        self._uplink_turns = {}
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -68,27 +65,10 @@ class PureRoundRobinPoller(Poller):
         self._rebuild()
 
     def _plan_for(self, slave: int) -> TransactionPlan:
-        dl_flow = None
-        uplinks = []
-        downlinks = 0
-        # the piconet's cached per-slave grouping, read-only (select runs
-        # once per transaction — this is the poller's hot path)
-        for spec in self.piconet.flow_specs_of_slave(slave):
-            if spec.is_downlink:
-                downlinks += 1
-                if dl_flow is None or self.downlink_has_data(spec.flow_id):
-                    if dl_flow is None or not self.downlink_has_data(dl_flow):
-                        dl_flow = spec.flow_id
-            else:
-                uplinks.append(spec.flow_id)
-        ul_flow = None
-        if uplinks:
-            # each visit polls the next uplink flow of the slave
-            turn = self._uplink_turns.get(slave, 0)
-            self._uplink_turns[slave] = turn + 1
-            ul_flow = uplinks[turn % len(uplinks)]
-        plan = TransactionPlan(slave, dl_flow, ul_flow, KIND_BE)
-        if downlinks <= 1 and len(uplinks) <= 1:
+        plan = self.build_plan_for_slave(slave)
+        specs = self.piconet.flow_specs_of_slave(slave)
+        downlinks = sum(1 for spec in specs if spec.is_downlink)
+        if downlinks <= 1 and len(specs) - downlinks <= 1:
             # the choice reads no queue and has no turn to take: the plan
             # holds until the flows change (nothing mutates a plan)
             self._plans[slave] = plan

@@ -42,11 +42,10 @@ def test_lossy_sweep_byte_identical_across_backends():
     results = {
         name: SweepRunner(max_workers=2, backend=name).run(
             "lossy_channel", overrides=overrides, master_seed=11)
-        for name in ("serial", "process", "batch")}
+        for name in ("serial", "batch")}
     serial = results["serial"]
     assert serial.rows, "sweep produced no rows"
     assert any(row["mean"]["gs_retransmissions"] > 0 for row in serial.rows)
-    assert serial.to_json() == results["process"].to_json()
     assert serial.to_json() == results["batch"].to_json()
 
 

@@ -39,7 +39,7 @@ def test_invalid_backend_is_rejected_by_argparse():
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("backend", ["process", "batch"])
+@pytest.mark.parametrize("backend", ["batch"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_pool_backend_with_fewer_than_one_worker_exits_with_message(
         backend, workers):
@@ -158,13 +158,19 @@ def test_dotted_set_on_analytic_experiment_exits_with_message():
 
 
 def test_dotted_set_unknown_spec_path_exits_with_message():
-    for path, value, message in (
-            ("channel.nope", "1", "has no field 'nope'"),
+    for args, message in (
+            (("run", "figure5", "--no-cache", "--set", "channel.nope=1"),
+             "has no field 'nope'"),
             # a stale executor switch fails like any unknown field
-            ("piconets.0.fast_path", "false", "has no field 'fast_path'")):
-        result = run_cli("run", "figure5", "--no-cache",
-                         "--set", f"{path}={value}")
+            (("run", "figure5", "--no-cache",
+              "--set", "piconets.0.fast_path=false"),
+             "has no field 'fast_path'"),
+            # describe resolves the override before printing anything
+            (("describe", "figure5", "--set", "channel.nope=1"),
+             "has no field 'nope'")):
+        result = run_cli(*args)
         assert result.returncode != 0
+        assert result.stdout == ""
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
 

@@ -12,8 +12,8 @@ import pytest
 from repro.analysis.stats import confidence_interval
 from repro.experiments import experiment_names, get_experiment
 from repro.experiments.orchestrator import (
+    BACKENDS,
     BatchingProcessBackend,
-    ProcessPoolBackend,
     SerialBackend,
     SweepRunner,
     aggregate_replications,
@@ -129,7 +129,7 @@ def test_same_master_seed_same_rows_regardless_of_workers(toy_experiment):
 
 def test_worker_pool_matches_inline_execution():
     # admission_capacity is analytic and fast: exercise the real
-    # ProcessPoolExecutor path and require byte-identical aggregation
+    # process-pool path and require byte-identical aggregation
     inline = SweepRunner(max_workers=1).run("admission_capacity")
     pooled = SweepRunner(max_workers=2).run("admission_capacity")
     assert inline.to_json() == pooled.to_json()
@@ -138,16 +138,19 @@ def test_worker_pool_matches_inline_execution():
 
 # ----------------------------------------------------------------- backends
 
-def test_all_backends_produce_byte_identical_rows():
-    # serial / process / batch (adaptive and fixed chunks) must agree down
-    # to the serialised JSON for a registered spec under the same master seed
-    backends = {"serial": "serial", "process": "process", "batch": "batch",
-                "batch-3": BatchingProcessBackend(max_workers=2,
-                                                  batch_size=3)}
+def test_all_backends_produce_byte_identical_rows(monkeypatch):
+    # serial / batch (adaptive chunks, then chunks of 1 and of 3) must
+    # agree down to the serialised JSON for a registered spec under the
+    # same master seed
     results = {
-        label: SweepRunner(max_workers=2, backend=backend).run(
+        name: SweepRunner(max_workers=2, backend=name).run(
             "admission_capacity", master_seed=3)
-        for label, backend in backends.items()}
+        for name in ("serial", "batch")}
+    for size in (1, 3):
+        monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", size)
+        results[f"batch-{size}"] = SweepRunner(
+            max_workers=2, backend="batch").run("admission_capacity",
+                                                master_seed=3)
     serial = results["serial"]
     assert serial.rows, "sweep produced no rows"
     for label, result in results.items():
@@ -160,17 +163,13 @@ def test_backend_resolution_from_max_workers_and_names():
     assert isinstance(SweepRunner(max_workers=0).backend, SerialBackend)
     # no pool, nothing to size: ``--backend serial --workers 0`` still runs
     assert isinstance(make_backend("serial", 0), SerialBackend)
-    assert isinstance(SweepRunner(max_workers=4).backend, ProcessPoolBackend)
+    assert isinstance(SweepRunner(max_workers=4).backend,
+                      BatchingProcessBackend)
     assert isinstance(SweepRunner(max_workers=None).backend,
-                      ProcessPoolBackend)
-    # ``process`` is ``batch`` with chunk size 1, sharing its pool loop
-    process = make_backend("process", 2)
-    assert isinstance(process, BatchingProcessBackend)
-    assert process.batch_size == 1
-    assert "execute" not in vars(ProcessPoolBackend)
+                      BatchingProcessBackend)
     assert isinstance(SweepRunner(backend="batch").backend,
                       BatchingProcessBackend)
-    explicit = BatchingProcessBackend(max_workers=2, batch_size=3)
+    explicit = BatchingProcessBackend(max_workers=2)
     assert SweepRunner(backend=explicit).backend is explicit
     with pytest.raises(ValueError, match="unknown execution backend"):
         make_backend("carrier-pigeon")
@@ -178,22 +177,27 @@ def test_backend_resolution_from_max_workers_and_names():
         SweepRunner(backend=42)
 
 
-def test_batching_backend_chunking_and_validation():
-    with pytest.raises(ValueError):
-        BatchingProcessBackend(batch_size=0)
-    with pytest.raises(ValueError):
-        BatchingProcessBackend(oversubscribe=0)
-    backend = BatchingProcessBackend(max_workers=2, batch_size=3)
+def test_backends_are_serial_and_batch_only():
+    assert sorted(BACKENDS) == ["batch", "serial"]
+    for name in ("process", "remote"):
+        with pytest.raises(ValueError) as excinfo:
+            make_backend(name, 2)
+        assert str(excinfo.value) == (f"unknown execution backend "
+                                      f"{name!r}; known: batch, serial")
+
+
+def test_batching_backend_fixed_chunk_size(monkeypatch):
+    monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", 3)
+    backend = BatchingProcessBackend(max_workers=2)
     # a fixed batch size is the chunk size, clamped to the remaining tasks
     assert [backend._next_batch_size(remaining)
             for remaining in (8, 5, 2)] == [3, 3, 2]
     # observed costs never move a fixed chunk size
     backend._observe_batch(batch_seconds=0.0001, batch_size=3)
     assert backend._next_batch_size(remaining=100) == 3
-    assert ProcessPoolBackend()._next_batch_size(remaining=100) == 1
 
 
-@pytest.mark.parametrize("name", ["process", "batch", "remote"])
+@pytest.mark.parametrize("name", ["batch"])
 @pytest.mark.parametrize("workers", [0, -1])
 def test_pool_backends_reject_fewer_than_one_worker(name, workers):
     with pytest.raises(ValueError) as excinfo:
@@ -262,17 +266,10 @@ def test_execute_chunk_propagates_a_raising_task():
     assert started == [0, 1]
 
 
-def test_adaptive_batching_validation():
-    with pytest.raises(ValueError):
-        BatchingProcessBackend(target_batch_seconds=0)
-    with pytest.raises(ValueError):
-        BatchingProcessBackend(max_batch_size=0)
-
-
-def test_adaptive_batching_sizes_chunks_from_observed_cost():
-    backend = BatchingProcessBackend(max_workers=2,
-                                     target_batch_seconds=1.0,
-                                     max_batch_size=16)
+def test_adaptive_batching_sizes_chunks_from_observed_cost(monkeypatch):
+    monkeypatch.setattr(BatchingProcessBackend, "TARGET_BATCH_SECONDS", 1.0)
+    monkeypatch.setattr(BatchingProcessBackend, "MAX_BATCH_SIZE", 16)
+    backend = BatchingProcessBackend(max_workers=2)
     # no cost estimate yet: probe with single-task batches
     assert backend._next_batch_size(remaining=100) == 1
     # 50 ms per task -> ~20 tasks per second-long chunk, clamped to 16
@@ -301,10 +298,13 @@ def test_adaptive_batching_ewma_converges():
 
 
 def test_adaptive_batching_preserves_task_order(toy_experiment):
-    # default batch backend (no fixed batch_size) is the adaptive one
+    # the batch backend sizes its chunks adaptively: no fixed size, four
+    # chunks in flight per worker, half-second chunks of at most 64 tasks
     backend = SweepRunner(max_workers=2, backend="batch").backend
     assert isinstance(backend, BatchingProcessBackend)
-    assert backend.batch_size is None
+    assert (backend.BATCH_SIZE, backend.OVERSUBSCRIBE,
+            backend.TARGET_BATCH_SECONDS, backend.MAX_BATCH_SIZE) == (
+                None, 4, 0.5, 64)
     result = SweepRunner(max_workers=2, backend="batch").run(
         "toy", master_seed=5)
     serial = SweepRunner(max_workers=1).run("toy", master_seed=5)
@@ -503,13 +503,13 @@ def test_cli_list_names_all_experiments(capsys):
 def test_cli_backend_flag_selects_backend_and_agrees(tmp_path):
     from repro.experiments.__main__ import main
     outputs = {}
-    for backend in ("serial", "process", "batch"):
+    for backend in ("serial", "batch"):
         out = tmp_path / f"{backend}.json"
         assert main(["run", "admission_capacity", "--backend", backend,
                      "--workers", "2", "--no-cache",
                      "--json", str(out)]) == 0
         outputs[backend] = out.read_bytes()
-    assert outputs["serial"] == outputs["process"] == outputs["batch"]
+    assert outputs["serial"] == outputs["batch"]
 
 
 def test_cli_progress_flag_logs_per_task(tmp_path, caplog):

@@ -9,12 +9,12 @@ from repro.experiments.orchestrator import (
     BatchingProcessBackend,
     EVENT_DONE,
     EVENT_START,
-    ProcessPoolBackend,
     SerialBackend,
     SweepProgress,
     SweepRunner,
     log_progress,
     progress_logger,
+    worker_identity,
 )
 from repro.experiments.registry import ExperimentSpec, register, unregister
 
@@ -66,17 +66,22 @@ def test_serial_backend_reports_start_before_done(cheap_experiment):
     assert result.tasks_run == 3
 
 
-def test_process_backend_reports_worker_side_starts():
-    collector, result = run_with(ProcessPoolBackend(max_workers=2))
+def test_process_backend_reports_worker_side_starts(monkeypatch):
+    # one task per submission: the pool shape of a plain per-task executor
+    monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", 1)
+    collector, result = run_with(BatchingProcessBackend(max_workers=2))
     total = result.tasks_total
     assert total > 1
     assert collector.keys(EVENT_START) == collector.keys(EVENT_DONE)
     assert len(collector.keys(EVENT_START)) == total
+    # the starts were announced by pool processes, not by the parent
+    starters = {e.worker for e in collector.events if e.event == EVENT_START}
+    assert starters and worker_identity() not in starters
 
 
-def test_batch_backend_reports_per_task_starts_within_chunks():
-    backend = BatchingProcessBackend(max_workers=2, batch_size=2)
-    collector, result = run_with(backend)
+def test_batch_backend_reports_per_task_starts_within_chunks(monkeypatch):
+    monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", 2)
+    collector, result = run_with(BatchingProcessBackend(max_workers=2))
     # every task of every chunk announces its own start
     assert collector.keys(EVENT_START) == collector.keys(EVENT_DONE)
     assert len(collector.keys(EVENT_START)) == result.tasks_total
@@ -85,8 +90,22 @@ def test_batch_backend_reports_per_task_starts_within_chunks():
 def test_adaptive_batch_backend_reports_starts():
     backend = BatchingProcessBackend(max_workers=2)
     collector, result = run_with(backend)
+    assert result.tasks_total > 1
     assert collector.keys(EVENT_START) == collector.keys(EVENT_DONE)
     assert len(collector.keys(EVENT_START)) == result.tasks_total
+
+
+def test_serial_progress_events_carry_the_local_identity(cheap_experiment):
+    collector, _ = run_with(SerialBackend(), "cheap-progress")
+    assert len(collector.events) == 6  # a start and a done per task
+    assert {e.worker for e in collector.events} == {worker_identity()}
+
+
+def test_log_progress_renders_the_worker(cheap_experiment, caplog):
+    collector, _ = run_with(SerialBackend(), "cheap-progress")
+    with caplog.at_level(logging.INFO, logger=progress_logger.name):
+        log_progress(collector.events[-1])
+    assert f" on {worker_identity()}" in caplog.text
 
 
 def test_start_events_do_not_change_results(cheap_experiment):

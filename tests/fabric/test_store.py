@@ -186,3 +186,25 @@ def test_load_manifest_missing_or_corrupt_is_none(store):
         handle.write("not json")
     assert store.load_manifest(manifest.sweep_digest()) is None
 
+
+# -------------------------------------------------------------------- CLI
+
+def test_cli_stats_and_gc(store, capsys):
+    from repro.experiments.registry import get_experiment
+    from repro.fabric.__main__ import main
+
+    current = f"figure5@v{get_experiment('figure5').version}"
+    store.put(current, {"x": 1}, 0, ROWS)
+    stale = store.put("figure5@v0", {"x": 1}, 0, ROWS)
+    assert main(["stats", "--store", store.directory]) == 0
+    out = capsys.readouterr().out
+    assert f"store {store.directory}: 2 entries" in out
+    assert current in out and "figure5@v0" in out
+
+    assert main(["gc", "--store", store.directory, "--dry-run"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"gc {store.directory}: would remove 1 file(s)", f"  {stale}"]
+    assert os.path.exists(stale)
+    assert main(["gc", "--store", store.directory]) == 0
+    assert "removed 1 file(s)" in capsys.readouterr().out
+    assert not os.path.exists(stale)

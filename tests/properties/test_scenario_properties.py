@@ -312,7 +312,7 @@ def test_timeline_spec_round_trips_through_json(spec):
 
 def test_compile_rows_byte_identical_across_backends_via_payload():
     """Same serialized spec + seed => byte-identical aggregated rows on the
-    serial, process and batch backends (the payload travels as a plain
+    serial and batch backends (the payload travels as a plain
     dict inside each task tuple)."""
     spec = figure4_spec(delay_requirement=0.04,
                         channel=ChannelSpec(model="iid", ber=3e-4))
@@ -324,11 +324,10 @@ def test_compile_rows_byte_identical_across_backends_via_payload():
     results = {
         name: SweepRunner(max_workers=2, backend=name).run(
             "figure5", overrides=overrides, master_seed=13)
-        for name in ("serial", "process", "batch")}
+        for name in ("serial", "batch")}
     serial = results["serial"]
     assert serial.rows
     assert serial.rows[0]["mean"]["admitted"] is True
-    assert serial.to_json() == results["process"].to_json()
     assert serial.to_json() == results["batch"].to_json()
 
 
@@ -353,8 +352,7 @@ def test_timeline_rows_byte_identical_across_backends():
     results = {
         name: SweepRunner(max_workers=2, backend=name).run(
             "figure5", overrides=overrides, master_seed=7)
-        for name in ("serial", "process", "batch")}
+        for name in ("serial", "batch")}
     serial = results["serial"]
     assert serial.rows
-    assert serial.to_json() == results["process"].to_json()
     assert serial.to_json() == results["batch"].to_json()

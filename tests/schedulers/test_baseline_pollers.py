@@ -120,6 +120,31 @@ def test_round_robin_serves_every_uplink_flow_of_a_slave():
             == (50, 50), f"flow {flow_id}"
 
 
+@pytest.mark.parametrize("factory", [
+    ExhaustivePoller,
+    HolPriorityPoller,
+    DemandBasedPoller,
+    FairExhaustivePoller,
+    EfficientDoubleCyclePoller,
+])
+def test_baselines_serve_every_uplink_flow_of_a_slave(factory):
+    # the shared plan helper rotates a slave's uplink flows, so a second
+    # uplink flow on the same slave is polled too
+    piconet = Piconet()
+    piconet.add_slave()
+    for flow_id in (1, 2):
+        piconet.add_flow(FlowSpec(flow_id, slave=1, direction=UPLINK,
+                                  traffic_class=BE))
+    piconet.attach_poller(factory())
+    for flow_id in (1, 2):
+        CBRSource(piconet, flow_id, 0.020, 100).start()
+    piconet.run(1.0)
+    for flow_id in (1, 2):
+        state = piconet.flow_state(flow_id)
+        assert (state.queue.offered_packets, state.delivered_packets) \
+            == (50, 50), f"flow {flow_id}"
+
+
 def test_round_robin_polls_a_slave_whose_first_flow_arrives_late():
     piconet = Piconet()
     piconet.add_slave()
@@ -196,3 +221,4 @@ def test_base_poller_plan_builder_picks_both_directions():
     assert plan.slave == 2
     assert plan.dl_flow_id == 3
     assert plan.ul_flow_id == 2
+

@@ -22,7 +22,6 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 #: the default (non-slow) test tier
 EXAMPLE_ARGS = {
     "admission_control_demo.py": ["0.3"],
-    "distributed_sweep.py": ["--duration", "0.2", "--workers", "2"],
     "figure4_voice_piconet.py": ["40", "0.4"],
     "lossy_channel_demo.py": ["0.3"],
     "parallel_sweep.py": ["--duration", "0.2", "--workers", "2"],
