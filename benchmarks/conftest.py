@@ -7,10 +7,10 @@ finishes in a couple of minutes; set ``REPRO_BENCH_DURATION`` (seconds of
 simulated time per run) for longer, more precise runs — e.g. the paper's
 530-second runs.
 
-Benchmarks that route their table through the sweep orchestrator pick up the
-``--workers`` option (``pytest benchmarks --workers 4``) via the
-``sweep_runner`` fixture, so the whole table is produced by a parallel
-sweep instead of a sequential driver loop.
+Every paper-table benchmark takes its rows from the ``sweep_runner``
+fixture and prints them with ``format_sweep``, so ``--workers`` and
+``--sweep-backend`` (``pytest benchmarks --workers 2 --sweep-backend
+batch``) run each table as a parallel sweep.
 
 The ``BENCH_*.json`` artifacts go to a temporary directory unless
 ``REPRO_BENCH_DIR`` is set, so running the suite never rewrites the
@@ -51,7 +51,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--sweep-backend", action="store", default=None,
         help="execution backend for orchestrator-backed benchmarks "
-             "(serial/process/batch; default derived from --workers)")
+             "(serial/batch; default derived from --workers)")
 
 
 @pytest.fixture

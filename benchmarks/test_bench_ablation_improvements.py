@@ -1,12 +1,16 @@
-"""Benchmark/driver for Ablation B: the three variable-interval improvements."""
+"""Benchmark for Ablation B: contribution of the three Section-3.2
+improvements of the variable-interval poller.
+
+Expected: slots saved while keeping the delay bound.
+"""
 
 from conftest import bench_duration
 
-from repro.experiments import format_improvement_ablation, run_improvement_ablation
+from repro.experiments import format_sweep
 
 
-def test_bench_ablation_improvements(run_once):
-    rows = run_once(run_improvement_ablation,
-                    duration_seconds=bench_duration(3.0))
-    print("\n" + format_improvement_ablation(rows))
-    assert all(row["bound_met"] for row in rows)
+def test_bench_ablation_improvements(run_once, sweep_runner):
+    result = run_once(sweep_runner.run, "improvement_ablation",
+                      overrides={"duration_seconds": bench_duration(3.0)})
+    print("\n" + format_sweep(result))
+    assert all(row["mean"]["bound_met"] for row in result.rows)

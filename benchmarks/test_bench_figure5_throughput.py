@@ -1,5 +1,9 @@
 """Benchmark/driver for Figure 5: throughput vs. requested delay bound.
 
+Paper: GS slaves flat at 64/128/64 kbit/s; BE slaves at their offered load
+for loose bounds, squeezed and fairly shared for tight bounds; total max
+656 kbit/s.
+
 Runs the sweep through the orchestrator so ``pytest benchmarks --workers N``
 parallelises the delay-requirement points.
 """

@@ -3,55 +3,33 @@
 
 The paper's evaluation assumes an ideal radio environment and notes that the
 slots saved by the variable-interval poller could pay for retransmissions in
-a non-ideal one.  This example runs the Figure-4 scenario over the per-link
-channel subsystem — every (slave, direction) link carries its own
-independently seeded channel model — at increasing bit error rates and shows
-how delays and the failure decomposition (missed packets vs. CRC failures)
-grow while throughput is preserved by ARQ.  A second run gives every link a
-bursty Gilbert-Elliott fade process instead.
+a non-ideal one.  This example runs the registered ``lossy_channel`` sweep:
+the Figure-4 scenario over the per-link channel subsystem — every
+(slave, direction) link carries its own independently seeded channel model —
+at increasing bit error rates, and shows how delays and the failure
+decomposition (missed packets vs. CRC failures) grow while throughput is
+preserved by ARQ.  A second sweep gives every link a bursty Gilbert-Elliott
+fade process instead: its bad state holds ~10% of the time with a mean
+dwell of 50 slots, scaled to the same long-run mean BER.
 
 Run with:  python examples/lossy_channel_demo.py [duration_s]
 """
 
 import sys
 
-from repro.analysis import format_table
-from repro.scenario import ChannelSpec, figure4_spec
-from repro.experiments import run_lossy_channel
+from repro.experiments import SweepRunner, format_sweep
 
 
 def main() -> None:
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else 5.0
-    rows = run_lossy_channel(bit_error_rates=[0.0, 1e-4, 3e-4, 1e-3],
-                             duration_seconds=duration)
-    table = [[f"{row['bit_error_rate']:.0e}", row["gs_throughput_kbps"],
-              row["gs_mean_delay_ms"], row["gs_max_delay_ms"],
-              row["gs_retransmissions"], row["gs_segments_not_received"],
-              row["gs_crc_failures"], row["bound_met"]] for row in rows]
-    print("Independent bit errors, one channel per link:")
-    print(format_table(["BER", "GS kbit/s", "mean [ms]", "max [ms]",
-                        "retx", "missed", "CRC fail", "ideal bound met"],
-                       table, float_format=".2f"))
-
-    print("\nBursty (Gilbert-Elliott) fades, one burst state per link:")
-    # declaratively: a Gilbert-Elliott channel per link whose bad state
-    # holds ~10% of the time (mean dwell 1/p_bg = 50 slots) at a long-run
-    # mean BER of 3e-4
-    spec = figure4_spec(delay_requirement=0.040,
-                        channel=ChannelSpec(model="gilbert", ber=3e-4,
-                                            p_bg=0.02, stationary_bad=0.1))
-    compiled = spec.compile(seed=1)
-    scenario = compiled.primary
-    compiled.run(duration)
-    table = []
-    for flow_id, summary in scenario.gs_delay_summary().items():
-        state = scenario.piconet.flow_state(flow_id)
-        table.append([flow_id, summary["packets"],
-                      summary["mean_delay_s"] * 1000.0,
-                      summary["max_delay_s"] * 1000.0,
-                      state.retransmissions, state.segments_not_received])
-    print(format_table(["flow", "packets", "mean [ms]", "max [ms]",
-                        "retx", "missed"], table, float_format=".2f"))
+    runner = SweepRunner(backend="serial")
+    for title, model in (
+            ("Independent bit errors, one channel per link:", "iid"),
+            ("Bursty (Gilbert-Elliott) fades, one burst state per link:",
+             "gilbert")):
+        result = runner.run("lossy_channel", overrides={
+            "channel_model": model, "duration_seconds": duration})
+        print(f"{title}\n{format_sweep(result)}\n")
 
 
 if __name__ == "__main__":

@@ -356,7 +356,7 @@ class ChannelMap:
     :class:`~repro.sim.rng.RandomStreams` substream named after the link —
     so each link's error sequence is independent and reproducible no matter
     in which order links first carry traffic, and identical across the
-    sweep orchestrator's serial / process / batch backends.
+    sweep orchestrator's serial and batch backends.
     """
 
     def __init__(self, factory: ChannelFactory,

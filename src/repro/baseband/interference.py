@@ -44,7 +44,7 @@ Determinism: all randomness is drawn from
 :meth:`~repro.sim.rng.RandomStreams.child`, and per-slot draws are cached
 by slot index, so hop channels and activity are reproducible regardless of
 the order in which they are first queried — and identical across the sweep
-orchestrator's serial / process / batch backends.
+orchestrator's serial and batch backends.
 
 Hops and activity are drawn in bulk (:func:`bulk_randrange`,
 :func:`bulk_active`) from ``getrandbits`` words, in exactly the

@@ -1,15 +1,19 @@
-"""Experiment drivers regenerating the paper's tables and figures.
+"""The paper's experiments and the one way to run them.
 
-Every module corresponds to one entry of the experiment index in DESIGN.md
-and exposes a ``run_*`` function returning structured rows plus a
-``format_*`` helper that renders the same table the corresponding benchmark
-prints.  The benchmarks in ``benchmarks/`` are thin wrappers around these
-functions.
+Every experiment module registers its sweeps with the registry, one
+:class:`ExperimentSpec` each: a parameter grid, fixed defaults, and a
+module-level ``run_point(params, seed)`` that runs one point and returns
+its rows.  The paper's results are the registered ``figure5``,
+``delay_compliance`` (Table 2), ``bandwidth_savings`` (Table 3),
+``admission_capacity`` (Table 4), ``sco_comparison`` (Table 5),
+``baseline_comparison`` and ``improvement_ablation`` (the two ablations)
+and ``lossy_channel`` (extension E1).  Table 1 is analytic and has no sweep:
+:func:`compute_table1_parameters` derives it and :func:`format_table1`
+prints it.
 
-Each module additionally registers an :class:`ExperimentSpec` (a parameter
-grid plus a per-point ``run_point(params, seed)`` function) with the sweep
-registry, so every experiment can be run on any execution backend with seed
-replications and confidence intervals through the orchestrator::
+Every sweep runs through :class:`SweepRunner` and prints through
+:func:`format_sweep`, whether it comes from the CLI, a benchmark, a test
+or an example::
 
     python -m repro.experiments list
     python -m repro.experiments describe figure5
@@ -17,24 +21,30 @@ replications and confidence intervals through the orchestrator::
     python -m repro.experiments run heavy_piconet --backend batch --progress
     python -m repro.experiments run figure5 --set channel.ber=1e-4
 
-Every simulation driver resolves its sweep point into a declarative
-:class:`repro.scenario.ScenarioSpec` (registered on
-``ExperimentSpec.scenario``) and compiles it — scenarios are typed,
-serializable data that dotted ``--set`` overrides mutate by path; see
-:mod:`repro.scenario` and the README's migration table.
+or from Python::
 
-Beyond the paper's tables, :mod:`repro.experiments.scenario_packs`
-registers the ``heavy_piconet``, ``mixed_sco_gs`` and ``be_load_scale``
-workloads, and :mod:`repro.experiments.channel_packs` the per-link channel
-workloads ``link_quality_mix``, ``bursty_channel``, ``dm_vs_dh`` and
-``multi_sco`` plus the inter-piconet packs ``two_piconet_interference``,
+    result = SweepRunner(backend="serial").run(
+        "delay_compliance", overrides={"duration_seconds": 2.0})
+    print(format_sweep(result))
+    rows = [row["mean"] for row in result.rows]
+
+Every simulation experiment resolves its sweep point into a declarative
+:class:`repro.scenario.ScenarioSpec` (registered on
+``ExperimentSpec.scenario``) and compiles it, so dotted ``--set``
+overrides mutate the scenario by path; see :mod:`repro.scenario`.
+
+Beyond the paper, :mod:`repro.experiments.scenario_packs` registers the
+``heavy_piconet``, ``mixed_sco_gs`` and ``be_load_scale`` workloads;
+:mod:`repro.experiments.channel_packs` the per-link channel workloads
+``link_quality_mix``, ``bursty_channel``, ``dm_vs_dh`` and ``multi_sco``
+plus the inter-piconet packs ``two_piconet_interference``,
 ``bridge_split`` and ``crowded_room``;
 :mod:`repro.experiments.admission_budget` contrasts oblivious and
 budget-aware admission with ``admission_vs_ber`` and
 ``bridge_residency_admission``; :mod:`repro.experiments.churn_pack`
-registers ``churn_recovery``, the timeline-driven interference burst
-with mid-run flow renegotiation.  Every registered experiment's
-golden rows are pinned as fixtures under ``tests/golden/``
+registers ``churn_recovery``, a timeline-driven interference burst with
+mid-run flow renegotiation.  Every registered experiment's golden rows
+are pinned as fixtures under ``tests/golden/``
 (:mod:`repro.experiments.golden`, refreshed via ``python -m
 repro.experiments regen-golden``).  See ``src/repro/experiments/README.md``
 for the subsystem documentation.
@@ -44,29 +54,17 @@ from repro.experiments.table1_parameters import (
     compute_table1_parameters,
     format_table1,
 )
-from repro.experiments.delay_compliance import (
-    format_delay_compliance,
-    run_delay_compliance,
+# importing each experiment module registers its ExperimentSpec
+from repro.experiments import (  # noqa: F401
+    admission_capacity,
+    bandwidth_savings,
+    baseline_comparison,
+    delay_compliance,
+    figure5,
+    improvement_ablation,
+    lossy_channel,
+    sco_comparison,
 )
-from repro.experiments.figure5 import format_figure5, run_figure5
-from repro.experiments.bandwidth_savings import (
-    format_bandwidth_savings,
-    run_bandwidth_savings,
-)
-from repro.experiments.admission_capacity import (
-    format_admission_capacity,
-    run_admission_capacity,
-)
-from repro.experiments.sco_comparison import format_sco_comparison, run_sco_comparison
-from repro.experiments.baseline_comparison import (
-    format_baseline_comparison,
-    run_baseline_comparison,
-)
-from repro.experiments.improvement_ablation import (
-    format_improvement_ablation,
-    run_improvement_ablation,
-)
-from repro.experiments.lossy_channel import format_lossy_channel, run_lossy_channel
 from repro.experiments.scenario_packs import (
     run_be_load_scale_point,
     run_heavy_piconet_point,
@@ -140,21 +138,5 @@ __all__ = [
     "run_multi_sco_point",
     "run_two_piconet_interference_point",
     "compute_table1_parameters",
-    "format_admission_capacity",
-    "format_bandwidth_savings",
-    "format_baseline_comparison",
-    "format_delay_compliance",
-    "format_figure5",
-    "format_improvement_ablation",
-    "format_lossy_channel",
-    "format_sco_comparison",
     "format_table1",
-    "run_admission_capacity",
-    "run_bandwidth_savings",
-    "run_baseline_comparison",
-    "run_delay_compliance",
-    "run_figure5",
-    "run_improvement_ablation",
-    "run_lossy_channel",
-    "run_sco_comparison",
 ]

@@ -10,9 +10,8 @@ rates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.reporting import format_table
 from repro.experiments.registry import ExperimentSpec, register
 from repro.core.admission import AdmissionController, GSFlowRequest
 from repro.core.poll_efficiency import min_poll_efficiency
@@ -70,35 +69,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "accepted_with_piggyback": _admit_count(requests, True),
         "accepted_without_piggyback": _admit_count(requests, False),
     }]
-
-
-def run_admission_capacity(rates_bytes_per_second: Optional[Sequence[float]] = None,
-                           pairs: int = 7) -> List[Dict]:
-    """One row per requested rate; wrapper over run_point."""
-    if rates_bytes_per_second is None:
-        rates_bytes_per_second = DEFAULT_RATES
-    rows: List[Dict] = []
-    for rate in rates_bytes_per_second:
-        rows.extend(run_point({"rate_bytes_per_second": rate,
-                               "pairs": pairs}, seed=0))
-    return rows
-
-
-def format_admission_capacity(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_admission_capacity(**kwargs)
-    table_rows = [[r["rate_kBps"], r["offered_flows"],
-                   r["accepted_with_piggyback"],
-                   r["accepted_without_piggyback"],
-                   r["accepted_with_piggyback"] - r["accepted_without_piggyback"]]
-                  for r in rows]
-    table = format_table(
-        ["rate [kB/s]", "offered flows", "accepted (piggyback)",
-         "accepted (naive)", "gain"],
-        table_rows, float_format=".1f")
-    header = ("Table 4 — GS flows accepted with and without piggybacking-aware "
-              "admission control\n(paper: piggybacking makes it possible to "
-              "accept more GS flows)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

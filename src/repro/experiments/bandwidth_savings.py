@@ -13,9 +13,8 @@ throughput achieved with the remaining capacity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.analysis.reporting import format_table
 from repro.experiments.figure5 import default_delay_requirements
 from repro.experiments.registry import ExperimentSpec, register
 from repro.scenario import (
@@ -91,44 +90,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
             (fixed["gs_slots"] - variable["gs_slots"]) / fixed["gs_slots"]
             if fixed["gs_slots"] else 0.0),
     }]
-
-
-def run_bandwidth_savings(delay_requirements: Optional[Sequence[float]] = None,
-                          duration_seconds: float = 5.0,
-                          seed: int = 1) -> List[Dict]:
-    """One row per delay requirement; wrapper over run_point."""
-    if delay_requirements is None:
-        delay_requirements = default_delay_requirements(points=4)
-    rows: List[Dict] = []
-    for requirement in delay_requirements:
-        rows.extend(run_point({"delay_requirement": requirement,
-                               "duration_seconds": duration_seconds}, seed))
-    return rows
-
-
-def format_bandwidth_savings(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_bandwidth_savings(**kwargs)
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row["delay_requirement_s"] * 1000.0,
-            row["fixed"]["gs_slots"], row["variable"]["gs_slots"],
-            row["slots_saved_fraction"] * 100.0,
-            row["fixed"]["gs_polls_without_data"],
-            row["variable"]["gs_polls_without_data"],
-            row["fixed"]["be_throughput_kbps"],
-            row["variable"]["be_throughput_kbps"],
-            row["variable"]["gs_max_delay_s"] * 1000.0,
-        ])
-    table = format_table(
-        ["D_req [ms]", "GS slots fixed", "GS slots var", "saved [%]",
-         "empty polls fixed", "empty polls var", "BE kbps fixed",
-         "BE kbps var", "GS max delay var [ms]"],
-        table_rows, float_format=".1f")
-    header = ("Table 3 — slots consumed by GS polling: fixed-interval vs. "
-              "variable-interval (PFP) poller\n(paper: the variable-interval "
-              "poller saves bandwidth usable for BE traffic or retransmissions)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

@@ -10,9 +10,8 @@ the delay bound PFP guarantees (and meets).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.analysis.reporting import format_table
 from repro.experiments.registry import ExperimentSpec, register
 from repro.scenario import (
     PollerSpec,
@@ -73,35 +72,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "target_bound_ms": delay_requirement * 1000.0,
         "bound_met": all(gs_bound_met(d) for d in delays.values()),
     }]
-
-
-def run_baseline_comparison(delay_requirement: float = 0.040,
-                            duration_seconds: float = 5.0,
-                            seed: int = 1,
-                            be_load_scale: float = 1.0) -> List[Dict]:
-    """One row per poller; wrapper over run_point."""
-    rows: List[Dict] = []
-    for poller in [PFP_NAME, *BASELINE_FACTORIES]:
-        rows.extend(run_point({"poller": poller,
-                               "delay_requirement": delay_requirement,
-                               "duration_seconds": duration_seconds,
-                               "be_load_scale": be_load_scale}, seed))
-    return rows
-
-
-def format_baseline_comparison(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_baseline_comparison(**kwargs)
-    table_rows = [[r["poller"], r["gs_throughput_kbps"], r["gs_mean_delay_ms"],
-                   r["gs_max_delay_ms"], r["target_bound_ms"], r["bound_met"]]
-                  for r in rows]
-    table = format_table(
-        ["poller", "GS kbit/s", "GS mean delay [ms]", "GS max delay [ms]",
-         "target bound [ms]", "bound met"],
-        table_rows, float_format=".1f")
-    header = ("Ablation A — GS-flow delays under the surveyed baseline pollers "
-              "vs. PFP\n(paper Section 3: none of the existing pollers "
-              "guarantees delay bounds)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

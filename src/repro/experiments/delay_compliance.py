@@ -9,9 +9,8 @@ maximum/mean delay of every GS flow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.reporting import format_table
 from repro.experiments.figure5 import default_delay_requirements
 from repro.experiments.registry import ExperimentSpec, register
 from repro.scenario import (
@@ -50,34 +49,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
             "bound_respected": gs_bound_met(summary),
         })
     return rows
-
-
-def run_delay_compliance(delay_requirements: Optional[Sequence[float]] = None,
-                         duration_seconds: float = 10.0,
-                         seed: int = 1) -> List[Dict]:
-    """One row per (delay requirement, GS flow); wrapper over run_point."""
-    if delay_requirements is None:
-        delay_requirements = default_delay_requirements(points=4)
-    rows: List[Dict] = []
-    for requirement in delay_requirements:
-        rows.extend(run_point({"delay_requirement": requirement,
-                               "duration_seconds": duration_seconds}, seed))
-    return rows
-
-
-def format_delay_compliance(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_delay_compliance(**kwargs)
-    table_rows = [[r["delay_requirement_s"] * 1000.0, r["flow_id"],
-                   r["analytical_bound_s"] * 1000.0, r["max_delay_s"] * 1000.0,
-                   r["mean_delay_s"] * 1000.0, r["p99_delay_s"] * 1000.0,
-                   r["packets"], r["bound_respected"]] for r in rows]
-    table = format_table(
-        ["D_req [ms]", "flow", "analytic bound [ms]", "max delay [ms]",
-         "mean delay [ms]", "p99 delay [ms]", "packets", "respected"],
-        table_rows, float_format=".2f")
-    header = ("Table 2 — delay-bound compliance of the GS flows\n"
-              "(paper: the requested delay bound is never exceeded)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

@@ -9,9 +9,8 @@ first.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.reporting import format_table
 from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.table1_parameters import compute_table1_parameters
 from repro.scenario import (
@@ -76,53 +75,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
     row["gs_slots"] = scenario.piconet.slots_gs
     row["be_slots"] = scenario.piconet.slots_be
     return [row]
-
-
-def run_figure5(delay_requirements: Optional[Sequence[float]] = None,
-                duration_seconds: float = 10.0,
-                seed: int = 1,
-                be_load_scale: float = 1.0) -> List[Dict]:
-    """Run the Figure-5 sweep sequentially; one result row per requirement.
-
-    Compatibility wrapper around :func:`run_point`; use the sweep
-    orchestrator (``python -m repro.experiments run figure5``) for parallel,
-    replicated runs.
-    """
-    if delay_requirements is None:
-        delay_requirements = default_delay_requirements()
-    rows: List[Dict] = []
-    for requirement in delay_requirements:
-        rows.extend(run_point({"delay_requirement": requirement,
-                               "duration_seconds": duration_seconds,
-                               "be_load_scale": be_load_scale}, seed))
-    return rows
-
-
-def format_figure5(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    """Render the Figure-5 series as a text table."""
-    rows = rows if rows is not None else run_figure5(**kwargs)
-    table_rows = []
-    for row in rows:
-        if not row.get("admitted", False):
-            table_rows.append([row["delay_requirement_s"] * 1000.0,
-                               "rejected", "-", "-", "-", "-", "-", "-", "-", "-"])
-            continue
-        table_rows.append([
-            row["delay_requirement_s"] * 1000.0,
-            row.get("S1", 0.0), row.get("S2", 0.0), row.get("S3", 0.0),
-            row.get("S4", 0.0), row.get("S5", 0.0), row.get("S6", 0.0),
-            row.get("S7", 0.0), row["total_kbps"],
-            row["gs_max_delay_s"] * 1000.0,
-        ])
-    table = format_table(
-        ["D_req [ms]", "S1 GS", "S2 GS", "S3 GS", "S4 BE", "S5 BE", "S6 BE",
-         "S7 BE", "total", "GS max delay [ms]"],
-        table_rows, float_format=".1f")
-    header = ("Figure 5 — throughput [kbit/s] per slave vs. requested GS delay "
-              "bound\n(paper: GS slaves flat at 64/128/64 kbit/s; BE slaves at "
-              "their offered load for loose bounds,\nsqueezed and fairly shared "
-              "for tight bounds; total max 656 kbit/s)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

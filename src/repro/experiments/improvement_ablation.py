@@ -10,9 +10,8 @@ throughput and the (still respected) GS delay bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.reporting import format_table
 from repro.experiments.registry import ExperimentSpec, register
 from repro.scenario import (
     ScenarioSpec,
@@ -82,32 +81,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "gs_max_delay_ms": gs_max_delay * 1000.0,
         "bound_met": all(gs_bound_met(d) for d in delays.values()),
     }]
-
-
-def run_improvement_ablation(delay_requirement: float = 0.036,
-                             duration_seconds: float = 5.0,
-                             seed: int = 1) -> List[Dict]:
-    """One row per improvement combination; wrapper over run_point."""
-    rows: List[Dict] = []
-    for label, _ in CONFIGURATIONS:
-        rows.extend(run_point({"configuration": label,
-                               "delay_requirement": delay_requirement,
-                               "duration_seconds": duration_seconds}, seed))
-    return rows
-
-
-def format_improvement_ablation(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_improvement_ablation(**kwargs)
-    table_rows = [[r["configuration"], r["gs_slots"], r["gs_polls_without_data"],
-                   r["be_throughput_kbps"], r["gs_max_delay_ms"], r["bound_met"]]
-                  for r in rows]
-    table = format_table(
-        ["configuration", "GS slots", "empty GS polls", "BE kbit/s",
-         "GS max delay [ms]", "bound met"],
-        table_rows, float_format=".1f")
-    header = ("Ablation B — contribution of the Section-3.2 improvements "
-              "(slots saved while keeping the delay bound)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

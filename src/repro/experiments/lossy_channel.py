@@ -17,15 +17,12 @@ is scaled so the long-run mean matches the swept ``bit_error_rate``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.reporting import format_table
-from repro.baseband.channel import ChannelMap
 from repro.experiments.registry import ExperimentSpec, register
 from repro.scenario import (
     ChannelSpec,
     ScenarioSpec,
-    compile_channel,
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
@@ -50,19 +47,6 @@ def channel_spec(bit_error_rate: float,
     return ChannelSpec(model=channel_model, ber=bit_error_rate,
                        p_bg=GILBERT_P_BG,
                        stationary_bad=GILBERT_STATIONARY_BAD)
-
-
-def make_channel_map(bit_error_rate: float, seed: int,
-                     channel_model: str = "iid") -> Optional[ChannelMap]:
-    """Per-link channels for one run (``None`` for an error-free sweep point).
-
-    Links are seeded from a dedicated substream family of the run's master
-    seed, so the error processes are independent per link yet reproducible
-    across execution backends and unperturbed by the traffic sources'
-    randomness.  (Compatibility wrapper over
-    :func:`repro.scenario.compile_channel`.)
-    """
-    return compile_channel(channel_spec(bit_error_rate, channel_model), seed)
 
 
 def scenario_spec(params: Dict) -> ScenarioSpec:
@@ -100,39 +84,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "bound_met": all(gs_bound_met(d) for d in delays.values()),
         "idle_slots": piconet.slots_idle,
     }]
-
-
-def run_lossy_channel(bit_error_rates: Optional[Sequence[float]] = None,
-                      delay_requirement: float = 0.040,
-                      duration_seconds: float = 5.0,
-                      channel_model: str = "iid",
-                      seed: int = 1) -> List[Dict]:
-    """One row per bit error rate; wrapper over run_point."""
-    if bit_error_rates is None:
-        bit_error_rates = DEFAULT_BIT_ERROR_RATES
-    rows: List[Dict] = []
-    for ber in bit_error_rates:
-        rows.extend(run_point({"bit_error_rate": ber,
-                               "delay_requirement": delay_requirement,
-                               "duration_seconds": duration_seconds,
-                               "channel_model": channel_model}, seed))
-    return rows
-
-
-def format_lossy_channel(rows: Optional[List[Dict]] = None, **kwargs) -> str:
-    rows = rows if rows is not None else run_lossy_channel(**kwargs)
-    table_rows = [[f"{r['bit_error_rate']:.0e}", r["gs_throughput_kbps"],
-                   r["gs_mean_delay_ms"], r["gs_max_delay_ms"],
-                   r["gs_retransmissions"], r["gs_segments_not_received"],
-                   r["gs_crc_failures"], r["bound_met"]] for r in rows]
-    table = format_table(
-        ["BER", "GS kbit/s", "GS mean delay [ms]", "GS max delay [ms]",
-         "GS retx", "missed", "CRC fail", "ideal-channel bound met"],
-        table_rows, float_format=".2f")
-    header = ("Extension E1 — Figure-4 scenario over per-link lossy channels "
-              "with ARQ (paper future\nwork; the delay guarantee is only "
-              "claimed for the ideal channel)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

@@ -760,11 +760,20 @@ class SweepRunner:
         return manifest
 
 
-def format_sweep(result: SweepResult, float_format: str = ".2f") -> str:
-    """Render an aggregated sweep as a text table (mean +- CI half-width).
+#: how :func:`format_sweep` prints a float metric: four significant digits
+#: keep sub-millisecond delays and small fractions distinguishable
+METRIC_FORMAT = ".4g"
 
-    Metric columns are the (flattened) keys of the aggregated ``mean`` rows,
-    so nested driver metrics show up as ``fixed_gs_slots``-style columns.
+
+def format_sweep(result: SweepResult) -> str:
+    """Render an aggregated sweep as a text table (mean ± CI half-width).
+
+    The point columns come first and print their values exactly.  The
+    metric columns follow in sorted order, so a sweep served from the
+    result store (which keeps rows with sorted keys) renders the same
+    bytes as a fresh one; nested driver metrics show up as flattened
+    ``fixed_gs_slots``-style columns and floats print with
+    :data:`METRIC_FORMAT`.
     """
     from repro.analysis.reporting import format_table
 
@@ -772,25 +781,26 @@ def format_sweep(result: SweepResult, float_format: str = ".2f") -> str:
         return (f"{result.experiment}: no rows (every point rejected or "
                 "empty sweep)")
     point_keys: List[str] = []
-    metric_keys: List[str] = []
     for row in result.rows:
         for key in row["point"]:
             if key not in point_keys:
                 point_keys.append(key)
-        for key in row["mean"]:
-            if key not in metric_keys and key not in point_keys:
-                metric_keys.append(key)
+    metric_keys = sorted({key for row in result.rows for key in row["mean"]}
+                         - set(point_keys))
+
+    def point_cell(value: object) -> object:
+        return repr(value) if isinstance(value, float) else value
 
     def cell(row: Dict, key: str) -> object:
         value = row["mean"].get(key, "-")
         ci = row["ci"].get(key)
-        if ci is not None and result.replications > 1:
+        if (ci is not None and result.replications > 1
+                and isinstance(value, float)):
             half = (ci[1] - ci[0]) / 2.0
-            return (f"{value:{float_format}} ± {half:{float_format}}"
-                    if isinstance(value, float) else str(value))
+            return f"{value:{METRIC_FORMAT}} ± {half:{METRIC_FORMAT}}"
         return value
 
-    table_rows = [[row["point"].get(k, "-") for k in point_keys]
+    table_rows = [[point_cell(row["point"].get(k, "-")) for k in point_keys]
                   + [cell(row, k) for k in metric_keys]
                   for row in result.rows]
     header = (f"{result.experiment} — {len(result.rows)} rows, "
@@ -800,4 +810,4 @@ def format_sweep(result: SweepResult, float_format: str = ".2f") -> str:
               f"backend: {result.backend})")
     return header + "\n\n" + format_table(point_keys + metric_keys,
                                           table_rows,
-                                          float_format=float_format)
+                                          float_format=METRIC_FORMAT)

@@ -10,9 +10,8 @@ retransmissions (SCO packets cannot be retransmitted at all).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.reporting import format_table
 from repro.experiments.registry import ExperimentSpec, register
 from repro.piconet.flows import GS, UPLINK
 from repro.scenario import (
@@ -95,34 +94,6 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "retransmissions": state.retransmissions,
         "analytical_bound_ms": scenario.manager.delay_bound_for(1) * 1000.0,
     }]
-
-
-def run_sco_comparison(duration_seconds: float = 10.0, seed: int = 1,
-                       pfp_delay_requirement: float = 0.025) -> Dict:
-    """Run both configurations; wrapper over run_point."""
-    rows = []
-    for configuration in ("sco", "pfp"):
-        rows.extend(run_point(
-            {"configuration": configuration,
-             "duration_seconds": duration_seconds,
-             "pfp_delay_requirement": pfp_delay_requirement}, seed))
-    return {"rows": rows, "duration_seconds": duration_seconds}
-
-
-def format_sco_comparison(result: Optional[Dict] = None, **kwargs) -> str:
-    result = result if result is not None else run_sco_comparison(**kwargs)
-    table_rows = [[r["configuration"], r["throughput_kbps"], r["mean_delay_ms"],
-                   r["max_delay_ms"], r["analytical_bound_ms"],
-                   r["slots_consumed_per_s"], r["slots_free_fraction"] * 100.0]
-                  for r in result["rows"]]
-    table = format_table(
-        ["configuration", "kbit/s", "mean delay [ms]", "max delay [ms]",
-         "bound [ms]", "slots/s used", "slots free [%]"],
-        table_rows, float_format=".1f")
-    header = ("Table 5 — 64 kbit/s voice over a reserved SCO channel vs. over a "
-              "PFP-scheduled GS flow\n(paper: PFP approaches SCO's delay while "
-              "leaving slots free for BE traffic or retransmissions)")
-    return header + "\n\n" + table
 
 
 register(ExperimentSpec(

@@ -9,8 +9,9 @@ import pytest
 
 from repro.baseband import ChannelMap, GilbertElliottChannel, LossyChannel
 from repro.baseband.packets import BasebandPacket, get_packet_type
-from repro.experiments.lossy_channel import make_channel_map
+from repro.experiments.lossy_channel import channel_spec
 from repro.experiments.orchestrator import SweepRunner
+from repro.scenario import compile_channel
 from repro.sim.rng import RandomStreams
 
 
@@ -18,9 +19,9 @@ def _dh3():
     return BasebandPacket(get_packet_type("DH3"), payload=150)
 
 
-def test_make_channel_map_is_reproducible_per_link():
+def test_compiled_channel_map_is_reproducible_per_link():
     def error_sequence(model):
-        cmap = make_channel_map(1e-3, seed=9, channel_model=model)
+        cmap = compile_channel(channel_spec(1e-3, model), seed=9)
         return {
             (slave, direction): tuple(
                 cmap.transmit(slave, direction, _dh3(), now_us=n * 1250).ok
@@ -33,8 +34,8 @@ def test_make_channel_map_is_reproducible_per_link():
         # links differ from each other (independent substreams)
         assert len(set(first.values())) > 1
     with pytest.raises(ValueError):
-        make_channel_map(1e-3, seed=9, channel_model="warp")
-    assert make_channel_map(0.0, seed=9) is None
+        channel_spec(1e-3, "warp")
+    assert compile_channel(channel_spec(0.0), seed=9) is None
 
 
 def test_lossy_sweep_byte_identical_across_backends():

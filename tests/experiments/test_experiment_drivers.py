@@ -1,23 +1,23 @@
-"""Tests of the experiment drivers (short runs; results shaped like the paper)."""
+"""Tests of the experiment drivers (short runs; results shaped like the paper).
+
+Every sweep runs through :class:`SweepRunner` on the serial backend at
+master seed 0, as the CLI and the benchmarks run it.
+"""
 
 import pytest
 
 from repro.experiments import (
+    SweepRunner,
     compute_table1_parameters,
-    format_admission_capacity,
-    format_baseline_comparison,
-    format_figure5,
     format_table1,
-    run_admission_capacity,
-    run_bandwidth_savings,
-    run_baseline_comparison,
-    run_delay_compliance,
-    run_figure5,
-    run_improvement_ablation,
-    run_lossy_channel,
-    run_sco_comparison,
 )
 from repro.experiments.figure5 import default_delay_requirements
+
+
+def sweep_rows(experiment, **overrides):
+    """The aggregated ``mean`` rows of one serial sweep."""
+    result = SweepRunner(backend="serial").run(experiment, overrides=overrides)
+    return [row["mean"] for row in result.rows]
 
 
 def test_table1_matches_paper_constants():
@@ -64,7 +64,8 @@ def test_default_delay_requirements_honors_points_argument():
 
 def test_figure5_shape_matches_paper():
     requirements = default_delay_requirements(points=2)
-    rows = run_figure5(delay_requirements=requirements, duration_seconds=2.0)
+    rows = sweep_rows("figure5", delay_requirement=requirements,
+                      duration_seconds=2.0)
     assert len(rows) == 2
     for row in rows:
         assert row["admitted"]
@@ -78,11 +79,10 @@ def test_figure5_shape_matches_paper():
     be_tight = tight["S4"] + tight["S5"] + tight["S6"] + tight["S7"]
     be_loose = loose["S4"] + loose["S5"] + loose["S6"] + loose["S7"]
     assert be_loose >= be_tight - 1.0
-    assert "Figure 5" in format_figure5(rows)
 
 
 def test_delay_compliance_never_exceeds_bound():
-    rows = run_delay_compliance(duration_seconds=2.0)
+    rows = sweep_rows("delay_compliance", duration_seconds=2.0)
     assert rows
     assert all(row["bound_respected"] for row in rows)
     assert all(row["max_delay_s"] <= row["analytical_bound_s"] + 1e-9
@@ -90,30 +90,29 @@ def test_delay_compliance_never_exceeds_bound():
 
 
 def test_bandwidth_savings_variable_poller_uses_fewer_gs_slots():
-    rows = run_bandwidth_savings(
-        delay_requirements=default_delay_requirements(points=2),
-        duration_seconds=2.0)
+    rows = sweep_rows("bandwidth_savings",
+                      delay_requirement=default_delay_requirements(points=2),
+                      duration_seconds=2.0)
     assert rows
     for row in rows:
-        assert row["variable"]["gs_slots"] < row["fixed"]["gs_slots"]
+        assert row["variable_gs_slots"] < row["fixed_gs_slots"]
         assert row["slots_saved_fraction"] > 0
         # the delay guarantee still holds for the variable poller
-        assert row["variable"]["gs_max_delay_s"] <= row["delay_requirement_s"] + 1e-9
+        assert (row["variable_gs_max_delay_s"]
+                <= row["delay_requirement_s"] + 1e-9)
 
 
 def test_admission_capacity_piggybacking_never_worse():
-    rows = run_admission_capacity()
+    rows = sweep_rows("admission_capacity")
     assert rows
     for row in rows:
         assert row["accepted_with_piggyback"] >= row["accepted_without_piggyback"]
     assert any(row["accepted_with_piggyback"] > row["accepted_without_piggyback"]
                for row in rows)
-    assert "Table 4" in format_admission_capacity(rows)
 
 
 def test_sco_comparison_pfp_leaves_more_slots_free():
-    result = run_sco_comparison(duration_seconds=3.0)
-    sco, pfp = result["rows"]
+    sco, pfp = sweep_rows("sco_comparison", duration_seconds=3.0)
     assert sco["configuration"].startswith("SCO")
     assert pfp["slots_consumed_per_s"] < sco["slots_consumed_per_s"]
     assert pfp["slots_free_fraction"] > sco["slots_free_fraction"]
@@ -123,15 +122,14 @@ def test_sco_comparison_pfp_leaves_more_slots_free():
 
 
 def test_baseline_comparison_pfp_meets_bound():
-    rows = run_baseline_comparison(duration_seconds=1.5)
+    rows = sweep_rows("baseline_comparison", duration_seconds=1.5)
     by_name = {row["poller"]: row for row in rows}
     assert by_name["pfp (this paper)"]["bound_met"]
     assert len(rows) == 8
-    assert "Ablation A" in format_baseline_comparison(rows)
 
 
 def test_improvement_ablation_all_configurations_meet_bound():
-    rows = run_improvement_ablation(duration_seconds=1.5)
+    rows = sweep_rows("improvement_ablation", duration_seconds=1.5)
     assert len(rows) == 5
     by_name = {row["configuration"]: row for row in rows}
     fixed = by_name["fixed interval"]
@@ -141,8 +139,8 @@ def test_improvement_ablation_all_configurations_meet_bound():
 
 
 def test_lossy_channel_degrades_gracefully():
-    rows = run_lossy_channel(bit_error_rates=[0.0, 1e-4],
-                             duration_seconds=1.5)
+    rows = sweep_rows("lossy_channel", bit_error_rate=[0.0, 1e-4],
+                      duration_seconds=1.5)
     assert len(rows) == 2
     clean, lossy = rows
     assert clean["gs_retransmissions"] == 0

@@ -23,6 +23,7 @@ from repro.experiments.golden import (
     golden_path,
     regenerate,
 )
+from repro.experiments.orchestrator import SweepResult, format_sweep
 from repro.experiments.registry import experiment_names
 from repro.sim.events import LoopWakeup, Wakeup
 
@@ -77,6 +78,21 @@ def test_fixtures_parse_as_json_with_rows():
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["experiment"] == path.stem
         assert isinstance(payload["rows"], list) and payload["rows"]
+
+
+def test_format_sweep_renders_every_fixture():
+    # rendering only: each fixture's rows become a SweepResult without
+    # running a simulation, and every metric must surface as a column
+    paths = sorted(golden_dir().glob("*.json"))
+    assert len(paths) == len(experiment_names())
+    for path in paths:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        header, table = format_sweep(SweepResult(**payload)).split("\n\n", 1)
+        assert header.startswith(f"{path.stem} — "), header
+        columns = table.splitlines()[0].split()
+        missing = {key for row in payload["rows"] for key in row["mean"]
+                   if key not in columns}
+        assert not missing, f"{path.stem}: no column for {sorted(missing)}"
 
 
 def test_regenerate_writes_requested_subset(tmp_path):

@@ -15,6 +15,7 @@ from repro.experiments.orchestrator import (
     BACKENDS,
     BatchingProcessBackend,
     SerialBackend,
+    SweepResult,
     SweepRunner,
     aggregate_replications,
     execute_chunk,
@@ -488,6 +489,38 @@ def test_format_sweep_renders_points_and_metrics(toy_experiment):
     result = SweepRunner(max_workers=1).run("toy", replications=2)
     text = format_sweep(result)
     assert "toy" in text and "value" in text and "±" in text
+
+
+def test_format_sweep_prints_points_exactly_and_metrics_significantly():
+    # regression: points and metrics both went through ".2f", so figure5's
+    # seven delay requirements printed as 0.03, 0.03, 0.04 x4, 0.05 and
+    # every gs_max_delay_s as 0.02
+    points = get_experiment("figure5").points()
+    result = SweepResult(
+        experiment="figure5", master_seed=0, replications=1,
+        confidence=0.95,
+        rows=[{"point": point,
+               "mean": {"gs_max_delay_s": 0.0187 + index * 1e-4},
+               "ci": {}} for index, point in enumerate(points)])
+    lines = format_sweep(result).splitlines()[4:]
+    assert len(lines) == len(points) == 7
+    for line, point in zip(lines, points):
+        assert repr(point["delay_requirement"]) in line.split()
+    assert len({line.split()[-1] for line in lines}) == 7
+    assert lines[0].split()[-1] == "0.0187"
+
+
+def test_format_sweep_fresh_and_cached_runs_render_the_same_table(
+        toy_experiment, tmp_path):
+    # the store keeps rows with sorted keys and the toy experiment's rows
+    # are unsorted, so column order must not depend on a row's source
+    cache_dir = str(tmp_path / "cache")
+    fresh = SweepRunner(max_workers=1, cache_dir=cache_dir).run("toy")
+    cached = SweepRunner(max_workers=1, cache_dir=cache_dir).run("toy")
+    assert fresh.tasks_run == 2 and cached.cache_hits == 2
+    fresh_table = format_sweep(fresh).split("\n\n", 1)[1]
+    cached_table = format_sweep(cached).split("\n\n", 1)[1]
+    assert fresh_table == cached_table
 
 
 # ---------------------------------------------------------------- the CLI
