@@ -161,15 +161,31 @@ class BasebandPacket:
     is_last_segment: bool = False
     hl_packet_size: int = 0
     hl_arrival_time: Optional[float] = None
-    packet_id: int = field(default_factory=_packet_ids.__next__)
+    packet_id: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.payload < 0:
+    # written out (the dataclass keeps a class's own __init__): every
+    # segment builds one, and a generated __init__ would add a
+    # default_factory and a __post_init__ call to each
+    def __init__(self, ptype: PacketType, payload: int = 0,
+                 flow_id: Optional[int] = None,
+                 hl_packet_id: Optional[int] = None, segment_index: int = 0,
+                 is_last_segment: bool = False, hl_packet_size: int = 0,
+                 hl_arrival_time: Optional[float] = None) -> None:
+        if payload < 0:
             raise ValueError("payload cannot be negative")
-        if self.payload > self.ptype.max_payload:
+        if payload > ptype.max_payload:
             raise ValueError(
-                f"payload {self.payload} exceeds {self.ptype.name} capacity "
-                f"{self.ptype.max_payload}")
+                f"payload {payload} exceeds {ptype.name} capacity "
+                f"{ptype.max_payload}")
+        self.ptype = ptype
+        self.payload = payload
+        self.flow_id = flow_id
+        self.hl_packet_id = hl_packet_id
+        self.segment_index = segment_index
+        self.is_last_segment = is_last_segment
+        self.hl_packet_size = hl_packet_size
+        self.hl_arrival_time = hl_arrival_time
+        self.packet_id = next(_packet_ids)
 
     @property
     def slots(self) -> int:

@@ -15,7 +15,7 @@ worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.baseband.constants import SLOT_SECONDS
 from repro.baseband.segmentation import (
@@ -418,25 +418,26 @@ class GuaranteedServiceManager:
     # ------------------------------------------------------------------ runtime
     def due_streams(self, now: float,
                     downlink_has_data: Optional[Callable[[int], bool]] = None
-                    ) -> List[Tuple[PollStream, BasePlanner]]:
+                    ) -> Iterator[Tuple[PollStream, BasePlanner]]:
         """Streams whose planned poll time has passed, highest priority first.
 
         ``downlink_has_data(flow_id)`` supplies master-side queue knowledge
         for improvement 3 (skipping polls of pure downlink streams with an
         empty queue); uplink availability is never consulted — the master
-        cannot know it.
+        cannot know it.  The streams are yielded lazily (both checks are
+        pure), so a poller that takes the first due stream tests no more.
         """
-        due: List[Tuple[PollStream, BasePlanner]] = []
+        planners = self._planners
         for stream in self._streams:
-            planner = self._planners[stream.primary.flow_id]
+            primary = stream.primary
+            planner = planners[primary.flow_id]
             has_data: Optional[bool] = None
             if (stream.secondary is None
-                    and stream.primary.direction == DOWNLINK
+                    and primary.direction == DOWNLINK
                     and downlink_has_data is not None):
-                has_data = downlink_has_data(stream.primary.flow_id)
+                has_data = downlink_has_data(primary.flow_id)
             if planner.is_due(now, has_data):
-                due.append((stream, planner))
-        return due
+                yield stream, planner
 
     def record_poll(self, primary_flow_id: int, actual_time: float,
                     served: Optional[ServedSegment]) -> None:

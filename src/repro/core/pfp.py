@@ -184,10 +184,11 @@ class PredictiveFairPoller(Poller):
         return plan
 
     def _select_gs(self, now: float) -> Optional[TransactionPlan]:
-        due = self.gs.due_streams(now / _US_PER_SECOND, self.downlink_has_data)
-        if not due:
+        due = next(self.gs.due_streams(now / _US_PER_SECOND,
+                                       self.downlink_has_data), None)
+        if due is None:
             return None
-        stream, _planner = due[0]
+        stream = due[0]
         dl_flow = None
         ul_flow = None
         for request in (stream.primary, stream.secondary):
@@ -209,7 +210,9 @@ class PredictiveFairPoller(Poller):
         for state in self._be_slaves.values():
             if availability_of(state, now) < threshold:
                 continue
-            key = (state.fairness_ratio(), state.last_polled_at, state.slave)
+            # fairness_ratio() written out: one key per BE slave and select
+            key = (state.served_slots / state.fair_share,
+                   state.last_polled_at, state.slave)
             if best is None or key < best_key:
                 best = state
                 best_key = key

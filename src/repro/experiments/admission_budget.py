@@ -43,6 +43,7 @@ from repro.scenario import (
     figure4_piconet_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -73,8 +74,8 @@ def _admission_row(scenario, mode: str, duration_seconds: float) -> Dict:
                      for fid in admitted) * 8 / duration_seconds
     row["gs"] = {
         "throughput_kbps": throughput / 1000.0,
-        "max_delay_s": max((summary[fid]["max_delay_s"]
-                            for fid in admitted), default=0.0),
+        "max_delay_s": (gs_max_delay(summary[fid] for fid in admitted)
+                        if admitted else 0.0),
         "compliant_flows": len(compliant),
         "delay_compliance": (len(compliant) / len(admitted)
                              if admitted else 1.0),

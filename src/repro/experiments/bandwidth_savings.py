@@ -22,6 +22,7 @@ from repro.scenario import (
     ScenarioSpec,
     figure4_spec,
     forbid_overrides,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -48,15 +49,14 @@ def _run_one(params: Dict, variable_interval: bool,
     total_slots = int(round(duration_seconds * 1600))
     be_throughput = sum(
         piconet.slave_throughput_bps(slave) for slave in (4, 5, 6, 7)) / 1000.0
-    gs_max_delay = max(d["max_delay_s"]
-                       for d in scenario.gs_delay_summary().values())
     return {
         "gs_slots": piconet.slots_gs,
         "gs_slot_share": piconet.slots_gs / total_slots,
         "gs_polls_without_data": piconet.gs_polls_without_data,
         "gs_transactions": piconet.transactions_gs,
         "be_throughput_kbps": be_throughput,
-        "gs_max_delay_s": gs_max_delay,
+        "gs_max_delay_s": gs_max_delay(
+            scenario.gs_delay_summary().values()),
     }
 
 

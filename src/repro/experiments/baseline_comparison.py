@@ -20,6 +20,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -65,7 +66,7 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         for fid in scenario.gs_flow_ids) / scenario.piconet.elapsed_seconds
     return [{
         "poller": poller_name,
-        "gs_max_delay_ms": max(d["max_delay_s"] for d in delays.values()) * 1000.0,
+        "gs_max_delay_ms": gs_max_delay(delays.values()) * 1000.0,
         "gs_mean_delay_ms": (sum(d["mean_delay_s"] for d in delays.values())
                              / len(delays)) * 1000.0,
         "gs_throughput_kbps": gs_throughput / 1000.0,

@@ -18,6 +18,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -69,7 +70,7 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
     for slave, value in throughputs.items():
         row[f"S{slave}"] = value
     row["total_kbps"] = sum(throughputs.values())
-    row["gs_max_delay_s"] = max(d["max_delay_s"] for d in gs_delays.values())
+    row["gs_max_delay_s"] = gs_max_delay(gs_delays.values())
     row["gs_bound_violated"] = not all(
         gs_bound_met(d) for d in gs_delays.values())
     row["gs_slots"] = scenario.piconet.slots_gs

@@ -18,6 +18,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -72,13 +73,12 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
     be_throughput = sum(piconet.slave_throughput_bps(s)
                         for s in (4, 5, 6, 7)) / 1000.0
     delays = scenario.gs_delay_summary()
-    gs_max_delay = max(d["max_delay_s"] for d in delays.values())
     return [{
         "configuration": label,
         "gs_slots": piconet.slots_gs,
         "gs_polls_without_data": piconet.gs_polls_without_data,
         "be_throughput_kbps": be_throughput,
-        "gs_max_delay_ms": gs_max_delay * 1000.0,
+        "gs_max_delay_ms": gs_max_delay(delays.values()) * 1000.0,
         "bound_met": all(gs_bound_met(d) for d in delays.values()),
     }]
 

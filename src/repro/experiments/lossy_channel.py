@@ -26,6 +26,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -77,8 +78,7 @@ def run_point(params: Dict, seed: int) -> List[Dict]:
         "gs_throughput_kbps": gs_throughput / 1000.0,
         "gs_mean_delay_ms": (sum(d["mean_delay_s"] for d in delays.values())
                              / len(delays)) * 1000.0,
-        "gs_max_delay_ms": max(d["max_delay_s"]
-                               for d in delays.values()) * 1000.0,
+        "gs_max_delay_ms": gs_max_delay(delays.values()) * 1000.0,
         **{f"gs_{name}": count for name, count
            in scenario.arq_counters(scenario.gs_flow_ids).items()},
         "bound_met": all(gs_bound_met(d) for d in delays.values()),

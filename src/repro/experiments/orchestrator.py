@@ -773,7 +773,9 @@ def format_sweep(result: SweepResult) -> str:
     result store (which keeps rows with sorted keys) renders the same
     bytes as a fresh one; nested driver metrics show up as flattened
     ``fixed_gs_slots``-style columns and floats print with
-    :data:`METRIC_FORMAT`.
+    :data:`METRIC_FORMAT`.  A metric named like a point key is the point
+    column when it equals the point in every row; otherwise it gets its
+    own ``<key> (result)`` column.
     """
     from repro.analysis.reporting import format_table
 
@@ -785,8 +787,11 @@ def format_sweep(result: SweepResult) -> str:
         for key in row["point"]:
             if key not in point_keys:
                 point_keys.append(key)
-    metric_keys = sorted({key for row in result.rows for key in row["mean"]}
-                         - set(point_keys))
+    clashing = {key for row in result.rows
+                for key, value in row["mean"].items()
+                if key in point_keys and value != row["point"].get(key)}
+    metric_keys = sorted(({key for row in result.rows for key in row["mean"]}
+                          - set(point_keys)) | clashing)
 
     def point_cell(value: object) -> object:
         return repr(value) if isinstance(value, float) else value
@@ -808,6 +813,8 @@ def format_sweep(result: SweepResult) -> str:
               f"{result.master_seed} (tasks: {result.tasks_total}, "
               f"run: {result.tasks_run}, cache hits: {result.cache_hits}, "
               f"backend: {result.backend})")
-    return header + "\n\n" + format_table(point_keys + metric_keys,
+    metric_headers = [f"{key} (result)" if key in clashing else key
+                      for key in metric_keys]
+    return header + "\n\n" + format_table(point_keys + metric_headers,
                                           table_rows,
                                           float_format=METRIC_FORMAT)

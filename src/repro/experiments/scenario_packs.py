@@ -43,6 +43,7 @@ from repro.scenario import (
     figure4_spec,
     forbid_overrides,
     gs_bound_met,
+    gs_max_delay,
     resolve_point_spec,
 )
 
@@ -57,7 +58,7 @@ def _gs_metrics(scenario, duration_seconds: float) -> Dict:
                      for fid in scenario.gs_flow_ids) * 8 / duration_seconds
     return {
         "throughput_kbps": throughput / 1000.0,
-        "max_delay_s": max(d["max_delay_s"] for d in summary.values()),
+        "max_delay_s": gs_max_delay(summary.values()),
         "bound_violated": not all(
             gs_bound_met(d) for d in summary.values()),
     }

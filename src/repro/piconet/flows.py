@@ -98,8 +98,15 @@ class HLPacket:
     flow_id: int
     size: int
     created: float
-    packet_id: int = field(default_factory=_hl_packet_ids.__next__)
+    packet_id: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
+    # written out (the dataclass keeps a class's own __init__): every
+    # arrival builds one, and a generated __init__ would add a
+    # default_factory and a __post_init__ call to each
+    def __init__(self, flow_id: int, size: int, created: float) -> None:
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        self.flow_id = flow_id
+        self.size = size
+        self.created = created
+        self.packet_id = next(_hl_packet_ids)

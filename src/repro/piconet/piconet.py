@@ -20,7 +20,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.baseband.channel import (
     Channel,
@@ -31,25 +31,18 @@ from repro.baseband.channel import (
     coerce_channel_map,
 )
 from repro.baseband.constants import SLOT_US
-from repro.baseband.packets import (
-    BasebandPacket,
-    null_packet,
-    poll_packet,
-    resolve_types,
-)
+from repro.baseband.packets import BasebandPacket, resolve_types
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
     ChannelAdaptiveSegmentationPolicy,
     Reassembler,
 )
 from repro.piconet.device import DeviceRegistry, Slave
-from repro.piconet.flows import DOWNLINK, FlowSpec, GS, HLPacket, UPLINK
+from repro.piconet.flows import DOWNLINK, FlowSpec, HLPacket, UPLINK
 from repro.piconet.queues import FlowQueue
 from repro.piconet.sco import ScoLink, ScoReservationTable
 from repro.schedulers.base import (
-    KIND_BE,
     KIND_GS,
-    KIND_SCO,
     Poller,
     PollOutcome,
     SegmentDelivery,
@@ -58,13 +51,6 @@ from repro.schedulers.base import (
 from repro.sim.engine import Environment
 from repro.sim.events import LoopWakeup
 from repro.sim.monitor import Monitor
-
-#: control packets reused across all transactions: POLL and NULL carry no
-#: payload, are never mutated and never traverse a channel (control packets
-#: are assumed error-free), so one instance each serves every poll round
-_POLL_PACKET = poll_packet()
-_NULL_PACKET = null_packet()
-
 
 @dataclass
 class PiconetConfig:
@@ -116,20 +102,6 @@ class FlowState:
             self.segments_not_received += 1
         else:
             self.crc_failures += 1
-
-
-class _Transaction:
-    """In-flight state of one planned master/slave exchange.
-
-    :meth:`Piconet._begin_transaction` snapshots the queues, packets and
-    bridge presence at transaction start; the master loop then commits
-    the downlink (:meth:`Piconet._apply_downlink`) and the uplink
-    (:meth:`Piconet._finish_transaction`) at the end of each direction.
-    """
-
-    __slots__ = ("plan", "start", "dl_state", "ul_state", "dl_segment",
-                 "ul_segment", "dl_packet", "ul_packet", "deliveries",
-                 "bridge_absent", "dl_result", "dl_error", "ul_start")
 
 
 class Piconet:
@@ -502,16 +474,15 @@ class Piconet:
             if parked is not None:
                 # a parked slave's traffic keeps queueing silently: the
                 # poller cannot see the flow, so no arrival notification
-                packet = HLPacket(flow_id=flow_id, size=size,
-                                  created=self.env.now)
+                packet = HLPacket(flow_id, size, self.env._now)
                 parked.queue.push(packet)
                 return packet
             raise KeyError(f"unknown flow id {flow_id}")
-        packet = HLPacket(flow_id=flow_id, size=size, created=self.env.now)
+        packet = HLPacket(flow_id, size, self.env._now)
         state.queue.push(packet)
         # Only master-side (downlink) arrivals are visible to the poller: the
         # master has no knowledge of data availability at the slaves.
-        if self.poller is not None and state.spec.is_downlink:
+        if self.poller is not None and state.spec.direction == DOWNLINK:
             self.poller.on_arrival(flow_id, packet)
         return packet
 
@@ -622,9 +593,11 @@ class Piconet:
     # ------------------------------------------------------------ master loop
     # The loop yields integer microsecond delays and runs as a LoopWakeup:
     # one event id per suspension, the ids a process yielding
-    # env.timeout(delay) would take.  A transaction is planned at its start
-    # (_begin_transaction) and committed per direction (_apply_downlink at
-    # the downlink end, _finish_transaction at the uplink end).
+    # env.timeout(delay) would take.  One pass of the loop body is one
+    # transaction: planned at its start (queue, packet and bridge-presence
+    # snapshot), its downlink committed at the downlink end, its uplink and
+    # accounting at the transaction end; the locals carry the snapshot
+    # across the two yields.
     def _master_process(self):
         env = self.env
         poller = self.poller
@@ -632,10 +605,13 @@ class Piconet:
         # the backing containers: runtime changes stay visible
         sco_links = sco_table._links
         negotiated = self._negotiated_bridges
+        states = self._states
+        bridge_presence = self._bridge_presence
+        link_observers = self._link_observers
         align = self.config.align_even_slots
-        begin = self._begin_transaction
-        apply_downlink = self._apply_downlink
-        finish = self._finish_transaction
+        wants_outcome = self._poller_wants_outcome
+        transmit = self.channels.transmit
+        deliver = self._deliver
         while True:
             now = env._now
             slot_index = now // SLOT_US
@@ -693,161 +669,124 @@ class Piconet:
                     if slot_index + dl_slots + ul_slots > next_reservation:
                         plan = None
 
-            # 4. idle to the next usable master slot, or run the exchange
+            # 4. idle to the next usable master slot
             if plan is None:
                 advance = 2 if align and slot_index % 2 == 0 else 1
                 self.slots_idle += advance
                 yield advance * SLOT_US
                 continue
-            txn = begin(plan)
-            yield txn.dl_packet.ptype.slots * SLOT_US
-            apply_downlink(txn)
-            yield txn.ul_packet.ptype.slots * SLOT_US
-            finish(txn)
 
-    def _begin_transaction(self, plan: TransactionPlan) -> _Transaction:
-        """Plan step: snapshot queues, packets and bridge presence."""
-        txn = _Transaction()
-        txn.plan = plan
-        txn.start = self.env._now
+            # 5. plan: snapshot both queues at master transmission start
+            #    (paper rule); an empty direction sends a 1-slot POLL/NULL
+            slave = plan.slave
+            dl_state = states.get(plan.dl_flow_id)  # no flow has id None
+            ul_state = states.get(plan.ul_flow_id)
+            dl_segment = (dl_state.queue.peek_segment()
+                          if dl_state is not None else None)
+            ul_segment = (ul_state.queue.peek_segment()
+                          if ul_state is not None else None)
+            dl_slots = dl_segment.ptype.slots if dl_segment is not None else 1
+            ul_slots = ul_segment.ptype.slots if ul_segment is not None else 1
+            if self._air_recorder is not None:
+                # the whole transaction span radiates (POLL/NULL included;
+                # an absent bridge still hears the master's half) — reported
+                # at its start, so the field never learns about past slots
+                self._air_recorder(now, dl_slots + ul_slots)
+            # A scatternet bridge residing in its other piconet hears
+            # nothing: the transaction still burns its slots, but both
+            # directions are guaranteed failures.  Presence is evaluated
+            # per direction, so a handover mid-transaction loses exactly
+            # the directions transmitted while away.
+            presence = bridge_presence.get(slave)
+            bridge_absent = (presence is not None
+                             and not presence(now // SLOT_US))
+            if bridge_absent:
+                self.bridge_absent_polls += 1
+                self._bridge_absent_by_slave[slave] = (
+                    self._bridge_absent_by_slave.get(slave, 0) + 1)
+            deliveries = [] if wants_outcome else None
+            yield dl_slots * SLOT_US
 
-        states = self._states
-        dl_state = states.get(plan.dl_flow_id)  # no flow has id None
-        ul_state = states.get(plan.ul_flow_id)
-        txn.dl_state = dl_state
-        txn.ul_state = ul_state
-
-        dl_segment = dl_state.queue.peek_segment() if dl_state is not None else None
-        # Snapshot the uplink queue at master transmission start (paper rule).
-        ul_segment = ul_state.queue.peek_segment() if ul_state is not None else None
-        txn.dl_segment = dl_segment
-        txn.ul_segment = ul_segment
-
-        txn.dl_packet = dl_segment if dl_segment is not None else _POLL_PACKET
-        txn.ul_packet = ul_segment if ul_segment is not None else _NULL_PACKET
-
-        if self._air_recorder is not None:
-            # the whole transaction span radiates (POLL/NULL included; an
-            # absent bridge still hears the master's half) — reported at
-            # begin time, so the field never learns about past slots
-            self._air_recorder(
-                txn.start,
-                txn.dl_packet.ptype.slots + txn.ul_packet.ptype.slots)
-
-        txn.deliveries = []
-
-        # A scatternet bridge that is currently residing in its other
-        # piconet hears nothing: the transaction still burns its slots, but
-        # both directions are guaranteed failures (the downlink packet is
-        # never received, the uplink answer never sent).  Presence is
-        # evaluated per direction, so a handover mid-transaction loses
-        # exactly the directions transmitted while away.
-        presence = self._bridge_presence.get(plan.slave)
-        bridge_absent = (presence is not None
-                         and not presence(txn.start // SLOT_US))
-        txn.bridge_absent = bridge_absent
-        if bridge_absent:
-            self.bridge_absent_polls += 1
-            self._bridge_absent_by_slave[plan.slave] = (
-                self._bridge_absent_by_slave.get(plan.slave, 0) + 1)
-        return txn
-
-    def _apply_downlink(self, txn: _Transaction) -> None:
-        """Commit the downlink direction (clock sits at downlink end).
-
-        Each direction traverses its own link channel, with the channel
-        state advanced to the slot the packet starts in; losses in the two
-        directions are sampled independently (control POLL/NULL packets
-        are assumed to always get through, as before).
-        """
-        dl_segment = txn.dl_segment
-        if dl_segment is None:
-            dl_result = TX_OK
-        elif txn.bridge_absent:  # presence at transaction start
-            dl_result = TX_NOT_RECEIVED
-        else:
-            dl_result = self.channels.transmit(txn.plan.slave, DOWNLINK,
-                                               txn.dl_packet, now_us=txn.start)
-        txn.dl_result = dl_result
-        txn.dl_error = dl_result is not TX_OK  # TX_OK without a segment
-        if dl_segment is not None:
-            dl_state = txn.dl_state
-            if dl_result is TX_OK:
-                dl_state.queue.confirm_segment()
-                delivery = self._deliver(
-                    dl_state, dl_segment,
-                    build_delivery=self._poller_wants_outcome)
-                if delivery is not None:
-                    txn.deliveries.append(delivery)
+            # 6. commit the downlink.  Each direction traverses its own
+            #    link channel at the slot its packet starts in; a failed
+            #    segment stays queued for ARQ (POLL/NULL never fail).
+            if dl_segment is None:
+                dl_result = TX_OK
+            elif bridge_absent:
+                dl_result = TX_NOT_RECEIVED
             else:
-                dl_state.record_failure(dl_result)
-            self._observe_transmission(dl_state, txn.dl_error)
-        txn.ul_start = self.env._now
+                dl_result = transmit(slave, DOWNLINK, dl_segment, now_us=now)
+            dl_error = dl_result is not TX_OK
+            if dl_segment is not None:
+                if dl_error:
+                    dl_state.record_failure(dl_result)
+                else:
+                    dl_state.queue.confirm_segment()
+                    delivery = deliver(dl_state, dl_segment, wants_outcome)
+                    if delivery is not None:
+                        deliveries.append(delivery)
+                # feed the adaptive policy and the link observers
+                observe = getattr(dl_state.queue.policy,
+                                  "observe_transmission", None)
+                if observe is not None:
+                    observe(dl_error)
+                for observer in link_observers:
+                    observer(slave, DOWNLINK, dl_error)
+            ul_start = env._now
+            yield ul_slots * SLOT_US
 
-    def _finish_transaction(self, txn: _Transaction) -> None:
-        """Commit the uplink direction and the transaction's accounting
-        (clock sits at transaction end)."""
-        plan = txn.plan
-        ul_segment = txn.ul_segment
-        if ul_segment is None:
-            ul_result = TX_OK
-        elif not self._slave_present(plan.slave, txn.ul_start):
-            ul_result = TX_NOT_RECEIVED
-        else:
-            ul_result = self.channels.transmit(plan.slave, UPLINK,
-                                               txn.ul_packet,
-                                               now_us=txn.ul_start)
-        ul_error = ul_result is not TX_OK
-        if ul_segment is not None:
-            ul_state = txn.ul_state
-            if ul_result is TX_OK:
-                ul_state.queue.confirm_segment()
-                delivery = self._deliver(
-                    ul_state, ul_segment,
-                    build_delivery=self._poller_wants_outcome)
-                if delivery is not None:
-                    txn.deliveries.append(delivery)
+            # 7. commit the uplink, then the transaction's accounting
+            if ul_segment is None:
+                ul_result = TX_OK
             else:
-                ul_state.record_failure(ul_result)
-            self._observe_transmission(ul_state, ul_error)
+                presence = bridge_presence.get(slave)
+                if presence is not None and not presence(ul_start // SLOT_US):
+                    ul_result = TX_NOT_RECEIVED
+                else:
+                    ul_result = transmit(slave, UPLINK, ul_segment,
+                                         now_us=ul_start)
+            ul_error = ul_result is not TX_OK
+            if ul_segment is not None:
+                if ul_error:
+                    ul_state.record_failure(ul_result)
+                else:
+                    ul_state.queue.confirm_segment()
+                    delivery = deliver(ul_state, ul_segment, wants_outcome)
+                    if delivery is not None:
+                        deliveries.append(delivery)
+                observe = getattr(ul_state.queue.policy,
+                                  "observe_transmission", None)
+                if observe is not None:
+                    observe(ul_error)
+                for observer in link_observers:
+                    observer(slave, UPLINK, ul_error)
 
-        dl_segment = txn.dl_segment
-        dl_result = txn.dl_result
-        slots = txn.dl_packet.ptype.slots + txn.ul_packet.ptype.slots
-        carried = (dl_segment is not None and dl_result is TX_OK) \
-            or (ul_segment is not None and ul_result is TX_OK)
-        if plan.kind == KIND_GS:
-            self.slots_gs += slots
-            self.transactions_gs += 1
-            if not carried:
-                self.gs_polls_without_data += 1
-        else:
-            self.slots_be += slots
-            self.transactions_be += 1
-            if not carried:
-                self.be_polls_without_data += 1
+            dl_carried = dl_segment is not None and not dl_error
+            ul_carried = ul_segment is not None and not ul_error
+            if plan.kind == KIND_GS:
+                self.slots_gs += dl_slots + ul_slots
+                self.transactions_gs += 1
+                if not (dl_carried or ul_carried):
+                    self.gs_polls_without_data += 1
+            else:
+                self.slots_be += dl_slots + ul_slots
+                self.transactions_be += 1
+                if not (dl_carried or ul_carried):
+                    self.be_polls_without_data += 1
 
-        # pollers that keep the base no-op notify never inspect outcomes,
-        # so the objects are only built when someone will read them
-        if not self._poller_wants_outcome:
-            return
-        outcome = PollOutcome(
-            plan=plan,
-            start=txn.start,
-            end=self.env.now,
-            slots=slots,
-            dl_carried_data=dl_segment is not None and dl_result is TX_OK,
-            ul_carried_data=ul_segment is not None and ul_result is TX_OK,
-            dl_error=txn.dl_error,
-            ul_error=ul_error,
-            dl_not_received=dl_result is TX_NOT_RECEIVED,
-            ul_not_received=ul_result is TX_NOT_RECEIVED,
-            dl_link=(plan.slave, DOWNLINK),
-            ul_link=(plan.slave, UPLINK),
-            bridge_absent=txn.bridge_absent,
-            deliveries=txn.deliveries,
-        )
-        self.poller.notify(outcome)
+            # pollers that keep the base no-op notify never inspect
+            # outcomes, so the objects are only built when someone will
+            # read them
+            if wants_outcome:
+                poller.notify(PollOutcome(
+                    plan=plan, start=now, end=env._now,
+                    slots=dl_slots + ul_slots,
+                    dl_carried_data=dl_carried, ul_carried_data=ul_carried,
+                    dl_error=dl_error, ul_error=ul_error,
+                    dl_not_received=dl_result is TX_NOT_RECEIVED,
+                    ul_not_received=ul_result is TX_NOT_RECEIVED,
+                    dl_link=(slave, DOWNLINK), ul_link=(slave, UPLINK),
+                    bridge_absent=bridge_absent, deliveries=deliveries))
 
     def _skipped_outcome(self, plan: TransactionPlan) -> PollOutcome:
         """The zero-slot outcome of a negotiated skip (nothing on the air).
@@ -863,14 +802,6 @@ class Piconet:
             dl_carried_data=False, ul_carried_data=False,
             bridge_absent=True,
             dl_link=(plan.slave, DOWNLINK), ul_link=(plan.slave, UPLINK))
-
-    def _observe_transmission(self, state: FlowState, error: bool) -> None:
-        """Feed one observed data transmission back to an adaptive policy."""
-        observe = getattr(state.queue.policy, "observe_transmission", None)
-        if observe is not None:
-            observe(error)
-        for observer in self._link_observers:
-            observer(state.spec.slave, state.spec.direction, error)
 
     def _execute_sco(self, link: ScoLink):
         """Run one reserved SCO exchange (one slot each way, no ARQ)."""
@@ -933,11 +864,10 @@ class Piconet:
             delivery = None
         result = state.reassembler.push(segment)
         if result is not None:
-            arrival = result["arrival_time"]
-            delay_seconds = (self.env.now - arrival) / 1_000_000.0
-            state.delays.record(delay_seconds)
+            now = self.env._now
+            state.delays.record((now - result["arrival_time"]) / 1_000_000.0)
             state.delivered_bytes += result["size"]
             state.delivered_packets += 1
             if delivery is not None:
-                delivery.completed_at = self.env.now
+                delivery.completed_at = now
         return delivery

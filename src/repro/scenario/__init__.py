@@ -29,6 +29,7 @@ from repro.scenario.compile import (
     compile_scenario,
     describe_link_budgets,
     gs_bound_met,
+    gs_max_delay,
     link_budgets_for,
 )
 from repro.scenario.factories import (
@@ -104,6 +105,7 @@ __all__ = [
     "forbid_overrides",
     "figure4_spec",
     "gs_bound_met",
+    "gs_max_delay",
     "interfered_be_spec",
     "link_budgets_for",
     "multi_sco_piconet_spec",

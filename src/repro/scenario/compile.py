@@ -18,6 +18,7 @@ rows.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
@@ -272,6 +273,17 @@ def gs_bound_met(summary: dict) -> bool:
     if bound is None:
         bound = summary["analytical_bound_s"]
     return summary["max_delay_s"] <= bound + BOUND_TOLERANCE_S
+
+
+def gs_max_delay(summaries: Iterable[dict]) -> float:
+    """The largest ``max_delay_s`` over GS flows'
+    :meth:`CompiledPiconet.gs_delay_summary` entries, NaN when any flow
+    delivered no packet (plain ``max`` keeps a NaN only when it comes
+    first)."""
+    maxima = [summary["max_delay_s"] for summary in summaries]
+    if any(math.isnan(value) for value in maxima):
+        return math.nan
+    return max(maxima)
 
 
 @dataclass

@@ -47,6 +47,10 @@ class TrafficSource:
     def next_size(self) -> int:
         if isinstance(self.size, tuple):
             low, high = self.size
+            if low.__class__ is int and high.__class__ is int and low <= high:
+                # exactly the draw randint(low, high) makes, without its
+                # randrange argument checks
+                return low + self.rng._randbelow(high - low + 1)
             return self.rng.randint(low, high)
         return int(self.size)
 
@@ -91,23 +95,36 @@ class TrafficSource:
         return max(1, int(round(target_us)) - self.piconet.env.now)
 
     def _run(self):
-        """Yield the delay (integer us) to each next wake-up."""
+        """Yield the delay (integer us) to each next wake-up.
+
+        :meth:`_emit` and :meth:`_delay_us` written out: this loop runs
+        once per arrival.
+        """
         env = self.piconet.env
+        offer_packet = self.piconet.offer_packet
+        next_size = self.next_size
+        flow_id = self.flow_id
         if self.start_offset > 0:
             yield _to_us(self.start_offset)
-        target_us = float(env.now)
+        target_us = float(env._now)
         for gap in self._intervals():
             if self._stopped:
                 return
-            self._emit()
+            size = next_size()
+            offer_packet(flow_id, size)
+            self.packets_generated += 1
+            self.bytes_generated += size
+            now = env._now
             target_us += gap * _US_PER_SECOND
             # Cap how far the target may fall behind the clock at the 0.5 us
             # that integer rounding alone can produce: a larger deficit only
             # builds up while the >=1 us clamp binds (nominal rate above the
             # simulator resolution) and must not be "repaid" later as an
             # unrealistic burst.
-            target_us = max(target_us, env.now - 0.5)
-            yield self._delay_us(target_us)
+            if target_us < now - 0.5:
+                target_us = now - 0.5
+            delay = int(round(target_us)) - now
+            yield delay if delay > 1 else 1
 
 
 class CBRSource(TrafficSource):

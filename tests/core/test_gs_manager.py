@@ -100,15 +100,16 @@ def test_due_streams_ordered_by_priority(tspec):
     manager = GuaranteedServiceManager(M_T)
     for flow_id, slave in [(1, 1), (2, 2), (3, 3)]:
         manager.add_flow(gs_spec(flow_id, slave), tspec, rate=9000.0)
-    due = manager.due_streams(now=0.0)
+    due = list(manager.due_streams(now=0.0))
     assert [stream.priority for stream, _ in due] == [1, 2, 3]
 
 
 def test_due_streams_respects_downlink_skip(tspec):
     manager = GuaranteedServiceManager(M_T)
     manager.add_flow(gs_spec(1, 1, DOWNLINK), tspec, rate=9000.0)
-    assert manager.due_streams(0.0, downlink_has_data=lambda fid: False) == []
-    due = manager.due_streams(0.0, downlink_has_data=lambda fid: True)
+    assert list(manager.due_streams(
+        0.0, downlink_has_data=lambda fid: False)) == []
+    due = list(manager.due_streams(0.0, downlink_has_data=lambda fid: True))
     assert len(due) == 1
 
 

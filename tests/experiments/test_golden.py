@@ -82,9 +82,12 @@ def test_fixtures_parse_as_json_with_rows():
 
 def test_format_sweep_renders_every_fixture():
     # rendering only: each fixture's rows become a SweepResult without
-    # running a simulation, and every metric must surface as a column
+    # running a simulation, and every metric must surface as a column; a
+    # metric named like a point key but holding other values (the
+    # sco_comparison labels) gets its own column instead of being hidden
     paths = sorted(golden_dir().glob("*.json"))
     assert len(paths) == len(experiment_names())
+    clashes = {}
     for path in paths:
         payload = json.loads(path.read_text(encoding="utf-8"))
         header, table = format_sweep(SweepResult(**payload)).split("\n\n", 1)
@@ -93,6 +96,13 @@ def test_format_sweep_renders_every_fixture():
         missing = {key for row in payload["rows"] for key in row["mean"]
                    if key not in columns}
         assert not missing, f"{path.stem}: no column for {sorted(missing)}"
+        for row in payload["rows"]:
+            for key, value in row["mean"].items():
+                if key in row["point"] and value != row["point"][key]:
+                    clashes.setdefault(path.stem, set()).add(key)
+                    assert f"{key} (result)" in table.splitlines()[0]
+                    assert str(value) in table
+    assert clashes == {"sco_comparison": {"configuration"}}
 
 
 def test_regenerate_writes_requested_subset(tmp_path):

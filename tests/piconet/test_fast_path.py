@@ -155,20 +155,22 @@ def _sourced_steady_spec(timeline=None):
 def _traced_run(bypass, hard_at_us=None, duration_s=0.1):
     """Run the sourced steady piconet with a backlog on flow 1 (and a
     process waking at ``hard_at_us``); the order of commits and that
-    wake-up."""
+    wake-up.  Every data commit on this ideal channel books a delivered
+    segment, so ``Piconet._deliver`` marks each one."""
     compiled = compile_scenario(_sourced_steady_spec(), seed=5)
     piconet = compiled.primary.piconet
     env = compiled.env
     for _ in range(60):
         piconet.offer_packet(1, 2000)
     log = []
-    finish = piconet._finish_transaction
+    deliver = piconet._deliver
 
-    def logged_finish(txn):
-        finish(txn)
+    def logged_deliver(*args, **kwargs):
+        delivery = deliver(*args, **kwargs)
         log.append(("commit", env.now))
+        return delivery
 
-    piconet._finish_transaction = logged_finish
+    piconet._deliver = logged_deliver
 
     def hard(env):
         yield env.timeout(hard_at_us)

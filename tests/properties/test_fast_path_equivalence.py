@@ -51,8 +51,14 @@ SEED = 7
 SLOT_S = 625e-6
 
 
+#: the hooks that run at every data commit: a delivered segment, or a
+#: failed one booked for ARQ
+COMMIT_HOOKS = ("_deliver", "record_failure")
+
+
 def _log_order(piconet):
-    """Log arrivals and commits of ``piconet`` in the order they happen.
+    """Log arrivals and data commits of ``piconet`` in the order they
+    happen.
 
     A tie between an arrival and a commit at the same instant resolves
     by heap order; the log makes a wrong resolution visible even when
@@ -60,11 +66,17 @@ def _log_order(piconet):
     """
     log = []
     env = piconet.env
-    for name in ("offer_packet", "_apply_downlink", "_finish_transaction"):
-        def logged(*args, _name=name, _call=getattr(piconet, name)):
-            log.append((_name, env.now))
-            return _call(*args)
-        setattr(piconet, name, logged)
+
+    def hook(owner, name):
+        def logged(*args, _call=getattr(owner, name), **kwargs):
+            log.append((name, env.now))
+            return _call(*args, **kwargs)
+        setattr(owner, name, logged)
+
+    hook(piconet, "offer_packet")
+    hook(piconet, "_deliver")
+    for state in piconet.flow_states():
+        hook(state, "record_failure")
     return log
 
 
@@ -96,6 +108,10 @@ def _observed(spec, bypass, sources=()):
             compiled.run(DURATION_S)
         except ValueError as error:
             return f"ValueError: {error}"
+    if any(state.segments_delivered
+           for state in primary.piconet.flow_states()):
+        # a hook that no longer runs would leave the log silently empty
+        assert any(name in COMMIT_HOOKS for name, _when in order)
     observed = {"timeline": compiled.timeline_log, "order": order,
                 # every bypassed master step took its event id
                 "event_ids": compiled.env._eid,

@@ -12,6 +12,7 @@ from repro.scenario import (
     TimelineSpec,
     figure4_spec,
     gs_bound_met,
+    gs_max_delay,
 )
 
 #: 64 kbit/s voice: one 144..176-byte packet every 20 ms
@@ -75,3 +76,14 @@ def test_rate_admitted_flow_is_judged_against_its_analytical_bound():
              "max_delay_s": 0.045}
     assert gs_bound_met(entry)
     assert not gs_bound_met({**entry, "max_delay_s": 0.051})
+
+
+def test_gs_max_delay_is_nan_wherever_the_starved_flow_comes():
+    served = [{"max_delay_s": 0.012}, {"max_delay_s": 0.031}]
+    starved = {"max_delay_s": math.nan}
+    assert gs_max_delay(served) == 0.031
+    # plain max drops a NaN that is not first: the helper must not
+    assert max(d["max_delay_s"] for d in served + [starved]) == 0.031
+    for entries in (served + [starved], [starved] + served,
+                    [served[0], starved, served[1]]):
+        assert math.isnan(gs_max_delay(entries))
