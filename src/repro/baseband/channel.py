@@ -433,7 +433,10 @@ class ChannelMap:
     def transmit(self, slave: int, direction: str, packet: BasebandPacket,
                  now_us: Optional[int] = None) -> TransmissionResult:
         """Transmit ``packet`` over the ``(slave, direction)`` link."""
-        return self.channel_for(slave, direction).transmit(packet, now_us)
+        channel = self._channels.get((slave, direction))
+        if channel is None:
+            channel = self.channel_for(slave, direction)
+        return channel.transmit(packet, now_us)
 
     def links(self) -> List[LinkId]:
         """Links that have carried traffic so far, in sorted order."""

@@ -23,7 +23,9 @@ multi-piconet scenarios (ROADMAP follow-on):
   time-varying BER boost.  Collisions with duty-cycle members (drawn up
   front) are counted in bulk per block, one byte per slot per member; only
   reported air goes into the *occupancy index* (coupled transmitters per
-  slot and channel).  A lookup is O(1) per slot and yields the exact
+  slot and channel).  A packet's lookup is one pass over its slots, each
+  slot four byte reads (hop, index cell, own presence, bulk count) and
+  no call beyond one into the shared tally loop, and yields the exact
   integers (so the exact floats) of the reference pairwise scan,
   :meth:`InterferenceField.collisions_pairwise`.
 * :class:`InterferenceAwareChannel` — a :class:`~repro.baseband.channel.
@@ -61,7 +63,6 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations, compress
-from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baseband.channel import (
@@ -105,6 +106,10 @@ MAX_CHANNELS = 255
 
 #: Marks the zero bytes (same channel) of two XORed hop blocks with 1.
 _SAME_CHANNEL = bytes((1,)) + bytes(255)
+
+#: The occupancy row of a field without coupled members: read with a row
+#: width of 0, every slot's hop channel lands on a silent cell.
+_NO_AIR = bytes(MAX_CHANNELS)
 
 
 def _check_channels(channels: int) -> None:
@@ -429,6 +434,7 @@ class InterferenceField:
         # index holds reported air only: _occ[slot * channels + channel] is
         # the coupled members radiating there (empty without coupled
         # members); late reports increment already-built cells.
+        # _terms[name] holds the buffers _tally reads for victim ``name``.
         # _ber_table[count] is the per-slot BER of ``count`` colliders.
         self._reset_index()
 
@@ -493,11 +499,22 @@ class InterferenceField:
         block extension never changes which RNG values a slot gets, so the
         rebuilt counts are byte-identical to a fresh build.
         """
-        self._duty_counts: Dict[str, bytearray] = {}
+        members = self._members
         self._occ = bytearray()
-        self._coupled = any(member.coupled
-                            for member in self._members.values())
+        self._coupled = any(member.coupled for member in members.values())
+        bulk = not all(member.coupled for member in members.values())
+        self._duty_counts: Dict[str, bytearray] = {
+            name: bytearray() for name in members if bulk}
+        # zeros up to the built slots: the absent terms of the count rule
+        self._silence = bytearray()
         self._slots_built = 0
+        air, width = (self._occ, self.channels) if self._coupled \
+            else (_NO_AIR, 0)
+        self._terms = {
+            name: (air, width, member.hops._sequence,
+                   member._activity if member.coupled else self._silence,
+                   self._duty_counts.get(name, self._silence))
+            for name, member in members.items()}
         self._ber_table = tuple(
             min(MAX_COLLISION_BER, count * self.ber_per_collision)
             for count in range(len(self._members)))
@@ -521,6 +538,9 @@ class InterferenceField:
         size = target - built
         channels = self.channels
         occ = self._occ
+        silence = self._silence
+        if len(silence) < target:  # a switch may have cut the counts back
+            silence += bytes(target - len(silence))
         if self._coupled:
             occ += bytes(size * channels)
         duty: Dict[str, int] = {}
@@ -548,34 +568,32 @@ class InterferenceField:
                     if first in duty:
                         totals[second] += same & duty[first]
             for name, total in totals.items():
-                self._duty_counts.setdefault(name, bytearray()).extend(
-                    total.to_bytes(size, "little"))
+                self._duty_counts[name] += total.to_bytes(size, "little")
         self._slots_built = target
 
-    def _collision_counts(self, victim: str, start: int,
-                          end: int) -> Sequence[int]:
-        """Colliders against ``victim`` in each slot of ``[start, end)``:
-        its bulk count against the duty-cycle members plus, in a field
-        with coupled members, the index cell of its hop channel minus its
-        own reported presence."""
+    def _tally(self, victim: str, start: int, end: int,
+               weights: Sequence) -> Union[int, float]:
+        """Sum ``weights[count]`` over the slots of ``[start, end)`` with a
+        non-zero collider ``count`` against ``victim``, in slot order.
+
+        The one statement of the count rule: the index cell of the
+        victim's hop channel, minus its own reported presence, plus its
+        bulk count against the duty-cycle members.  Each victim's
+        :attr:`_terms` stand a zero buffer (or the silent
+        :data:`_NO_AIR` row) in for the terms its field lacks.
+        """
         if end > self._slots_built:
             self._ensure_slots(end)
-        counts = self._duty_counts.get(victim)
-        if counts is not None:
-            counts = counts[start:end]
-            if not self._coupled:
-                return counts
-        member = self.member(victim)
-        hops = member.hops._sequence  # covers the built slots
-        occ, channels = self._occ, self.channels
-        if member.coupled:
-            own = member._activity
-            air = [occ[slot * channels + hops[slot]] - own[slot]
-                   for slot in range(start, end)]
-        else:
-            air = [occ[slot * channels + hops[slot]]
-                   for slot in range(start, end)]
-        return air if counts is None else list(map(add, air, counts))
+        terms = self._terms.get(victim)
+        if terms is None:
+            self.member(victim)  # raises the one-line "unknown" KeyError
+        air, channels, hops, own, duty = terms
+        total = 0
+        for slot in range(start, end):
+            count = air[slot * channels + hops[slot]] - own[slot] + duty[slot]
+            if count:
+                total += weights[count]
+        return total
 
     # -- coupled transmissions -----------------------------------------------
     def report_transmission(self, name: str, start_slot: int,
@@ -592,14 +610,15 @@ class InterferenceField:
             raise ValueError(f"start_slot must be >= 0, got {start_slot}")
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-        member = self.member(name)
+        member = self._members.get(name) or self.member(name)
         if not member.coupled:
             raise TypeError(
                 f"piconet {name!r} is a duty-cycle interferer; only "
                 f"coupled members (register_coupled) report transmissions")
         end = start_slot + slots
-        member.extend_to(end)
         activity = member._activity
+        if len(activity) < end:
+            activity += bytes(end - len(activity))
         built = self._slots_built
         occ = self._occ
         channels = self.channels
@@ -643,9 +662,10 @@ class InterferenceField:
         ``recorder(start_us, slots)`` reports a transmission of ``name``
         anchored on the ``slot_us`` grid."""
         self.member(name)  # fail fast on unregistered piconets
+        report = self.report_transmission
 
         def record(start_us: int, slots: int) -> None:
-            self.report_transmission(name, start_us // slot_us, slots)
+            report(name, start_us // slot_us, slots)
 
         return record
 
@@ -654,7 +674,8 @@ class InterferenceField:
         """Co-channel colliders against ``victim`` in ``slot_index``."""
         if slot_index < 0:
             raise ValueError(f"slot_index must be >= 0, got {slot_index}")
-        return self._collision_counts(victim, slot_index, slot_index + 1)[0]
+        return self._tally(victim, slot_index, slot_index + 1,
+                           range(len(self._members)))
 
     def collisions_pairwise(self, victim: str, slot_index: int) -> int:
         """Reference pairwise scan over every member (the pre-index
@@ -672,7 +693,8 @@ class InterferenceField:
                 f"horizon_slots must be >= 0, got {horizon_slots}")
         if horizon_slots == 0:
             return 0
-        return sum(self._collision_counts(victim, 0, horizon_slots))
+        return self._tally(victim, 0, horizon_slots,
+                           range(len(self._members)))
 
     def collision_ber(self, victim: str, slot_index: int) -> float:
         """Effective interference BER on ``victim`` in one slot."""
@@ -690,16 +712,8 @@ class InterferenceField:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if start_slot < 0:
             raise ValueError(f"start_slot must be >= 0, got {start_slot}")
-        counts = self._collision_counts(victim, start_slot,
-                                        start_slot + slots)
-        if not max(counts):
-            return 0.0
-        table = self._ber_table
-        total = 0.0
-        for count in counts:
-            if count:
-                total += table[count]
-        return total / slots
+        return self._tally(victim, start_slot, start_slot + slots,
+                           self._ber_table) / slots
 
     # -- observed statistics (coupled validation) -----------------------------
     def activity_fraction(self, name: str, horizon_slots: int) -> float:
@@ -722,8 +736,9 @@ class InterferenceField:
                 f"horizon_slots must be >= 0, got {horizon_slots}")
         if horizon_slots == 0:
             return 0.0
-        counts = self._collision_counts(victim, 0, horizon_slots)
-        return (horizon_slots - counts.count(0)) / horizon_slots
+        # weight 1 per slot with any collider (index 0 is never read)
+        return self._tally(victim, 0, horizon_slots,
+                           (1,) * len(self._members)) / horizon_slots
 
     def expected_collision_probability(self, victim: str) -> float:
         """Analytic per-slot collision probability against ``victim``.
@@ -822,12 +837,14 @@ class InterferenceAwareChannel(_StochasticChannel):
             now_us = self._cursor_us
             self._cursor_us += packet.duration_us
         base_result = self.base.transmit(packet, now_us)
+        ptype = packet.ptype
         ber = self.field.mean_collision_ber(
-            self.piconet, now_us // self.slot_us, packet.ptype.slots)
+            self.piconet, now_us // self.slot_us, ptype.slots)
         if ber == 0.0:
             return base_result
         interference = self._sample(
-            self._interference_probabilities(packet, ber))
+            self._memo.get((ber, ptype.name, packet.payload))
+            or self._interference_probabilities(packet, ber))
         # results are the three channel singletons: compare by identity
         if interference is TX_OK or base_result is TX_NOT_RECEIVED:
             return base_result

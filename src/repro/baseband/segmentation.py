@@ -18,7 +18,7 @@ Two policies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baseband.packets import BasebandPacket, PacketType, resolve_types
@@ -252,7 +252,6 @@ class _PartialPacket:
     received_bytes: int = 0
     size: int = 0
     arrival_time: Optional[float] = None
-    segments: List[BasebandPacket] = field(default_factory=list)
 
 
 class Reassembler:
@@ -274,7 +273,7 @@ class Reassembler:
         dict or None
             ``None`` while the packet is incomplete.  When the last segment
             arrives, a dictionary with keys ``flow_id``, ``hl_packet_id``,
-            ``size``, ``arrival_time`` and ``segments``.
+            ``size`` and ``arrival_time``.
         """
         if segment.is_last_segment and segment.segment_index == 0:
             key = (segment.flow_id, segment.hl_packet_id)
@@ -286,7 +285,6 @@ class Reassembler:
                     "hl_packet_id": segment.hl_packet_id,
                     "size": segment.payload,
                     "arrival_time": segment.hl_arrival_time,
-                    "segments": [segment],
                 }
         return self._push_partial(segment)
 
@@ -303,7 +301,6 @@ class Reassembler:
                 f"{key}; expected {state.expected_next}")
         state.expected_next += 1
         state.received_bytes += segment.payload
-        state.segments.append(segment)
         if not segment.is_last_segment:
             return None
         del self._partial[key]
@@ -313,7 +310,6 @@ class Reassembler:
             "hl_packet_id": segment.hl_packet_id,
             "size": state.received_bytes,
             "arrival_time": state.arrival_time,
-            "segments": list(state.segments),
         }
 
     @property

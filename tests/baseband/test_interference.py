@@ -313,6 +313,63 @@ def test_coupled_report_validation():
         field.report_transmission("coupled", 0, 0)
 
 
+def _duty_only_field():
+    field = InterferenceField(streams=11)
+    field.register("p1", duty_cycle=0.7)
+    field.register("p2", duty_cycle=0.4)
+    return field
+
+
+def _coupled_field():
+    field = InterferenceField(streams=11)
+    field.register_coupled("p1")
+    field.register_coupled("p2")
+    field.report_transmission("p2", 0, 10)
+    return field
+
+
+FIELDS = {"duty-only": _duty_only_field, "coupled": _coupled_field}
+UNKNOWN = "unknown piconet 'ghost'; registered: p1, p2"
+#: (case, method, arguments, error, message) on either kind of field
+FIELD_ERRORS = [
+    ("unknown", "mean_collision_ber", ("ghost", 0, 1), KeyError, UNKNOWN),
+    ("start", "mean_collision_ber", ("p1", -1, 1), ValueError,
+     "start_slot must be >= 0, got -1"),
+    ("slots", "mean_collision_ber", ("p1", 0, 0), ValueError,
+     "slots must be >= 1, got 0"),
+    ("unknown", "collisions", ("ghost", 3), KeyError, UNKNOWN),
+    ("slot", "collisions", ("p1", -1), ValueError,
+     "slot_index must be >= 0, got -1"),
+    ("unknown", "report_transmission", ("ghost", 0, 1), KeyError, UNKNOWN),
+    ("start", "report_transmission", ("p1", -1, 1), ValueError,
+     "start_slot must be >= 0, got -1"),
+    ("slots", "report_transmission", ("p1", 0, 0), ValueError,
+     "slots must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("kind, method, args, error, message", [
+    pytest.param(kind, method, args, error, message,
+                 id=f"{kind}-{method}-{case}")
+    for kind in FIELDS
+    for case, method, args, error, message in FIELD_ERRORS
+] + [pytest.param(
+    "duty-only", "report_transmission", ("p1", 0, 1), TypeError,
+    "piconet 'p1' is a duty-cycle interferer; only coupled members "
+    "(register_coupled) report transmissions",
+    id="duty-only-report_transmission-duty-member")])
+def test_field_entry_points_raise_one_line_errors(kind, method, args, error,
+                                                  message):
+    field = FIELDS[kind]()
+    field.mean_collision_ber("p1", 0, 5)  # the index is built
+    with pytest.raises(error) as raised:
+        getattr(field, method)(*args)
+    assert raised.value.args == (message,)
+    # no chained traceback: the error is the one line above
+    assert raised.value.__context__ is None \
+        or raised.value.__suppress_context__
+
+
 def test_recorder_reports_on_the_slot_grid():
     field = InterferenceField(streams=15)
     field.register_coupled("p1")

@@ -82,9 +82,8 @@ def test_reassembler_round_trip(paper_policy):
     results = [reassembler.push(p) for p in packets]
     assert all(r is None for r in results[:-1])
     final = results[-1]
-    assert final["size"] == 500
-    assert final["flow_id"] == 1
-    assert final["hl_packet_id"] == 5
+    assert final == {"flow_id": 1, "hl_packet_id": 5, "size": 500,
+                     "arrival_time": 1.0}
     assert reassembler.pending == 0
 
 

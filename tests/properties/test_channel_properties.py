@@ -300,7 +300,7 @@ def test_interleaved_reports_switches_and_queries_match_a_fresh_field(
        victim_duty=st.one_of(st.none(), st.floats(
            min_value=0.0, max_value=1.0, exclude_max=True,
            allow_nan=False)),
-       duties=st.lists(duty_cycles, min_size=1, max_size=3),
+       duties=st.lists(duty_cycles, min_size=0, max_size=3),
        reports=st.lists(st.tuples(st.sampled_from(("victim", "peer")),
                                   st.integers(min_value=0, max_value=290),
                                   st.integers(min_value=1, max_value=5)),
@@ -312,7 +312,9 @@ def test_mixed_field_matches_pairwise_for_every_victim(
     """Duty-cycle and coupled members side by side: every member, as the
     victim, reads the bulk counts plus the reported-air index exactly as
     the pairwise reference counts it.  ``victim_duty`` of ``None`` makes
-    the victim coupled; otherwise it is a duty-cycle member below 1."""
+    the victim coupled; otherwise it is a duty-cycle member below 1.  With
+    a coupled victim and no ``duties`` the field holds coupled members
+    only: the coupled room's shape."""
     field = InterferenceField(streams=RandomStreams(seed).child("intf"))
     if victim_duty is None:
         field.register_coupled("victim")
