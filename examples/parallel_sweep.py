@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Parallel sweep orchestration: replicated experiments with confidence
-intervals, pluggable execution backends and live progress reporting.
+intervals, a process-pool backend and live progress reporting.
 
 Runs the paper's lossy-channel extension as a 4-point sweep with 3 seed
-replications per point, fanned out over the chunked batching backend (many
-cheap points amortise worker spawn cost), and prints the aggregated
+replications per point, fanned out over the ``batch`` backend's process
+pool (12 tasks on 4 workers, one task per chunk), and prints the aggregated
 mean ± CI table.  Results are cached on disk, so re-running the script only
 executes combinations it has not seen before — and a per-task progress
 callback reports completions as they happen.
@@ -27,7 +27,7 @@ def report(progress) -> None:
     """A custom progress callback: one line per completed task.
 
     The runner also delivers ``event="start"`` notifications the moment a
-    worker picks a task up (from a helper thread on the pool backends) —
+    worker picks a task up (from a helper thread on the ``batch`` pool) —
     this demo only prints completions, so it filters them out.
     """
     if progress.event != "done":

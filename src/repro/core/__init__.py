@@ -67,13 +67,12 @@ from repro.core.planning import (
     VariableIntervalPlanner,
 )
 from repro.core.gs_manager import GSFlowSetup, GuaranteedServiceManager
-from repro.core.pfp import PredictiveFairPoller, FixedIntervalGSPoller
+from repro.core.pfp import PredictiveFairPoller
 
 __all__ = [
     "AdmissionController",
     "AdmissionResult",
     "ErrorTerms",
-    "FixedIntervalGSPoller",
     "FixedIntervalPlanner",
     "GSDelayBound",
     "GSFlowRequest",

@@ -309,22 +309,3 @@ class PredictiveFairPoller(Poller):
             })
         return report
 
-
-class FixedIntervalGSPoller(PredictiveFairPoller):
-    """The Section 3.1 poller: PFP's slave selection, fixed-interval planning.
-
-    The only difference with :class:`PredictiveFairPoller` is that the
-    attached manager must use fixed-interval planners; this class enforces
-    that at construction time so scenario code cannot mix the two up.
-    """
-
-    name = "fixed-interval-gs"
-
-    def __init__(self, gs_manager: GuaranteedServiceManager,
-                 fair_shares: Optional[Dict[int, float]] = None,
-                 availability_threshold: float = 0.05):
-        if gs_manager.variable_interval:
-            raise ValueError(
-                "FixedIntervalGSPoller requires a manager created with "
-                "variable_interval=False")
-        super().__init__(gs_manager, fair_shares, availability_threshold)

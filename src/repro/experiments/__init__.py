@@ -86,17 +86,13 @@ from repro.experiments.channel_packs import (
 )
 from repro.experiments.orchestrator import (
     BACKENDS,
-    BatchingProcessBackend,
     EVENT_DONE,
     EVENT_START,
-    ExecutionBackend,
-    SerialBackend,
     SweepProgress,
     SweepResult,
     SweepRunner,
     format_sweep,
     log_progress,
-    make_backend,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
@@ -108,12 +104,9 @@ from repro.experiments.registry import (
 
 __all__ = [
     "BACKENDS",
-    "BatchingProcessBackend",
     "EVENT_DONE",
     "EVENT_START",
-    "ExecutionBackend",
     "ExperimentSpec",
-    "SerialBackend",
     "SweepProgress",
     "SweepResult",
     "SweepRunner",
@@ -122,7 +115,6 @@ __all__ = [
     "get_experiment",
     "iter_experiments",
     "log_progress",
-    "make_backend",
     "register",
     "run_admission_vs_ber_point",
     "run_be_load_scale_point",

@@ -20,11 +20,12 @@ Usage::
 ``.repro-cache``), so repeated invocations only execute new
 (experiment, params, seed) combinations.  ``--backend`` selects how tasks
 execute: ``serial`` inline, or ``batch``, one process pool of
-``--workers`` processes that ships adaptively sized chunks of tasks (the
-default for ``--workers`` above 1); ``--progress`` logs one line per
-completed task to stderr.  ``--resume`` records a sweep manifest and
-re-executes only the points missing from the result store; ``analyze``
-scans a sweep's rows through the :mod:`repro.analysis.findings` rules.
+``--workers`` processes fed chunks of ``ceil(tasks / (4 × workers))``
+tasks (the default for ``--workers`` above 1); ``--progress`` logs one
+line per task start and completion to stderr.  ``--resume`` records a
+sweep manifest and re-executes only the points missing from the result
+store; ``analyze`` scans a sweep's rows through the
+:mod:`repro.analysis.findings` rules.
 
 ``--set`` overrides a grid axis or a fixed parameter by flat key; a
 *dotted* key (``channel.ber=1e-4``) addresses a field of the experiment's
@@ -298,13 +299,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     # the sweep options ``run`` and ``analyze`` share
     sweep_options = argparse.ArgumentParser(add_help=False)
     sweep_options.add_argument("--workers", type=int, default=1,
-                               help="worker processes (1 = run inline)")
-    sweep_options.add_argument("--backend", choices=sorted(BACKENDS),
+                               help="pool processes of the batch backend "
+                                    "(without --backend, 1 or less runs "
+                                    "inline)")
+    sweep_options.add_argument("--backend", choices=BACKENDS,
                                default=None,
                                help="execution backend (default: serial "
                                     "for --workers<=1, batch otherwise; "
-                                    "batch runs adaptively sized chunks "
-                                    "of tasks in one process pool)")
+                                    "batch runs fixed-size chunks of tasks "
+                                    "in one process pool)")
     sweep_options.add_argument("--replications", type=int, default=None,
                                help="seed replications per sweep point")
     sweep_options.add_argument("--seed", type=int, default=0,

@@ -2,8 +2,8 @@
 
 The :class:`SweepRunner` turns an :class:`~repro.experiments.registry.
 ExperimentSpec` into a list of (parameter point, seed replication) tasks,
-hands them to a pluggable :class:`ExecutionBackend` (inline, or chunks of
-tasks per pool process, both through :func:`execute_chunk`), aggregates the
+executes them through :func:`execute_tasks` (inline, or in one process
+pool, both through :func:`run_task`), aggregates the
 replications of every point into mean / confidence-interval rows via
 :mod:`repro.analysis.stats`, and caches raw task results as JSON on disk
 keyed by ``(experiment, params, seed)`` so repeated sweeps are incremental.
@@ -21,8 +21,10 @@ backend executed it or how many workers it used.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import socket
@@ -30,8 +32,8 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (Callable, ClassVar, Dict, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.stats import aggregate_mean_ci
 from repro.fabric.store import (ResultStore, SweepManifest, canonical_params,
@@ -69,64 +71,41 @@ class SweepTask:
     seed: int
 
 
-#: one serialised sweep task, as shipped to a worker: experiment, params, seed
-TaskTriple = Tuple[str, Dict[str, object], int]
-
-
-def execute_chunk(tasks: Sequence[TaskTriple],
-                  on_start: Optional[Callable[[int], None]] = None
-                  ) -> Tuple[str, List[List[Dict]], float]:
-    """Run a chunk of tasks in this process: the one worker entry point.
+def run_task(task: SweepTask, queue=None) -> Tuple[str, List[Dict]]:
+    """Run one task in this process: the one worker entry point.
 
     Both backends execute through it — inline (``serial``) and in pool
-    processes (``batch``).
-    ``on_start(index)`` is called before the chunk's ``index``-th task
-    runs, so progress can tick while long points execute; pool
-    submissions pass a picklable hook.  Returns the worker identity, one
-    row list per task, and the seconds the chunk took inside the worker
-    (the adaptive chunk sizing reads them: timing here excludes the time
-    the chunk sat queued behind busy workers).  A raising task propagates.
+    processes (``batch``).  With a start ``queue`` (the pool's manager
+    queue) it first puts ``(task, worker)`` there, so progress ticks when
+    a long point *begins*.  Returns the worker identity and the task's
+    rows; a raising task propagates.
 
-    Workers (fork or spawn) resolve ``experiment`` through the registry:
-    importing this module first executes the ``repro.experiments`` package
-    ``__init__``, which imports every driver and thereby registers all
-    specs.
+    Workers (fork or spawn) resolve ``task.experiment`` through the
+    registry: importing this module first executes the
+    ``repro.experiments`` package ``__init__``, which imports every driver
+    and thereby registers all specs.
     """
-    started = time.monotonic()
-    results = []
-    for index, (experiment, params, seed) in enumerate(tasks):
-        if on_start is not None:
-            on_start(index)
-        rows = get_experiment(experiment).run_point(dict(params), seed)
-        results.append([rows] if isinstance(rows, dict) else list(rows))
-    return worker_identity(), results, time.monotonic() - started
-
-
-@dataclass(frozen=True)
-class _AnnounceStart:
-    """Picklable start hook: puts ``(slot, worker)`` on the reporter queue."""
-
-    queue: object
-    slots: Tuple[int, ...]
-
-    def __call__(self, index: int) -> None:
-        self.queue.put((self.slots[index], worker_identity()))
+    worker = worker_identity()
+    if queue is not None:
+        queue.put((task, worker))
+    rows = get_experiment(task.experiment).run_point(dict(task.params),
+                                                     task.seed)
+    return worker, [rows] if isinstance(rows, dict) else list(rows)
 
 
 class _StartReporter:
     """Ships per-task start notifications out of worker processes.
 
-    A :mod:`multiprocessing` manager queue is handed to every worker
-    submission (manager proxies — unlike raw ``multiprocessing.Queue``
-    objects — survive pickling into :class:`~concurrent.futures.
-    ProcessPoolExecutor` submissions under any start method); a daemon
-    thread in the parent drains it and invokes the callback with each
-    started slot.  One proxy round trip per task start is cheap next to a
-    simulation point, and the whole machinery is only built when a
-    progress callback is attached.
+    A :mod:`multiprocessing` manager queue is handed to the pool workers
+    (manager proxies — unlike raw ``multiprocessing.Queue`` objects —
+    survive pickling into :class:`~concurrent.futures.ProcessPoolExecutor`
+    submissions under any start method); a daemon thread in the parent
+    drains it and invokes the callback with each started task.  One proxy
+    round trip per task start is cheap next to a simulation point, and the
+    whole machinery is only built when a progress callback is attached.
     """
 
-    def __init__(self, callback: Callable[[int, Optional[str]], None]):
+    def __init__(self, callback: Callable[[SweepTask, str], None]):
         self._callback = callback
         self._manager = multiprocessing.Manager()
         self.queue = self._manager.Queue()
@@ -142,9 +121,8 @@ class _StartReporter:
             token = self.queue.get()
             if token is None:
                 return
-            slot, worker = token  # workers put ``(slot, worker)`` pairs
             try:
-                self._callback(slot, worker)
+                self._callback(*token)  # workers put ``(task, worker)``
             except Exception:  # never let a callback kill the drain thread
                 progress_logger.exception("start-progress callback failed")
 
@@ -154,198 +132,51 @@ class _StartReporter:
         self._manager.shutdown()
 
 
-# ---------------------------------------------------------------- backends
-
-#: what a backend consumes: ``(result slot, task)`` pairs
-PendingTasks = Sequence[Tuple[int, SweepTask]]
-#: what a backend yields: ``(result slot, task, result rows, worker id)``
-CompletedTask = Tuple[int, SweepTask, List[Dict], Optional[str]]
+#: the execution backends, by name: ``serial`` runs inline, ``batch`` in
+#: one process pool (README ADR-014)
+BACKENDS = ("batch", "serial")
 
 
-class ExecutionBackend:
-    """Strategy that executes a sweep's pending tasks.
+def execute_tasks(pending: Sequence[Tuple[int, SweepTask]],
+                  workers: Optional[int],
+                  on_start: Optional[Callable[[SweepTask, str], None]] = None
+                  ) -> Iterator[Tuple[int, SweepTask, str, List[Dict]]]:
+    """Execute ``(slot, task)`` pairs; yield ``(slot, task, worker, rows)``.
 
-    Implementations must yield one ``(slot, task, rows, worker)`` tuple per
-    pending task, **in the order the tasks were submitted** — the runner
-    aggregates (and serialises cache writes) in yield order, which keeps
-    sweep results byte-identical across backends.  ``worker`` names where
-    the task ran (``host/pid``) and is display-only: it never reaches the
-    cached rows or the aggregated result.
-
-    The two registered backends are :class:`SerialBackend` and
-    :class:`BatchingProcessBackend` (README ADR-010).  Both accept
-    ``max_workers`` (ignored by the serial one), so :func:`make_backend`
-    can instantiate either uniformly.
+    ``workers=None`` is the ``serial`` backend: every task runs inline.
+    Otherwise (``batch``) the tasks run in one
+    :class:`~concurrent.futures.ProcessPoolExecutor` of ``workers``
+    processes through ``map`` with :meth:`multiprocessing.pool.Pool.map`'s
+    chunk rule, ``ceil(tasks / (4 × workers))`` tasks per chunk.  Either
+    way results come **in submission order** — the runner aggregates (and
+    serialises store writes) in yield order, which keeps sweep results
+    byte-identical across backends — and a raising task propagates its
+    own error; ``map`` then cancels the chunks not yet started.
+    ``on_start(task, worker)`` is called as each task begins (from a
+    helper thread for the pool); ``worker`` (``host/pid``) is display-only.
     """
-
-    #: registry key used by :func:`make_backend` and the CLI ``--backend``
-    name: ClassVar[str] = "?"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        #: when set (the runner wires it to its progress reporting), the
-        #: backend announces each task as it *starts* executing — from a
-        #: helper thread for the process pool — together with the
-        #: executing worker's identity when known
-        self.start_callback: Optional[
-            Callable[["SweepTask", Optional[str]], None]] = None
-
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        raise NotImplementedError
-
-    def _start_reporter(self, pending: PendingTasks
-                        ) -> Optional[_StartReporter]:
-        """A reporter translating started slots into task callbacks."""
-        if self.start_callback is None:
-            return None
-        tasks_by_slot = {slot: task for slot, task in pending}
-        callback = self.start_callback
-        return _StartReporter(
-            lambda slot, worker: callback(tasks_by_slot[slot], worker))
-
-
-class SerialBackend(ExecutionBackend):
-    """Run every task inline in the current process (no pool).
-
-    The reference backend: zero spawn overhead, deterministic, debuggable —
-    and what ``max_workers <= 1`` has always meant.
-    """
-
-    name = "serial"
-
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
+    if workers is None:
         for slot, task in pending:
-            if self.start_callback is not None:
-                self.start_callback(task, worker_identity())
-            worker, (rows,), _ = execute_chunk(
-                [(task.experiment, task.params, task.seed)])
-            yield slot, task, rows, worker
-
-
-class BatchingProcessBackend(ExecutionBackend):
-    """Run the tasks in one process pool, a contiguous chunk per submission.
-
-    Sweeps with many cheap points (analytic experiments, short simulated
-    durations, large grids) spend a noticeable share of their wall clock on
-    per-task executor round trips: pickling, queue wakeups and result
-    marshalling.  Chunking amortises that cost.
-
-    The chunk size is **adaptive**: the backend starts with single-task
-    probe batches, keeps an EWMA of the observed per-task cost (batch wall
-    time divided by batch size, measured as batches complete) and sizes
-    every subsequent chunk to take about :attr:`TARGET_BATCH_SECONDS` —
-    cheap tasks coalesce into large chunks, expensive tasks stay finely
-    chunked for load balancing.  The sizing knobs are class constants;
-    a test that needs another value patches the constant.
-
-    Results are yielded strictly in task submission order, so sweep output
-    stays byte-identical to the serial backend.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker processes (``None`` means the CPU count; below one is
-        rejected).
-    """
-
-    name = "batch"
-
-    #: fixed tasks per chunk; ``None`` sizes chunks adaptively
-    BATCH_SIZE: ClassVar[Optional[int]] = None
-    #: chunks kept in flight per worker (load-balancing slack and the
-    #: submission window)
-    OVERSUBSCRIBE = 4
-    #: wall-clock cost an adaptively sized chunk aims at
-    TARGET_BATCH_SECONDS = 0.5
-    #: upper bound on an adaptively sized chunk (keeps progress reporting
-    #: and load balancing alive even for microsecond tasks)
-    MAX_BATCH_SIZE = 64
-    #: EWMA weight of the newest per-task cost observation
-    COST_ALPHA = 0.4
-
-    def __init__(self, max_workers: Optional[int] = None):
-        super().__init__(max_workers)
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"{self.name} backend: max_workers must be "
-                             f">= 1, got {max_workers}")
-        #: smoothed seconds per task, None until the first batch completes
-        self._task_cost_ewma: Optional[float] = None
-
-    def _observe_batch(self, batch_seconds: float, batch_size: int) -> None:
-        """Fold one completed batch into the per-task cost EWMA."""
-        per_task = batch_seconds / batch_size
-        if self._task_cost_ewma is None:
-            self._task_cost_ewma = per_task
-        else:
-            self._task_cost_ewma += self.COST_ALPHA * (
-                per_task - self._task_cost_ewma)
-
-    def _next_batch_size(self, remaining: int) -> int:
-        """Chunk size of the next submission: the fixed :attr:`BATCH_SIZE`,
-        or one sized from the observed per-task cost."""
-        if self.BATCH_SIZE is not None:
-            return min(self.BATCH_SIZE, remaining)
-        if self._task_cost_ewma is None:
-            # probe batches stay small until a cost estimate exists
-            return 1
-        if self._task_cost_ewma <= 0:
-            return min(remaining, self.MAX_BATCH_SIZE)
-        size = int(round(self.TARGET_BATCH_SECONDS / self._task_cost_ewma))
-        return max(1, min(size, self.MAX_BATCH_SIZE, remaining))
-
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        if not pending:
-            return
-        workers = self.max_workers or os.cpu_count() or 1
-        window = workers * self.OVERSUBSCRIBE
-        next_index = 0
-        inflight: List[Tuple[PendingTasks, object]] = []
-        reporter = self._start_reporter(pending)
-        with reporter or contextlib.nullcontext(), ProcessPoolExecutor(
-                max_workers=workers) as pool:
-
-            def submit_one() -> None:
-                nonlocal next_index
-                size = self._next_batch_size(len(pending) - next_index)
-                batch = pending[next_index:next_index + size]
-                next_index += size
-                hook = None if reporter is None else _AnnounceStart(
-                    reporter.queue, tuple(slot for slot, _ in batch))
-                inflight.append((batch, pool.submit(
-                    execute_chunk,
-                    [(task.experiment, task.params, task.seed)
-                     for _, task in batch],
-                    hook)))
-
-            while next_index < len(pending) and len(inflight) < window:
-                submit_one()
-            while inflight:
-                batch, future = inflight.pop(0)
-                worker, results, worker_seconds = future.result()
-                self._observe_batch(worker_seconds, len(batch))
-                while next_index < len(pending) and len(inflight) < window:
-                    submit_one()
-                for (slot, task), rows in zip(batch, results):
-                    yield slot, task, rows, worker
-
-
-#: backend name -> class, for the CLI and :func:`make_backend`
-BACKENDS: Dict[str, type] = {
-    backend.name: backend
-    for backend in (SerialBackend, BatchingProcessBackend)
-}
-
-
-def make_backend(name: str,
-                 max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a backend by registry name (``serial`` or ``batch``)."""
-    try:
-        backend_cls = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(
-            f"unknown execution backend {name!r}; known: {known}") from None
-    return backend_cls(max_workers=max_workers)
+            if on_start is not None:
+                on_start(task, worker_identity())
+            yield (slot, task, *run_task(task))
+        return
+    if not pending:
+        return
+    tasks = [task for _, task in pending]
+    reporter = None if on_start is None else _StartReporter(on_start)
+    with reporter or contextlib.nullcontext(), ProcessPoolExecutor(
+            max_workers=workers) as pool:
+        entry = run_task if reporter is None else functools.partial(
+            run_task, queue=reporter.queue)
+        results = pool.map(entry, tasks,
+                           chunksize=math.ceil(len(tasks) / (4 * workers)))
+        try:
+            for (slot, task), (worker, rows) in zip(pending, results):
+                yield slot, task, worker, rows
+        finally:
+            # a consumer that stops early leaves no queued chunk running
+            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------- progress
@@ -385,7 +216,7 @@ class SweepProgress:
     #: :data:`EVENT_START` or :data:`EVENT_DONE`
     event: str = EVENT_DONE
     #: where the task ran — ``host/pid`` of the executing process;
-    #: ``None`` for cache hits and backends that cannot attribute the task
+    #: ``None`` for cache hits
     worker: Optional[str] = None
 
 
@@ -438,7 +269,7 @@ class SweepResult:
     #: name of the backend that executed the sweep (display only — the
     #: JSON rendering deliberately omits it so results stay byte-identical
     #: across backends)
-    backend: str = SerialBackend.name
+    backend: str = "serial"
     #: True when the run was asked to resume an interrupted sweep
     resumed: bool = False
     #: address of the sweep's manifest in the result store (None when the
@@ -543,18 +374,18 @@ class SweepRunner:
     Parameters
     ----------
     max_workers:
-        Worker processes; ``None`` means the CPU count, ``0``/``1`` runs
-        every task inline (serial backend).  Only consulted when ``backend``
-        does not name/carry one explicitly.
+        Pool processes of the ``batch`` backend; ``None`` means the CPU
+        count, below one is rejected.  The ``serial`` backend ignores it.
+        Without an explicit ``backend``, ``0``/``1`` selects ``serial``.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
     confidence:
         Confidence level of the aggregated intervals.
     backend:
-        How tasks execute: an :class:`ExecutionBackend` instance, a backend
-        name (``"serial"`` or ``"batch"`` — instantiated with
-        ``max_workers``), or ``None`` to derive it from ``max_workers``
-        (inline for ``<= 1``, the ``batch`` pool otherwise).
+        How tasks execute: ``"serial"`` (inline), ``"batch"`` (one process
+        pool of ``max_workers``), or ``None`` to derive it from
+        ``max_workers`` (inline for ``<= 1``, the ``batch`` pool
+        otherwise).
     progress:
         Optional callback invoked with a :class:`SweepProgress` once per
         task *start* (``event="start"``, shipped out of worker processes
@@ -569,28 +400,31 @@ class SweepRunner:
     def __init__(self, max_workers: Optional[int] = 1,
                  cache_dir: Optional[str] = None,
                  confidence: float = 0.95,
-                 backend: Union[ExecutionBackend, str, None] = None,
+                 backend: Optional[str] = None,
                  progress: Optional[ProgressCallback] = None):
         self.max_workers = max_workers
         self.cache = ResultStore(cache_dir) if cache_dir else None
         self.confidence = confidence
-        self.backend = self._resolve_backend(backend, max_workers)
+        self.backend, self._workers = self._resolve_backend(backend,
+                                                            max_workers)
         self.progress = progress
 
     @staticmethod
-    def _resolve_backend(backend: Union[ExecutionBackend, str, None],
-                         max_workers: Optional[int]) -> ExecutionBackend:
-        if isinstance(backend, ExecutionBackend):
-            return backend
-        if isinstance(backend, str):
-            return make_backend(backend, max_workers)
-        if backend is not None:
-            raise TypeError(
-                f"backend must be an ExecutionBackend, a name or None, "
-                f"got {backend!r}")
-        if max_workers is not None and max_workers <= 1:
-            return SerialBackend()
-        return BatchingProcessBackend(max_workers)
+    def _resolve_backend(backend: Optional[str], max_workers: Optional[int]
+                         ) -> Tuple[str, Optional[int]]:
+        """The backend name and its pool size (``None``: run inline)."""
+        if backend is None:
+            inline = max_workers is not None and max_workers <= 1
+            backend = "serial" if inline else "batch"
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown execution backend {backend!r}; "
+                             f"known: {', '.join(BACKENDS)}")
+        if backend == "serial":
+            return backend, None
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"batch backend: max_workers must be >= 1, "
+                             f"got {max_workers}")
+        return backend, max_workers or os.cpu_count() or 1
 
     # ------------------------------------------------------------- planning
 
@@ -650,30 +484,26 @@ class SweepRunner:
         started = time.monotonic()
         completed = 0
 
+        def progress_event(task: SweepTask, **fields) -> SweepProgress:
+            return SweepProgress(
+                experiment=spec.name, completed=completed, total=len(tasks),
+                point_index=task.point_index, replication=task.replication,
+                params=dict(task.params),
+                elapsed_seconds=time.monotonic() - started, **fields)
+
         def report(task: SweepTask, cached: bool,
                    worker: Optional[str] = None) -> None:
             nonlocal completed
             completed += 1
             if self.progress is not None:
-                self.progress(SweepProgress(
-                    experiment=spec.name, completed=completed,
-                    total=len(tasks), point_index=task.point_index,
-                    replication=task.replication, params=dict(task.params),
-                    elapsed_seconds=time.monotonic() - started,
-                    cached=cached, worker=worker))
+                self.progress(progress_event(task, cached=cached,
+                                             worker=worker))
 
-        def report_start(task: SweepTask, worker: Optional[str]) -> None:
-            # called by the backend — possibly from its reporter thread —
-            # the moment a worker picks the task up
-            self.progress(SweepProgress(
-                experiment=spec.name, completed=completed,
-                total=len(tasks), point_index=task.point_index,
-                replication=task.replication, params=dict(task.params),
-                elapsed_seconds=time.monotonic() - started,
-                event=EVENT_START, worker=worker))
-
-        self.backend.start_callback = \
-            report_start if self.progress is not None else None
+        def report_start(task: SweepTask, worker: str) -> None:
+            # called — from the pool's reporter thread on ``batch`` — the
+            # moment a worker picks the task up
+            self.progress(progress_event(task, event=EVENT_START,
+                                         worker=worker))
 
         # the cache key carries the spec's result-schema version so bumping
         # it after a run_point change invalidates stale entries
@@ -700,7 +530,9 @@ class SweepRunner:
             self.cache.save_manifest(manifest)
 
         since_flush = 0
-        for slot, task, rows, worker in self.backend.execute(pending):
+        for slot, task, worker, rows in execute_tasks(
+                pending, self._workers,
+                report_start if self.progress is not None else None):
             if self.cache is not None:
                 self.cache.put(cache_name, task.params, task.seed, rows)
             results[slot] = rows
@@ -734,7 +566,7 @@ class SweepRunner:
             replications=replication_count, confidence=self.confidence,
             rows=aggregated, tasks_total=len(tasks),
             tasks_run=len(pending), cache_hits=cache_hits,
-            backend=self.backend.name, resumed=resume,
+            backend=self.backend, resumed=resume,
             manifest_digest=manifest.sweep_digest() if manifest else None)
 
     def _open_manifest(self, cache_name: str, tasks: Sequence[SweepTask],
@@ -748,14 +580,14 @@ class SweepRunner:
         manifest = SweepManifest(
             experiment=cache_name, master_seed=master_seed,
             replications=replication_count, task_digests=digests,
-            backend=self.backend.name)
+            backend=self.backend)
         if resume:
             existing = self.cache.load_manifest(manifest.sweep_digest())
             if existing is not None:
                 # keep its completion marks; the store scan below re-proves
                 # them (a mark without a store entry is simply re-executed)
                 manifest = existing
-                manifest.backend = self.backend.name
+                manifest.backend = self.backend
         manifest.status = "running"
         return manifest
 

@@ -9,8 +9,8 @@ sweeps resumable (``run --resume``).  ``python -m repro.fabric stats|gc``
 inspects and cleans a store.  The findings pass that scans completed rows
 lives in :mod:`repro.analysis.findings`.
 
-Sweeps execute on one host (README ADR-010): the ``serial`` backend or one
-adaptive process pool (``batch``).  The store module is stdlib-only, so
+Sweeps execute on one host (README ADR-014): the ``serial`` backend or one
+process pool (``batch``).  The store module is stdlib-only, so
 the orchestrator builds on it without an import cycle.
 """
 

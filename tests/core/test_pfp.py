@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FixedIntervalGSPoller, GuaranteedServiceManager, PredictiveFairPoller, cbr_tspec
+from repro.core import GuaranteedServiceManager, PredictiveFairPoller, cbr_tspec
 from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers.base import KIND_BE, KIND_GS
@@ -98,15 +98,6 @@ def test_gs_delay_bound_met_in_presence_of_be_load():
     assert state.delivered_packets > 200
     assert state.delays.maximum <= 0.030 + 1e-9
     assert manager.delay_bound_for(1) <= 0.030 + 1e-9
-
-
-def test_fixed_interval_gs_poller_requires_fixed_manager():
-    variable_manager = GuaranteedServiceManager(M_T, variable_interval=True)
-    with pytest.raises(ValueError):
-        FixedIntervalGSPoller(variable_manager)
-    fixed_manager = GuaranteedServiceManager(M_T, variable_interval=False)
-    poller = FixedIntervalGSPoller(fixed_manager)
-    assert poller.name == "fixed-interval-gs"
 
 
 def test_gs_poll_marks_unsuccessful_when_no_data():

@@ -13,18 +13,18 @@ from repro.analysis.stats import confidence_interval
 from repro.experiments import experiment_names, get_experiment
 from repro.experiments.orchestrator import (
     BACKENDS,
-    BatchingProcessBackend,
-    SerialBackend,
     SweepResult,
     SweepRunner,
+    SweepTask,
     aggregate_replications,
-    execute_chunk,
+    execute_tasks,
     flatten_row,
     format_sweep,
-    make_backend,
     point_seed,
+    run_task,
 )
 from repro.experiments.registry import ExperimentSpec, register, unregister
+from repro.fabric.store import ResultStore
 from repro.sim.rng import derive_seed
 
 #: every hand-written driver must have registered a sweep spec on import
@@ -139,109 +139,85 @@ def test_worker_pool_matches_inline_execution():
 
 # ----------------------------------------------------------------- backends
 
-def test_all_backends_produce_byte_identical_rows(monkeypatch):
-    # serial / batch (adaptive chunks, then chunks of 1 and of 3) must
-    # agree down to the serialised JSON for a registered spec under the
-    # same master seed
+def test_all_backends_produce_byte_identical_rows():
+    # serial and batch must agree down to the serialised JSON for a
+    # registered spec under the same master seed
     results = {
         name: SweepRunner(max_workers=2, backend=name).run(
             "admission_capacity", master_seed=3)
         for name in ("serial", "batch")}
-    for size in (1, 3):
-        monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", size)
-        results[f"batch-{size}"] = SweepRunner(
-            max_workers=2, backend="batch").run("admission_capacity",
-                                                master_seed=3)
     serial = results["serial"]
     assert serial.rows, "sweep produced no rows"
-    for label, result in results.items():
-        assert result.to_json() == serial.to_json(), label
-        assert result.backend == label.split("-")[0]
+    for name, result in results.items():
+        assert result.to_json() == serial.to_json(), name
+        assert result.backend == name
 
 
 def test_backend_resolution_from_max_workers_and_names():
-    assert isinstance(SweepRunner(max_workers=1).backend, SerialBackend)
-    assert isinstance(SweepRunner(max_workers=0).backend, SerialBackend)
+    assert SweepRunner(max_workers=1).backend == "serial"
+    assert SweepRunner(max_workers=0).backend == "serial"
     # no pool, nothing to size: ``--backend serial --workers 0`` still runs
-    assert isinstance(make_backend("serial", 0), SerialBackend)
-    assert isinstance(SweepRunner(max_workers=4).backend,
-                      BatchingProcessBackend)
-    assert isinstance(SweepRunner(max_workers=None).backend,
-                      BatchingProcessBackend)
-    assert isinstance(SweepRunner(backend="batch").backend,
-                      BatchingProcessBackend)
-    explicit = BatchingProcessBackend(max_workers=2)
-    assert SweepRunner(backend=explicit).backend is explicit
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        make_backend("carrier-pigeon")
-    with pytest.raises(TypeError):
-        SweepRunner(backend=42)
+    assert SweepRunner(max_workers=0, backend="serial").backend == "serial"
+    assert SweepRunner(max_workers=4).backend == "batch"
+    assert SweepRunner(max_workers=None).backend == "batch"
+    assert SweepRunner(backend="batch").backend == "batch"
+    for bad in ("carrier-pigeon", 42):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            SweepRunner(backend=bad)
 
 
 def test_backends_are_serial_and_batch_only():
     assert sorted(BACKENDS) == ["batch", "serial"]
     for name in ("process", "remote"):
         with pytest.raises(ValueError) as excinfo:
-            make_backend(name, 2)
+            SweepRunner(max_workers=2, backend=name)
         assert str(excinfo.value) == (f"unknown execution backend "
                                       f"{name!r}; known: batch, serial")
-
-
-def test_batching_backend_fixed_chunk_size(monkeypatch):
-    monkeypatch.setattr(BatchingProcessBackend, "BATCH_SIZE", 3)
-    backend = BatchingProcessBackend(max_workers=2)
-    # a fixed batch size is the chunk size, clamped to the remaining tasks
-    assert [backend._next_batch_size(remaining)
-            for remaining in (8, 5, 2)] == [3, 3, 2]
-    # observed costs never move a fixed chunk size
-    backend._observe_batch(batch_seconds=0.0001, batch_size=3)
-    assert backend._next_batch_size(remaining=100) == 3
 
 
 @pytest.mark.parametrize("name", ["batch"])
 @pytest.mark.parametrize("workers", [0, -1])
 def test_pool_backends_reject_fewer_than_one_worker(name, workers):
     with pytest.raises(ValueError) as excinfo:
-        make_backend(name, workers)
+        SweepRunner(max_workers=workers, backend=name)
     assert str(excinfo.value) == (f"{name} backend: max_workers must be "
                                   f">= 1, got {workers}")
-    with pytest.raises(ValueError, match=f"{name} backend"):
-        SweepRunner(max_workers=workers, backend=name)
 
 
-# ------------------------------------------------------------ chunk entry
+# ------------------------------------------------------------ task entry
 
-def test_execute_chunk_announces_each_task_before_it_runs(toy_experiment):
+def toy_task(x, seed, experiment="toy"):
+    return SweepTask(experiment=experiment, point_index=0, replication=0,
+                     params={"x": x}, seed=seed)
+
+
+def test_run_task_announces_the_task_before_it_runs(toy_experiment):
     log = []
 
-    def on_start(index):
-        log.append(("start", index, len(TOY_CALLS)))
+    class Queue:
+        def put(self, token):
+            log.append((token, len(TOY_CALLS)))
 
-    tasks = [("toy", {"x": 1}, 11), ("toy", {"x": 2}, 12),
-             ("toy", {"x": 3}, 13)]
-    execute_chunk(tasks, on_start)
-    # task ``i`` is announced after ``i`` tasks ran, i.e. before its own
-    assert log == [("start", 0, 0), ("start", 1, 1), ("start", 2, 2)]
-    assert [seed for _, seed in TOY_CALLS] == [11, 12, 13]
+    task = toy_task(1, 11)
+    run_task(task, Queue())
+    worker = f"{socket.gethostname()}/{os.getpid()}"
+    # announced with its worker before it ran
+    assert log == [((task, worker), 0)]
+    assert TOY_CALLS == [({"x": 1}, 11)]
 
 
-def test_execute_chunk_returns_worker_rows_per_task_and_seconds(
-        toy_experiment):
-    tasks = [("toy", {"x": 1}, 5), ("toy", {"x": 2}, 6)]
-    worker, results, seconds = execute_chunk(tasks)
+def test_run_task_returns_worker_and_rows(toy_experiment):
+    worker, rows = run_task(toy_task(2, 6))
     assert worker == f"{socket.gethostname()}/{os.getpid()}"
-    assert results == [toy_run_point({"x": 1}, 5), toy_run_point({"x": 2}, 6)]
-    assert seconds >= 0.0
-    _, rows, seconds = execute_chunk([])
-    assert rows == [] and seconds >= 0.0
+    assert rows == toy_run_point({"x": 2}, 6)
 
 
-def test_execute_chunk_wraps_a_single_row_dict():
+def test_run_task_wraps_a_single_row_dict():
     spec = register(ExperimentSpec(
         name="toy-dict", description="", grid={"x": [1]},
         run_point=lambda params, seed: {"x": params["x"]}))
     try:
-        assert execute_chunk([("toy-dict", {"x": 4}, 0)])[1] == [[{"x": 4}]]
+        assert run_task(toy_task(4, 0, "toy-dict"))[1] == [{"x": 4}]
     finally:
         unregister(spec.name)
 
@@ -252,63 +228,71 @@ def failing_run_point(params, seed):
     return [{"x": params["x"]}]
 
 
-def test_execute_chunk_propagates_a_raising_task():
+def test_execute_tasks_inline_stops_at_a_raising_task():
     register(ExperimentSpec(name="toy-fail", description="",
                             run_point=failing_run_point, grid={"x": [1]}))
-    started = []
+    pending = list(enumerate(toy_task(x, 0, "toy-fail") for x in (1, 2, 3)))
+    started, done = [], []
     try:
         with pytest.raises(RuntimeError, match="point 2 exploded"):
-            execute_chunk([("toy-fail", {"x": 1}, 0),
-                           ("toy-fail", {"x": 2}, 0),
-                           ("toy-fail", {"x": 3}, 0)], started.append)
+            for slot, _task, _worker, _rows in execute_tasks(
+                    pending, None,
+                    lambda task, worker: started.append(task.params["x"])):
+                done.append(slot)
     finally:
         unregister("toy-fail")
-    # the chunk stops at the failing task
-    assert started == [0, 1]
+    # the sweep stops at the failing task
+    assert started == [1, 2] and done == [0]
 
 
-def test_adaptive_batching_sizes_chunks_from_observed_cost(monkeypatch):
-    monkeypatch.setattr(BatchingProcessBackend, "TARGET_BATCH_SECONDS", 1.0)
-    monkeypatch.setattr(BatchingProcessBackend, "MAX_BATCH_SIZE", 16)
-    backend = BatchingProcessBackend(max_workers=2)
-    # no cost estimate yet: probe with single-task batches
-    assert backend._next_batch_size(remaining=100) == 1
-    # 50 ms per task -> ~20 tasks per second-long chunk, clamped to 16
-    backend._observe_batch(batch_seconds=0.05, batch_size=1)
-    assert backend._next_batch_size(remaining=100) == 16
-    # expensive tasks shrink the chunks again (EWMA follows the drift)
-    for _ in range(20):
-        backend._observe_batch(batch_seconds=2.0, batch_size=4)
-    assert backend._next_batch_size(remaining=100) == 2
-    # never exceed the remaining work and never return zero
-    assert backend._next_batch_size(remaining=1) == 1
-    backend._task_cost_ewma = 1e9
-    assert backend._next_batch_size(remaining=100) == 1
-    # free tasks saturate at the cap
-    backend._task_cost_ewma = 0.0
-    assert backend._next_batch_size(remaining=100) == 16
+def faulty_run_point(params, seed):
+    if os.path.exists(params["fault_marker"]) and params["x"] == 7:
+        raise RuntimeError(f"point {params['x']} exploded (seed {seed})")
+    return [{"x": params["x"], "value": params["x"] + seed % 97}]
 
 
-def test_adaptive_batching_ewma_converges():
-    backend = BatchingProcessBackend()
-    backend._observe_batch(1.0, 1)
-    assert backend._task_cost_ewma == pytest.approx(1.0)
-    for _ in range(30):
-        backend._observe_batch(0.1, 1)
-    assert backend._task_cost_ewma == pytest.approx(0.1, rel=0.05)
+def test_batch_failure_reraises_and_resume_runs_only_the_rest(tmp_path):
+    # 12 tasks on 2 workers: chunks of ceil(12 / 8) = 2 tasks; the task
+    # at slot 7 raises while the marker file exists (forked workers see
+    # the file system, so deleting it removes the fault)
+    marker = tmp_path / "fault"
+    marker.write_text("")
+    spec = register(ExperimentSpec(
+        name="toy-faulty", description="", run_point=faulty_run_point,
+        grid={"x": list(range(12))},
+        defaults={"fault_marker": str(marker)}))
+    store = str(tmp_path / "store")
+    try:
+        with pytest.raises(RuntimeError,
+                           match=r"^point 7 exploded \(seed \d+\)$"):
+            SweepRunner(max_workers=2, backend="batch",
+                        cache_dir=store).run("toy-faulty", resume=True)
+        cache = ResultStore(store)
+        stored = [cache.contains("toy-faulty@v1", task.params, task.seed)
+                  for task in SweepRunner().tasks_for(spec)]
+        # the chunks before the failing task's chunk (slots 6 and 7)
+        # reached the store, nothing from it or after it
+        assert stored == [True] * 6 + [False] * 6
+        marker.unlink()
+        resumed = SweepRunner(max_workers=2, backend="batch",
+                              cache_dir=store).run("toy-faulty",
+                                                   resume=True)
+        clean = SweepRunner(backend="serial").run("toy-faulty")
+    finally:
+        unregister("toy-faulty")
+    assert (resumed.tasks_run, resumed.cache_hits) == (6, 6)
+    assert resumed.to_json() == clean.to_json()
 
 
 def test_adaptive_batching_preserves_task_order(toy_experiment):
-    # the batch backend sizes its chunks adaptively: no fixed size, four
-    # chunks in flight per worker, half-second chunks of at most 64 tasks
-    backend = SweepRunner(max_workers=2, backend="batch").backend
-    assert isinstance(backend, BatchingProcessBackend)
-    assert (backend.BATCH_SIZE, backend.OVERSUBSCRIBE,
-            backend.TARGET_BATCH_SECONDS, backend.MAX_BATCH_SIZE) == (
-                None, 4, 0.5, 64)
+    # the batch backend's chunk size adapts to the sweep's size (Pool.map's
+    # rule): 2 points x 5 replications on 2 workers ship chunks of
+    # ceil(10 / 8) = 2 tasks, and the rows still come back in task order
     result = SweepRunner(max_workers=2, backend="batch").run(
-        "toy", master_seed=5)
-    serial = SweepRunner(max_workers=1).run("toy", master_seed=5)
+        "toy", master_seed=5, replications=5)
+    serial = SweepRunner(max_workers=1).run("toy", master_seed=5,
+                                            replications=5)
+    assert result.backend == "batch" and result.tasks_run == 10
     assert result.to_json() == serial.to_json()
 
 
