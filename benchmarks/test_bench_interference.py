@@ -39,6 +39,7 @@ import time
 from conftest import bench_duration
 from record import record
 
+from repro.baseband.constants import SLOT_US
 from repro.baseband.interference import HopSequence, InterferenceField
 from repro.scenario import coupled_room_spec
 from repro.sim.rng import RandomStreams
@@ -258,7 +259,7 @@ def test_bench_crowded_room_coupled_64(benchmark):
           f"{wall:.2f}s wall ({rate:,.0f} slots/s)")
     assert slots >= duration * 1600 * 64 * 0.95
     field = compiled.interference_field
-    horizon = compiled.scatternet.clock.now_slot
+    horizon = compiled.env.now // SLOT_US
     # the room is live: piconets are radiating and colliding
     assert field.activity_fraction("p1", horizon) > 0.5
     assert field.observed_collision_fraction("p1", horizon) > 0.0

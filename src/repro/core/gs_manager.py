@@ -134,14 +134,15 @@ class GuaranteedServiceManager:
         #: previously admitted flow (the eviction path).  The manager is
         #: simulator-agnostic, so the piconet-side teardown — detaching the
         #: flow state and its queued segments from the master loop and the
-        #: poller — registers here (see ``CompiledPiconet``): without it an
-        #: evicted flow would keep consuming polls it no longer pays for.
-        self._eviction_hooks: List[Callable[[int, GSFlowSetup], None]] = []
+        #: poller — registers here (see ``repro.scenario.timeline``):
+        #: without it an evicted flow would keep consuming polls it no
+        #: longer pays for.
+        self._on_eviction: List[Callable[[int, GSFlowSetup], None]] = []
 
     def add_eviction_hook(self,
                           hook: Callable[[int, "GSFlowSetup"], None]) -> None:
         """Register ``hook(flow_id, setup)`` for rejected renegotiations."""
-        self._eviction_hooks.append(hook)
+        self._on_eviction.append(hook)
 
     # ------------------------------------------------------------------ setup
     def add_flow(self, spec: FlowSpec, tspec: TSpec,
@@ -395,7 +396,7 @@ class GuaranteedServiceManager:
                                     rate=setup.request.rate, start_time=now)
         if not renewed.accepted:
             self._rebuild_planners(now)
-            for hook in self._eviction_hooks:
+            for hook in self._on_eviction:
                 hook(flow_id, renewed)
         return renewed
 

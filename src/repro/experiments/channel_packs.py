@@ -386,9 +386,7 @@ def run_crowded_room_coupled_point(params: Dict, seed: int) -> List[Dict]:
         params, crowded_room_coupled_spec).compile(seed)
     compiled.run(duration_seconds)
     field = compiled.interference_field
-    horizon = (compiled.scatternet.clock.now_slot
-               if compiled.scatternet is not None
-               else compiled.env.now // SLOT_US)
+    horizon = compiled.env.now // SLOT_US
     kbps = {name: scenario.acl_throughput_kbps()
             for name, scenario in compiled.piconets.items()}
     throughputs = list(kbps.values())

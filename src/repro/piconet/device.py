@@ -8,7 +8,7 @@ Keeping explicit device objects makes scenario code read naturally
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.piconet.addressing import AMAddress, BDAddress
@@ -20,10 +20,6 @@ class Device:
 
     name: str
     bd_addr: BDAddress
-    #: flow ids transmitted by this device (i.e. queued at this device)
-    tx_flow_ids: List[int] = field(default_factory=list)
-    #: flow ids received by this device
-    rx_flow_ids: List[int] = field(default_factory=list)
 
     def __str__(self) -> str:
         return self.name

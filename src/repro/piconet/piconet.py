@@ -146,7 +146,6 @@ class Piconet:
         self.topology_changes = 0
         self._started = False
         self._run_started_at: Optional[int] = None
-        self._run_ended_at: Optional[int] = None
         #: sorted flow-state list, rebuilt lazily after add_flow
         self._flow_states_cache: Optional[List[FlowState]] = None
         #: slave -> flow specs (flow-id order), rebuilt lazily after add_flow
@@ -192,13 +191,6 @@ class Piconet:
         self._states[spec.flow_id] = state
         self._flow_states_cache = None
         self._specs_by_slave_cache = None
-        slave = self.devices.slave(spec.slave)
-        if spec.is_downlink:
-            self.devices.master.tx_flow_ids.append(spec.flow_id)
-            slave.rx_flow_ids.append(spec.flow_id)
-        else:
-            slave.tx_flow_ids.append(spec.flow_id)
-            self.devices.master.rx_flow_ids.append(spec.flow_id)
         return state
 
     def _segmentation_policy(self, spec: FlowSpec):
@@ -298,14 +290,6 @@ class Piconet:
         if state is None:
             raise KeyError(f"unknown flow id {flow_id}")
         self._retired_states[flow_id] = state
-        spec = state.spec
-        slave = self.devices.slave(spec.slave)
-        if spec.is_downlink:
-            self.devices.master.tx_flow_ids.remove(flow_id)
-            slave.rx_flow_ids.remove(flow_id)
-        else:
-            slave.tx_flow_ids.remove(flow_id)
-            self.devices.master.rx_flow_ids.remove(flow_id)
         self._flow_states_cache = None
         self._specs_by_slave_cache = None
         if self.poller is not None:
@@ -322,13 +306,6 @@ class Piconet:
             raise ValueError(f"slave {spec.slave} is not part of the piconet")
         self._retired_states.pop(spec.flow_id, None)
         self._states[spec.flow_id] = state
-        slave = self.devices.slave(spec.slave)
-        if spec.is_downlink:
-            self.devices.master.tx_flow_ids.append(spec.flow_id)
-            slave.rx_flow_ids.append(spec.flow_id)
-        else:
-            slave.tx_flow_ids.append(spec.flow_id)
-            self.devices.master.rx_flow_ids.append(spec.flow_id)
         self._flow_states_cache = None
         self._specs_by_slave_cache = None
         if self.poller is not None:
@@ -501,7 +478,6 @@ class Piconet:
         self.start()
         until = self.env.now + int(round(duration_seconds * 1_000_000))
         self.env.run(until=until)
-        self._run_ended_at = self.env.now
 
     @property
     def elapsed_seconds(self) -> float:
@@ -592,8 +568,8 @@ class Piconet:
 
     # ------------------------------------------------------------ master loop
     # The loop yields integer microsecond delays and runs as a LoopWakeup:
-    # one event id per suspension, the ids a process yielding
-    # env.timeout(delay) would take.  One pass of the loop body is one
+    # one event id at start and one per suspension, whether or not the
+    # suspension skips the heap.  One pass of the loop body is one
     # transaction: planned at its start (queue, packet and bridge-presence
     # snapshot), its downlink committed at the downlink end, its uplink and
     # accounting at the transaction end; the locals carry the snapshot

@@ -1,13 +1,15 @@
 """Scatternet co-simulation: two piconets, one clock, bridge nodes.
 
 A scatternet is a set of piconets sharing devices: here, two piconets
-("A" and "B") whose masters run their TDD loops on one
-:class:`~repro.sim.coordination.SharedClock`, plus bridge slaves that
+("A" and "B") whose masters run their TDD loops on the scatternet's one
+:class:`~repro.sim.engine.Environment`, plus bridge slaves that
 time-share the two masters under a :class:`~repro.piconet.bridge.
 BridgeSchedule`.  The driver wires three things together:
 
-* both piconets are constructed against the shared clock's environment,
-  so their slot grids advance in lock-step;
+* both piconets are constructed against the scatternet's ``env``, so
+  their slot grids advance in lock-step (the event queue interleaves
+  every master and source deterministically, by time, then insertion
+  order);
 * each bridge installs its per-role presence function on both piconets
   (:meth:`~repro.piconet.piconet.Piconet.set_bridge_presence`), making
   polls to an absent bridge guaranteed failures;
@@ -19,43 +21,36 @@ BridgeSchedule`.  The driver wires three things together:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.baseband.channel import Channel, ChannelMap
 from repro.piconet.bridge import ROLE_A, ROLE_B, BridgeNode, BridgeSchedule
-from repro.piconet.piconet import Piconet, PiconetConfig
-from repro.sim.coordination import SharedClock
+from repro.piconet.piconet import Piconet
+from repro.sim.engine import Environment
 
 
 class Scatternet:
-    """Two or more piconets co-advanced on a shared clock."""
+    """Two or more piconets co-advanced on one clock."""
 
     def __init__(self):
-        self.clock = SharedClock()
+        self.env = Environment()
         self._piconets: Dict[str, Piconet] = {}
         self._bridges: List[BridgeNode] = []
         self._field = None
 
     # -- construction --------------------------------------------------------
-    def add_piconet(self, name: str,
-                    channel: Union[Channel, ChannelMap, None] = None,
-                    config: Optional[PiconetConfig] = None) -> Piconet:
-        """Create a piconet named ``name`` on the shared clock."""
-        if config is None:
-            config = PiconetConfig(name=name)
-        piconet = Piconet(env=self.clock.env, channel=channel, config=config)
-        self._piconets[name] = piconet
-        self.clock.register(name, piconet)
-        return piconet
-
     def adopt_piconet(self, name: str, piconet: Piconet) -> Piconet:
-        """Register an externally built piconet (e.g. a workload builder's).
+        """Register a piconet built against this scatternet's ``env``.
 
-        The piconet must have been constructed against this scatternet's
-        shared environment (``Scatternet().clock.env``); the clock rejects
-        members living on a different clock.
+        Co-advancing a piconet that lives on another clock, or two under
+        one name, would silently desynchronise the ensemble, so both are
+        rejected.
         """
-        self.clock.register(name, piconet)
+        if name in self._piconets:
+            raise ValueError(f"piconet {name!r} already registered")
+        if piconet.env is not self.env:
+            raise ValueError(
+                f"piconet {name!r} was built against a different "
+                f"Environment; pass Scatternet.env when constructing it")
         self._piconets[name] = piconet
         return piconet
 
@@ -135,7 +130,11 @@ class Scatternet:
 
     # -- running -------------------------------------------------------------
     def run(self, duration_seconds: float) -> None:
-        """Start every piconet's master loop and co-advance the ensemble."""
+        """Start every piconet's master loop and co-advance the ensemble
+        by ``duration_seconds``."""
+        if duration_seconds <= 0:
+            raise ValueError("duration must be positive")
         for piconet in self._piconets.values():
             piconet.start()
-        self.clock.run(duration_seconds)
+        self.env.run(until=self.env.now
+                     + int(round(duration_seconds * 1_000_000)))

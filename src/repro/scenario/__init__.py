@@ -17,7 +17,7 @@ surfaces onto specs.
 Dynamic topologies: a spec may carry a ``TimelineSpec`` — ordered
 ``EventSpec`` events (park/unpark, bridge-roam, flow add/remove/
 renegotiate, interferer on/off) that :func:`compile_scenario`
-materialises as processes on the shared clock
+materialises as wake-ups on the scenario's clock
 (:mod:`repro.scenario.timeline`).
 """
 

@@ -48,11 +48,11 @@ from repro.piconet.piconet import Piconet, PiconetConfig
 from repro.piconet.scatternet import Scatternet
 from repro.scenario.specs import (
     ChannelSpec,
+    FlowSpec,
     PiconetSpec,
     PollerSpec,
     ScenarioSpec,
 )
-from repro.scenario.timeline import install_timeline
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.traffic.sources import CBRSource, TrafficSource
@@ -411,14 +411,52 @@ def _compile_poller(spec: PollerSpec, piconet: Piconet,
     return poller
 
 
+def piconet_streams(spec: PiconetSpec, seed: int) -> RandomStreams:
+    """The stream family of one piconet's traffic sources."""
+    streams = RandomStreams(seed)
+    return streams.child(spec.rng_namespace) if spec.rng_namespace \
+        else streams
+
+
+def runtime_flow_spec(spec: PiconetSpec, flow: FlowSpec) -> RuntimeFlowSpec:
+    """The runtime form of ``flow`` (allowed types default to the
+    piconet's)."""
+    return RuntimeFlowSpec(
+        flow.flow_id, slave=flow.slave, direction=flow.direction,
+        traffic_class=flow.traffic_class,
+        allowed_types=(flow.allowed_types if flow.allowed_types is not None
+                       else spec.allowed_types))
+
+
+def admit_flow(manager: GuaranteedServiceManager, runtime: RuntimeFlowSpec,
+               flow: FlowSpec, start_time: float = 0.0) -> GSFlowSetup:
+    """Submit a GS-managed flow to admission, by its delay bound or else
+    by its rate."""
+    tspec = cbr_tspec(flow.interval_s, *flow.size_bounds)
+    if flow.delay_bound is not None:
+        return manager.add_flow(runtime, tspec, delay_bound=flow.delay_bound,
+                                start_time=start_time)
+    return manager.add_flow(runtime, tspec, rate=flow.rate,
+                            start_time=start_time)
+
+
+def flow_source(piconet: Piconet, flow: FlowSpec,
+                streams: RandomStreams) -> CBRSource:
+    """The CBR source of ``flow``; a staggered flow draws its phase
+    offset from its own stream first."""
+    rng = (streams.stream(flow.rng_stream)
+           if flow.rng_stream is not None else None)
+    offset = rng.uniform(0, flow.interval_s) if flow.stagger else 0.0
+    return CBRSource(piconet, flow.flow_id, flow.interval_s, flow.size,
+                     rng=rng, start_offset=offset)
+
+
 def _compile_piconet(spec: PiconetSpec, seed: int,
                      env: Optional[Environment],
                      channel,
                      link_budgets: Optional[Dict[tuple, LinkBudget]] = None,
                      observe_links: bool = False) -> CompiledPiconet:
-    streams = RandomStreams(seed)
-    if spec.rng_namespace:
-        streams = streams.child(spec.rng_namespace)
+    streams = piconet_streams(spec, seed)
     config = PiconetConfig(allowed_types=spec.allowed_types,
                            name=spec.name,
                            align_even_slots=spec.align_even_slots,
@@ -431,11 +469,7 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
     runtime_specs: Dict[int, RuntimeFlowSpec] = {}
     slave_flows: Dict[int, List[int]] = {}
     for flow in spec.flows:
-        runtime = RuntimeFlowSpec(
-            flow.flow_id, slave=flow.slave, direction=flow.direction,
-            traffic_class=flow.traffic_class,
-            allowed_types=(flow.allowed_types if flow.allowed_types
-                           is not None else spec.allowed_types))
+        runtime = runtime_flow_spec(spec, flow)
         piconet.add_flow(runtime)
         runtime_specs[flow.flow_id] = runtime
         slave_flows.setdefault(flow.slave, []).append(flow.flow_id)
@@ -477,27 +511,16 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
             # to compare without it.
             piconet.add_link_observer(manager.observe_link)
         for flow in managed:
-            tspec = cbr_tspec(flow.interval_s, *flow.size_bounds)
-            if flow.delay_bound is not None:
-                setup = manager.add_flow(runtime_specs[flow.flow_id], tspec,
-                                         delay_bound=flow.delay_bound)
-            else:
-                setup = manager.add_flow(runtime_specs[flow.flow_id], tspec,
-                                         rate=flow.rate)
-            gs_setups[flow.flow_id] = setup
+            gs_setups[flow.flow_id] = admit_flow(
+                manager, runtime_specs[flow.flow_id], flow)
 
     poller = _compile_poller(spec.poller, piconet, manager)
 
     # -- traffic sources ----------------------------------------------------
     sources: List[TrafficSource] = []
     for flow in spec.flows:
-        if flow.interval_s is None:
-            continue
-        rng = (streams.stream(flow.rng_stream)
-               if flow.rng_stream is not None else None)
-        offset = rng.uniform(0, flow.interval_s) if flow.stagger else 0.0
-        sources.append(CBRSource(piconet, flow.flow_id, flow.interval_s,
-                                 flow.size, rng=rng, start_offset=offset))
+        if flow.interval_s is not None:
+            sources.append(flow_source(piconet, flow, streams))
 
     sco_ids = set(spec.sco_flow_ids)
     return CompiledPiconet(
@@ -594,7 +617,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
     build_env = None
     if spec.bridges or len(spec.piconets) > 1:
         scatternet = Scatternet()
-        build_env = scatternet.clock.env
+        build_env = scatternet.env
 
     interference_field = None
     interferers: List[str] = []
@@ -648,5 +671,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
         spec=spec, seed=seed, piconets=compiled, env=environment,
         scatternet=scatternet, interference_field=interference_field,
         interferers=interferers, bridges=bridges)
+    # imported here: the timeline runners build on this module's helpers
+    from repro.scenario.timeline import install_timeline
     install_timeline(scenario)
     return scenario

@@ -2,21 +2,22 @@
 
 :func:`install_timeline` turns the ordered, validated
 :class:`~repro.scenario.specs.EventSpec` list of a compiled scenario into
-simulation processes on the shared clock: one process per event, created
-in spec order, so events landing on the same instant fire in spec order
-(the environment breaks time ties by insertion).  Each process sleeps
-until its ``at_s``, performs the event against the runtime objects, and
+runners on the scenario's clock: one runner per event, created in spec
+order, so events landing on the same instant fire in spec order (the
+environment breaks time ties by insertion).  Each runner sleeps until
+its ``at_s``, performs the event against the runtime objects, and
 appends an outcome record to ``CompiledScenario.timeline_log`` — the
 row-visible trace the ``churn_recovery`` experiment (and any driver)
 reads back.
 
-Timeline runners are processes, not traffic sources, so a master's
-:class:`~repro.sim.events.LoopWakeup` never fires them inline: whenever
-one is due before the master's next step, the master goes back on the
-heap and the runner fires from :meth:`~repro.sim.engine.Environment.step`.
+A runner is a generator of integer microsecond delays driven by a
+:class:`~repro.sim.events.LoopWakeup`, not a traffic source's plain
+wake-up, so a master's loop never fires it inline: whenever one is due
+before the master's next step, the master goes back on the heap and the
+runner fires from :meth:`~repro.sim.engine.Environment.step`.
 
-Event semantics
----------------
+Kinds of event
+--------------
 ``park`` / ``unpark``
     The slave's flow states leave / rejoin the master loop
     (:meth:`~repro.piconet.piconet.Piconet.park_slave`); admitted GS flows
@@ -49,17 +50,19 @@ Event semantics
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
 
 from repro.baseband.constants import SLOT_US
-from repro.core.token_bucket import cbr_tspec
-from repro.piconet.flows import FlowSpec as RuntimeFlowSpec
-from repro.scenario.specs import EventSpec, FlowSpec
-from repro.sim.rng import RandomStreams
-from repro.traffic.sources import CBRSource
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.scenario.compile import CompiledPiconet, CompiledScenario
+from repro.scenario.compile import (
+    CompiledPiconet,
+    CompiledScenario,
+    admit_flow,
+    flow_source,
+    piconet_streams,
+    runtime_flow_spec,
+)
+from repro.scenario.specs import EventSpec
+from repro.sim.events import LoopWakeup
 
 _US_PER_SECOND = 1_000_000
 
@@ -68,10 +71,10 @@ def _to_us(seconds: float) -> int:
     return int(round(seconds * _US_PER_SECOND))
 
 
-def install_timeline(compiled: "CompiledScenario") -> None:
-    """Install one simulation process per timeline event of ``compiled``.
+def install_timeline(compiled: CompiledScenario) -> None:
+    """Install one runner per timeline event of ``compiled``.
 
-    A no-op for scenarios with an empty timeline: no processes are
+    A no-op for scenarios with an empty timeline: no runners are
     created, no hooks registered — the compiled scenario is byte-identical
     to one built before timelines existed.
     """
@@ -89,10 +92,10 @@ def install_timeline(compiled: "CompiledScenario") -> None:
             # (state, queued segments, poller bookkeeping, source)
             target.manager.add_eviction_hook(_eviction_hook(target))
             hooked.add(target.spec.name)
-        compiled.env.process(_runner(compiled, target, event, index))
+        LoopWakeup(compiled.env, _runner(compiled, target, event, index))
 
 
-def _eviction_hook(cp: "CompiledPiconet"):
+def _eviction_hook(cp: CompiledPiconet):
     def hook(flow_id: int, _setup) -> None:
         for source in cp.sources:
             if source.flow_id == flow_id:
@@ -102,13 +105,12 @@ def _eviction_hook(cp: "CompiledPiconet"):
     return hook
 
 
-def _runner(compiled: "CompiledScenario", cp: "CompiledPiconet",
+def _runner(compiled: CompiledScenario, cp: CompiledPiconet,
             event: EventSpec, index: int):
-    """The generator driving one event (a simulation process)."""
-    env = compiled.env
-    delay = _to_us(event.at_s) - env.now
+    """The generator of delays driving one event."""
+    delay = _to_us(event.at_s) - compiled.env.now
     if delay > 0:
-        yield env.timeout(delay)
+        yield delay
     record = {"index": index, "at_s": event.at_s, "kind": event.kind,
               "piconet": cp.spec.name}
     if event.kind == "park":
@@ -124,15 +126,15 @@ def _runner(compiled: "CompiledScenario", cp: "CompiledPiconet",
     elif event.kind in ("interferer-on", "interferer-off"):
         _run_interferer(compiled, event, record)
     else:  # flow-renegotiate: the only event that sleeps internally
-        yield from _run_renegotiate(compiled, cp, event, record)
+        yield from _run_renegotiate(cp, event, record)
     compiled.timeline_log.append(record)
 
 
-def _now_s(cp: "CompiledPiconet") -> float:
+def _now_s(cp: CompiledPiconet) -> float:
     return cp.piconet.env.now / _US_PER_SECOND
 
 
-def _run_park(cp: "CompiledPiconet", event: EventSpec, record: dict) -> None:
+def _run_park(cp: CompiledPiconet, event: EventSpec, record: dict) -> None:
     withdrawn: List[int] = []
     if cp.manager is not None:
         now_s = _now_s(cp)
@@ -147,7 +149,7 @@ def _run_park(cp: "CompiledPiconet", event: EventSpec, record: dict) -> None:
                   gs_withdrawn=withdrawn)
 
 
-def _run_unpark(cp: "CompiledPiconet", event: EventSpec,
+def _run_unpark(cp: CompiledPiconet, event: EventSpec,
                 record: dict) -> None:
     states = cp.piconet.unpark_slave(event.slave)
     readmitted: Dict[int, bool] = {}
@@ -174,42 +176,23 @@ def _run_unpark(cp: "CompiledPiconet", event: EventSpec,
                   gs_readmitted=readmitted)
 
 
-def _run_roam(compiled: "CompiledScenario", event: EventSpec,
+def _run_roam(compiled: CompiledScenario, event: EventSpec,
               record: dict) -> None:
     bridge = compiled.scatternet.roam_bridge(event.bridge, event.share_a)
     record.update(bridge=event.bridge, share_a=bridge.schedule.share_a)
 
 
-def _runtime_flow_spec(cp: "CompiledPiconet",
-                       flow: FlowSpec) -> RuntimeFlowSpec:
-    return RuntimeFlowSpec(
-        flow.flow_id, slave=flow.slave, direction=flow.direction,
-        traffic_class=flow.traffic_class,
-        allowed_types=(flow.allowed_types if flow.allowed_types is not None
-                       else cp.spec.allowed_types))
-
-
-def _run_flow_add(compiled: "CompiledScenario", cp: "CompiledPiconet",
+def _run_flow_add(compiled: CompiledScenario, cp: CompiledPiconet,
                   event: EventSpec, record: dict) -> None:
     flow = event.flow
-    runtime = _runtime_flow_spec(cp, flow)
-    state = cp.piconet.add_flow_runtime(runtime)
+    runtime = runtime_flow_spec(cp.spec, flow)
+    cp.piconet.add_flow_runtime(runtime)
     record.update(flow_id=flow.flow_id, slave=flow.slave)
-    accepted: Optional[bool] = None
     if flow.gs_managed:
-        tspec = cbr_tspec(flow.interval_s, *flow.size_bounds)
-        now_s = _now_s(cp)
-        if flow.delay_bound is not None:
-            setup = cp.manager.add_flow(runtime, tspec,
-                                        delay_bound=flow.delay_bound,
-                                        start_time=now_s)
-        else:
-            setup = cp.manager.add_flow(runtime, tspec, rate=flow.rate,
-                                        start_time=now_s)
+        setup = admit_flow(cp.manager, runtime, flow, start_time=_now_s(cp))
         cp.gs_setups[flow.flow_id] = setup
-        accepted = setup.accepted
-        record["admitted"] = accepted
-        if not accepted:
+        record["admitted"] = setup.accepted
+        if not setup.accepted:
             cp.piconet.detach_flow(flow.flow_id)
             record["reason"] = setup.reason
             return
@@ -218,21 +201,16 @@ def _run_flow_add(compiled: "CompiledScenario", cp: "CompiledPiconet",
         cp.be_flow_ids.append(flow.flow_id)
     cp.slave_flows.setdefault(flow.slave, []).append(flow.flow_id)
     if flow.interval_s is not None:
-        # same stream derivation as compile-time sources: named streams
-        # are a pure function of (seed, name), so re-deriving the family
-        # here cannot perturb any existing stream
-        streams = RandomStreams(compiled.seed)
-        if cp.spec.rng_namespace:
-            streams = streams.child(cp.spec.rng_namespace)
-        rng = (streams.stream(flow.rng_stream)
-               if flow.rng_stream is not None else None)
-        source = CBRSource(cp.piconet, flow.flow_id, flow.interval_s,
-                           flow.size, rng=rng)
+        # the compile-time stream family: named streams are a pure
+        # function of (seed, name), so re-deriving it here cannot perturb
+        # any existing stream
+        source = flow_source(cp.piconet, flow,
+                             piconet_streams(cp.spec, compiled.seed))
         cp.sources.append(source)
         source.start()
 
 
-def _run_flow_remove(cp: "CompiledPiconet", event: EventSpec,
+def _run_flow_remove(cp: CompiledPiconet, event: EventSpec,
                      record: dict) -> None:
     flow_id = event.flow_id
     for source in cp.sources:
@@ -251,7 +229,7 @@ def _run_flow_remove(cp: "CompiledPiconet", event: EventSpec,
     record.update(flow_id=flow_id, gs_withdrawn=withdrew)
 
 
-def _run_interferer(compiled: "CompiledScenario", event: EventSpec,
+def _run_interferer(compiled: CompiledScenario, event: EventSpec,
                     record: dict) -> None:
     name = f"interferer-{event.interferer}"
     slot = compiled.env.now // SLOT_US
@@ -260,9 +238,7 @@ def _run_interferer(compiled: "CompiledScenario", event: EventSpec,
     record.update(interferer=name, enabled=enabled, slot=slot)
 
 
-def _run_renegotiate(compiled: "CompiledScenario", cp: "CompiledPiconet",
-                     event: EventSpec, record: dict):
-    env = compiled.env
+def _run_renegotiate(cp: CompiledPiconet, event: EventSpec, record: dict):
     record.update(flow_id=event.flow_id)
     attempts = 0
     while True:
@@ -288,4 +264,4 @@ def _run_renegotiate(compiled: "CompiledScenario", cp: "CompiledPiconet",
             record.update(outcome="not-flagged", attempts=attempts,
                           decided_at_s=now_s)
             return
-        yield env.timeout(_to_us(event.backoff_s))
+        yield _to_us(event.backoff_s)

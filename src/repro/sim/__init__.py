@@ -6,9 +6,9 @@ small, dependency-free discrete-event engine plays that role.
 
 The design follows the familiar process-interaction style (generator
 coroutines), so simulation code reads like the pseudo-code in the paper.
-A generator that only waits for time yields plain delays and runs as a
-:class:`Wakeup`, one heap entry per wake-up (traffic sources, and every
-piconet master's TDD loop):
+Every simulation generator only waits for time: it yields plain delays
+and runs as a :class:`Wakeup`, one heap entry per wake-up (a traffic
+source, for instance):
 
     def source(queue):
         while True:
@@ -17,42 +17,34 @@ piconet master's TDD loop):
 
     Wakeup(env, source(queue))
 
-A master's loop runs as a :class:`~repro.sim.events.LoopWakeup`: when
-nothing else is due before its next step it resumes at once, without the
-heap round trip, and a traffic source due first fires inline.  Heap
-order, event ids and results are those of the plain wake-up.
-
-A generator that waits on other events (a timeline runner) yields them
-and runs as a :class:`Process`.
+A master's TDD loop and every timeline runner run as a
+:class:`~repro.sim.events.LoopWakeup`: when nothing else is due before
+its next step it resumes at once, without the heap round trip, and a
+traffic source due first fires inline.  Heap order, event ids and
+results are those of the plain wake-up.  Wake-ups are the only entries
+of the heap, apart from the stop entry of ``Environment.run(until)``.
 
 Public API
 ----------
 Environment
     The event loop and simulation clock.
-Event, Timeout, Process, Wakeup
-    Event primitives (a wake-up drives a generator of plain delays).
-SharedClock
-    One clock shared by several co-simulated components.
+Wakeup
+    The heap entry that drives a generator of plain delays.
 Monitor
     Per-flow sample collection and summary statistics.
 RandomStreams, derive_seed
     Named, independently seeded random-number streams.
 """
 
-from repro.sim.coordination import SharedClock
 from repro.sim.engine import Environment
-from repro.sim.events import Event, Process, Timeout, Wakeup
+from repro.sim.events import Wakeup
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams, derive_seed
 
 __all__ = [
     "Environment",
-    "Event",
     "Monitor",
-    "Process",
     "RandomStreams",
     "derive_seed",
-    "SharedClock",
-    "Timeout",
     "Wakeup",
 ]

@@ -1,4 +1,4 @@
-"""Tests of the scatternet bridge layer and the shared-clock driver."""
+"""Tests of the scatternet bridge layer and its one-clock co-simulation."""
 
 import pytest
 
@@ -8,11 +8,12 @@ from repro.piconet import (
     DOWNLINK,
     FlowSpec,
     Piconet,
+    PiconetConfig,
     Scatternet,
     UPLINK,
 )
 from repro.schedulers.round_robin import PureRoundRobinPoller
-from repro.sim import Environment, SharedClock
+from repro.sim import Environment, Wakeup
 from repro.traffic.sources import CBRSource
 
 TYPES = ("DH1", "DH3")
@@ -81,36 +82,35 @@ def test_bridge_schedule_rejects_degenerate_extreme_shares():
 # ------------------------------------------------------------ shared clock
 
 def test_shared_clock_rejects_foreign_environments():
-    clock = SharedClock()
-    foreign = Piconet(env=Environment())
+    # the scatternet's environment is the one clock of its piconets
+    scatternet = Scatternet()
     with pytest.raises(ValueError, match="different Environment"):
-        clock.register("p", foreign)
-    native = Piconet(env=clock.env)
-    clock.register("p", native)
+        scatternet.adopt_piconet("p", Piconet(env=Environment()))
+    native = scatternet.adopt_piconet("p", Piconet(env=scatternet.env))
+    assert native.env is scatternet.env
     with pytest.raises(ValueError, match="already registered"):
-        clock.register("p", native)
-    assert clock.member("p") is native
-    with pytest.raises(KeyError, match="unknown component"):
-        clock.member("q")
+        scatternet.adopt_piconet("p", native)
+    with pytest.raises(KeyError, match="unknown piconet"):
+        scatternet.piconet("q")
 
 
 def test_shared_clock_advances_all_members_together():
-    clock = SharedClock()
+    scatternet = Scatternet()
     ticks = {"a": 0, "b": 0}
 
     def ticker(key, interval_us):
         while True:
-            yield clock.env.timeout(interval_us)
+            yield interval_us
             ticks[key] += 1
 
-    clock.env.process(ticker("a", 1000))
-    clock.env.process(ticker("b", 2500))
-    clock.run(0.01)
+    Wakeup(scatternet.env, ticker("a", 1000))
+    Wakeup(scatternet.env, ticker("b", 2500))
+    scatternet.run(0.01)
     # ticks scheduled for exactly the horizon run after the stop event
     assert ticks == {"a": 9, "b": 3}
-    assert clock.now_seconds == pytest.approx(0.01)
+    assert scatternet.env.now == 10_000
     with pytest.raises(ValueError):
-        clock.run(0.0)
+        scatternet.run(0.0)
 
 
 # ----------------------------------------------- master loop with a bridge
@@ -226,7 +226,8 @@ def build_bridged_pair(share_a=0.5):
                               switch_slots=2)
     piconets = {}
     for name in ("A", "B"):
-        piconet = scatternet.add_piconet(name)
+        piconet = scatternet.adopt_piconet(name, Piconet(
+            env=scatternet.env, config=PiconetConfig(name=name)))
         piconet.add_slave()
         piconet.add_flow(be_flow(1, 1, DOWNLINK))
         piconet.add_flow(be_flow(2, 1, UPLINK))
@@ -244,7 +245,7 @@ def test_scatternet_split_shares_throughput_between_masters():
         source.start()
     scatternet.run(2.0)
     a, b = piconets["A"], piconets["B"]
-    assert a.env is b.env is scatternet.clock.env
+    assert a.env is b.env is scatternet.env
     # offered load (281.6 kbit/s) exceeds neither residency alone, but the
     # 25% residency in B cannot carry what the 75% one can
     assert a.total_throughput_bps() > b.total_throughput_bps() > 0
@@ -259,6 +260,10 @@ def test_scatternet_adopt_rejects_foreign_piconet():
         scatternet.adopt_piconet("A", Piconet(env=Environment()))
     with pytest.raises(KeyError, match="unknown piconet"):
         scatternet.piconet("A")
+    native = scatternet.adopt_piconet("A", Piconet(env=scatternet.env))
+    with pytest.raises(ValueError, match="already registered"):
+        scatternet.adopt_piconet("A", Piconet(env=scatternet.env))
+    assert scatternet.piconet("A") is native
 
 
 # ------------------------------------------------------------ bridge roaming

@@ -40,9 +40,9 @@ def heap_fires(monkeypatch):
     fires = []
     fire = LoopWakeup._fire
 
-    def counted(self, wakeup):
+    def counted(self):
         fires.append(self.env.now)
-        fire(self, wakeup)
+        fire(self)
 
     monkeypatch.setattr(LoopWakeup, "_fire", counted)
     return fires
@@ -102,9 +102,9 @@ def test_figure4_runs_as_one_window_with_all_but_the_last_transaction_inline(
                for source in compiled.primary.sources) > 100
     assert heap_fires == [0]
     # the master's next step waits on the heap behind the stop event
-    (master,) = [event for _when, _eid, event in compiled.env._queue
-                 if isinstance(event, LoopWakeup)]
-    assert master.callbacks is not None
+    (master_due,) = [when for when, _eid, event in compiled.env._queue
+                     if isinstance(event, LoopWakeup)]
+    assert master_due >= compiled.env.now == 2_000_000
 
 
 def test_fast_path_stats_returns_an_independent_copy():
@@ -154,7 +154,7 @@ def _sourced_steady_spec(timeline=None):
 
 def _traced_run(bypass, hard_at_us=None, duration_s=0.1):
     """Run the sourced steady piconet with a backlog on flow 1 (and a
-    process waking at ``hard_at_us``); the order of commits and that
+    loop wake-up firing at ``hard_at_us``); the order of commits and that
     wake-up.  Every data commit on this ideal channel books a delivered
     segment, so ``Piconet._deliver`` marks each one."""
     compiled = compile_scenario(_sourced_steady_spec(), seed=5)
@@ -173,11 +173,12 @@ def _traced_run(bypass, hard_at_us=None, duration_s=0.1):
     piconet._deliver = logged_deliver
 
     def hard(env):
-        yield env.timeout(hard_at_us)
+        yield hard_at_us
         log.append(("hard", env.now))
 
     if hard_at_us is not None:
-        env.process(hard(env))
+        # not a source: the master never fires it inline
+        LoopWakeup(env, hard(env))
     with _master_path(bypass):
         compiled.run(duration_s)
     return log
@@ -233,6 +234,6 @@ def test_bypass_leaves_master_and_timeline_wakeups_on_the_heap():
             (when, eid, type(event).__name__)
             for when, eid, event in compiled.env._queue)
     assert heaps[True] == heaps[False]
-    # the master, the source and the timeline runner's timeout
+    # the master, the timeline runner and the source
     assert sorted(kind for _when, _eid, kind in heaps[True]) == [
-        "LoopWakeup", "Timeout", "Wakeup"]
+        "LoopWakeup", "LoopWakeup", "Wakeup"]

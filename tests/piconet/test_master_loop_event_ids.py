@@ -1,16 +1,16 @@
-"""Event-id parity of the master loop.
+"""The event ids the master loop takes.
 
 The master's TDD loop runs as a :class:`~repro.sim.events.LoopWakeup`
-that takes one event id at start and one per suspension, the ids a
-process yielding ``env.timeout(delay)`` took, whether or not the
-suspension skipped the heap.  The values below were
-recorded with the master running as such a process.  A wake-up that
+that takes one event id at start and one per suspension, whether or not
+the suspension skipped the heap.  The values below were recorded with
+the master running as a generator process that took a start event and
+one timeout event per suspension, so they pin that count.  A wake-up that
 takes a different number of ids shifts every later tie-break, so these
 pin the id counter and the heap keys themselves, even where no
 statistic moves.
 """
 
-from repro.scenario import compile_scenario
+from repro.scenario import churn_recovery_spec, compile_scenario
 from repro.scenario.factories import coupled_room_spec, figure4_spec
 
 
@@ -47,3 +47,16 @@ def test_sco_and_gs_piconet_takes_the_recorded_event_ids():
         (50000, 87), (50701, 65), (52115, 66), (60550, 77), (61800, 60),
         (61899, 79), (62226, 67), (63407, 72), (64284, 74), (69050, 88),
         (75015, 84), (78388, 82)]
+
+
+def test_timeline_runners_take_no_id_when_they_finish():
+    # a timeline runner takes ids like the master loop: one at start and
+    # one per sleep.  Run as a generator process, each of the nine runners
+    # also scheduled a completion event nobody waited on (1185 ids); the
+    # id counter is monotone, so dropping those reorders nothing
+    compiled = _reference_run(churn_recovery_spec(), 3, 1.0)
+    assert len(compiled.timeline_log) == 9
+    assert compiled.env._eid == 1176
+    assert compiled.primary.piconet.slot_accounting() == {
+        "gs": 790, "be": 806, "sco": 0, "idle": 0, "accounted": 1596,
+        "gs_polls_without_data": 27, "be_polls_without_data": 4}

@@ -7,6 +7,7 @@ from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers import PureRoundRobinPoller
 from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
+from repro.sim import Wakeup
 from repro.traffic.sources import CBRSource
 
 
@@ -92,10 +93,10 @@ def test_uplink_data_arriving_after_master_tx_start_waits():
     def late_offer():
         # first transaction starts at t=0 (POLL + NULL, 2 slots); offer data
         # 1 us after the start so it must wait for the second transaction
-        yield piconet.env.timeout(1)
+        yield 1
         piconet.offer_packet(1, 27)
 
-    piconet.env.process(late_offer())
+    Wakeup(piconet.env, late_offer())
     piconet.run(0.05)
     state = piconet.flow_state(1)
     assert state.delivered_packets == 1

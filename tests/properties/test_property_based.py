@@ -12,7 +12,7 @@ from repro.core.link_budget import LinkBudget
 from repro.core.planning import PlannerConfig, ServedSegment, VariableIntervalPlanner
 from repro.core.wait_bound import HigherPriorityStream
 from repro.piconet.flows import DOWNLINK, UPLINK
-from repro.sim import Environment
+from repro.sim import Environment, Wakeup
 
 MS = 1e-3
 PAPER_TYPES = ("DH1", "DH3")
@@ -269,11 +269,11 @@ def test_event_loop_processes_timeouts_in_order(delays):
     fired = []
 
     def waiter(env, delay):
-        yield env.timeout(delay)
+        yield delay
         fired.append(env.now)
 
     for delay in delays:
-        env.process(waiter(env, delay))
+        Wakeup(env, waiter(env, delay))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.piconet.piconet import Piconet
 from repro.scenario import (
     EventSpec,
     ScenarioSpec,
@@ -185,6 +186,27 @@ def test_flow_add_and_remove_mid_run():
     assert state.queue.offered_packets == offered_at_removal
 
 
+def test_flow_add_staggers_its_source_like_a_declared_flow():
+    base = figure4_spec(delay_requirement=0.040)
+    piconet = base.piconets[0]
+    new_flow = replace(piconet.flows[4], flow_id=99, rng_stream="be-99",
+                       stagger=True)
+    declared = compile_scenario(replace(base, piconets=(
+        replace(piconet, flows=piconet.flows + (new_flow,)),)), seed=3)
+    added = compile_scenario(replace(base, timeline=TimelineSpec(events=(
+        EventSpec(at_s=0.1, kind="flow-add", flow=new_flow),))), seed=3)
+    added.run(0.12)
+    source = added.primary.sources[-1]
+    assert source.flow_id == 99
+    # the phase is drawn from the flow's own stream, as at compile time
+    offset = declared.primary.sources[-1].start_offset
+    assert source.start_offset == offset == pytest.approx(0.0225, abs=1e-4)
+    # so the first packet arrives one offset after the event, not at it
+    assert source.packets_generated == 0
+    added.run(0.01)
+    assert source.packets_generated == 1
+
+
 def test_bridge_roam_rebalances_residency():
     spec = bridge_split_spec(bridge_share=0.9)
     spec = replace(spec, timeline=TimelineSpec(events=(
@@ -286,17 +308,18 @@ class _Boom(RuntimeError):
     pass
 
 
-#: the code of the master's heap bypass (before any patch)
+#: the code of the heap bypass (before any patch) and of the master loop
 _BYPASS_CODE = LoopWakeup._fire.__code__
+_MASTER_CODE = Piconet._master_process.__code__
 
 
 @pytest.mark.parametrize("bypass", [True, False])
 def test_raising_timeline_action_aborts_the_run_at_its_time(
         monkeypatch, bypass):
-    # the runner process fails with nobody waiting on it, at an instant
-    # the master also steps at.  The failed process is not a source
-    # wake-up, so the master goes back on the heap behind it instead of
-    # firing it inline: it must abort Environment.run from the event loop
+    # the runner raises at an instant the master also steps at.  The
+    # runner is not a source wake-up, so the master goes back on the heap
+    # behind it instead of firing it inline: the error leaves
+    # Environment.run from the runner's own firing, never from the master
     boom = _Boom("flow-remove failed")
 
     def raising(cp, event, record):
@@ -310,7 +333,10 @@ def test_raising_timeline_action_aborts_the_run_at_its_time(
     with pytest.raises(_Boom) as raised:
         compiled.run(0.8)
     assert raised.value is boom
-    assert not any(entry.frame.code.raw is _BYPASS_CODE
-                   for entry in raised.traceback)
+    codes = [entry.frame.code.raw for entry in raised.traceback]
+    assert _MASTER_CODE not in codes
+    # the runner's own loop wake-up is the only bypass frame: a master
+    # firing the runner inline would add its own
+    assert codes.count(_BYPASS_CODE) == (1 if bypass else 0)
     assert compiled.env.now == 202_500
     assert compiled.timeline_log == []

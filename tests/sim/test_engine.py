@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Timeout
+from repro.sim import Environment, Wakeup
 from repro.sim.engine import EmptySchedule
 
 
@@ -16,12 +16,12 @@ def test_timeout_advances_clock():
     log = []
 
     def proc(env):
-        yield env.timeout(10)
+        yield 10
         log.append(env.now)
-        yield env.timeout(5)
+        yield 5
         log.append(env.now)
 
-    env.process(proc(env))
+    Wakeup(env, proc(env))
     env.run()
     assert log == [10, 15]
 
@@ -31,9 +31,9 @@ def test_run_until_time_stops_exactly():
 
     def proc(env):
         while True:
-            yield env.timeout(7)
+            yield 7
 
-    env.process(proc(env))
+    Wakeup(env, proc(env))
     env.run(until=100)
     assert env.now == 100
 
@@ -55,12 +55,12 @@ def test_events_processed_in_time_order():
     order = []
 
     def proc(env, delay, name):
-        yield env.timeout(delay)
+        yield delay
         order.append(name)
 
-    env.process(proc(env, 30, "c"))
-    env.process(proc(env, 10, "a"))
-    env.process(proc(env, 20, "b"))
+    Wakeup(env, proc(env, 30, "c"))
+    Wakeup(env, proc(env, 10, "a"))
+    Wakeup(env, proc(env, 20, "b"))
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -70,48 +70,33 @@ def test_simultaneous_events_fifo_order():
     order = []
 
     def proc(env, name):
-        yield env.timeout(5)
+        yield 5
         order.append(name)
 
     for name in ("first", "second", "third"):
-        env.process(proc(env, name))
+        Wakeup(env, proc(env, name))
     env.run()
     assert order == ["first", "second", "third"]
 
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        Timeout(env, -1)
+    Wakeup(env, iter([-1]))
+    with pytest.raises(ValueError, match="negative delay"):
+        env.run()
 
 
 def test_unhandled_process_exception_propagates():
     env = Environment()
 
     def broken(env):
-        yield env.timeout(1)
+        yield 1
         raise RuntimeError("boom")
 
-    env.process(broken(env))
+    Wakeup(env, broken(env))
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
-
-
-def test_process_return_value_via_yield():
-    env = Environment()
-    results = []
-
-    def child(env):
-        yield env.timeout(2)
-        return 99
-
-    def parent(env):
-        value = yield env.process(child(env))
-        results.append(value)
-
-    env.process(parent(env))
-    env.run()
-    assert results == [99]
+    assert env.now == 1
 
 
 def test_run_without_until_drains_queue():
@@ -119,8 +104,8 @@ def test_run_without_until_drains_queue():
 
     def proc(env):
         for _ in range(3):
-            yield env.timeout(1)
+            yield 1
 
-    env.process(proc(env))
+    Wakeup(env, proc(env))
     env.run()
     assert env.now == 3
