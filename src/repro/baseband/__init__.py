@@ -3,8 +3,8 @@
 Models the parts of the Bluetooth 1.x baseband that the paper's delay
 analysis depends on: the 625 us TDD slot grid, the ACL/SCO baseband packet
 catalogue with payload capacities and slot counts, segmentation of
-higher-layer packets into baseband packets, and a (configurable) radio
-channel model.
+higher-layer packets into baseband packets, and the bit-error-rate radio
+channel models with their inter-piconet interference.
 """
 
 from repro.baseband.constants import (
@@ -27,11 +27,9 @@ from repro.baseband.packets import (
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
     ChannelAdaptiveSegmentationPolicy,
-    LargestPacketSegmentationPolicy,
     LinkQualityEstimator,
     Reassembler,
     SegmentationPolicy,
-    segment_sizes,
 )
 from repro.baseband.fec import (
     PacketErrorProbabilities,
@@ -45,7 +43,6 @@ from repro.baseband.channel import (
     LinkId,
     LossyChannel,
     TransmissionResult,
-    coerce_channel_map,
 )
 from repro.baseband.interference import (
     HOP_CHANNELS,
@@ -70,7 +67,6 @@ __all__ = [
     "InterfererProcess",
     "InterferenceAwareChannel",
     "InterferenceField",
-    "LargestPacketSegmentationPolicy",
     "LinkId",
     "LinkQualityEstimator",
     "LossyChannel",
@@ -83,12 +79,10 @@ __all__ = [
     "SLOT_US",
     "SegmentationPolicy",
     "TransmissionResult",
-    "coerce_channel_map",
     "get_packet_type",
     "interference_channel_map",
     "max_transaction_slots",
     "packet_error_probabilities",
-    "segment_sizes",
     "slots_to_seconds",
     "slots_to_us",
     "transaction_seconds",

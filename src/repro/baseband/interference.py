@@ -30,10 +30,10 @@ multi-piconet scenarios (ROADMAP follow-on):
   :meth:`InterferenceField.collisions_pairwise`.
 * :class:`InterferenceAwareChannel` — a :class:`~repro.baseband.channel.
   Channel` wrapper that composes a base (per-link) channel with the
-  field's collision BER, so interference slots straight into
-  :class:`~repro.baseband.channel.ChannelMap` /
-  :func:`~repro.baseband.channel.coerce_channel_map` and everything built
-  on them.
+  field's collision BER over the slots a packet occupies at ``now_us``;
+  :func:`interference_channel_map` builds the
+  :class:`~repro.baseband.channel.ChannelMap` of one victim piconet from
+  them.
 
 The real frequency-hopping kernel (clock-driven permutation tables) is
 replaced by a seeded pseudo-random sequence with the statistics that matter
@@ -67,6 +67,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baseband.channel import (
     Channel,
+    ChannelFactory,
+    ChannelMap,
     IdealChannel,
     TransmissionResult,
     TX_NOT_RECEIVED,
@@ -655,17 +657,16 @@ class InterferenceField:
                 del counts[slot:]
             self._slots_built = slot
 
-    def recorder(self, name: str,
-                 slot_us: int = SLOT_US) -> Callable[[int, int], None]:
+    def recorder(self, name: str) -> Callable[[int, int], None]:
         """An air-recorder callback feeding this field (see
         :meth:`~repro.piconet.piconet.Piconet.set_air_recorder`):
         ``recorder(start_us, slots)`` reports a transmission of ``name``
-        anchored on the ``slot_us`` grid."""
+        anchored on the slot grid."""
         self.member(name)  # fail fast on unregistered piconets
         report = self.report_transmission
 
         def record(start_us: int, slots: int) -> None:
-            report(name, start_us // slot_us, slots)
+            report(name, start_us // SLOT_US, slots)
 
         return record
 
@@ -766,33 +767,23 @@ class InterferenceAwareChannel(_StochasticChannel):
     model — ideal, lossy, or Gilbert-Elliott) with an
     :class:`InterferenceField`: every transmission first traverses the base
     channel (advancing its burst state as usual), then suffers the field's
-    collision BER averaged over the slots the packet occupies, decomposed
-    into per-section probabilities by the real FEC model.  Both outcomes
-    must survive for the packet to get through.
+    collision BER averaged over the slots the packet occupies from
+    ``now_us`` on, decomposed into per-section probabilities by the real
+    FEC model.  Both outcomes must survive for the packet to get through.
 
     Interference is sampled from the wrapper's own RNG on every
     transmission — whether or not the base channel already failed — so the
     interference draw sequence is a function of the transmission sequence
     alone and stays reproducible when the base model is swapped.
-
-    ``now_us`` (passed by the piconet's master loop) anchors the packet on
-    the slot grid; without a timestamp an internal cursor advances by each
-    packet's slot count (the timestamp-less legacy mode of the other
-    channel models).
     """
 
-    def __init__(self, base: Optional[Channel], field: InterferenceField,
-                 piconet: str, rng: Optional[random.Random] = None,
-                 slot_us: int = SLOT_US):
-        if slot_us <= 0:
-            raise ValueError(f"slot_us must be positive, got {slot_us}")
+    def __init__(self, base: Channel, field: InterferenceField,
+                 piconet: str, rng: Optional[random.Random] = None):
         field.member(piconet)  # fail fast on unregistered victims
-        self.base = base if base is not None else IdealChannel()
+        self.base = base
         self.field = field
         self.piconet = piconet
         self.rng = rng if rng is not None else random.Random(0)
-        self.slot_us = slot_us
-        self._cursor_us = 0
         #: packets this link lost to interference (the base channel had
         #: let them through)
         self.interference_failures = 0
@@ -811,35 +802,12 @@ class InterferenceAwareChannel(_StochasticChannel):
             self._memo[key] = probabilities
         return probabilities
 
-    def error_probabilities(self, packet: BasebandPacket
-                            ) -> PacketErrorProbabilities:
-        """Long-run per-section probabilities (base + expected collisions).
-
-        The time-varying collision state is averaged analytically: the
-        expected per-slot interference BER is the collision probability
-        times ``ber_per_collision`` (first-order in the duty cycles).
-        """
-        base = self.base.error_probabilities(packet)
-        expected_ber = (
-            self.field.expected_collision_probability(self.piconet)
-            * self.field.ber_per_collision)
-        if expected_ber <= 0.0:
-            return base
-        boost = self._interference_probabilities(packet, expected_ber)
-        return PacketErrorProbabilities(
-            access=1.0 - (1.0 - base.access) * (1.0 - boost.access),
-            header=1.0 - (1.0 - base.header) * (1.0 - boost.header),
-            payload=1.0 - (1.0 - base.payload) * (1.0 - boost.payload))
-
     def transmit(self, packet: BasebandPacket,
-                 now_us: Optional[int] = None) -> TransmissionResult:
-        if now_us is None:
-            now_us = self._cursor_us
-            self._cursor_us += packet.duration_us
+                 now_us: int) -> TransmissionResult:
         base_result = self.base.transmit(packet, now_us)
         ptype = packet.ptype
         ber = self.field.mean_collision_ber(
-            self.piconet, now_us // self.slot_us, ptype.slots)
+            self.piconet, now_us // SLOT_US, ptype.slots)
         if ber == 0.0:
             return base_result
         interference = self._sample(
@@ -854,8 +822,8 @@ class InterferenceAwareChannel(_StochasticChannel):
 
 
 def interference_channel_map(field: InterferenceField, piconet: str,
-                             base_factory=None,
-                             streams: Union[RandomStreams, int, None] = None):
+                             base_factory: Optional[ChannelFactory],
+                             streams: RandomStreams) -> ChannelMap:
     """A :class:`~repro.baseband.channel.ChannelMap` under interference.
 
     Every ``(slave, direction)`` link of ``piconet`` gets its own
@@ -865,7 +833,6 @@ def interference_channel_map(field: InterferenceField, piconet: str,
     base model and the interference sampler so swapping the base model
     never perturbs the interference draws.
     """
-    from repro.baseband.channel import ChannelMap
 
     def factory(link, rng: random.Random) -> Channel:
         base_rng = random.Random(rng.getrandbits(64))

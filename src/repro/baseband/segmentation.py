@@ -5,21 +5,19 @@ into baseband packets, together with the set of allowed baseband packet
 types, determines the *poll efficiency* of a flow and therefore the poll
 rate needed to honour a delay bound.
 
-Two policies are provided:
-
-* :class:`BestFitSegmentationPolicy` — the paper's policy: "the largest
-  available baseband packet is used, unless there is a smaller baseband
-  packet available in which the remainder of the higher layer packet fits"
-  (instantiated with DH1+DH3 this is exactly the Section 4 policy: "DH3 is
-  used unless the remainder fits in DH1").
-* :class:`LargestPacketSegmentationPolicy` — always use the largest allowed
-  packet, regardless of the remainder.
+:class:`BestFitSegmentationPolicy` is the paper's policy: "the largest
+available baseband packet is used, unless there is a smaller baseband
+packet available in which the remainder of the higher layer packet fits"
+(instantiated with DH1+DH3 this is exactly the Section 4 policy: "DH3 is
+used unless the remainder fits in DH1").
+:class:`ChannelAdaptiveSegmentationPolicy` switches per link between two
+best-fit type sets on observed loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baseband.packets import BasebandPacket, PacketType, resolve_types
 
@@ -129,13 +127,6 @@ class BestFitSegmentationPolicy(SegmentationPolicy):
         return self.largest
 
 
-class LargestPacketSegmentationPolicy(SegmentationPolicy):
-    """Always use the largest allowed baseband packet type."""
-
-    def choose_type(self, remaining: int) -> PacketType:
-        return self.largest
-
-
 class LinkQualityEstimator:
     """EWMA estimate of the segment loss rate observed on one link.
 
@@ -165,6 +156,14 @@ class LinkQualityEstimator:
         return self._loss
 
 
+#: smoothed segment loss above which the adaptive policy turns robust
+ENTER_ROBUST = 0.15
+#: smoothed segment loss below which it returns to the fast type set
+EXIT_ROBUST = 0.05
+#: outcomes a link must have seen before the policy may switch at all
+MIN_OBSERVATIONS = 8
+
+
 class ChannelAdaptiveSegmentationPolicy(SegmentationPolicy):
     """Pick DM- vs DH-type packets per link from observed loss.
 
@@ -174,45 +173,32 @@ class ChannelAdaptiveSegmentationPolicy(SegmentationPolicy):
     observe every transaction outcome — this policy keeps a
     :class:`LinkQualityEstimator` fed from those outcomes (the piconet
     calls :meth:`observe_transmission`) and switches the active type set
-    with hysteresis: robust (FEC) types when the smoothed loss exceeds
-    ``enter_robust``, back to the fast set once it drops below
-    ``exit_robust``.  Schedulers are oblivious: they keep planning polls
-    while the queue's segmentation silently adapts per link.
+    with hysteresis: robust (FEC) types once at least
+    :data:`MIN_OBSERVATIONS` outcomes are in and the smoothed loss exceeds
+    :data:`ENTER_ROBUST`, back to the fast set once it drops below
+    :data:`EXIT_ROBUST`.  Schedulers are oblivious: they keep planning
+    polls while the queue's segmentation silently adapts per link.
     """
 
     def __init__(self, fast_types: Iterable = ("DH1", "DH3"),
-                 robust_types: Iterable = ("DM1", "DM3"),
-                 enter_robust: float = 0.15, exit_robust: float = 0.05,
-                 estimator: Optional[LinkQualityEstimator] = None,
-                 min_observations: int = 8):
-        if not 0 <= exit_robust <= enter_robust <= 1:
-            raise ValueError(
-                f"need 0 <= exit_robust <= enter_robust <= 1, got "
-                f"{exit_robust} / {enter_robust}")
-        if min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {min_observations}")
+                 robust_types: Iterable = ("DM1", "DM3")):
         self._fast = BestFitSegmentationPolicy(fast_types)
         self._robust = BestFitSegmentationPolicy(robust_types)
         super().__init__(tuple(self._fast.allowed_types)
                          + tuple(self._robust.allowed_types))
-        self.enter_robust = enter_robust
-        self.exit_robust = exit_robust
-        self.estimator = estimator if estimator is not None \
-            else LinkQualityEstimator()
-        self.min_observations = min_observations
+        self.estimator = LinkQualityEstimator()
         self.robust_active = False
 
     # -- feedback from the piconet ------------------------------------------
     def observe_transmission(self, error: bool) -> None:
         """Digest one poll outcome on this policy's link."""
         self.estimator.observe(error)
-        if self.estimator.observations < self.min_observations:
+        if self.estimator.observations < MIN_OBSERVATIONS:
             return
         loss = self.estimator.loss_estimate
-        if not self.robust_active and loss > self.enter_robust:
+        if not self.robust_active and loss > ENTER_ROBUST:
             self.robust_active = True
-        elif self.robust_active and loss < self.exit_robust:
+        elif self.robust_active and loss < EXIT_ROBUST:
             self.robust_active = False
 
     # -- segmentation --------------------------------------------------------
@@ -238,12 +224,6 @@ class ChannelAdaptiveSegmentationPolicy(SegmentationPolicy):
         mode = "robust" if self.robust_active else "fast"
         return (f"ChannelAdaptiveSegmentationPolicy({mode}, "
                 f"loss={self.estimator.loss_estimate:.3f})")
-
-
-def segment_sizes(size: int, allowed_types: Iterable,
-                  policy_cls=BestFitSegmentationPolicy) -> List[Tuple[PacketType, int]]:
-    """Convenience wrapper: segment ``size`` bytes under a fresh policy."""
-    return policy_cls(allowed_types).segment_sizes(size)
 
 
 @dataclass

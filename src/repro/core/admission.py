@@ -18,7 +18,7 @@ flows (paper Section 3.1.4, evaluated as Table 4 in this reproduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baseband.constants import SLOT_SECONDS
@@ -245,10 +245,6 @@ class AdmissionController:
         self._streams: List[PollStream] = []
 
     # ------------------------------------------------------------- inspection
-    @property
-    def accepted_requests(self) -> List[GSFlowRequest]:
-        return list(self._accepted)
-
     @property
     def streams(self) -> List[PollStream]:
         return list(self._streams)

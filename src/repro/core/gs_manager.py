@@ -21,7 +21,6 @@ from repro.baseband.constants import SLOT_SECONDS
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
     LinkQualityEstimator,
-    SegmentationPolicy,
 )
 from repro.core.admission import (
     AdmissionController,
@@ -108,7 +107,6 @@ class GuaranteedServiceManager:
                  postpone_by_packet_size: bool = True,
                  postpone_after_unsuccessful: bool = True,
                  skip_when_no_downlink_data: bool = True,
-                 policy_cls=BestFitSegmentationPolicy,
                  link_budgets: Optional[Mapping[Tuple[int, str],
                                                LinkBudget]] = None,
                  estimator_alpha: float = 0.05,
@@ -121,7 +119,6 @@ class GuaranteedServiceManager:
         self.postpone_by_packet_size = postpone_by_packet_size
         self.postpone_after_unsuccessful = postpone_after_unsuccessful
         self.skip_when_no_downlink_data = skip_when_no_downlink_data
-        self.policy_cls = policy_cls
         self._link_budgets: Dict[Tuple[int, str], LinkBudget] = \
             dict(link_budgets) if link_budgets is not None else {}
         self.estimator_alpha = estimator_alpha
@@ -164,7 +161,7 @@ class GuaranteedServiceManager:
         if spec.flow_id in self._setups:
             raise ValueError(f"GS flow {spec.flow_id} already added")
 
-        policy = self.policy_cls(spec.allowed_types)
+        policy = BestFitSegmentationPolicy(spec.allowed_types)
         eta_min = min_poll_efficiency(tspec.m, tspec.M, policy=policy)
         max_segment_slots = policy.max_segment_slots()
 
@@ -258,9 +255,6 @@ class GuaranteedServiceManager:
     def streams(self) -> List[PollStream]:
         """Accepted poll streams, sorted by priority (1 = highest first)."""
         return list(self._streams)
-
-    def setups(self) -> List[GSFlowSetup]:
-        return [self._setups[fid] for fid in sorted(self._setups)]
 
     def setup(self, flow_id: int) -> GSFlowSetup:
         return self._setups[flow_id]
@@ -387,26 +381,30 @@ class GuaranteedServiceManager:
         if measured is not None:
             budget = budget.with_estimated_loss(measured)
         self._link_budgets[key] = budget
-        if setup.requested_delay_bound is not None:
-            renewed = self.add_flow(setup.spec, setup.tspec,
-                                    delay_bound=setup.requested_delay_bound,
-                                    start_time=now)
-        else:
-            renewed = self.add_flow(setup.spec, setup.tspec,
-                                    rate=setup.request.rate, start_time=now)
+        renewed = self.readmit(setup, now)
         if not renewed.accepted:
             self._rebuild_planners(now)
             for hook in self._on_eviction:
                 hook(flow_id, renewed)
         return renewed
 
+    def readmit(self, setup: GSFlowSetup, now: float) -> GSFlowSetup:
+        """Re-submit a withdrawn ``setup`` to admission at ``now``: by the
+        delay bound it requested, else by its admitted rate."""
+        if setup.requested_delay_bound is not None:
+            return self.add_flow(setup.spec, setup.tspec,
+                                 delay_bound=setup.requested_delay_bound,
+                                 start_time=now)
+        return self.add_flow(setup.spec, setup.tspec,
+                             rate=setup.request.rate, start_time=now)
+
     def withdraw_flow(self, flow_id: int, now: float = 0.0) -> GSFlowSetup:
         """Release an admitted flow's reservation (park / flow-remove).
 
         The returned setup keeps the admitted request, so the flow can be
-        re-submitted later (:meth:`add_flow` with the same parameters —
-        e.g. at unpark time).  Unlike an eviction this is a clean,
-        voluntary teardown: no hooks fire, the link budgets are untouched.
+        re-submitted later (:meth:`readmit`, e.g. at unpark time).  Unlike
+        an eviction this is a clean, voluntary teardown: no hooks fire, the
+        link budgets are untouched.
         """
         setup = self._setups.pop(flow_id, None)
         if setup is None:

@@ -35,6 +35,9 @@ from repro.schedulers.base import (
 
 _US_PER_SECOND = 1_000_000.0
 
+#: Minimum predicted availability for a best-effort slave to be polled.
+AVAILABILITY_THRESHOLD = 0.05
+
 
 @dataclass
 class _UplinkPrediction:
@@ -82,13 +85,9 @@ class _SlaveState:
     slave: int
     dl_flow_ids: List[int] = field(default_factory=list)
     ul_flow_ids: List[int] = field(default_factory=list)
-    fair_share: float = 1.0
     served_slots: int = 0
     last_polled_at: float = -1.0
     next_ul_index: int = 0
-
-    def fairness_ratio(self) -> float:
-        return self.served_slots / self.fair_share
 
 
 class PredictiveFairPoller(Poller):
@@ -101,30 +100,19 @@ class PredictiveFairPoller(Poller):
         their poll planners.  Configure it with ``variable_interval=True``
         for the paper's Section 3.2 poller (default) or ``False`` for the
         Section 3.1 fixed-interval poller.
-    fair_shares:
-        Optional per-slave weights for the fair division of best-effort
-        capacity (defaults to equal weights).
-    availability_threshold:
-        Minimum predicted availability for a slave to be considered for a
-        best-effort poll.
+
+    Best-effort capacity is divided equally: among the slaves predicted
+    to have data (availability at least :data:`AVAILABILITY_THRESHOLD`),
+    the one served the fewest slots so far goes first.
     """
 
     name = "pfp"
 
-    def __init__(self, gs_manager: GuaranteedServiceManager,
-                 fair_shares: Optional[Dict[int, float]] = None,
-                 availability_threshold: float = 0.05):
+    def __init__(self, gs_manager: GuaranteedServiceManager):
         super().__init__()
-        if not 0 <= availability_threshold <= 1:
-            raise ValueError("availability_threshold must be in [0, 1]")
         self.gs = gs_manager
-        self.fair_shares = dict(fair_shares) if fair_shares else {}
-        self.availability_threshold = availability_threshold
         self._be_slaves: Dict[int, _SlaveState] = {}
         self._ul_predictions: Dict[int, _UplinkPrediction] = {}
-        #: number of GS transactions / BE transactions issued (for reports)
-        self.gs_polls_issued = 0
-        self.be_polls_issued = 0
 
     # ------------------------------------------------------------------ attach
     def attach(self, piconet) -> None:
@@ -145,9 +133,7 @@ class PredictiveFairPoller(Poller):
             if spec.traffic_class != BE:
                 continue
             slave_state = self._be_slaves.setdefault(
-                spec.slave,
-                _SlaveState(slave=spec.slave,
-                            fair_share=self.fair_shares.get(spec.slave, 1.0)))
+                spec.slave, _SlaveState(slave=spec.slave))
             if spec.is_downlink:
                 slave_state.dl_flow_ids.append(spec.flow_id)
             else:
@@ -176,12 +162,8 @@ class PredictiveFairPoller(Poller):
         self._require_attached()
         plan = self._select_gs(now)
         if plan is not None:
-            self.gs_polls_issued += 1
             return plan
-        plan = self._select_be(now)
-        if plan is not None:
-            self.be_polls_issued += 1
-        return plan
+        return self._select_be(now)
 
     def _select_gs(self, now: float) -> Optional[TransactionPlan]:
         due = next(self.gs.due_streams(now / _US_PER_SECOND,
@@ -206,13 +188,10 @@ class PredictiveFairPoller(Poller):
         best: Optional[_SlaveState] = None
         best_key = None
         availability_of = self._slave_availability
-        threshold = self.availability_threshold
         for state in self._be_slaves.values():
-            if availability_of(state, now) < threshold:
+            if availability_of(state, now) < AVAILABILITY_THRESHOLD:
                 continue
-            # fairness_ratio() written out: one key per BE slave and select
-            key = (state.served_slots / state.fair_share,
-                   state.last_polled_at, state.slave)
+            key = (state.served_slots, state.last_polled_at, state.slave)
             if best is None or key < best_key:
                 best = state
                 best_key = key
@@ -294,18 +273,3 @@ class PredictiveFairPoller(Poller):
         for delivery in outcome.deliveries:
             if delivery.flow_id == ul_flow and delivery.completed_at is not None:
                 prediction.packets_seen += 1
-
-    # ------------------------------------------------------------------ report
-    def fairness_report(self) -> List[dict]:
-        """Per best-effort slave: slots served and fairness ratio."""
-        report = []
-        for slave in sorted(self._be_slaves):
-            state = self._be_slaves[slave]
-            report.append({
-                "slave": slave,
-                "fair_share": state.fair_share,
-                "served_slots": state.served_slots,
-                "fairness_ratio": state.fairness_ratio(),
-            })
-        return report
-

@@ -15,7 +15,7 @@ packet: ``eta_min = 144`` bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Type
+from typing import Iterable, Optional, Set
 
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
@@ -24,27 +24,24 @@ from repro.baseband.segmentation import (
 
 
 def _policy(allowed_types: Iterable,
-            policy_cls: Type[SegmentationPolicy],
             policy: Optional[SegmentationPolicy]) -> SegmentationPolicy:
     if policy is not None:
         return policy
-    return policy_cls(allowed_types)
+    return BestFitSegmentationPolicy(allowed_types)
 
 
 def segments_needed(size: int, allowed_types: Iterable = ("DH1", "DH3"),
-                    policy_cls: Type[SegmentationPolicy] = BestFitSegmentationPolicy,
                     policy: Optional[SegmentationPolicy] = None) -> int:
     """Number of polls needed to transfer a packet of ``size`` bytes."""
-    return _policy(allowed_types, policy_cls, policy).segment_count(size)
+    return _policy(allowed_types, policy).segment_count(size)
 
 
 def poll_efficiency(size: int, allowed_types: Iterable = ("DH1", "DH3"),
-                    policy_cls: Type[SegmentationPolicy] = BestFitSegmentationPolicy,
                     policy: Optional[SegmentationPolicy] = None) -> float:
     """Average bytes per poll for a packet of ``size`` bytes (Eq. 4 numerator)."""
     if size <= 0:
         raise ValueError("packet size must be positive")
-    return size / segments_needed(size, allowed_types, policy_cls, policy)
+    return size / segments_needed(size, allowed_types, policy)
 
 
 def _candidate_sizes(m: int, M: int, policy: SegmentationPolicy) -> Set[int]:
@@ -83,7 +80,6 @@ def _candidate_sizes(m: int, M: int, policy: SegmentationPolicy) -> Set[int]:
 
 
 def min_poll_efficiency(m: int, M: int, allowed_types: Iterable = ("DH1", "DH3"),
-                        policy_cls: Type[SegmentationPolicy] = BestFitSegmentationPolicy,
                         policy: Optional[SegmentationPolicy] = None,
                         exhaustive: bool = False) -> float:
     """Minimum poll efficiency over packet sizes in ``[m, M]`` (Eq. 4).
@@ -99,7 +95,7 @@ def min_poll_efficiency(m: int, M: int, allowed_types: Iterable = ("DH1", "DH3")
     """
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
-    pol = _policy(allowed_types, policy_cls, policy)
+    pol = _policy(allowed_types, policy)
     if exhaustive:
         sizes = range(m, M + 1)
     else:

@@ -148,11 +148,6 @@ class ResultStore:
         os.replace(tmp, path)
         return path
 
-    def contains(self, experiment: str, params: Mapping[str, object],
-                 seed: int) -> bool:
-        """Whether the entry exists on disk (without reading it)."""
-        return os.path.exists(self._path(experiment, params, seed))
-
     def _quarantine(self, path: str) -> None:
         """Rename a corrupt entry out of the address space."""
         try:
@@ -246,21 +241,6 @@ class ResultStore:
                 except OSError:
                     pass
         return removed
-
-    def verify_roundtrip(self) -> bool:
-        """Write, re-read and delete a probe entry (the doctor's check)."""
-        experiment = "_doctor_probe@v0"
-        params = {"probe": True}
-        rows = [{"value": 1.25, "label": "probe"}]
-        path = self.put(experiment, params, 0, rows)
-        try:
-            return self.get(experiment, params, 0) == rows
-        finally:
-            try:
-                os.remove(path)
-                os.rmdir(os.path.dirname(path))
-            except OSError:
-                pass
 
     # ------------------------------------------------------------- manifests
 

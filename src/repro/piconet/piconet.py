@@ -20,15 +20,13 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.baseband.channel import (
-    Channel,
     ChannelMap,
     TransmissionResult,
     TX_NOT_RECEIVED,
     TX_OK,
-    coerce_channel_map,
 )
 from repro.baseband.constants import SLOT_US
 from repro.baseband.packets import BasebandPacket, resolve_types
@@ -108,12 +106,12 @@ class Piconet:
     """A Bluetooth piconet: one master, up to seven slaves, one poller."""
 
     def __init__(self, env: Optional[Environment] = None,
-                 channel: Union[Channel, ChannelMap, None] = None,
+                 channel: Optional[ChannelMap] = None,
                  config: Optional[PiconetConfig] = None):
         self.env = env if env is not None else Environment()
-        #: per-link channel subsystem; a bare Channel is shared across all
-        #: links (legacy behaviour), None means every link is ideal
-        self.channels = coerce_channel_map(channel)
+        #: per-link channel subsystem; None means every link is ideal
+        self.channels = channel if channel is not None \
+            else ChannelMap.ideal()
         self.config = config if config is not None else PiconetConfig()
         self.devices = DeviceRegistry()
         self.poller = None
@@ -437,10 +435,6 @@ class Piconet:
 
     def slaves(self) -> List[Slave]:
         return self.devices.slaves
-
-    @property
-    def now_seconds(self) -> float:
-        return self.env.now / 1_000_000.0
 
     # ------------------------------------------------------------- traffic API
     def offer_packet(self, flow_id: int, size: int) -> HLPacket:

@@ -10,7 +10,7 @@ its reserved slots whether or not they are needed and cannot retransmit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.baseband.packets import PacketType, SCO_TYPES, get_packet_type
 

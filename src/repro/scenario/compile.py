@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.baseband.channel import (
     Channel,
+    ChannelFactory,
     ChannelMap,
     GilbertElliottChannel,
     LossyChannel,
@@ -55,7 +56,7 @@ from repro.scenario.specs import (
 )
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
-from repro.traffic.sources import CBRSource, TrafficSource
+from repro.traffic.sources import CBRSource
 
 
 def baseline_poller_factories() -> Dict[str, Callable]:
@@ -71,7 +72,7 @@ def baseline_poller_factories() -> Dict[str, Callable]:
     )
     return {
         "pure-round-robin": PureRoundRobinPoller,
-        "limited-round-robin": lambda: LimitedRoundRobinPoller(limit=2),
+        "limited-round-robin": LimitedRoundRobinPoller,
         "exhaustive": ExhaustivePoller,
         "fep": FairExhaustivePoller,
         "edc": EfficientDoubleCyclePoller,
@@ -82,16 +83,33 @@ def baseline_poller_factories() -> Dict[str, Callable]:
 
 # -------------------------------------------------------------- channels
 
-def _link_channel_maker(model: str, ber: float,
-                        p_bg: float, stationary_bad: float
-                        ) -> Callable[[random.Random], Channel]:
-    """One link's channel constructor for a non-ideal model at ``ber``."""
-    if model == "iid":
-        return lambda rng: LossyChannel(bit_error_rate=ber, rng=rng)
-    p_gb = p_bg * stationary_bad / (1.0 - stationary_bad)
-    ber_bad = min(1.0, ber / stationary_bad)
-    return lambda rng: GilbertElliottChannel(
-        p_gb=p_gb, p_bg=p_bg, ber_good=0.0, ber_bad=ber_bad, rng=rng)
+def slave_ber(spec: ChannelSpec, slave: int) -> float:
+    """The static BER of ``slave``'s links: ``spec.ber`` times the slave's
+    ``slave_ber_scale`` entry (x1.0 when the slave is not listed), 0.0 on
+    the ideal radio.  Simulated links and admission budgets both read
+    it."""
+    if spec.model == "ideal":
+        return 0.0
+    return spec.ber * dict(spec.slave_ber_scale).get(slave, 1.0)
+
+
+def link_channel_factory(spec: ChannelSpec) -> Optional[ChannelFactory]:
+    """``factory(link, rng)`` building each link's channel at its
+    slave's :func:`slave_ber` (``None`` for the ideal radio)."""
+    if spec.model == "ideal" or spec.ber <= 0:
+        return None
+
+    def factory(link, rng: random.Random) -> Channel:
+        ber = slave_ber(spec, link[0])
+        if spec.model == "iid":
+            return LossyChannel(bit_error_rate=ber, rng=rng)
+        stationary_bad = spec.stationary_bad
+        return GilbertElliottChannel(
+            p_gb=spec.p_bg * stationary_bad / (1.0 - stationary_bad),
+            p_bg=spec.p_bg, ber_good=0.0,
+            ber_bad=min(1.0, ber / stationary_bad), rng=rng)
+
+    return factory
 
 
 def compile_channel(spec: ChannelSpec, seed: int) -> Optional[ChannelMap]:
@@ -101,29 +119,10 @@ def compile_channel(spec: ChannelSpec, seed: int) -> Optional[ChannelMap]:
     the error processes are independent per link yet reproducible across
     execution backends and unperturbed by the traffic sources' randomness.
     """
-    if spec.model == "ideal" or spec.ber <= 0:
+    factory = link_channel_factory(spec)
+    if factory is None:
         return None
-    streams = RandomStreams(seed).child(spec.stream)
-    if spec.slave_ber_scale:
-        makers = {
-            slave: _link_channel_maker(spec.model, spec.ber * scale,
-                                       spec.p_bg, spec.stationary_bad)
-            for slave, scale in spec.slave_ber_scale}
-        return ChannelMap.per_slave(makers, streams=streams)
-    return ChannelMap.uniform(
-        _link_channel_maker(spec.model, spec.ber, spec.p_bg,
-                            spec.stationary_bad),
-        streams=streams)
-
-
-def _base_channel_factory(base: ChannelSpec):
-    """The per-link base-channel factory under an interference wrapper
-    (``None`` for an ideal base radio)."""
-    if base.model == "ideal" or base.ber <= 0:
-        return None
-    maker = _link_channel_maker(base.model, base.ber, base.p_bg,
-                                base.stationary_bad)
-    return lambda link, rng: maker(rng)
+    return ChannelMap(factory, streams=RandomStreams(seed).child(spec.stream))
 
 
 def _interference_field(spec: ScenarioSpec, seed: int):
@@ -202,9 +201,6 @@ def link_budgets_for(spec: ScenarioSpec, piconet: PiconetSpec
     :class:`~repro.core.gs_manager.GuaranteedServiceManager`.
     """
     admission = piconet.admission
-    channel = piconet.channel
-    base_ber = channel.ber if channel.model != "ideal" else 0.0
-    scale = dict(channel.slave_ber_scale)
     interference_ber = _interference_ber(spec, piconet)
     budgets: Dict[tuple, LinkBudget] = {}
     for flow in piconet.flows:
@@ -219,7 +215,7 @@ def link_budgets_for(spec: ScenarioSpec, piconet: PiconetSpec
             types = tuple(types) + tuple(piconet.robust_types)
         residency, absence = _link_residency(spec, piconet, flow.slave)
         budgets[key] = LinkBudget.compose(
-            ber=base_ber * scale.get(flow.slave, 1.0),
+            ber=slave_ber(piconet.channel, flow.slave),
             packet_types=types,
             interference_ber=interference_ber,
             estimated_loss=admission.estimator_seed_loss,
@@ -294,7 +290,7 @@ class CompiledPiconet:
     piconet: Piconet
     poller: Optional[object]
     manager: Optional[GuaranteedServiceManager]
-    sources: List[TrafficSource]
+    sources: List[CBRSource]
     gs_setups: Dict[int, GSFlowSetup]
     gs_flow_ids: List[int]
     be_flow_ids: List[int]
@@ -430,14 +426,11 @@ def runtime_flow_spec(spec: PiconetSpec, flow: FlowSpec) -> RuntimeFlowSpec:
 
 def admit_flow(manager: GuaranteedServiceManager, runtime: RuntimeFlowSpec,
                flow: FlowSpec, start_time: float = 0.0) -> GSFlowSetup:
-    """Submit a GS-managed flow to admission, by its delay bound or else
-    by its rate."""
-    tspec = cbr_tspec(flow.interval_s, *flow.size_bounds)
-    if flow.delay_bound is not None:
-        return manager.add_flow(runtime, tspec, delay_bound=flow.delay_bound,
-                                start_time=start_time)
-    return manager.add_flow(runtime, tspec, rate=flow.rate,
-                            start_time=start_time)
+    """Submit a GS-managed flow to admission, by its delay bound or by
+    its rate (the spec sets exactly one of them)."""
+    return manager.add_flow(
+        runtime, cbr_tspec(flow.interval_s, *flow.size_bounds),
+        delay_bound=flow.delay_bound, rate=flow.rate, start_time=start_time)
 
 
 def flow_source(piconet: Piconet, flow: FlowSpec,
@@ -517,7 +510,7 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
     poller = _compile_poller(spec.poller, piconet, manager)
 
     # -- traffic sources ----------------------------------------------------
-    sources: List[TrafficSource] = []
+    sources: List[CBRSource] = []
     for flow in spec.flows:
         if flow.interval_s is not None:
             sources.append(flow_source(piconet, flow, streams))
@@ -635,7 +628,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
         if interference_field is not None:
             channel = interference_channel_map(
                 interference_field, piconet_spec.name,
-                base_factory=_base_channel_factory(piconet_spec.channel),
+                base_factory=link_channel_factory(piconet_spec.channel),
                 streams=RandomStreams(seed).child(
                     spec.interference.map_stream))
         else:

@@ -304,7 +304,9 @@ class ChannelSpec(Spec):
     * ``"iid"`` — independent bit errors at ``ber``; with
       ``slave_ber_scale``, per-slave multipliers on ``ber`` model
       heterogeneous link quality (both directions of a slave share the
-      multiplier but keep independent error streams).
+      multiplier but keep independent error streams; an unlisted slave
+      keeps ``ber``).  The same BER feeds the simulated links, the base
+      channels under an interference field and the admission budgets.
     * ``"gilbert"`` — a per-link Gilbert-Elliott burst process whose
       long-run mean BER equals ``ber``: the bad state holds
       ``stationary_bad`` of the time with mean dwell ``1 / p_bg`` slots

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baseband.constants import SLOT_US
+from repro.baseband.constants import SLOT_US, seconds_to_us, us_to_seconds
 from repro.scenario.compile import (
     CompiledPiconet,
     CompiledScenario,
@@ -63,12 +63,6 @@ from repro.scenario.compile import (
 )
 from repro.scenario.specs import EventSpec
 from repro.sim.events import LoopWakeup
-
-_US_PER_SECOND = 1_000_000
-
-
-def _to_us(seconds: float) -> int:
-    return int(round(seconds * _US_PER_SECOND))
 
 
 def install_timeline(compiled: CompiledScenario) -> None:
@@ -108,7 +102,7 @@ def _eviction_hook(cp: CompiledPiconet):
 def _runner(compiled: CompiledScenario, cp: CompiledPiconet,
             event: EventSpec, index: int):
     """The generator of delays driving one event."""
-    delay = _to_us(event.at_s) - compiled.env.now
+    delay = seconds_to_us(event.at_s) - compiled.env.now
     if delay > 0:
         yield delay
     record = {"index": index, "at_s": event.at_s, "kind": event.kind,
@@ -131,7 +125,7 @@ def _runner(compiled: CompiledScenario, cp: CompiledPiconet,
 
 
 def _now_s(cp: CompiledPiconet) -> float:
-    return cp.piconet.env.now / _US_PER_SECOND
+    return us_to_seconds(cp.piconet.env.now)
 
 
 def _run_park(cp: CompiledPiconet, event: EventSpec, record: dict) -> None:
@@ -160,15 +154,7 @@ def _run_unpark(cp: CompiledPiconet, event: EventSpec,
             if setup.spec.slave != event.slave:
                 continue
             del cp.parked_gs_setups[flow_id]
-            if setup.requested_delay_bound is not None:
-                renewed = cp.manager.add_flow(
-                    setup.spec, setup.tspec,
-                    delay_bound=setup.requested_delay_bound,
-                    start_time=now_s)
-            else:
-                renewed = cp.manager.add_flow(
-                    setup.spec, setup.tspec, rate=setup.request.rate,
-                    start_time=now_s)
+            renewed = cp.manager.readmit(setup, now_s)
             cp.gs_setups[flow_id] = renewed
             readmitted[str(flow_id)] = renewed.accepted
     record.update(slave=event.slave,
@@ -264,4 +250,4 @@ def _run_renegotiate(cp: CompiledPiconet, event: EventSpec, record: dict):
             record.update(outcome="not-flagged", attempts=attempts,
                           decided_at_s=now_s)
             return
-        yield _to_us(event.backoff_s)
+        yield seconds_to_us(event.backoff_s)

@@ -17,19 +17,19 @@ from typing import Dict, List, Optional
 from repro.schedulers.base import KIND_BE, Poller, PollOutcome, TransactionPlan
 
 
+#: EWMA weight of the latest transaction in a slave's demand estimate.
+SMOOTHING = 0.25
+#: Least demand a slave is credited with, so idle slaves are still probed.
+FLOOR = 0.05
+
+
 class DemandBasedPoller(Poller):
     """Grant polls in proportion to an EWMA estimate of per-slave demand."""
 
     name = "demand-based"
 
-    def __init__(self, smoothing: float = 0.25, floor: float = 0.05):
+    def __init__(self):
         super().__init__()
-        if not 0 < smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
-        if floor <= 0:
-            raise ValueError("floor must be positive")
-        self.smoothing = smoothing
-        self.floor = floor
         self._slaves: List[int] = []
         self._demand: Dict[int, float] = {}
         self._credit: Dict[int, float] = {}
@@ -44,9 +44,9 @@ class DemandBasedPoller(Poller):
         self._require_attached()
         if not self._slaves:
             return None
-        total = sum(max(self._demand[s], self.floor) for s in self._slaves)
+        total = sum(max(self._demand[s], FLOOR) for s in self._slaves)
         for slave in self._slaves:
-            self._credit[slave] += max(self._demand[slave], self.floor) / total
+            self._credit[slave] += max(self._demand[slave], FLOOR) / total
         slave = max(self._slaves, key=lambda s: self._credit[s])
         self._credit[slave] -= 1.0
         return self.build_plan_for_slave(slave, kind=KIND_BE)
@@ -55,4 +55,4 @@ class DemandBasedPoller(Poller):
         slave = outcome.plan.slave
         moved = sum(d.payload for d in outcome.deliveries)
         old = self._demand.get(slave, 1.0)
-        self._demand[slave] = (1 - self.smoothing) * old + self.smoothing * moved
+        self._demand[slave] = (1 - SMOOTHING) * old + SMOOTHING * moved

@@ -15,16 +15,18 @@ from typing import Dict, List, Optional
 from repro.schedulers.base import KIND_BE, Poller, PollOutcome, TransactionPlan
 
 
+#: Most RX cycles an idle slave's uplink probe is backed off to.
+MAX_BACKOFF = 8
+
+
 class EfficientDoubleCyclePoller(Poller):
-    """EDC with exponential uplink-probe backoff."""
+    """EDC with exponential uplink-probe backoff (up to
+    :data:`MAX_BACKOFF` cycles)."""
 
     name = "edc"
 
-    def __init__(self, max_backoff: int = 8):
+    def __init__(self):
         super().__init__()
-        if max_backoff < 1:
-            raise ValueError("max_backoff must be at least 1")
-        self.max_backoff = max_backoff
         self._slaves: List[int] = []
         self._rx_index = 0
         self._tx_index = 0
@@ -81,5 +83,5 @@ class EfficientDoubleCyclePoller(Poller):
             self._backoff[slave] = 1
             self._skips_left[slave] = 0
         elif not outcome.dl_carried_data:
-            self._backoff[slave] = min(self.max_backoff, self._backoff[slave] * 2)
+            self._backoff[slave] = min(MAX_BACKOFF, self._backoff[slave] * 2)
             self._skips_left[slave] = self._backoff[slave] - 1

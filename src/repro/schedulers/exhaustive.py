@@ -16,16 +16,18 @@ from typing import List, Optional
 from repro.schedulers.base import KIND_BE, Poller, PollOutcome, TransactionPlan
 
 
+#: Transactions a limited round robin grants a slave per visit.
+VISIT_LIMIT = 2
+
+
 class LimitedRoundRobinPoller(Poller):
-    """Round robin with at most ``limit`` transactions per visit."""
+    """Round robin with at most :data:`VISIT_LIMIT` transactions per
+    visit."""
 
     name = "limited-round-robin"
 
-    def __init__(self, limit: int = 1):
+    def __init__(self):
         super().__init__()
-        if limit < 1:
-            raise ValueError("limit must be at least 1")
-        self.limit = limit
         self._slaves: List[int] = []
         self._index = 0
         self._served_this_visit = 0
@@ -50,7 +52,7 @@ class LimitedRoundRobinPoller(Poller):
         slave = self._current_slave()
         if slave is None:
             return None
-        if self._served_this_visit >= self.limit:
+        if self._served_this_visit >= VISIT_LIMIT:
             self._advance()
             slave = self._current_slave()
         self._served_this_visit += 1
@@ -66,9 +68,6 @@ class ExhaustivePoller(LimitedRoundRobinPoller):
     """Serve each slave until a transaction moves no data at all."""
 
     name = "exhaustive"
-
-    def __init__(self):
-        super().__init__(limit=1)
 
     def select(self, now: float) -> Optional[TransactionPlan]:
         self._require_attached()

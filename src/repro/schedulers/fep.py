@@ -15,16 +15,18 @@ from typing import List, Optional, Set
 from repro.schedulers.base import KIND_BE, Poller, PollOutcome, TransactionPlan
 
 
+#: Every PROBE_PERIOD-th transaction probes an inactive slave.
+PROBE_PERIOD = 10
+
+
 class FairExhaustivePoller(Poller):
-    """FEP with a configurable probe period for inactive slaves."""
+    """FEP, probing an inactive slave every :data:`PROBE_PERIOD`
+    transactions."""
 
     name = "fep"
 
-    def __init__(self, probe_period: int = 10):
+    def __init__(self):
         super().__init__()
-        if probe_period < 1:
-            raise ValueError("probe_period must be at least 1")
-        self.probe_period = probe_period
         self._active: List[int] = []
         self._inactive: List[int] = []
         self._transactions = 0
@@ -56,7 +58,7 @@ class FairExhaustivePoller(Poller):
         self._require_attached()
         self._transactions += 1
         probe_due = (self._inactive
-                     and self._transactions % self.probe_period == 0)
+                     and self._transactions % PROBE_PERIOD == 0)
         if probe_due or not self._active:
             if self._inactive:
                 slave = self._inactive.pop(0)

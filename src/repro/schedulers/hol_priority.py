@@ -11,7 +11,7 @@ flows — one of the shortcomings the paper's GS poller addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
 
@@ -19,28 +19,20 @@ from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
 class HolPriorityPoller(Poller):
     """Serve the slave with the oldest, highest-priority head-of-line packet.
 
-    Parameters
-    ----------
-    flow_priorities:
-        Optional explicit priorities per flow id (lower value = higher
-        priority).  By default GS-class flows get priority 0 and BE-class
-        flows priority 1.
+    GS-class flows rank before BE-class flows; within a class the oldest
+    head-of-line packet goes first.
     """
 
     name = "hol-priority"
 
-    def __init__(self, flow_priorities: Optional[Dict[int, int]] = None):
+    def __init__(self):
         super().__init__()
-        self.flow_priorities = dict(flow_priorities) if flow_priorities else {}
         self._slaves: List[int] = []
         self._rr_index = 0
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
         self._slaves = [s.address for s in piconet.slaves()]
-        for spec in piconet.flow_specs():
-            self.flow_priorities.setdefault(
-                spec.flow_id, 0 if spec.is_gs else 1)
 
     def select(self, now: float) -> Optional[TransactionPlan]:
         self._require_attached()
@@ -53,7 +45,7 @@ class HolPriorityPoller(Poller):
             if not queue.has_data():
                 continue
             age = now - (queue.head_arrival_time() or now)
-            key = (self.flow_priorities.get(spec.flow_id, 1), -age)
+            key = (0 if spec.is_gs else 1, -age)
             if best_key is None or key < best_key:
                 best_key = key
                 best_flow = spec

@@ -1,22 +1,10 @@
-"""Traffic generation: the sources that offer packets to piconet flows.
+"""Traffic generation: the CBR source that offers packets to piconet flows.
 
 Delivered traffic is read back per flow through
 :meth:`repro.piconet.piconet.Piconet.flow_stats` and
 :class:`repro.scenario.CompiledPiconet`.
 """
 
-from repro.traffic.sources import (
-    CBRSource,
-    OnOffSource,
-    PoissonSource,
-    TraceSource,
-    TrafficSource,
-)
+from repro.traffic.sources import CBRSource
 
-__all__ = [
-    "CBRSource",
-    "OnOffSource",
-    "PoissonSource",
-    "TraceSource",
-    "TrafficSource",
-]
+__all__ = ["CBRSource"]

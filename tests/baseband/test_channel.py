@@ -9,7 +9,6 @@ from repro.baseband import (
     GilbertElliottChannel,
     IdealChannel,
     LossyChannel,
-    coerce_channel_map,
 )
 from repro.baseband.channel import TX_OK, TransmissionResult
 from repro.baseband.constants import SLOT_US
@@ -34,58 +33,54 @@ def test_transmission_result_truthiness():
 
 def test_ideal_channel_never_fails():
     channel = IdealChannel()
-    assert all(channel.transmit(_dh3()).ok for _ in range(100))
-    assert channel.packet_error_probability(_dh3()) == 0.0
+    assert all(channel.transmit(_dh3(), now_us=n * SLOT_US).ok
+               for n in range(100))
 
 
 def test_lossy_channel_requires_exactly_one_rate():
-    with pytest.raises(ValueError):
+    # the bit error rate is the one way to describe an iid channel
+    with pytest.raises(TypeError):
         LossyChannel()
-    with pytest.raises(ValueError):
-        LossyChannel(packet_error_rate=0.1, bit_error_rate=1e-4)
 
 
 def test_lossy_channel_rate_bounds_checked():
     with pytest.raises(ValueError):
-        LossyChannel(packet_error_rate=1.5)
+        LossyChannel(bit_error_rate=1.5)
     with pytest.raises(ValueError):
         LossyChannel(bit_error_rate=-0.1)
 
 
 def test_lossy_channel_loss_fraction_matches_rate():
-    channel = LossyChannel(packet_error_rate=0.3, rng=random.Random(1))
-    outcomes = [channel.transmit(_dh3()).ok for _ in range(5000)]
+    channel = LossyChannel(bit_error_rate=5e-4, rng=random.Random(1))
+    outcomes = [channel.transmit(_dh3(), now_us=n * SLOT_US).ok
+                for n in range(5000)]
     loss = 1 - sum(outcomes) / len(outcomes)
-    assert 0.25 < loss < 0.35
-
-
-def test_packet_error_rate_mode_fails_as_crc_error():
-    channel = LossyChannel(packet_error_rate=1.0)
-    result = channel.transmit(_dh3())
-    assert result.received and not result.payload_intact
+    assert loss == pytest.approx(channel.error_probabilities(_dh3()).any,
+                                 abs=0.03)
 
 
 def test_ber_longer_packets_more_likely_corrupted():
     channel = LossyChannel(bit_error_rate=1e-4)
     short = BasebandPacket(get_packet_type("DH1"), payload=10)
     long = BasebandPacket(get_packet_type("DH5"), payload=339)
-    assert channel.packet_error_probability(long) > \
-        channel.packet_error_probability(short)
+    assert channel.error_probabilities(long).any > \
+        channel.error_probabilities(short).any
 
 
 def test_ber_fec_packets_more_robust():
     channel = LossyChannel(bit_error_rate=1e-4)
     dm3 = BasebandPacket(get_packet_type("DM3"), payload=100)
     dh3 = BasebandPacket(get_packet_type("DH3"), payload=100)
-    assert channel.packet_error_probability(dm3) < \
-        channel.packet_error_probability(dh3)
+    assert channel.error_probabilities(dm3).any < \
+        channel.error_probabilities(dh3).any
 
 
 def test_ber_mode_separates_missed_from_crc_failures():
     # at a catastrophic BER the header (1/3 FEC) still fails far less often
     # than a long unprotected payload, so both outcome kinds appear
     channel = LossyChannel(bit_error_rate=0.02, rng=random.Random(4))
-    results = [channel.transmit(_dh3()) for _ in range(3000)]
+    results = [channel.transmit(_dh3(), now_us=n * SLOT_US)
+               for n in range(3000)]
     missed = sum(1 for r in results if not r.received)
     crc = sum(1 for r in results if r.received and not r.payload_intact)
     assert missed > 0
@@ -99,16 +94,15 @@ def test_gilbert_elliott_parameter_validation():
     with pytest.raises(ValueError):
         GilbertElliottChannel(p_gb=1.5)
     with pytest.raises(ValueError):
-        GilbertElliottChannel(per_good=0.1, ber_bad=1e-3)
-    with pytest.raises(ValueError):
-        GilbertElliottChannel(slot_us=0)
+        GilbertElliottChannel(ber_bad=1.5)
 
 
 def test_gilbert_elliott_produces_burstier_errors_than_iid():
     rng = random.Random(3)
-    channel = GilbertElliottChannel(p_gb=0.02, p_bg=0.2, per_good=0.0,
-                                    per_bad=0.8, rng=rng)
-    outcomes = [channel.transmit(_dh3()).ok for _ in range(20000)]
+    channel = GilbertElliottChannel(p_gb=0.02, p_bg=0.2, ber_good=0.0,
+                                    ber_bad=2e-3, rng=rng)
+    outcomes = [channel.transmit(_dh3(), now_us=slot * SLOT_US).ok
+                for slot in range(20000)]
     losses = [not ok for ok in outcomes]
     loss_rate = sum(losses) / len(losses)
     assert 0.0 < loss_rate < 0.5
@@ -120,20 +114,24 @@ def test_gilbert_elliott_produces_burstier_errors_than_iid():
 
 
 def test_gilbert_elliott_stationary_probability():
+    """The n-step bad probability relaxes to ``p_gb / (p_gb + p_bg)``; a
+    chain that never moves stays where it is."""
     channel = GilbertElliottChannel(p_gb=0.01, p_bg=0.09)
-    assert channel.stationary_bad == pytest.approx(0.1)
-    assert GilbertElliottChannel(p_gb=0.0, p_bg=0.0).stationary_bad == 0.0
+    assert channel.n_step_bad_probability(10_000) == pytest.approx(0.1)
+    frozen = GilbertElliottChannel(p_gb=0.0, p_bg=0.0)
+    assert frozen.n_step_bad_probability(10_000) == 0.0
+    assert frozen.n_step_bad_probability(10_000, from_good=False) == 1.0
 
 
 def test_gilbert_elliott_state_advances_with_elapsed_slots():
-    """Time-aware mode: recovery depends on elapsed time, not poll count."""
+    """Recovery depends on elapsed time, not poll count."""
     recovered_after_long_gap = 0
     recovered_after_short_gap = 0
     trials = 400
     for seed in range(trials):
         for gap_slots, counter in ((1, "short"), (1000, "long")):
             channel = GilbertElliottChannel(
-                p_gb=0.0, p_bg=0.05, per_good=0.0, per_bad=1.0,
+                p_gb=0.0, p_bg=0.05, ber_good=0.0, ber_bad=0.5,
                 rng=random.Random(seed))
             channel.state_good = False
             channel.transmit(_dh3(), now_us=0)   # anchors the clock
@@ -151,17 +149,17 @@ def test_gilbert_elliott_state_advances_with_elapsed_slots():
 
 def test_gilbert_elliott_closed_form_matches_stationary_loss():
     """Empirical slot-by-slot loss approaches the stationary mix."""
-    channel = GilbertElliottChannel(p_gb=0.02, p_bg=0.08, per_good=0.0,
-                                    per_bad=1.0, rng=random.Random(11))
+    channel = GilbertElliottChannel(p_gb=0.02, p_bg=0.08, ber_good=0.0,
+                                    ber_bad=0.5, rng=random.Random(11))
     packet = _dh3()
     losses = 0
     n = 20000
     for slot in range(n):
         if not channel.transmit(packet, now_us=slot * SLOT_US).ok:
             losses += 1
-    expected = channel.stationary_bad  # per_bad = 1, per_good = 0
-    assert losses / n == pytest.approx(expected, rel=0.15)
-    assert channel.stationary_error_rate(packet) == pytest.approx(expected)
+    # the bad state (stationary share 0.2) loses every packet, the good
+    # state none
+    assert losses / n == pytest.approx(0.2, rel=0.15)
 
 
 def test_gilbert_elliott_ber_mode_uses_fec_model():
@@ -169,21 +167,23 @@ def test_gilbert_elliott_ber_mode_uses_fec_model():
                                     ber_bad=1e-2)
     dm3 = BasebandPacket(get_packet_type("DM3"), payload=100)
     dh3 = BasebandPacket(get_packet_type("DH3"), payload=100)
-    assert channel.packet_error_probability(dm3) < \
-        channel.packet_error_probability(dh3)
+    for good in (True, False):
+        assert channel._state_probabilities(dm3, good).any < \
+            channel._state_probabilities(dh3, good).any
 
 
 # -------------------------------------------------------------- channel map
 
 def test_channel_map_links_are_independent_and_deterministic():
     def build():
-        return ChannelMap.uniform(
-            lambda rng: LossyChannel(packet_error_rate=0.5, rng=rng),
+        return ChannelMap(
+            lambda link, rng: LossyChannel(bit_error_rate=1e-3, rng=rng),
             streams=RandomStreams(42))
 
     def sequence(cmap, slave, direction, n=200):
-        return tuple(cmap.transmit(slave, direction, _dh3()).ok
-                     for _ in range(n))
+        return tuple(cmap.transmit(slave, direction, _dh3(),
+                                   now_us=i * SLOT_US).ok
+                     for i in range(n))
 
     first, second = build(), build()
     # same seed -> byte-identical per-link sequences across instances
@@ -195,8 +195,8 @@ def test_channel_map_links_are_independent_and_deterministic():
 
 
 def test_channel_map_memoizes_per_link_instances():
-    cmap = ChannelMap.uniform(
-        lambda rng: LossyChannel(packet_error_rate=0.1, rng=rng))
+    cmap = ChannelMap(
+        lambda link, rng: LossyChannel(bit_error_rate=1e-4, rng=rng))
     a = cmap.channel_for(1, "DL")
     assert cmap.channel_for(1, "DL") is a
     assert cmap.channel_for(1, "UL") is not a
@@ -204,25 +204,18 @@ def test_channel_map_memoizes_per_link_instances():
 
 
 def test_channel_map_per_slave_heterogeneous_quality():
-    cmap = ChannelMap.per_slave(
-        {1: lambda rng: LossyChannel(packet_error_rate=1.0, rng=rng)},
-        streams=RandomStreams(0))
-    assert not cmap.transmit(1, "DL", _dh3()).ok
-    # unlisted slaves default to ideal
-    assert cmap.transmit(2, "DL", _dh3()).ok
+    def factory(link, rng):
+        slave, _direction = link
+        return LossyChannel(bit_error_rate=0.5, rng=rng) if slave == 1 \
+            else IdealChannel()
+
+    cmap = ChannelMap(factory, streams=RandomStreams(0))
+    assert not cmap.transmit(1, "DL", _dh3(), now_us=0).ok
+    assert cmap.transmit(2, "DL", _dh3(), now_us=0).ok
     assert isinstance(cmap.channel_for(2, "UL"), IdealChannel)
 
 
-def test_coerce_channel_map():
-    assert isinstance(coerce_channel_map(None), ChannelMap)
-    assert coerce_channel_map(None).transmit(1, "DL", _dh3()).ok
-
-    shared = LossyChannel(packet_error_rate=0.0)
-    cmap = coerce_channel_map(shared)
-    assert cmap.channel_for(1, "DL") is shared
-    assert cmap.channel_for(5, "UL") is shared
-
-    existing = ChannelMap.ideal()
-    assert coerce_channel_map(existing) is existing
-    with pytest.raises(TypeError):
-        coerce_channel_map(0.5)
+def test_ideal_map_transmits_every_packet():
+    cmap = ChannelMap.ideal()
+    assert cmap.transmit(1, "DL", _dh3(), now_us=0) is TX_OK
+    assert cmap.channel_for(5, "UL") is cmap.channel_for(1, "DL")

@@ -18,7 +18,6 @@ from repro.baseband.packets import BasebandPacket, get_packet_type
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
     ChannelAdaptiveSegmentationPolicy,
-    LargestPacketSegmentationPolicy,
     Reassembler,
     SegmentationError,
 )
@@ -34,11 +33,8 @@ sizes = st.one_of(st.integers(1, 2000),
 
 @st.composite
 def policies(draw):
-    kind = draw(st.sampled_from(["best_fit", "largest", "adaptive"]))
-    if kind == "best_fit":
+    if draw(st.booleans()):
         return BestFitSegmentationPolicy(draw(type_sets))
-    if kind == "largest":
-        return LargestPacketSegmentationPolicy(draw(type_sets))
     return ChannelAdaptiveSegmentationPolicy(
         fast_types=draw(type_sets), robust_types=draw(type_sets))
 

@@ -4,10 +4,16 @@ import pytest
 
 from repro.baseband import (
     BestFitSegmentationPolicy,
-    LargestPacketSegmentationPolicy,
+    ChannelAdaptiveSegmentationPolicy,
+    LinkQualityEstimator,
     Reassembler,
 )
-from repro.baseband.segmentation import SegmentationError
+from repro.baseband.segmentation import (
+    ENTER_ROBUST,
+    EXIT_ROBUST,
+    MIN_OBSERVATIONS,
+    SegmentationError,
+)
 
 
 @pytest.fixture
@@ -39,12 +45,6 @@ def test_multi_segment_packet_splits_greedily(paper_policy):
 def test_remainder_larger_than_dh1_uses_dh3(paper_policy):
     pieces = paper_policy.segment_sizes(183 + 100)
     assert [(p.name, n) for p, n in pieces] == [("DH3", 183), ("DH3", 100)]
-
-
-def test_largest_policy_always_uses_dh3():
-    policy = LargestPacketSegmentationPolicy(["DH1", "DH3"])
-    pieces = policy.segment_sizes(20)
-    assert pieces[0][0].name == "DH3"
 
 
 def test_segment_sizes_conserve_bytes(paper_policy):
@@ -112,13 +112,7 @@ def test_max_segment_slots(paper_policy):
 
 # ---------------------------------------------------- channel-adaptive policy
 
-def _adaptive(**kwargs):
-    from repro.baseband import ChannelAdaptiveSegmentationPolicy
-    return ChannelAdaptiveSegmentationPolicy(**kwargs)
-
-
 def test_link_quality_estimator_ewma():
-    from repro.baseband import LinkQualityEstimator
     est = LinkQualityEstimator(alpha=0.5)
     assert est.loss_estimate == 0.0
     est.observe(True)
@@ -133,7 +127,7 @@ def test_link_quality_estimator_ewma():
 
 
 def test_adaptive_policy_starts_fast():
-    policy = _adaptive()
+    policy = ChannelAdaptiveSegmentationPolicy()
     assert not policy.robust_active
     # 176 bytes fit a single DH3 in fast mode
     assert [(p.name, n) for p, n in policy.segment_sizes(176)] == \
@@ -141,7 +135,7 @@ def test_adaptive_policy_starts_fast():
 
 
 def test_adaptive_policy_switches_to_fec_types_under_loss():
-    policy = _adaptive(enter_robust=0.3, exit_robust=0.1, min_observations=1)
+    policy = ChannelAdaptiveSegmentationPolicy()
     for _ in range(50):
         policy.observe_transmission(error=True)
     assert policy.robust_active
@@ -151,12 +145,12 @@ def test_adaptive_policy_switches_to_fec_types_under_loss():
 
 
 def test_adaptive_policy_hysteresis_and_recovery():
-    policy = _adaptive(enter_robust=0.3, exit_robust=0.1, min_observations=1)
+    policy = ChannelAdaptiveSegmentationPolicy()
     for _ in range(50):
         policy.observe_transmission(error=True)
     assert policy.robust_active
     # a loss estimate between the thresholds keeps the current mode
-    while policy.estimator.loss_estimate > 0.15:
+    while policy.estimator.loss_estimate > (ENTER_ROBUST + EXIT_ROBUST) / 2:
         policy.observe_transmission(error=False)
     assert policy.robust_active
     # clean air eventually re-enables the fast types
@@ -166,21 +160,22 @@ def test_adaptive_policy_hysteresis_and_recovery():
 
 
 def test_adaptive_policy_waits_for_min_observations():
-    policy = _adaptive(enter_robust=0.1, min_observations=10)
-    for _ in range(9):
+    policy = ChannelAdaptiveSegmentationPolicy()
+    for _ in range(MIN_OBSERVATIONS - 1):
         policy.observe_transmission(error=True)
+    assert policy.estimator.loss_estimate > ENTER_ROBUST
     assert not policy.robust_active
     policy.observe_transmission(error=True)
     assert policy.robust_active
 
 
 def test_adaptive_policy_worst_case_slots_covers_both_modes():
-    policy = _adaptive(fast_types=("DH1",), robust_types=("DM1", "DM3"))
+    policy = ChannelAdaptiveSegmentationPolicy(fast_types=("DH1",),
+                                               robust_types=("DM1", "DM3"))
     assert policy.max_segment_slots() == 3
 
 
 def test_adaptive_policy_validates_thresholds():
-    with pytest.raises(ValueError):
-        _adaptive(enter_robust=0.1, exit_robust=0.2)
-    with pytest.raises(ValueError):
-        _adaptive(min_observations=0)
+    # the hysteresis band is well formed and the policy waits for data
+    assert 0 <= EXIT_ROBUST <= ENTER_ROBUST <= 1
+    assert MIN_OBSERVATIONS >= 1

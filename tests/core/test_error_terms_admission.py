@@ -153,7 +153,8 @@ def test_remove_flow_recomputes_priorities():
     for flow_id, slave in [(1, 1), (2, 2), (3, 3)]:
         controller.request_admission(make_request(flow_id, slave))
     controller.remove_flow(1)
-    assert sorted(r.flow_id for r in controller.accepted_requests) == [2, 3]
+    assert sorted(fid for s in controller.streams for fid in s.flow_ids) \
+        == [2, 3]
     assert sorted(s.priority for s in controller.streams) == [1, 2]
     with pytest.raises(KeyError):
         controller.remove_flow(99)

@@ -8,6 +8,7 @@ no matter which execution backend ran the tasks.
 import pytest
 
 from repro.baseband import ChannelMap, GilbertElliottChannel, LossyChannel
+from repro.baseband.fec import packet_error_probabilities
 from repro.baseband.packets import BasebandPacket, get_packet_type
 from repro.experiments.lossy_channel import channel_spec
 from repro.experiments.orchestrator import SweepRunner
@@ -59,7 +60,9 @@ def test_gilbert_elliott_stationary_error_rate_sanity():
     n = 30000
     losses = sum(1 for slot in range(n)
                  if not channel.transmit(packet, now_us=slot * 1250).ok)
-    expected = channel.stationary_error_rate(packet)
+    # the bad state holds p_gb / (p_gb + p_bg) = 0.2 of the slots; the
+    # good state (BER 0) loses nothing
+    expected = 0.2 * packet_error_probabilities(packet, 2e-3).any
     assert 0.05 < expected < 0.95
     assert losses / n == pytest.approx(expected, rel=0.1)
 
@@ -70,8 +73,8 @@ def test_channel_map_streams_do_not_perturb_traffic_streams():
     before = parent.stream("gs-1").random()
     parent2 = RandomStreams(17)
     child = parent2.child("channel-map")
-    ChannelMap.uniform(
-        lambda rng: LossyChannel(packet_error_rate=0.5, rng=rng),
-        streams=child).transmit(1, "DL", _dh3())
+    ChannelMap(
+        lambda link, rng: LossyChannel(bit_error_rate=1e-3, rng=rng),
+        streams=child).transmit(1, "DL", _dh3(), now_us=0)
     after = parent2.stream("gs-1").random()
     assert before == after

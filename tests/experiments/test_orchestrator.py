@@ -268,8 +268,8 @@ def test_batch_failure_reraises_and_resume_runs_only_the_rest(tmp_path):
             SweepRunner(max_workers=2, backend="batch",
                         cache_dir=store).run("toy-faulty", resume=True)
         cache = ResultStore(store)
-        stored = [cache.contains("toy-faulty@v1", task.params, task.seed)
-                  for task in SweepRunner().tasks_for(spec)]
+        stored = [cache.get("toy-faulty@v1", task.params, task.seed)
+                  is not None for task in SweepRunner().tasks_for(spec)]
         # the chunks before the failing task's chunk (slots 6 and 7)
         # reached the store, nothing from it or after it
         assert stored == [True] * 6 + [False] * 6

@@ -2,13 +2,24 @@
 
 import pytest
 
-from repro.baseband.channel import LossyChannel
+from repro.baseband.channel import ChannelMap, IdealChannel, LossyChannel
 from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers import PureRoundRobinPoller
 from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
 from repro.sim import Wakeup
 from repro.traffic.sources import CBRSource
+
+
+def ber_links(ber, slaves=None, streams=0):
+    """A channel map with every link (or only ``slaves``' links) at
+    ``ber``, the other links ideal."""
+    def factory(link, rng):
+        if slaves is None or link[0] in slaves:
+            return LossyChannel(bit_error_rate=ber, rng=rng)
+        return IdealChannel()
+
+    return ChannelMap(factory, streams=streams)
 
 
 def build_piconet(n_slaves=1, channel=None):
@@ -105,8 +116,7 @@ def test_uplink_data_arriving_after_master_tx_start_waits():
 
 
 def test_lossy_channel_triggers_retransmissions_and_still_delivers():
-    channel = LossyChannel(packet_error_rate=0.2)
-    piconet = build_piconet(1, channel=channel)
+    piconet = build_piconet(1, channel=ber_links(1.5e-4))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
     piconet.attach_poller(SingleSlavePoller())
     source = CBRSource(piconet, 1, 0.020, 176)
@@ -199,13 +209,9 @@ def test_poll_outcome_carries_link_identities():
 
 
 def test_per_link_channel_map_isolates_slaves():
-    from repro.baseband import ChannelMap, IdealChannel, LossyChannel
-
     # slave 1's links are broken, slave 2's are clean
-    cmap = ChannelMap.per_slave(
-        {1: lambda rng: LossyChannel(packet_error_rate=1.0, rng=rng)},
-        streams=7)
-    piconet = build_piconet(2, channel=cmap)
+    piconet = build_piconet(2, channel=ber_links(0.5, slaves=(1,),
+                                                 streams=7))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
     piconet.add_flow(FlowSpec(2, slave=2, direction=UPLINK, traffic_class=BE))
     piconet.attach_poller(PureRoundRobinPoller())
@@ -221,31 +227,29 @@ def test_per_link_channel_map_isolates_slaves():
 
 
 def test_failure_decomposition_counted_per_kind():
-    from repro.baseband import LossyChannel
-
-    # PER-mode failures are CRC failures (the packet itself is received)
-    channel = LossyChannel(packet_error_rate=0.3)
-    piconet = build_piconet(1, channel=channel)
+    # at a catastrophic BER both kinds appear: packets never received
+    # (access code / header lost) and payloads failing the CRC
+    piconet = build_piconet(1, channel=ber_links(0.02))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
     piconet.attach_poller(SingleSlavePoller())
     CBRSource(piconet, 1, 0.020, 176).start()
     piconet.run(1.0)
     state = piconet.flow_state(1)
-    assert state.retransmissions > 0
-    assert state.crc_failures == state.retransmissions
-    assert state.segments_not_received == 0
+    assert state.crc_failures > 0
+    assert state.segments_not_received > 0
+    assert state.crc_failures + state.segments_not_received \
+        == state.retransmissions
     stats = piconet.flow_stats(1)
     assert stats["crc_failures"] == state.crc_failures
-    assert stats["segments_not_received"] == 0
+    assert stats["segments_not_received"] == state.segments_not_received
 
 
 def test_adaptive_segmentation_switches_under_loss():
-    from repro.baseband import ChannelAdaptiveSegmentationPolicy, LossyChannel
+    from repro.baseband import ChannelAdaptiveSegmentationPolicy
     from repro.piconet.piconet import PiconetConfig
 
     config = PiconetConfig(adaptive_segmentation=True)
-    piconet = Piconet(channel=LossyChannel(packet_error_rate=0.6),
-                      config=config)
+    piconet = Piconet(channel=ber_links(1e-3), config=config)
     piconet.add_slave()
     piconet.add_flow(FlowSpec(1, slave=1, direction=DOWNLINK,
                               traffic_class=BE))
@@ -254,7 +258,7 @@ def test_adaptive_segmentation_switches_under_loss():
     assert isinstance(policy, ChannelAdaptiveSegmentationPolicy)
     CBRSource(piconet, 1, 0.010, 176).start()
     piconet.run(1.0)
-    # 60% observed loss is far above every entry threshold
+    # ~75% observed loss is far above the entry threshold
     assert policy.robust_active
     assert policy.estimator.observations > 0
 
@@ -287,13 +291,9 @@ def test_explicit_zero_duration_raises():
 
 
 def test_sco_residual_errors_counted_through_link_channels():
-    from repro.baseband import ChannelMap, LossyChannel
-
     # every link lossy at the bit level: HV3 has no CRC and no ARQ, so
     # corrupted voice frames are still delivered, only counted as residual
-    cmap = ChannelMap.uniform(
-        lambda rng: LossyChannel(bit_error_rate=3e-3, rng=rng), streams=5)
-    piconet = build_piconet(1, channel=cmap)
+    piconet = build_piconet(1, channel=ber_links(3e-3, streams=5))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=GS,
                               allowed_types=("HV3",)))
     piconet.add_sco_link(1, "HV3", ul_flow_id=1)

@@ -15,8 +15,8 @@ per-packet delay samples, slot ledger and the event-id counter.
 
 The bypass fires source wake-ups inline, so a second strategy aims at
 heap-order ties: slot-aligned CBR sources (intervals of whole slots,
-start offsets on even slots, where transactions end), mixed with Poisson,
-on/off and trace sources and a timeline ``flow-remove`` that stops a
+start offsets on even slots, where transactions end), compiled or added
+beside the compiled ones, and a timeline ``flow-remove`` that stops a
 source between two master steps.
 """
 
@@ -39,12 +39,7 @@ from repro.scenario import (
     compile_scenario,
 )
 from repro.sim.events import LoopWakeup, Wakeup
-from repro.traffic.sources import (
-    CBRSource,
-    OnOffSource,
-    PoissonSource,
-    TraceSource,
-)
+from repro.traffic.sources import CBRSource
 
 DURATION_S = 0.4
 SEED = 7
@@ -140,33 +135,17 @@ def test_fast_path_results_byte_identical(spec):
 
 @st.composite
 def _extra_source(draw, flow_id):
-    """A factory of one source whose arrivals tend to tie with commits."""
-    kind = draw(st.sampled_from(["cbr", "poisson", "onoff", "trace"]))
+    """A factory of one CBR source whose arrivals tend to tie with
+    commits."""
     seed = draw(st.integers(0, 2**16))
     size = draw(st.one_of(st.integers(1, 600), st.tuples(
         st.integers(1, 200), st.integers(200, 600))))
     slots = draw(st.integers(1, 12))
     # even slots: with or without alignment, transactions end there
     offset = draw(st.integers(0, 8)) * 2 * SLOT_S
-    if kind == "cbr":
-        return lambda piconet: CBRSource(
-            piconet, flow_id, slots * SLOT_S, size,
-            rng=random.Random(seed), start_offset=offset)
-    if kind == "poisson":
-        rate = draw(st.floats(100.0, 2000.0))
-        return lambda piconet: PoissonSource(
-            piconet, flow_id, rate, size, rng=random.Random(seed),
-            start_offset=offset)
-    if kind == "onoff":
-        mean_on, mean_off = draw(st.tuples(st.floats(0.002, 0.05),
-                                           st.floats(0.002, 0.05)))
-        return lambda piconet: OnOffSource(
-            piconet, flow_id, slots * SLOT_S, size, mean_on=mean_on,
-            mean_off=mean_off, rng=random.Random(seed), start_offset=offset)
-    trace = [(step * SLOT_S, draw(st.integers(1, 600)))
-             for step in draw(st.lists(st.integers(0, 600), max_size=40))]
-    return lambda piconet: TraceSource(piconet, flow_id, trace,
-                                       start_offset=offset)
+    return lambda piconet: CBRSource(
+        piconet, flow_id, slots * SLOT_S, size,
+        rng=random.Random(seed), start_offset=offset)
 
 
 @st.composite

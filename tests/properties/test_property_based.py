@@ -87,9 +87,9 @@ MIXING_TYPE_SETS = [
 def test_min_poll_efficiency_true_minimum_across_type_sets(m, span, types,
                                                            mixing):
     M = m + span
-    policy_cls = _MidstreamMixingPolicy if mixing \
+    make_policy = _MidstreamMixingPolicy if mixing \
         else BestFitSegmentationPolicy
-    policy = policy_cls(types)
+    policy = make_policy(types)
     eta = min_poll_efficiency(m, M, policy=policy)
     exhaustive = min_poll_efficiency(m, M, policy=policy, exhaustive=True)
     assert eta == exhaustive

@@ -1,12 +1,13 @@
 """Compiling specs: determinism, channels, pollers, interference and
 scatternet wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baseband.channel import (
     ChannelMap,
     GilbertElliottChannel,
-    IdealChannel,
     LossyChannel,
 )
 from repro.baseband.packets import BasebandPacket, get_packet_type
@@ -14,6 +15,7 @@ from repro.core.pfp import PredictiveFairPoller
 from repro.scenario import (
     ChannelSpec,
     FlowSpec,
+    InterferenceSpec,
     PiconetSpec,
     PollerSpec,
     ScenarioSpec,
@@ -23,6 +25,7 @@ from repro.scenario import (
     interfered_be_spec,
     multi_sco_spec,
 )
+from repro.scenario.compile import slave_ber
 from repro.schedulers.round_robin import PureRoundRobinPoller
 
 
@@ -68,14 +71,39 @@ def test_compile_channel_models_and_per_slave_ramp():
                     stationary_bad=0.2), 1)
     link = gilbert.channel_for(1, "DL")
     assert isinstance(link, GilbertElliottChannel)
-    assert link.stationary_bad == pytest.approx(0.2)
+    assert link.p_gb / (link.p_gb + link.p_bg) == pytest.approx(0.2)
     assert link.ber_bad == pytest.approx(1e-3 / 0.2)
     ramp = compile_channel(
         ChannelSpec(model="iid", ber=1e-3,
                     slave_ber_scale=((1, 0.5), (2, 2.0))), 1)
     assert ramp.channel_for(1, "UL").bit_error_rate == pytest.approx(5e-4)
     assert ramp.channel_for(2, "UL").bit_error_rate == pytest.approx(2e-3)
-    assert isinstance(ramp.channel_for(3, "UL"), IdealChannel)
+    assert ramp.channel_for(3, "UL").bit_error_rate == pytest.approx(1e-3)
+
+
+def test_slave_missing_from_the_scale_simulates_the_unscaled_ber():
+    """An unlisted slave is simulated at x1.0, the BER its admission
+    budget is composed from, not on an ideal radio."""
+    channel = ChannelSpec(model="iid", ber=1e-4, slave_ber_scale=((1, 0.25),))
+    links = figure4_spec(channel=channel).compile(1).primary.piconet.channels
+    assert isinstance(links.channel_for(2, "UL"), LossyChannel)
+    assert links.channel_for(2, "UL").bit_error_rate == slave_ber(channel, 2)
+    assert slave_ber(channel, 2) == 1e-4
+    assert links.channel_for(1, "UL").bit_error_rate == \
+        pytest.approx(2.5e-5)
+
+
+def test_interference_base_channels_keep_the_per_slave_scale():
+    channel = ChannelSpec(model="iid", ber=1e-4,
+                          slave_ber_scale=((1, 0.25), (7, 1.75)))
+    plain = figure4_spec(channel=channel)
+    interfered = replace(plain, interference=InterferenceSpec(
+        victim=plain.piconets[0].name, interferer_duties=(0.5,)))
+    links = interfered.compile(1).primary.piconet.channels
+    assert links.channel_for(1, "UL").base.bit_error_rate == \
+        pytest.approx(2.5e-5)
+    assert links.channel_for(7, "UL").base.bit_error_rate == \
+        pytest.approx(1.75e-4)
 
 
 def test_compile_channel_is_reproducible_per_link():
@@ -92,7 +120,6 @@ def test_compile_channel_is_reproducible_per_link():
 def test_interference_composes_gilbert_base_channel():
     spec = interfered_be_spec((1.0,))
     piconet = spec.piconets[0]
-    from dataclasses import replace
     bursty = ScenarioSpec(
         piconets=(replace(piconet, channel=ChannelSpec(
             model="gilbert", ber=3e-4)),),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.piconet import FlowSpec, Piconet
-from repro.piconet.flows import BE, DOWNLINK, UPLINK
+from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers import (
     DemandBasedPoller,
     EfficientDoubleCyclePoller,
@@ -14,11 +14,15 @@ from repro.schedulers import (
     PureRoundRobinPoller,
 )
 from repro.schedulers.base import Poller, TransactionPlan
+from repro.schedulers.demand_based import FLOOR, SMOOTHING
+from repro.schedulers.edc import MAX_BACKOFF
+from repro.schedulers.exhaustive import VISIT_LIMIT
+from repro.schedulers.fep import PROBE_PERIOD
 from repro.traffic.sources import CBRSource
 
 ALL_POLLERS = [
     PureRoundRobinPoller,
-    lambda: LimitedRoundRobinPoller(limit=2),
+    lambda: LimitedRoundRobinPoller(),
     ExhaustivePoller,
     FairExhaustivePoller,
     EfficientDoubleCyclePoller,
@@ -163,7 +167,7 @@ def test_round_robin_polls_a_slave_whose_first_flow_arrives_late():
 
 def test_fep_demotes_idle_slaves_and_promotes_on_data():
     piconet = two_slave_piconet()
-    poller = FairExhaustivePoller(probe_period=5)
+    poller = FairExhaustivePoller()
     piconet.attach_poller(poller)
     piconet.run(0.5)   # nothing to send: both slaves end up inactive
     assert poller.active_slaves == set()
@@ -178,13 +182,13 @@ def test_hol_priority_prefers_flagged_downlink_flow():
     piconet.add_slave()
     piconet.add_slave()
     piconet.add_flow(FlowSpec(1, slave=1, direction=DOWNLINK, traffic_class=BE))
-    piconet.add_flow(FlowSpec(2, slave=2, direction=DOWNLINK, traffic_class=BE))
-    poller = HolPriorityPoller(flow_priorities={1: 5, 2: 0})
+    piconet.add_flow(FlowSpec(2, slave=2, direction=DOWNLINK, traffic_class=GS))
+    poller = HolPriorityPoller()
     piconet.attach_poller(poller)
     piconet.offer_packet(1, 100)
     piconet.offer_packet(2, 100)
     plan = poller.select(piconet.env.now)
-    assert plan.slave == 2   # flow 2 has the numerically lower (better) priority
+    assert plan.slave == 2   # the GS flow outranks the lower-numbered BE flow
 
 
 def test_demand_based_gives_more_service_to_busier_slave():
@@ -198,14 +202,12 @@ def test_demand_based_gives_more_service_to_busier_slave():
 
 
 def test_limited_round_robin_validation():
-    with pytest.raises(ValueError):
-        LimitedRoundRobinPoller(limit=0)
-    with pytest.raises(ValueError):
-        FairExhaustivePoller(probe_period=0)
-    with pytest.raises(ValueError):
-        EfficientDoubleCyclePoller(max_backoff=0)
-    with pytest.raises(ValueError):
-        DemandBasedPoller(smoothing=0)
+    # the fixed poller parameters are within their valid ranges
+    assert VISIT_LIMIT >= 1
+    assert PROBE_PERIOD >= 1
+    assert MAX_BACKOFF >= 1
+    assert 0 < SMOOTHING <= 1
+    assert FLOOR > 0
 
 
 def test_base_poller_plan_builder_picks_both_directions():

@@ -1,9 +1,11 @@
-"""Tests of the traffic sources' wake-up life cycle.
+"""Tests of the traffic source's wake-up life cycle.
 
 A source runs as a :class:`~repro.sim.events.Wakeup`: one heap entry per
 arrival, re-armed by its own callback.  These tests pin that life cycle
-(start, start offset, stop, errors) and the emission times, which must
-match those of the process-based sources they replaced.
+(start, start offset, stop, errors) and the CBR emission times, which
+must match those of the process-based sources they replaced.  The
+error paths drive a bare ``Wakeup(env, generator)`` the way a source
+does.
 """
 
 import random
@@ -20,13 +22,7 @@ from repro.scenario.specs import (
     ScenarioSpec,
 )
 from repro.sim.events import LoopWakeup, Wakeup
-from repro.traffic import (
-    CBRSource,
-    OnOffSource,
-    PoissonSource,
-    TraceSource,
-    TrafficSource,
-)
+from repro.traffic import CBRSource
 
 
 def record_offers(piconet):
@@ -89,12 +85,18 @@ def test_stop_mid_run_ends_emissions_and_schedules_nothing_more():
     assert wakeups(piconet.env) == []
 
 
+def replay(piconet, trace):
+    """A wake-up generator offering ``(delay_us, size)`` packets in turn."""
+    for delay, size in trace:
+        yield delay
+        piconet.offer_packet(1, size)
+
+
 def test_finished_trace_source_leaves_nothing_on_the_heap():
     piconet = make_piconet()
-    source = TraceSource(piconet, 1, trace=[(0.001, 10), (0.002, 20)])
-    source.start()
+    Wakeup(piconet.env, replay(piconet, [(1000, 10), (1000, 20)]))
     piconet.run(0.01)
-    assert source.packets_generated == 2
+    assert piconet.flow_state(1).queue.offered_bytes == 30
     assert wakeups(piconet.env) == []
 
 
@@ -102,34 +104,30 @@ class _Boom(RuntimeError):
     pass
 
 
-class _FailingSource(TrafficSource):
+def _failing(piconet):
     """Emits at 1 and 2 ms, then raises at its 3 ms wake-up."""
-
-    def _intervals(self):
-        yield 0.001
-        yield 0.001
-        raise _Boom("source failed")
+    yield from replay(piconet, [(1000, 10), (1000, 10)])
+    yield 1000
+    raise _Boom("source failed")
 
 
 def test_exception_in_a_source_propagates_out_of_run_at_its_time():
     piconet = make_piconet()
-    source = _FailingSource(piconet, 1, size=10, start_offset=0.001)
-    source.start()
+    Wakeup(piconet.env, _failing(piconet))
     with pytest.raises(_Boom, match="source failed"):
         piconet.run(0.01)
     assert piconet.env.now == 3000
-    assert source.packets_generated == 2
+    assert piconet.flow_state(1).queue.offered_packets == 2
 
 
-class _NegativeSource(TrafficSource):
-    def _run(self):
-        yield 1000
-        yield -5
+def _negative():
+    yield 1000
+    yield -5
 
 
 def test_negative_delay_is_rejected():
     piconet = make_piconet()
-    _NegativeSource(piconet, 1, size=10).start()
+    Wakeup(piconet.env, _negative())
     with pytest.raises(ValueError, match="negative delay -5"):
         piconet.run(0.01)
     assert piconet.env.now == 1000
@@ -183,7 +181,7 @@ def test_exception_in_an_inline_arrival_aborts_the_run_at_its_time(
                   in compiled.env._queue) == [(50000, 62), (100000, 2)]
 
 
-# -- emission times, pinned against the process-based sources ------------------
+# -- emission times, pinned against the process-based source -------------------
 
 def _emissions(build, duration):
     piconet = make_piconet()
@@ -201,27 +199,3 @@ def test_cbr_emission_times_are_unchanged():
         (6872, 119), (8107, 111), (9342, 108), (10576, 102), (11810, 151),
         (13045, 170), (14280, 137), (15514, 107), (16748, 128),
         (17983, 166), (19218, 168)]
-
-
-def test_poisson_emission_times_are_unchanged():
-    times = [when for when, _size in _emissions(lambda p: PoissonSource(
-        p, 1, 800.0, 120, rng=random.Random(7)), 0.02)]
-    assert times == [0, 489, 694, 2009, 2103, 3063, 3632, 3706, 4592, 4639,
-                     5350, 5441, 5559, 6250, 8442, 8607, 8923, 10157,
-                     13846, 14922, 15553]
-
-
-def test_onoff_emission_times_are_unchanged():
-    times = [when for when, _size in _emissions(lambda p: OnOffSource(
-        p, 1, 0.0009, 50, mean_on=0.004, mean_off=0.003,
-        rng=random.Random(11), start_offset=0.0005), 0.03)]
-    assert times == [500, 1400, 2300, 5661, 6561, 7461, 8361, 9261, 10161,
-                     11061, 11961, 12861, 13761, 14661, 15561, 18341, 19241,
-                     20141, 21041, 24597, 27649, 28549, 29449]
-
-
-def test_trace_emission_times_are_unchanged():
-    assert _emissions(lambda p: TraceSource(
-        p, 1, [(0.0, 10), (0.0012, 20), (0.0012, 30), (0.0049999, 40),
-               (0.02, 50)], start_offset=0.001), 0.03) == [
-        (1000, 10), (2200, 20), (2200, 30), (6000, 40), (21000, 50)]
