@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baseband.constants import SLOT_US
 from repro.baseband.fec import (
@@ -279,13 +279,11 @@ class ChannelMap:
     """
 
     def __init__(self, factory: ChannelFactory,
-                 streams: Union["RandomStreams", int, None] = None,
+                 streams: Optional["RandomStreams"] = None,
                  stream_prefix: str = "channel"):
         from repro.sim.rng import RandomStreams
         if streams is None:
             streams = RandomStreams(0)
-        elif isinstance(streams, int):
-            streams = RandomStreams(streams)
         self.factory = factory
         self.streams = streams
         self.stream_prefix = stream_prefix

@@ -591,6 +591,10 @@ class InterferenceField:
             self.member(victim)  # raises the one-line "unknown" KeyError
         air, channels, hops, own, duty = terms
         total = 0
+        if air is _NO_AIR and not max(duty[start:end], default=0):
+            # a duty-only field counts only the bulk counts (the victim
+            # reports no presence): one C-level pass settles a quiet span
+            return total
         for slot in range(start, end):
             count = air[slot * channels + hops[slot]] - own[slot] + duty[slot]
             if count:

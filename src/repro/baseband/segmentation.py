@@ -99,9 +99,15 @@ class SegmentationPolicy:
                 hl_packet_id: Optional[int] = None,
                 arrival_time: Optional[float] = None) -> List[BasebandPacket]:
         """Build the actual :class:`BasebandPacket` segments for a packet."""
+        plan = self.segment_plan(size)
+        if len(plan) == 1:
+            # a packet that fits one segment: no comprehension to run
+            ptype, payload, index, is_last = plan[0]
+            return [BasebandPacket(ptype, payload, flow_id, hl_packet_id,
+                                   index, is_last, size, arrival_time)]
         return [BasebandPacket(ptype, payload, flow_id, hl_packet_id, index,
                                is_last, size, arrival_time)
-                for ptype, payload, index, is_last in self.segment_plan(size)]
+                for ptype, payload, index, is_last in plan]
 
     def max_segment_slots(self) -> int:
         """Slots of the largest baseband packet the policy can emit."""
@@ -255,21 +261,6 @@ class Reassembler:
             arrives, a dictionary with keys ``flow_id``, ``hl_packet_id``,
             ``size`` and ``arrival_time``.
         """
-        if segment.is_last_segment and segment.segment_index == 0:
-            key = (segment.flow_id, segment.hl_packet_id)
-            if key not in self._partial:
-                # a single-segment packet completes without a partial record
-                _check_size(key, segment.payload, segment.hl_packet_size)
-                return {
-                    "flow_id": segment.flow_id,
-                    "hl_packet_id": segment.hl_packet_id,
-                    "size": segment.payload,
-                    "arrival_time": segment.hl_arrival_time,
-                }
-        return self._push_partial(segment)
-
-    def _push_partial(self, segment: BasebandPacket) -> Optional[dict]:
-        """:meth:`push` through a partial record (the general path)."""
         if not segment.carries_data and not segment.is_last_segment:
             return None
         key = (segment.flow_id, segment.hl_packet_id)
@@ -284,7 +275,7 @@ class Reassembler:
         if not segment.is_last_segment:
             return None
         del self._partial[key]
-        _check_size(key, state.received_bytes, state.size)
+        check_packet_size(key, state.received_bytes, state.size)
         return {
             "flow_id": segment.flow_id,
             "hl_packet_id": segment.hl_packet_id,
@@ -298,7 +289,9 @@ class Reassembler:
         return len(self._partial)
 
 
-def _check_size(key, received: int, size: int) -> None:
+def check_packet_size(key, received: int, size: int) -> None:
+    """Raise unless ``received`` bytes complete a packet of ``size`` (a
+    size of 0 is unknown and accepts any count)."""
     if size and received != size:
         raise SegmentationError(
             f"reassembled {received} bytes for packet {key}, "

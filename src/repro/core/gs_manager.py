@@ -15,7 +15,8 @@ worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.baseband.constants import SLOT_SECONDS
 from repro.baseband.segmentation import (
@@ -41,6 +42,8 @@ from repro.core.planning import (
 from repro.core.poll_efficiency import min_poll_efficiency
 from repro.core.token_bucket import TSpec
 from repro.piconet.flows import DOWNLINK, FlowSpec
+
+_next_planned = attrgetter("next_planned")
 
 
 @dataclass
@@ -126,6 +129,10 @@ class GuaranteedServiceManager:
         self._estimators: Dict[Tuple[int, str], LinkQualityEstimator] = {}
         self._setups: Dict[int, GSFlowSetup] = {}
         self._planners: Dict[int, BasePlanner] = {}
+        #: earliest ``next_planned`` over all planners (``None``: no
+        #: planner); only :meth:`record_poll` and :meth:`_rebuild_planners`
+        #: move a planned time, and both refresh it
+        self._earliest_planned: Optional[float] = None
         self._streams: List[PollStream] = []
         #: ``hook(flow_id, setup)`` called when a renegotiation rejects a
         #: previously admitted flow (the eviction path).  The manager is
@@ -249,6 +256,11 @@ class GuaranteedServiceManager:
                 planners[primary_id] = FixedIntervalPlanner(
                     config, start_time=start_time)
         self._planners = planners
+        self._refresh_earliest()
+
+    def _refresh_earliest(self) -> None:
+        self._earliest_planned = min(
+            map(_next_planned, self._planners.values()), default=None)
 
     # -------------------------------------------------------------- inspection
     @property
@@ -270,14 +282,6 @@ class GuaranteedServiceManager:
 
     def planner_for(self, primary_flow_id: int) -> BasePlanner:
         return self._planners[primary_flow_id]
-
-    def priority_of(self, flow_id: int) -> Optional[int]:
-        stream = self.stream_for(flow_id)
-        return stream.priority if stream else None
-
-    def wait_bound_of(self, flow_id: int) -> Optional[float]:
-        stream = self.stream_for(flow_id)
-        return stream.wait_bound if stream else None
 
     def error_terms_for(self, flow_id: int) -> ErrorTerms:
         """The C and D terms the poller exports for ``flow_id`` (Eq. 7)."""
@@ -415,28 +419,31 @@ class GuaranteedServiceManager:
         return setup
 
     # ------------------------------------------------------------------ runtime
-    def due_streams(self, now: float,
-                    downlink_has_data: Optional[Callable[[int], bool]] = None
-                    ) -> Iterator[Tuple[PollStream, BasePlanner]]:
-        """Streams whose planned poll time has passed, highest priority first.
+    def first_due(self, now: float,
+                  downlink_has_data: Callable[[int], bool]
+                  ) -> Optional[PollStream]:
+        """The highest-priority stream whose planned poll has passed
+        (``None`` if no stream is due).
 
         ``downlink_has_data(flow_id)`` supplies master-side queue knowledge
         for improvement 3 (skipping polls of pure downlink streams with an
         empty queue); uplink availability is never consulted — the master
-        cannot know it.  The streams are yielded lazily (both checks are
-        pure), so a poller that takes the first due stream tests no more.
+        cannot know it.  Both planners are due only once
+        ``next_planned <= now``, so before the earliest planned poll no
+        stream is due and the walk is skipped.
         """
+        earliest = self._earliest_planned
+        if earliest is None or now < earliest:
+            return None
         planners = self._planners
         for stream in self._streams:
             primary = stream.primary
-            planner = planners[primary.flow_id]
             has_data: Optional[bool] = None
-            if (stream.secondary is None
-                    and primary.direction == DOWNLINK
-                    and downlink_has_data is not None):
+            if stream.secondary is None and primary.direction == DOWNLINK:
                 has_data = downlink_has_data(primary.flow_id)
-            if planner.is_due(now, has_data):
-                yield stream, planner
+            if planners[primary.flow_id].is_due(now, has_data):
+                return stream
+        return None
 
     def record_poll(self, primary_flow_id: int, actual_time: float,
                     served: Optional[ServedSegment]) -> None:
@@ -450,9 +457,8 @@ class GuaranteedServiceManager:
         planner = self._planners.get(primary_flow_id)
         if planner is not None:
             planner.record_poll(actual_time, served)
+            self._refresh_earliest()
 
     def next_planned_poll(self) -> Optional[float]:
         """Earliest planned poll time over all streams (``None`` if no flows)."""
-        if not self._planners:
-            return None
-        return min(planner.planned_time() for planner in self._planners.values())
+        return self._earliest_planned

@@ -19,6 +19,7 @@ The availability predictor uses only information a real master has:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -89,6 +90,12 @@ class _SlaveState:
     last_polled_at: float = -1.0
     next_ul_index: int = 0
 
+    def order_entry(self) -> tuple:
+        """The state's place in PFP's best-effort order: fewest slots
+        served, then longest unpolled.  The slave breaks the last tie, so
+        tuples compare without ever reaching the trailing state."""
+        return (self.served_slots, self.last_polled_at, self.slave, self)
+
 
 class PredictiveFairPoller(Poller):
     """PFP with Guaranteed Service support (the paper's evaluated poller).
@@ -103,7 +110,10 @@ class PredictiveFairPoller(Poller):
 
     Best-effort capacity is divided equally: among the slaves predicted
     to have data (availability at least :data:`AVAILABILITY_THRESHOLD`),
-    the one served the fewest slots so far goes first.
+    the one served the fewest slots so far goes first.  The slaves are
+    kept in that fairness order; a key only moves when its slave is
+    notified, attached or detached, so a selection walks the order and
+    stops at the first slave predicted to have data.
     """
 
     name = "pfp"
@@ -112,6 +122,8 @@ class PredictiveFairPoller(Poller):
         super().__init__()
         self.gs = gs_manager
         self._be_slaves: Dict[int, _SlaveState] = {}
+        #: the ``order_entry()`` of every state in ``_be_slaves``, sorted
+        self._be_order: List[tuple] = []
         self._ul_predictions: Dict[int, _UplinkPrediction] = {}
 
     # ------------------------------------------------------------------ attach
@@ -132,8 +144,11 @@ class PredictiveFairPoller(Poller):
             spec = state.spec
             if spec.traffic_class != BE:
                 continue
-            slave_state = self._be_slaves.setdefault(
-                spec.slave, _SlaveState(slave=spec.slave))
+            slave_state = self._be_slaves.get(spec.slave)
+            if slave_state is None:
+                slave_state = _SlaveState(slave=spec.slave)
+                self._be_slaves[spec.slave] = slave_state
+                insort(self._be_order, slave_state.order_entry())
             if spec.is_downlink:
                 slave_state.dl_flow_ids.append(spec.flow_id)
             else:
@@ -156,6 +171,7 @@ class PredictiveFairPoller(Poller):
                     slave_state.next_ul_index = 0
                 if not slave_state.dl_flow_ids and not slave_state.ul_flow_ids:
                     del self._be_slaves[slave]
+                    self._be_order.remove(slave_state.order_entry())
 
     # ------------------------------------------------------------------ select
     def select(self, now: float) -> Optional[TransactionPlan]:
@@ -166,11 +182,10 @@ class PredictiveFairPoller(Poller):
         return self._select_be(now)
 
     def _select_gs(self, now: float) -> Optional[TransactionPlan]:
-        due = next(self.gs.due_streams(now / _US_PER_SECOND,
-                                       self.downlink_has_data), None)
-        if due is None:
+        stream = self.gs.first_due(now / _US_PER_SECOND,
+                                   self.downlink_has_data)
+        if stream is None:
             return None
-        stream = due[0]
         dl_flow = None
         ul_flow = None
         for request in (stream.primary, stream.secondary):
@@ -185,17 +200,12 @@ class PredictiveFairPoller(Poller):
                                gs_flow_id=stream.primary.flow_id)
 
     def _select_be(self, now: float) -> Optional[TransactionPlan]:
-        best: Optional[_SlaveState] = None
-        best_key = None
         availability_of = self._slave_availability
-        for state in self._be_slaves.values():
-            if availability_of(state, now) < AVAILABILITY_THRESHOLD:
-                continue
-            key = (state.served_slots, state.last_polled_at, state.slave)
-            if best is None or key < best_key:
-                best = state
-                best_key = key
-        if best is None:
+        for entry in self._be_order:
+            best = entry[3]
+            if availability_of(best, now) >= AVAILABILITY_THRESHOLD:
+                break
+        else:
             return None
         dl_flow = self._pick_downlink(best)
         ul_flow = self._pick_uplink(best)
@@ -258,8 +268,11 @@ class PredictiveFairPoller(Poller):
         state = self._be_slaves.get(outcome.plan.slave)
         if state is None:
             return
+        order = self._be_order
+        order.remove(state.order_entry())
         state.served_slots += outcome.slots
         state.last_polled_at = outcome.end
+        insort(order, state.order_entry())
         ul_flow = outcome.plan.ul_flow_id
         if ul_flow is None or ul_flow not in self._ul_predictions:
             return
@@ -271,5 +284,5 @@ class PredictiveFairPoller(Poller):
             prediction.last_empty_at = outcome.start
             prediction.consecutive_empty += 1
         for delivery in outcome.deliveries:
-            if delivery.flow_id == ul_flow and delivery.completed_at is not None:
+            if delivery.flow_id == ul_flow and delivery.is_last_segment:
                 prediction.packets_seen += 1

@@ -91,10 +91,6 @@ class BasePlanner:
     def interval(self) -> float:
         return self.config.interval
 
-    def planned_time(self) -> float:
-        """Planned time of the next poll."""
-        return self.next_planned
-
     def is_due(self, now: float, has_data: Optional[bool] = None) -> bool:
         """Whether a poll should be executed at (or before) ``now``."""
         raise NotImplementedError

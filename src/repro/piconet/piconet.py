@@ -34,6 +34,7 @@ from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
     ChannelAdaptiveSegmentationPolicy,
     Reassembler,
+    check_packet_size,
 )
 from repro.piconet.device import DeviceRegistry, Slave
 from repro.piconet.flows import DOWNLINK, FlowSpec, HLPacket, UPLINK
@@ -43,7 +44,6 @@ from repro.schedulers.base import (
     KIND_GS,
     Poller,
     PollOutcome,
-    SegmentDelivery,
     TransactionPlan,
 )
 from repro.sim.engine import Environment
@@ -150,7 +150,7 @@ class Piconet:
         self._specs_by_slave_cache: Optional[Dict[int, List[FlowSpec]]] = None
         #: whether the attached poller overrides Poller.notify (pollers
         #: that keep the base no-op never look at outcomes, so the hot
-        #: path skips building PollOutcome/SegmentDelivery entirely)
+        #: path skips building PollOutcome and its deliveries entirely)
         self._poller_wants_outcome = False
         #: link observers: ``fn(slave, direction, error)`` called for every
         #: observed data transmission; empty for every scenario that does
@@ -692,9 +692,9 @@ class Piconet:
                     dl_state.record_failure(dl_result)
                 else:
                     dl_state.queue.confirm_segment()
-                    delivery = deliver(dl_state, dl_segment, wants_outcome)
-                    if delivery is not None:
-                        deliveries.append(delivery)
+                    deliver(dl_state, dl_segment)
+                    if wants_outcome:
+                        deliveries.append(dl_segment)
                 # feed the adaptive policy and the link observers
                 observe = getattr(dl_state.queue.policy,
                                   "observe_transmission", None)
@@ -721,9 +721,9 @@ class Piconet:
                     ul_state.record_failure(ul_result)
                 else:
                     ul_state.queue.confirm_segment()
-                    delivery = deliver(ul_state, ul_segment, wants_outcome)
-                    if delivery is not None:
-                        deliveries.append(delivery)
+                    deliver(ul_state, ul_segment)
+                    if wants_outcome:
+                        deliveries.append(ul_segment)
                 observe = getattr(ul_state.queue.policy,
                                   "observe_transmission", None)
                 if observe is not None:
@@ -808,36 +808,32 @@ class Piconet:
                 # counted — a missed access code erases the whole frame,
                 # an uncorrected payload error garbles it.
                 state.sco_residual_errors += 1
-            self._deliver(state, segment, build_delivery=False)
+            self._deliver(state, segment)
 
-    def _deliver(self, state: FlowState, segment: BasebandPacket,
-                 build_delivery: bool = True) -> Optional[SegmentDelivery]:
-        """Book one delivered segment; the receipt object is optional.
+    def _deliver(self, state: FlowState, segment: BasebandPacket) -> None:
+        """Book one delivered segment, and its packet if it completes one.
 
-        The :class:`SegmentDelivery` receipt exists solely for
-        ``PollOutcome.deliveries``; callers whose poller never reads
-        outcomes pass ``build_delivery=False`` and get ``None`` back while
-        every statistic is updated identically.
+        A single-segment packet completes here when the flow has no
+        partial packet pending, with the reassembler's size check but
+        without its result dict; every other segment goes through
+        :meth:`Reassembler.push`.
         """
         state.segments_delivered += 1
-        state.delivered_segment_bytes += segment.payload
-        if build_delivery:
-            delivery = SegmentDelivery(
-                flow_id=state.spec.flow_id,
-                payload=segment.payload,
-                is_last_segment=segment.is_last_segment,
-                hl_packet_id=segment.hl_packet_id,
-                hl_packet_size=segment.hl_packet_size,
-                hl_arrival_time=segment.hl_arrival_time,
-            )
+        payload = segment.payload
+        state.delivered_segment_bytes += payload
+        reassembler = state.reassembler
+        if (segment.is_last_segment and segment.segment_index == 0
+                and not reassembler._partial):
+            check_packet_size((segment.flow_id, segment.hl_packet_id),
+                              payload, segment.hl_packet_size)
+            size = payload
+            arrival_time = segment.hl_arrival_time
         else:
-            delivery = None
-        result = state.reassembler.push(segment)
-        if result is not None:
-            now = self.env._now
-            state.delays.record((now - result["arrival_time"]) / 1_000_000.0)
-            state.delivered_bytes += result["size"]
-            state.delivered_packets += 1
-            if delivery is not None:
-                delivery.completed_at = now
-        return delivery
+            result = reassembler.push(segment)
+            if result is None:
+                return
+            size = result["size"]
+            arrival_time = result["arrival_time"]
+        state.delays.record((self.env._now - arrival_time) / 1_000_000.0)
+        state.delivered_bytes += size
+        state.delivered_packets += 1

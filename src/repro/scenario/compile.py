@@ -274,12 +274,12 @@ def gs_bound_met(summary: dict) -> bool:
 def gs_max_delay(summaries: Iterable[dict]) -> float:
     """The largest ``max_delay_s`` over GS flows'
     :meth:`CompiledPiconet.gs_delay_summary` entries, NaN when any flow
-    delivered no packet (plain ``max`` keeps a NaN only when it comes
-    first)."""
+    delivered no packet or there is no entry (plain ``max`` keeps a NaN
+    only when it comes first)."""
     maxima = [summary["max_delay_s"] for summary in summaries]
     if any(math.isnan(value) for value in maxima):
         return math.nan
-    return max(maxima)
+    return max(maxima, default=math.nan)
 
 
 @dataclass

@@ -6,11 +6,11 @@ scheduling policy communicate through three small objects:
 * :class:`TransactionPlan` — the poller's decision for the next transaction:
   which slave to address and which flows (one per direction, optionally)
   the transaction serves.
-* :class:`SegmentDelivery` — one successfully delivered baseband segment,
-  with its reassembly metadata.
 * :class:`PollOutcome` — everything that happened during the transaction,
   handed back to the poller so it can update its state (planned polls,
-  fairness accounting, availability predictions, ...).
+  fairness accounting, availability predictions, ...).  Its
+  ``deliveries`` are the delivered :class:`BasebandPacket` segments
+  themselves: each carries its flow, payload and reassembly metadata.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.baseband.packets import BasebandPacket
 
 #: Transaction kinds, used for slot accounting.
 KIND_GS = "GS"
@@ -79,20 +80,6 @@ class TransactionPlan:
 
 
 @dataclass(slots=True)
-class SegmentDelivery:
-    """One baseband segment successfully delivered to its destination."""
-
-    flow_id: int
-    payload: int
-    is_last_segment: bool
-    hl_packet_id: Optional[int]
-    hl_packet_size: int
-    hl_arrival_time: Optional[float]
-    #: completion time of the higher-layer packet (set when is_last_segment)
-    completed_at: Optional[float] = None
-
-
-@dataclass(slots=True)
 class PollOutcome:
     """Everything the poller needs to know about an executed transaction.
 
@@ -102,7 +89,9 @@ class PollOutcome:
     flag a failed data segment in that direction (it stays queued for ARQ);
     ``dl_not_received`` / ``ul_not_received`` narrow the failure down to an
     access-code/header loss (the receiver never saw the packet) as opposed
-    to a payload CRC failure.
+    to a payload CRC failure.  ``deliveries`` lists the segments delivered
+    in this transaction; reassembly is in order and raises on a gap, so a
+    delivered segment with ``is_last_segment`` completed its packet.
     """
 
     plan: TransactionPlan
@@ -121,14 +110,14 @@ class PollOutcome:
     #: directed links used by the transaction, e.g. ``(3, "DL")``
     dl_link: Optional[Tuple[int, str]] = None
     ul_link: Optional[Tuple[int, str]] = None
-    deliveries: List[SegmentDelivery] = field(default_factory=list)
+    deliveries: List[BasebandPacket] = field(default_factory=list)
 
     @property
     def carried_any_data(self) -> bool:
         """Whether the transaction moved user data in either direction."""
         return self.dl_carried_data or self.ul_carried_data
 
-    def delivery_for(self, flow_id: int) -> Optional[SegmentDelivery]:
+    def delivery_for(self, flow_id: int) -> Optional[BasebandPacket]:
         """The delivery belonging to ``flow_id``, if any."""
         for delivery in self.deliveries:
             if delivery.flow_id == flow_id:

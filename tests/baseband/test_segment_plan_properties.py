@@ -1,11 +1,12 @@
-"""Properties of the memoised segment plans and the reassembly fast path.
+"""Properties of the memoised segment plans and the delivery fast path.
 
 ``SegmentationPolicy.segment`` builds packets from a plan cached per
-higher-layer size, and ``Reassembler.push`` completes a single-segment
-packet without a partial record.  Both are pure speedups: the packets
-must equal a fresh build from ``segment_sizes`` field by field (also when
-an adaptive policy flips its type set between calls), and the fast path
-must return what the general path returns and raise what it raises.
+higher-layer size, and ``Piconet._deliver`` completes a single-segment
+packet without the reassembler when no partial packet is pending.  Both
+are pure speedups: the packets must equal a fresh build from
+``segment_sizes`` field by field (also when an adaptive policy flips its
+type set between calls), and the fast path must book what
+``Reassembler.push`` returns and raise what it raises.
 """
 
 import dataclasses
@@ -21,6 +22,8 @@ from repro.baseband.segmentation import (
     Reassembler,
     SegmentationError,
 )
+from repro.piconet import FlowSpec, Piconet
+from repro.piconet.flows import BE, UPLINK
 
 DATA_TYPES = ("DM1", "DH1", "DM3", "DH3", "DM5", "DH5")
 TYPE_SETS = [combo for count in range(1, len(DATA_TYPES) + 1)
@@ -96,37 +99,60 @@ def single_segment(payload, size, flow_id=1, hl_packet_id=1,
                           hl_packet_id, 0, True, size, arrival_time)
 
 
-def outcome(push, segment):
-    """What one push returns, or the error it raises."""
+def flow_state(flow_id):
+    """A delivering piconet and the state of its flow ``flow_id``."""
+    piconet = Piconet()
+    piconet.add_slave()
+    return piconet, piconet.add_flow(
+        FlowSpec(flow_id, slave=1, direction=UPLINK, traffic_class=BE))
+
+
+def delivered(segments, flow_id=1):
+    """What ``Piconet._deliver`` books for ``segments`` (completed packets
+    as ``(size, delay_s)``), or the error it raises."""
+    piconet, state = flow_state(flow_id)
     try:
-        return push(segment)
+        for segment in segments:
+            piconet._deliver(state, segment)
     except SegmentationError as error:
         return ("error", str(error))
+    assert state.delivered_packets == state.delays.count
+    return state.delivered_bytes, list(state.delays.samples)
+
+
+def reassembled(segments, now=0):
+    """The same booking from ``Reassembler.push`` results."""
+    reassembler = Reassembler()
+    completed = []
+    try:
+        for segment in segments:
+            result = reassembler.push(segment)
+            if result is not None:
+                completed.append(result)
+    except SegmentationError as error:
+        return ("error", str(error))
+    return (sum(result["size"] for result in completed),
+            [(now - result["arrival_time"]) / 1_000_000.0
+             for result in completed])
 
 
 @given(payload=st.integers(0, 339), size=st.integers(0, 400),
-       flow_id=st.one_of(st.none(), st.integers(1, 12)),
+       flow_id=st.integers(1, 12),
        hl_packet_id=st.one_of(st.none(), st.integers(1, 10**6)),
-       arrival_time=st.one_of(st.none(), st.floats(0, 1e7)))
+       arrival_time=st.floats(0, 1e7))
 def test_single_segment_fast_path_matches_the_general_path(
         payload, size, flow_id, hl_packet_id, arrival_time):
     segment = single_segment(payload, size, flow_id, hl_packet_id,
                              arrival_time)
-    fast, general = Reassembler(), Reassembler()
-    assert outcome(fast.push, segment) == outcome(general._push_partial,
-                                                  segment)
-    assert fast.pending == general.pending == 0
+    assert delivered([segment], flow_id) == reassembled([segment])
 
 
 def test_size_mismatch_raises_the_same_error_on_both_paths():
     segment = single_segment(100, 120, flow_id=3, hl_packet_id=9)
-    messages = []
-    for push in (Reassembler().push, Reassembler()._push_partial):
-        with pytest.raises(SegmentationError) as raised:
-            push(segment)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1] == (
-        "reassembled 100 bytes for packet (3, 9), expected 120")
+    expected = ("error",
+                "reassembled 100 bytes for packet (3, 9), expected 120")
+    assert delivered([segment], flow_id=3) == reassembled([segment]) \
+        == expected
 
 
 def test_out_of_order_segments_raise_the_same_error_on_both_paths():
@@ -134,16 +160,8 @@ def test_out_of_order_segments_raise_the_same_error_on_both_paths():
     first, second = policy.segment(300, flow_id=1, hl_packet_id=4)
     # a first-and-last segment of a packet whose reassembly is under way
     restart = single_segment(27, 27, flow_id=1, hl_packet_id=4, ptype="DH1")
-    messages = {}
-    for name in ("push", "_push_partial"):
-        reassembler = Reassembler()
-        assert reassembler.push(first) is None
-        with pytest.raises(SegmentationError) as restarted:
-            getattr(reassembler, name)(restart)
-        # the last segment without its first
-        with pytest.raises(SegmentationError) as orphaned:
-            getattr(Reassembler(), name)(second)
-        messages[name] = (str(restarted.value), str(orphaned.value))
-    assert messages["push"] == messages["_push_partial"] == (
-        "out-of-order segment 0 for packet (1, 4); expected 1",
-        "out-of-order segment 1 for packet (1, 4); expected 0")
+    assert delivered([first, restart]) == reassembled([first, restart]) == (
+        "error", "out-of-order segment 0 for packet (1, 4); expected 1")
+    # the last segment without its first
+    assert delivered([second]) == reassembled([second]) == (
+        "error", "out-of-order segment 1 for packet (1, 4); expected 0")

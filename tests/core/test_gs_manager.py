@@ -39,8 +39,8 @@ def test_rate_based_admission_and_derived_quantities(tspec):
     assert setup.accepted
     assert setup.eta_min == pytest.approx(144.0)
     assert setup.interval == pytest.approx(144.0 / 9000.0)
-    assert manager.priority_of(1) == 1
-    assert manager.wait_bound_of(1) == pytest.approx(M_T)
+    assert manager.stream_for(1).priority == 1
+    assert manager.stream_for(1).wait_bound == pytest.approx(M_T)
     terms = manager.error_terms_for(1)
     assert terms.c_bytes == pytest.approx(144.0)
     assert terms.d_seconds == pytest.approx(M_T)
@@ -93,42 +93,46 @@ def test_piggybacked_pair_shares_one_planner(tspec):
     streams = manager.streams
     assert len(streams) == 1
     assert set(streams[0].flow_ids) == {2, 3}
-    assert manager.priority_of(2) == manager.priority_of(3) == 1
+    assert manager.stream_for(2).priority \
+        == manager.stream_for(3).priority == 1
 
 
-def test_due_streams_ordered_by_priority(tspec):
+def test_first_due_follows_priority_order(tspec):
     manager = GuaranteedServiceManager(M_T)
     for flow_id, slave in [(1, 1), (2, 2), (3, 3)]:
         manager.add_flow(gs_spec(flow_id, slave), tspec, rate=9000.0)
-    due = list(manager.due_streams(now=0.0))
-    assert [stream.priority for stream, _ in due] == [1, 2, 3]
+    served = []
+    # all three are due at 0: each poll hands the turn to the next priority
+    while (stream := manager.first_due(0.0, lambda fid: True)) is not None:
+        served.append(stream.priority)
+        manager.record_poll(stream.primary.flow_id, 0.0, None)
+    assert served == [1, 2, 3]
 
 
-def test_due_streams_respects_downlink_skip(tspec):
+def test_first_due_respects_downlink_skip(tspec):
     manager = GuaranteedServiceManager(M_T)
     manager.add_flow(gs_spec(1, 1, DOWNLINK), tspec, rate=9000.0)
-    assert list(manager.due_streams(
-        0.0, downlink_has_data=lambda fid: False)) == []
-    due = list(manager.due_streams(0.0, downlink_has_data=lambda fid: True))
-    assert len(due) == 1
+    assert manager.first_due(0.0, downlink_has_data=lambda fid: False) is None
+    stream = manager.first_due(0.0, downlink_has_data=lambda fid: True)
+    assert stream.primary.flow_id == 1
 
 
 def test_record_poll_advances_planner(tspec):
     manager = GuaranteedServiceManager(M_T)
     manager.add_flow(gs_spec(1, 1), tspec, rate=9000.0)
     planner = manager.planner_for(1)
-    before = planner.planned_time()
+    before = planner.next_planned
     manager.record_poll(1, actual_time=0.001, served=None)
-    assert planner.planned_time() > before
+    assert planner.next_planned > before
 
 
 def test_existing_planner_state_preserved_when_new_flow_added(tspec):
     manager = GuaranteedServiceManager(M_T)
     manager.add_flow(gs_spec(1, 1), tspec, rate=9000.0)
     manager.record_poll(1, actual_time=0.0, served=None)
-    planned = manager.planner_for(1).planned_time()
+    planned = manager.planner_for(1).next_planned
     manager.add_flow(gs_spec(2, 2), tspec, rate=9000.0)
-    assert manager.planner_for(1).planned_time() == pytest.approx(planned)
+    assert manager.planner_for(1).next_planned == pytest.approx(planned)
 
 
 def test_next_planned_poll(tspec):
@@ -167,7 +171,7 @@ def test_absence_enters_wait_bound_and_d_term(tspec):
         {(1, UPLINK): LinkBudget(absence_seconds=absence)})
     setup = manager.add_flow(gs_spec(1, 1), tspec, rate=9000.0)
     assert setup.accepted
-    assert manager.wait_bound_of(1) == pytest.approx(M_T + absence)
+    assert manager.stream_for(1).wait_bound == pytest.approx(M_T + absence)
     terms = manager.error_terms_for(1)
     assert terms.d_seconds == pytest.approx(M_T + absence + absence)
 

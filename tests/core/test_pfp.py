@@ -86,3 +86,30 @@ def test_gs_poll_marks_unsuccessful_when_no_data():
     planner = manager.planner_for(1)
     assert planner.unsuccessful_polls >= 1
     assert piconet.gs_polls_without_data >= 1
+
+
+def test_uplink_prediction_counts_a_multi_segment_packet_once_on_its_last():
+    piconet = Piconet()
+    piconet.add_slave()
+    piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
+    poller = PredictiveFairPoller(GuaranteedServiceManager(M_T))
+    piconet.attach_poller(poller)
+    seen = []
+    notify = poller.notify
+
+    def recording_notify(outcome):
+        notify(outcome)
+        seen.append((len(outcome.deliveries),
+                     [d.is_last_segment for d in outcome.deliveries],
+                     poller._ul_predictions[1].packets_seen))
+
+    poller.notify = recording_notify
+    # 400 bytes: DH3 + DH3 + DH1, one segment per uplink poll
+    piconet.offer_packet(1, 400)
+    piconet.run(0.02)
+    assert piconet.flow_state(1).segments_delivered == 3
+    assert piconet.flow_state(1).delivered_packets == 1
+    carrying = [entry for entry in seen if entry[0]]
+    assert [entry[1] for entry in carrying] == [[False], [False], [True]]
+    assert [entry[2] for entry in carrying] == [0, 0, 1]
+    assert seen[-1][2] == 1

@@ -29,10 +29,10 @@ def test_fixed_planner_keeps_rigid_spacing():
     planner = FixedIntervalPlanner(make_config(interval=10.0), start_time=0.0)
     assert planner.is_due(0.0)
     planner.record_poll(0.0, served())
-    assert planner.planned_time() == pytest.approx(10.0)
+    assert planner.next_planned == pytest.approx(10.0)
     # even an unsuccessful, delayed poll does not shift the schedule
     planner.record_poll(13.0, None)
-    assert planner.planned_time() == pytest.approx(20.0)
+    assert planner.next_planned == pytest.approx(20.0)
     assert planner.unsuccessful_polls == 1
 
 
@@ -44,14 +44,14 @@ def test_fixed_planner_is_due_ignores_queue_state():
 def test_variable_planner_unsuccessful_poll_postpones_from_actual_time():
     planner = VariableIntervalPlanner(make_config(interval=10.0), start_time=0.0)
     planner.record_poll(3.0, None)       # executed late, no data
-    assert planner.planned_time() == pytest.approx(13.0)
+    assert planner.next_planned == pytest.approx(13.0)
 
 
 def test_variable_planner_unsuccessful_postpone_can_be_disabled():
     planner = VariableIntervalPlanner(make_config(interval=10.0), start_time=0.0,
                                       postpone_after_unsuccessful=False)
     planner.record_poll(3.0, None)
-    assert planner.planned_time() == pytest.approx(10.0)
+    assert planner.next_planned == pytest.approx(10.0)
 
 
 def test_variable_planner_packet_size_postpone():
@@ -60,7 +60,7 @@ def test_variable_planner_packet_size_postpone():
     planner = VariableIntervalPlanner(make_config(interval=16.0, rate=9.0),
                                       start_time=0.0)
     planner.record_poll(0.5, served(packet_id=1, last=True, size=176))
-    assert planner.planned_time() == pytest.approx(176 / 9.0)
+    assert planner.next_planned == pytest.approx(176 / 9.0)
 
 
 def test_variable_planner_minimum_size_packet_reduces_to_fixed_interval():
@@ -69,18 +69,18 @@ def test_variable_planner_minimum_size_packet_reduces_to_fixed_interval():
     planner = VariableIntervalPlanner(make_config(interval=16.0, rate=9.0),
                                       start_time=0.0)
     planner.record_poll(0.0, served(size=144))
-    assert planner.planned_time() == pytest.approx(144 / 9.0)
-    assert planner.planned_time() == pytest.approx(planner.interval)
+    assert planner.next_planned == pytest.approx(144 / 9.0)
+    assert planner.next_planned == pytest.approx(planner.interval)
 
 
 def test_variable_planner_multisegment_packet_paced_at_interval():
     planner = VariableIntervalPlanner(make_config(interval=16.0, rate=9.0),
                                       start_time=0.0)
     planner.record_poll(0.0, served(packet_id=7, last=False, size=288))
-    assert planner.planned_time() == pytest.approx(16.0)
+    assert planner.next_planned == pytest.approx(16.0)
     planner.record_poll(16.0, served(packet_id=7, last=True, size=288))
     # postponed relative to the first poll of the packet: 288/9 = 32
-    assert planner.planned_time() == pytest.approx(32.0)
+    assert planner.next_planned == pytest.approx(32.0)
 
 
 def test_variable_planner_downlink_skip_when_queue_empty():
@@ -111,17 +111,17 @@ def test_variable_planner_dormant_stream_bases_plan_on_arrival_time():
                                                   direction=DOWNLINK),
                                       start_time=0.0)
     planner.record_poll(51.0, served(packet_id=3, size=144, arrival=50.0))
-    assert planner.planned_time() == pytest.approx(50.0 + 16.0)
+    assert planner.next_planned == pytest.approx(50.0 + 16.0)
 
 
 def test_variable_planner_poll_spacing_never_below_interval_when_busy():
     planner = VariableIntervalPlanner(make_config(interval=16.0, rate=9.0),
                                       start_time=0.0)
-    planned_times = [planner.planned_time()]
+    planned_times = [planner.next_planned]
     time = 0.0
     for packet_id in range(1, 30):
-        time = max(time, planner.planned_time())
+        time = max(time, planner.next_planned)
         planner.record_poll(time, served(packet_id=packet_id, size=144))
-        planned_times.append(planner.planned_time())
+        planned_times.append(planner.next_planned)
     gaps = [b - a for a, b in zip(planned_times, planned_times[1:])]
     assert all(gap >= planner.interval - 1e-9 for gap in gaps)

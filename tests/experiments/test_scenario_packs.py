@@ -7,6 +7,7 @@ in long sweeps.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 from repro.analysis.stats import jain_fairness
 from repro.experiments import experiment_names, get_experiment
+from repro.experiments.churn_pack import run_churn_recovery_point
 from repro.experiments.orchestrator import SweepRunner
 from repro.experiments.scenario_packs import (
     run_be_load_scale_point,
@@ -37,7 +39,6 @@ def test_scenario_packs_are_registered_with_grids():
 def test_jain_fairness_bounds():
     assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert jain_fairness([1.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
-    import math
     assert math.isnan(jain_fairness([]))
     assert math.isnan(jain_fairness([0.0, 0.0]))
 
@@ -75,6 +76,18 @@ def test_mixed_sco_gs_point_carries_voice_and_acl_side_by_side():
     # HV3 reserves 2 of every 6 slots
     total = sum(row["slots"][k] for k in ("gs", "be", "sco", "idle"))
     assert row["slots"]["sco"] / total == pytest.approx(1 / 3, abs=0.02)
+
+
+def test_rejected_gs_flows_are_not_bound_violations():
+    """churn_recovery under budget-aware admission rejects every GS flow:
+    nothing was admitted, so no bound can read as violated."""
+    params = dict(get_experiment("churn_recovery").defaults,
+                  burst_start_s=0.25, duration_seconds=0.5)
+    params["admission.mode"] = "budget-aware"
+    row = run_churn_recovery_point(params, seed=0)[0]
+    assert row["admitted"] is False
+    assert row["gs"]["bound_violated"] is False
+    assert math.isnan(row["gs"]["max_delay_s"])
 
 
 def test_mixed_sco_gs_requires_disjoint_sco_slaves():

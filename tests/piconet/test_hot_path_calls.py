@@ -51,12 +51,13 @@ def _figure4():
 
 #: scenario -> (spec builder, simulated seconds, ceiling of calls into
 #: ``repro`` per transaction, counted on a second run so process-wide
-#: memo tables are warm).  Since a packet's radio path became one pass
-#: the counts read 66.21 on figure 4 (67.77 before) and 30.93 on the room
-#: (35.98 before); the slack is far below one call per transaction.
+#: memo tables are warm).  Since PFP's poll path became incremental and
+#: the delivered segment became the poller's receipt the counts read
+#: 56.10 on figure 4 (63.22 before) and 28.71 on the room (30.18
+#: before); the slack is far below one call per transaction.
 SCENARIOS = {
-    "figure4": (_figure4, 2.0, 66.3),
-    "coupled_room": (lambda: coupled_room_spec(piconets=8), 0.5, 31.0),
+    "figure4": (_figure4, 2.0, 56.2),
+    "coupled_room": (lambda: coupled_room_spec(piconets=8), 0.5, 28.8),
 }
 
 

@@ -7,11 +7,11 @@ from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers import PureRoundRobinPoller
 from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
-from repro.sim import Wakeup
+from repro.sim import RandomStreams, Wakeup
 from repro.traffic.sources import CBRSource
 
 
-def ber_links(ber, slaves=None, streams=0):
+def ber_links(ber, slaves=None, streams=None):
     """A channel map with every link (or only ``slaves``' links) at
     ``ber``, the other links ideal."""
     def factory(link, rng):
@@ -211,7 +211,7 @@ def test_poll_outcome_carries_link_identities():
 def test_per_link_channel_map_isolates_slaves():
     # slave 1's links are broken, slave 2's are clean
     piconet = build_piconet(2, channel=ber_links(0.5, slaves=(1,),
-                                                 streams=7))
+                                                 streams=RandomStreams(7)))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
     piconet.add_flow(FlowSpec(2, slave=2, direction=UPLINK, traffic_class=BE))
     piconet.attach_poller(PureRoundRobinPoller())
@@ -293,7 +293,8 @@ def test_explicit_zero_duration_raises():
 def test_sco_residual_errors_counted_through_link_channels():
     # every link lossy at the bit level: HV3 has no CRC and no ARQ, so
     # corrupted voice frames are still delivered, only counted as residual
-    piconet = build_piconet(1, channel=ber_links(3e-3, streams=5))
+    piconet = build_piconet(
+        1, channel=ber_links(3e-3, streams=RandomStreams(5)))
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=GS,
                               allowed_types=("HV3",)))
     piconet.add_sco_link(1, "HV3", ul_flow_id=1)

@@ -248,13 +248,13 @@ def test_variable_planner_never_plans_polls_closer_than_interval(events):
     now = 0.0
     previous_planned = None
     for packet_id, (has_data, size, jitter) in enumerate(events, start=1):
-        now = max(now, planner.planned_time()) + jitter
+        now = max(now, planner.next_planned) + jitter
         served = None
         if has_data:
             served = ServedSegment(hl_packet_id=packet_id, is_last_segment=True,
                                    hl_packet_size=size, hl_arrival_time=None)
         planner.record_poll(now, served)
-        planned = planner.planned_time()
+        planned = planner.next_planned
         if previous_planned is not None:
             assert planned >= previous_planned - 1e-9
         previous_planned = planned
