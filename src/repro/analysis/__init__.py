@@ -8,7 +8,6 @@
 
 from repro.analysis.stats import (
     aggregate_mean_ci,
-    confidence_interval,
     jain_fairness,
     summarize,
     z_value,
@@ -17,7 +16,6 @@ from repro.analysis.reporting import format_table
 
 __all__ = [
     "aggregate_mean_ci",
-    "confidence_interval",
     "format_table",
     "jain_fairness",
     "summarize",

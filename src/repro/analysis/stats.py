@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 #: common two-sided z values, kept exact so long-standing results (and the
 #: paper's tables) reproduce bit-for-bit at the standard levels
@@ -56,30 +56,6 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
             "p95": percentile(data, 95), "p99": percentile(data, 99)}
 
 
-def _interval_from_summary(stats: Dict[str, float],
-                           level: float) -> Tuple[float, float]:
-    """The normal-approximation interval for an already-computed summary."""
-    z = z_value(level)
-    n = stats["count"]
-    if n == 0:
-        return (float("nan"), float("nan"))
-    if n == 1:
-        return (stats["mean"], stats["mean"])
-    half_width = z * stats["stdev"] / math.sqrt(n)
-    return (stats["mean"] - half_width, stats["mean"] + half_width)
-
-
-def confidence_interval(samples: Sequence[float],
-                        level: float = 0.95) -> Tuple[float, float]:
-    """Normal-approximation confidence interval for the mean.
-
-    The experiments collect thousands of samples, so the normal
-    approximation is adequate; the function degrades gracefully for small
-    sample counts by returning a wide interval.
-    """
-    return _interval_from_summary(summarize(samples), level)
-
-
 def aggregate_mean_ci(samples: Sequence[float],
                       level: float = 0.95) -> Dict[str, float]:
     """Mean plus confidence interval of replicated measurements.
@@ -87,10 +63,20 @@ def aggregate_mean_ci(samples: Sequence[float],
     The sweep orchestrator reduces every numeric metric of a parameter
     point's replications through this function, so aggregated experiment
     rows all carry the same ``mean`` / ``ci_low`` / ``ci_high`` shape.
+    The interval is the normal approximation ``mean +- z * stdev /
+    sqrt(n)``; one sample gives a zero-width interval, none a NaN one.
     """
+    z = z_value(level)
     stats = summarize(samples)
-    low, high = _interval_from_summary(stats, level)
-    return {"mean": stats["mean"], "ci_low": low, "ci_high": high}
+    mean, n = stats["mean"], stats["count"]
+    if n == 0:
+        low = high = float("nan")
+    elif n == 1:
+        low = high = mean
+    else:
+        half_width = z * stats["stdev"] / math.sqrt(n)
+        low, high = mean - half_width, mean + half_width
+    return {"mean": mean, "ci_low": low, "ci_high": high}
 
 
 def jain_fairness(values: Sequence[float]) -> float:

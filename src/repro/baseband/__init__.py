@@ -11,8 +11,6 @@ from repro.baseband.constants import (
     SLOT_SECONDS,
     SLOT_US,
     SLOTS_PER_SECOND,
-    slots_to_seconds,
-    slots_to_us,
     us_to_seconds,
 )
 from repro.baseband.packets import (
@@ -22,7 +20,6 @@ from repro.baseband.packets import (
     SCO_TYPES,
     get_packet_type,
     max_transaction_slots,
-    transaction_seconds,
 )
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
@@ -83,8 +80,5 @@ __all__ = [
     "interference_channel_map",
     "max_transaction_slots",
     "packet_error_probabilities",
-    "slots_to_seconds",
-    "slots_to_us",
-    "transaction_seconds",
     "us_to_seconds",
 ]

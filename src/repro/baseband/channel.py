@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.baseband.constants import SLOT_US
 from repro.baseband.fec import (
@@ -313,10 +313,6 @@ class ChannelMap:
         if channel is None:
             channel = self.channel_for(slave, direction)
         return channel.transmit(packet, now_us)
-
-    def links(self) -> List[LinkId]:
-        """Links that have carried traffic so far, in sorted order."""
-        return sorted(self._channels)
 
     def total(self, attribute: str) -> int:
         """Sum an integer counter over every link channel created so far.

@@ -25,16 +25,6 @@ MAX_ACTIVE_SLAVES: int = 7
 SYMBOL_RATE_BPS: int = 1_000_000
 
 
-def slots_to_us(slots: int) -> int:
-    """Convert a slot count to integer microseconds."""
-    return int(slots) * SLOT_US
-
-
-def slots_to_seconds(slots: int) -> float:
-    """Convert a slot count to seconds."""
-    return slots * SLOT_SECONDS
-
-
 def us_to_seconds(us: float) -> float:
     """Convert microseconds to seconds."""
     return us / 1_000_000.0

@@ -139,22 +139,6 @@ def payload_error(ptype: PacketType, payload_bytes: int, ber: float) -> float:
     return 1.0 - ok
 
 
-def payload_air_bits(ptype: PacketType, payload_bytes: int) -> int:
-    """Air bits the payload section occupies (after FEC encoding)."""
-    info_bits = (payload_bytes + payload_header_bytes(ptype)) * 8
-    if ptype.has_crc:
-        info_bits += CRC_BITS
-    if not ptype.fec:
-        return info_bits
-    if ptype.name == "HV1":
-        return info_bits * 3
-    full_blocks, rest = divmod(info_bits, HAMMING_INFO_BITS)
-    bits = full_blocks * HAMMING_BLOCK_BITS
-    if rest:
-        bits += rest + HAMMING_BLOCK_BITS - HAMMING_INFO_BITS
-    return bits
-
-
 @dataclass(frozen=True)
 class PacketErrorProbabilities:
     """Per-section corruption probabilities of one packet at one BER.

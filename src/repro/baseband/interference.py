@@ -405,7 +405,7 @@ class InterferenceField:
     RandomStreams.child` substream named after it.  For a victim
     transmission the field counts how many *other* members are active on
     the victim's hop channel (:meth:`collisions`) and converts the count
-    into a BER boost (:meth:`collision_ber`, ``ber_per_collision`` per
+    into a BER boost (:meth:`mean_collision_ber`, ``ber_per_collision`` per
     collider, capped at ``0.5``).
 
     Passing an ``int`` for ``streams`` seeds a fresh
@@ -700,10 +700,6 @@ class InterferenceField:
             return 0
         return self._tally(victim, 0, horizon_slots,
                            range(len(self._members)))
-
-    def collision_ber(self, victim: str, slot_index: int) -> float:
-        """Effective interference BER on ``victim`` in one slot."""
-        return self._ber_table[self.collisions(victim, slot_index)]
 
     def mean_collision_ber(self, victim: str, start_slot: int,
                            slots: int) -> float:

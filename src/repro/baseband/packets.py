@@ -121,11 +121,6 @@ def max_transaction_slots(allowed_types: Sequence[PacketType]) -> int:
     return 2 * worst
 
 
-def transaction_seconds(downlink: PacketType, uplink: PacketType) -> float:
-    """Duration in seconds of a downlink packet followed by its response."""
-    return (downlink.slots + uplink.slots) * SLOT_SECONDS
-
-
 # -- packet instances ---------------------------------------------------------
 
 _packet_ids = itertools.count(1)
@@ -204,13 +199,3 @@ class BasebandPacket:
         return (f"BasebandPacket({self.ptype.name}, payload={self.payload}, "
                 f"flow={self.flow_id}, hl={self.hl_packet_id}, "
                 f"seg={self.segment_index}, last={self.is_last_segment})")
-
-
-def poll_packet() -> BasebandPacket:
-    """A POLL packet (master solicits a slave with no data)."""
-    return BasebandPacket(POLL)
-
-
-def null_packet() -> BasebandPacket:
-    """A NULL packet (slave has nothing to send)."""
-    return BasebandPacket(NULL)

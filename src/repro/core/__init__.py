@@ -12,7 +12,7 @@ wait_bound
     The Fig. 2 algorithm computing ``u_i`` — the maximum delay of a planned
     poll caused by ongoing transmissions and higher-priority polls.
 error_terms
-    The exported C and D error terms (Eq. 6/7) and their composition.
+    The exported C and D error terms (Eq. 6/7).
 link_budget
     Effective per-link capacity: channel loss, interference, and bridge
     residency composed into a ``LinkBudget`` the admission pipeline can
@@ -35,17 +35,14 @@ pfp
 
 from repro.core.token_bucket import TSpec, TokenBucket, cbr_tspec
 from repro.core.gs_math import (
-    GSDelayBound,
     delay_bound,
     rate_for_delay_bound,
 )
 from repro.core.poll_efficiency import (
     min_poll_efficiency,
-    poll_efficiency,
-    segments_needed,
 )
 from repro.core.wait_bound import WaitBoundResult, compute_wait_bound
-from repro.core.error_terms import ErrorTerms, accumulate_error_terms, export_error_terms
+from repro.core.error_terms import ErrorTerms, export_error_terms
 from repro.core.link_budget import (
     IDEAL_LINK_BUDGET,
     MAX_LOSS,
@@ -74,7 +71,6 @@ __all__ = [
     "AdmissionResult",
     "ErrorTerms",
     "FixedIntervalPlanner",
-    "GSDelayBound",
     "GSFlowRequest",
     "GSFlowSetup",
     "GuaranteedServiceManager",
@@ -89,16 +85,13 @@ __all__ = [
     "TokenBucket",
     "VariableIntervalPlanner",
     "WaitBoundResult",
-    "accumulate_error_terms",
     "bridge_residency",
     "cbr_tspec",
     "compute_wait_bound",
     "delay_bound",
     "export_error_terms",
     "min_poll_efficiency",
-    "poll_efficiency",
     "rate_for_delay_bound",
-    "segments_needed",
     "worst_case_budget",
     "worst_data_loss",
 ]

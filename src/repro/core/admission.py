@@ -249,15 +249,6 @@ class AdmissionController:
     def streams(self) -> List[PollStream]:
         return list(self._streams)
 
-    def priority_of(self, flow_id: int) -> Optional[int]:
-        return self._priorities.get(flow_id)
-
-    def wait_bound_of(self, flow_id: int) -> Optional[float]:
-        for stream in self._streams:
-            if flow_id in stream.flow_ids:
-                return stream.wait_bound
-        return None
-
     # --------------------------------------------------------------- admission
     def evaluate(self, request: GSFlowRequest) -> AdmissionResult:
         """Dry-run admission of ``request`` (no state change)."""

@@ -14,14 +14,14 @@ so the exported terms are ``C_i = eta_min_i`` (bytes) and ``D_i = u_i``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.link_budget import LinkBudget
 
 
 @dataclass(frozen=True)
 class ErrorTerms:
-    """One network element's (or one path's accumulated) error terms."""
+    """One network element's error terms."""
 
     #: rate-dependent deviation, bytes
     c_bytes: float
@@ -33,21 +33,6 @@ class ErrorTerms:
             raise ValueError("C term cannot be negative")
         if self.d_seconds < 0:
             raise ValueError("D term cannot be negative")
-
-    def deviation(self, rate: float) -> float:
-        """Total deviation from the fluid model at service rate ``rate`` (s)."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return self.c_bytes / rate + self.d_seconds
-
-    def __add__(self, other: "ErrorTerms") -> "ErrorTerms":
-        return ErrorTerms(self.c_bytes + other.c_bytes,
-                          self.d_seconds + other.d_seconds)
-
-
-#: The error terms of an ideal fluid server (exported by elements that do not
-#: deviate at all; handy as the identity for accumulation).
-ZERO_ERROR_TERMS = ErrorTerms(0.0, 0.0)
 
 
 def export_error_terms(eta_min: float, wait_bound: float,
@@ -75,11 +60,3 @@ def export_error_terms(eta_min: float, wait_bound: float,
     return ErrorTerms(
         c_bytes=float(eta_min) * budget.retransmission_factor(),
         d_seconds=float(wait_bound) + budget.absence_seconds)
-
-
-def accumulate_error_terms(elements: Iterable[ErrorTerms]) -> ErrorTerms:
-    """Sum the error terms of all elements on a Guaranteed Service path."""
-    total = ZERO_ERROR_TERMS
-    for terms in elements:
-        total = total + terms
-    return total

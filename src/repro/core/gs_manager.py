@@ -333,10 +333,6 @@ class GuaranteedServiceManager:
             return None
         return estimator.loss_estimate
 
-    def link_observations(self, slave: int, direction: str) -> int:
-        estimator = self._estimators.get((slave, direction))
-        return estimator.observations if estimator is not None else 0
-
     def flagged_flows(self, min_observations: int = 25,
                       tolerance: float = 0.05) -> List[int]:
         """Admitted flows whose measured loss exceeds their admitted budget.

@@ -21,23 +21,9 @@ does when it turns the exported C/D terms into an RSpec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.token_bucket import TSpec
-
-
-@dataclass(frozen=True)
-class GSDelayBound:
-    """The result of a delay-bound evaluation."""
-
-    bound: float
-    rate: float
-    ctot: float
-    dtot: float
-
-    def __float__(self) -> float:
-        return self.bound
 
 
 def delay_bound(tspec: TSpec, rate: float, ctot: float, dtot: float) -> float:
@@ -68,12 +54,6 @@ def delay_bound(tspec: TSpec, rate: float, ctot: float, dtot: float) -> float:
     else:
         burst_term = 0.0
     return burst_term + (tspec.M + ctot) / rate + dtot
-
-
-def evaluate(tspec: TSpec, rate: float, ctot: float, dtot: float) -> GSDelayBound:
-    """Like :func:`delay_bound` but returning the full result object."""
-    return GSDelayBound(bound=delay_bound(tspec, rate, ctot, dtot),
-                        rate=rate, ctot=ctot, dtot=dtot)
 
 
 def rate_for_delay_bound(tspec: TSpec, target: float, ctot: float,

@@ -76,12 +76,6 @@ class LinkBudget:
                 f"absence_seconds cannot be negative, got "
                 f"{self.absence_seconds}")
 
-    @property
-    def is_ideal(self) -> bool:
-        """Whether this budget changes nothing relative to oblivious mode."""
-        return (self.loss_probability == 0.0 and self.residency == 1.0
-                and self.absence_seconds == 0.0)
-
     def retransmission_factor(self) -> float:
         """Expected transmissions per delivered segment, ``>= 1``."""
         return 1.0 / (1.0 - self.loss_probability)

@@ -30,20 +30,6 @@ def _policy(allowed_types: Iterable,
     return BestFitSegmentationPolicy(allowed_types)
 
 
-def segments_needed(size: int, allowed_types: Iterable = ("DH1", "DH3"),
-                    policy: Optional[SegmentationPolicy] = None) -> int:
-    """Number of polls needed to transfer a packet of ``size`` bytes."""
-    return _policy(allowed_types, policy).segment_count(size)
-
-
-def poll_efficiency(size: int, allowed_types: Iterable = ("DH1", "DH3"),
-                    policy: Optional[SegmentationPolicy] = None) -> float:
-    """Average bytes per poll for a packet of ``size`` bytes (Eq. 4 numerator)."""
-    if size <= 0:
-        raise ValueError("packet size must be positive")
-    return size / segments_needed(size, allowed_types, policy)
-
-
 def _candidate_sizes(m: int, M: int, policy: SegmentationPolicy) -> Set[int]:
     """Packet sizes at which the minimum efficiency can be attained.
 

@@ -53,23 +53,6 @@ class TSpec:
                 f"bucket size {self.b} must be at least the MTU {self.M} "
                 "(a single maximum-size packet must be conformant)")
 
-    def arrival_curve(self, interval: float) -> float:
-        """Maximum bytes the flow may send in any window of ``interval`` seconds.
-
-        ``A(t) = min(M + p*t, b + r*t)`` — the standard dual-token-bucket
-        arrival curve used by Guaranteed Service.
-        """
-        if interval < 0:
-            raise ValueError("interval must be non-negative")
-        return min(self.M + self.p * interval, self.b + self.r * interval)
-
-    def scaled(self, factor: float) -> "TSpec":
-        """A TSpec with both rates scaled by ``factor`` (sizes unchanged)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return TSpec(p=self.p * factor, r=self.r * factor, b=self.b,
-                     m=self.m, M=self.M)
-
 
 def cbr_tspec(packet_interval: float, min_size: int, max_size: int) -> TSpec:
     """TSpec of a CBR source emitting one packet of ``[min_size, max_size]``
@@ -101,11 +84,6 @@ class TokenBucket:
         self.spec = spec
         self._tokens = spec.b if full else 0.0
         self._last_update = start_time
-
-    @property
-    def tokens(self) -> float:
-        """Tokens currently in the bucket (as of the last update)."""
-        return self._tokens
 
     def _refill(self, now: float) -> None:
         if now < self._last_update:

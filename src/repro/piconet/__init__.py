@@ -1,13 +1,14 @@
-"""Piconet substrate: master, slaves, flows, queues and the TDD loop.
+"""Piconet substrate: slaves, flows, queues and the master's TDD loop.
 
 A :class:`~repro.piconet.piconet.Piconet` wires together an environment, a
 channel model, up to seven slaves, a set of unidirectional flows (each with
 its own logical channel / queue) and a *poller* (the intra-piconet
-scheduler).  The master loop repeatedly asks the poller which transaction to
-run next and executes it slot-accurately.
+scheduler).  A slave is its 3-bit AM address (1..7): ``add_slave()``
+returns the next one and ``slaves()`` lists them.  The master loop
+repeatedly asks the poller which transaction to run next and executes it
+slot-accurately.
 """
 
-from repro.piconet.addressing import AMAddress, BDAddress
 from repro.piconet.flows import (
     BE,
     DOWNLINK,
@@ -17,15 +18,12 @@ from repro.piconet.flows import (
     UPLINK,
 )
 from repro.piconet.queues import FlowQueue
-from repro.piconet.device import Master, Slave
 from repro.piconet.piconet import FlowState, Piconet, PiconetConfig
 from repro.piconet.sco import ScoLink, ScoReservationTable
 from repro.piconet.bridge import BridgeNode, BridgeSchedule
 from repro.piconet.scatternet import Scatternet
 
 __all__ = [
-    "AMAddress",
-    "BDAddress",
     "BE",
     "BridgeNode",
     "BridgeSchedule",
@@ -35,12 +33,10 @@ __all__ = [
     "FlowState",
     "GS",
     "HLPacket",
-    "Master",
     "Piconet",
     "PiconetConfig",
     "Scatternet",
     "ScoLink",
     "ScoReservationTable",
-    "Slave",
     "UPLINK",
 ]

@@ -80,16 +80,6 @@ class FlowSpec:
     def is_downlink(self) -> bool:
         return self.direction == DOWNLINK
 
-    def opposite_of(self, other: "FlowSpec") -> bool:
-        """Whether ``other`` is an oppositely directed flow on the same slave.
-
-        Two such GS flows can piggyback on each other's poll transactions
-        (paper Section 3.1.4).
-        """
-        return (self.slave == other.slave
-                and self.direction != other.direction
-                and self.flow_id != other.flow_id)
-
 
 @dataclass(slots=True)
 class HLPacket:

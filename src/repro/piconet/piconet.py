@@ -28,7 +28,7 @@ from repro.baseband.channel import (
     TX_NOT_RECEIVED,
     TX_OK,
 )
-from repro.baseband.constants import SLOT_US
+from repro.baseband.constants import MAX_ACTIVE_SLAVES, SLOT_US
 from repro.baseband.packets import BasebandPacket, resolve_types
 from repro.baseband.segmentation import (
     BestFitSegmentationPolicy,
@@ -36,7 +36,6 @@ from repro.baseband.segmentation import (
     Reassembler,
     check_packet_size,
 )
-from repro.piconet.device import DeviceRegistry, Slave
 from repro.piconet.flows import DOWNLINK, FlowSpec, HLPacket, UPLINK
 from repro.piconet.queues import FlowQueue
 from repro.piconet.sco import ScoLink, ScoReservationTable
@@ -54,10 +53,6 @@ from repro.sim.monitor import Monitor
 class PiconetConfig:
     """Static configuration of a piconet simulation."""
 
-    #: baseband packet types ACL flows may use by default
-    allowed_types: tuple = ("DH1", "DH3")
-    #: name used in reports
-    name: str = "piconet"
     #: keep master transmissions aligned to even slots (Bluetooth TDD rule)
     align_even_slots: bool = True
     #: give every ACL flow a channel-adaptive segmentation policy that
@@ -113,7 +108,8 @@ class Piconet:
         self.channels = channel if channel is not None \
             else ChannelMap.ideal()
         self.config = config if config is not None else PiconetConfig()
-        self.devices = DeviceRegistry()
+        #: active slaves hold the AM addresses 1..slave_count
+        self.slave_count = 0
         self.poller = None
         self.sco_table = ScoReservationTable()
         self._states: Dict[int, FlowState] = {}
@@ -174,16 +170,23 @@ class Piconet:
         self.bridge_skipped_polls = 0
 
     # ------------------------------------------------------------------ setup
-    def add_slave(self, name: Optional[str] = None) -> Slave:
-        """Register a new slave (AM addresses are assigned in order)."""
-        return self.devices.add_slave(name)
+    def add_slave(self) -> int:
+        """Register a new slave and return its AM address (1..7, in order)."""
+        if self.slave_count >= MAX_ACTIVE_SLAVES:
+            raise ValueError(
+                f"a piconet supports at most {MAX_ACTIVE_SLAVES} active slaves")
+        self.slave_count += 1
+        return self.slave_count
+
+    def _check_slave(self, slave: int) -> None:
+        if not 0 < slave <= self.slave_count:
+            raise ValueError(f"slave {slave} is not part of the piconet")
 
     def add_flow(self, spec: FlowSpec) -> FlowState:
         """Register a flow; its queue lives at the transmitting side."""
         if spec.flow_id in self._states:
             raise ValueError(f"flow id {spec.flow_id} already registered")
-        if spec.slave not in self.devices:
-            raise ValueError(f"slave {spec.slave} is not part of the piconet")
+        self._check_slave(spec.slave)
         policy = self._segmentation_policy(spec)
         state = FlowState(spec=spec, queue=FlowQueue(spec, policy))
         self._states[spec.flow_id] = state
@@ -216,12 +219,12 @@ class Piconet:
         The bound flows must use the SCO packet type as their only allowed
         type so segmentation matches the reserved packet size.
         """
-        link = self.sco_table.add_link(slave=slave, packet_type=packet_type)
+        self._check_slave(slave)
         for flow_id in (dl_flow_id, ul_flow_id):
             if flow_id is not None and flow_id not in self._states:
                 raise ValueError(f"unknown flow id {flow_id} for SCO link")
+        link = self.sco_table.add_link(slave=slave, packet_type=packet_type)
         self._sco_flows[slave] = {"DL": dl_flow_id, "UL": ul_flow_id}
-        self.devices.slave(slave).has_sco = True
         return link
 
     def set_bridge_presence(self, slave: int,
@@ -244,8 +247,7 @@ class Piconet:
         instead of layering it over the counts the old schedule produced,
         and the roam counts as a topology change.
         """
-        if slave not in self.devices:
-            raise ValueError(f"slave {slave} is not part of the piconet")
+        self._check_slave(slave)
         if slave in self._bridge_presence:
             # roam: the totals keep only the other bridges' history
             self.bridge_absent_polls -= self._bridge_absent_by_slave.pop(
@@ -300,8 +302,7 @@ class Piconet:
         spec = state.spec
         if spec.flow_id in self._states:
             raise ValueError(f"flow id {spec.flow_id} already registered")
-        if spec.slave not in self.devices:
-            raise ValueError(f"slave {spec.slave} is not part of the piconet")
+        self._check_slave(spec.slave)
         self._retired_states.pop(spec.flow_id, None)
         self._states[spec.flow_id] = state
         self._flow_states_cache = None
@@ -330,13 +331,12 @@ class Piconet:
         presence schedule is refused — both model a slave the master must
         keep serving.
         """
-        if slave not in self.devices:
-            raise ValueError(f"slave {slave} is not part of the piconet")
+        self._check_slave(slave)
         if slave in self._parked_slaves:
             raise ValueError(f"slave {slave} is already parked")
         if slave in self._bridge_presence:
             raise ValueError(f"slave {slave} is a bridge; roam it instead")
-        if self.devices.slave(slave).has_sco:
+        if slave in self._sco_flows:
             raise ValueError(f"slave {slave} holds an SCO reservation")
         flow_ids = [fid for fid in sorted(self._states)
                     if self._states[fid].spec.slave == slave]
@@ -433,8 +433,9 @@ class Piconet:
             self._specs_by_slave_cache = cache
         return cache.get(slave, [])
 
-    def slaves(self) -> List[Slave]:
-        return self.devices.slaves
+    def slaves(self) -> List[int]:
+        """The AM addresses of the active slaves, in order."""
+        return list(range(1, self.slave_count + 1))
 
     # ------------------------------------------------------------- traffic API
     def offer_packet(self, flow_id: int, size: int) -> HLPacket:
@@ -523,13 +524,6 @@ class Piconet:
                         if state.spec.slave == slave)
         return delivered * 8 / duration
 
-    def total_throughput_bps(self, duration_seconds: Optional[float] = None) -> float:
-        duration = self._resolve_duration(duration_seconds)
-        if duration <= 0:
-            return float("nan")
-        delivered = sum(state.delivered_bytes for state in self.flow_states())
-        return delivered * 8 / duration
-
     def slot_accounting(self) -> dict:
         """Slots spent per activity since the simulation started."""
         used = self.slots_gs + self.slots_be + self.slots_sco + self.slots_idle
@@ -605,7 +599,7 @@ class Piconet:
             #     re-selecting is bounded so a poller that keeps proposing
             #     absent bridges cannot spin the loop within one slot.
             if negotiated:
-                reselects = len(self.devices.slaves) + 1
+                reselects = self.slave_count + 1
                 while (plan is not None and plan.slave in negotiated
                         and not self._slave_present(plan.slave, now)):
                     self.bridge_skipped_polls += 1

@@ -37,16 +37,6 @@ class ScoLink:
         if self.offset % 2 != 0:
             raise ValueError("SCO reservations must start on a master (even) slot")
 
-    @property
-    def slots_per_second(self) -> float:
-        """Slots consumed per second by this link (both directions)."""
-        return 2 * 1600 / self.t_sco
-
-    @property
-    def rate_bps(self) -> float:
-        """User data rate carried in each direction, bits per second."""
-        return self.packet_type.max_payload * 8 * 1600 / self.t_sco
-
     def reserves(self, slot_index: int) -> bool:
         """Whether ``slot_index`` is the first slot of one of this link's pairs."""
         return slot_index % self.t_sco == self.offset
@@ -93,20 +83,12 @@ class ScoReservationTable:
                    if b.reserves(s) or b.reserves(s - 1)}
         return bool(slots_a & slots_b)
 
-    @property
-    def links(self) -> List[ScoLink]:
-        return list(self._links)
-
     def link_for_slot(self, slot_index: int) -> Optional[ScoLink]:
         """The link whose reservation starts at ``slot_index`` (if any)."""
         for link in self._links:
             if link.reserves(slot_index):
                 return link
         return None
-
-    def slots_reserved_per_second(self) -> float:
-        """Aggregate slots per second consumed by all SCO links."""
-        return sum(link.slots_per_second for link in self._links)
 
     def next_reservation(self, slot_index: int) -> Optional[int]:
         """First slot index >= ``slot_index`` at which a reservation starts."""

@@ -450,14 +450,12 @@ def _compile_piconet(spec: PiconetSpec, seed: int,
                      link_budgets: Optional[Dict[tuple, LinkBudget]] = None,
                      observe_links: bool = False) -> CompiledPiconet:
     streams = piconet_streams(spec, seed)
-    config = PiconetConfig(allowed_types=spec.allowed_types,
-                           name=spec.name,
-                           align_even_slots=spec.align_even_slots,
+    config = PiconetConfig(align_even_slots=spec.align_even_slots,
                            adaptive_segmentation=spec.adaptive_segmentation,
                            robust_types=spec.robust_types)
     piconet = Piconet(env=env, channel=channel, config=config)
-    for name in spec.slaves:
-        piconet.add_slave(name)
+    for _ in spec.slaves:
+        piconet.add_slave()
 
     runtime_specs: Dict[int, RuntimeFlowSpec] = {}
     slave_flows: Dict[int, List[int]] = {}

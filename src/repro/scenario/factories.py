@@ -87,33 +87,25 @@ def _sco_flow(flow_id: int, slave: int) -> FlowSpec:
                     stagger=True)
 
 
-def _unstagger(flows: Sequence[FlowSpec]) -> Tuple[FlowSpec, ...]:
-    """Drop every flow's random phase offset (``stagger_sources=False``)."""
-    from dataclasses import replace
-    return tuple(replace(flow, stagger=False) for flow in flows)
-
-
 def figure4_piconet_spec(delay_requirement: Optional[float] = 0.040,
                          gs_rate: Optional[float] = None,
                          be_load_scale: float = 1.0,
                          variable_interval: bool = True,
-                         piggyback_aware: bool = True,
                          postpone_by_packet_size: bool = True,
                          postpone_after_unsuccessful: bool = True,
                          skip_when_no_downlink_data: bool = True,
                          channel: Optional[ChannelSpec] = None,
-                         stagger_sources: bool = True,
                          be_slaves: Optional[Sequence[int]] = None,
                          sco_slaves: Sequence[int] = (),
                          gs_uplink_only: bool = False,
                          be_directions: Sequence[str] = (DOWNLINK, UPLINK),
-                         allowed_types: Sequence[str] = ALLOWED_TYPES,
                          adaptive_segmentation: bool = False,
                          name: str = "piconet") -> PiconetSpec:
     """The Section-4.1 piconet as a :class:`PiconetSpec`.
 
-    Parameter semantics match the keyword surface of the removed Figure-4
-    builder one-to-one; see the migration table in
+    The keywords keep the semantics of the removed Figure-4 builder's;
+    the builder kwargs that are now spec fields only (``piggyback_aware``,
+    ``stagger_sources``, ``allowed_types``) are in the migration table in
     ``src/repro/experiments/README.md``.
     """
     if (delay_requirement is None) == (gs_rate is None):
@@ -137,7 +129,7 @@ def figure4_piconet_spec(delay_requirement: Optional[float] = 0.040,
             f"be_directions must be a non-empty subset of "
             f"({DOWNLINK!r}, {UPLINK!r}), got {be_directions!r}")
 
-    acl_types = tuple(allowed_types)
+    acl_types = ALLOWED_TYPES
     gs_directions = (UPLINK, UPLINK, UPLINK, UPLINK) if gs_uplink_only \
         else (UPLINK, DOWNLINK, UPLINK, UPLINK)
     gs_slaves = (1, 2, 2, 3)
@@ -162,11 +154,10 @@ def figure4_piconet_spec(delay_requirement: Optional[float] = 0.040,
         sco_links.append(ScoSpec(slave=slave, packet_type="HV3",
                                  ul_flow_id=flow_id))
         flow_id += 1
-    flows = tuple(flows) if stagger_sources else _unstagger(flows)
     return PiconetSpec(
         name=name,
         slaves=SEVEN_SLAVES,
-        flows=flows,
+        flows=tuple(flows),
         sco_links=tuple(sco_links),
         allowed_types=acl_types,
         adaptive_segmentation=adaptive_segmentation,
@@ -174,7 +165,6 @@ def figure4_piconet_spec(delay_requirement: Optional[float] = 0.040,
         poller=PollerSpec(kind="pfp"),
         improvements=ImprovementsSpec(
             variable_interval=variable_interval,
-            piggyback_aware=piggyback_aware,
             postpone_by_packet_size=postpone_by_packet_size,
             postpone_after_unsuccessful=postpone_after_unsuccessful,
             skip_when_no_downlink_data=skip_when_no_downlink_data))
@@ -190,7 +180,6 @@ def multi_sco_piconet_spec(acl_types: Sequence[str] = ("DH1",),
                            acl_slaves: Sequence[int] = (1, 2, 3),
                            acl_load_scale: float = 1.0,
                            channel: Optional[ChannelSpec] = None,
-                           stagger_sources: bool = True,
                            adaptive_segmentation: bool = False,
                            name: str = "piconet") -> PiconetSpec:
     """A round-robin piconet with HV3 voice links next to best-effort ACL.
@@ -220,11 +209,10 @@ def multi_sco_piconet_spec(acl_types: Sequence[str] = ("DH1",),
         sco_links.append(ScoSpec(slave=slave, packet_type="HV3",
                                  ul_flow_id=flow_id))
         flow_id += 1
-    flows = tuple(flows) if stagger_sources else _unstagger(flows)
     return PiconetSpec(
         name=name,
         slaves=SEVEN_SLAVES,
-        flows=flows,
+        flows=tuple(flows),
         sco_links=tuple(sco_links),
         allowed_types=acl_types,
         adaptive_segmentation=adaptive_segmentation,
@@ -239,11 +227,7 @@ def multi_sco_spec(**kwargs) -> ScenarioSpec:
 
 def interfered_be_spec(interferer_duties: Sequence[float],
                        acl_load_scale: float = 1.5,
-                       acl_types: Sequence[str] = ("DH1", "DH3"),
-                       acl_slaves: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
-                       base_bit_error_rate: float = 0.0,
-                       ber_per_collision: Optional[float] = None
-                       ) -> ScenarioSpec:
+                       base_bit_error_rate: float = 0.0) -> ScenarioSpec:
     """A saturated best-effort piconet inside an interference field.
 
     Each entry of ``interferer_duties`` registers one co-located piconet
@@ -251,8 +235,8 @@ def interfered_be_spec(interferer_duties: Sequence[float],
     BER with the field's hop-collision BER.
     """
     piconet = multi_sco_piconet_spec(
-        acl_types=tuple(acl_types), sco_slaves=(),
-        acl_slaves=tuple(acl_slaves), acl_load_scale=acl_load_scale,
+        acl_types=ALLOWED_TYPES, sco_slaves=(),
+        acl_slaves=(1, 2, 3, 4, 5, 6, 7), acl_load_scale=acl_load_scale,
         channel=ChannelSpec(model="iid", ber=base_bit_error_rate)
         if base_bit_error_rate > 0 else None,
         name="victim")
@@ -260,17 +244,12 @@ def interfered_be_spec(interferer_duties: Sequence[float],
         piconets=(piconet,),
         interference=InterferenceSpec(
             victim="victim",
-            interferer_duties=tuple(interferer_duties),
-            ber_per_collision=ber_per_collision))
+            interferer_duties=tuple(interferer_duties)))
 
 
 def coupled_room_spec(piconets: int,
                       acl_load_scale: float = 1.5,
-                      acl_types: Sequence[str] = ("DH1", "DH3"),
-                      acl_slaves: Sequence[int] = (1, 2, 3),
-                      base_bit_error_rate: float = 0.0,
-                      ber_per_collision: Optional[float] = None
-                      ) -> ScenarioSpec:
+                      base_bit_error_rate: float = 0.0) -> ScenarioSpec:
     """``piconets`` fully simulated piconets coupled through one field.
 
     The honest crowded room: unlike :func:`interfered_be_spec` (one victim
@@ -288,18 +267,15 @@ def coupled_room_spec(piconets: int,
     members = []
     for index in range(1, piconets + 1):
         piconet = multi_sco_piconet_spec(
-            acl_types=tuple(acl_types), sco_slaves=(),
-            acl_slaves=tuple(acl_slaves), acl_load_scale=acl_load_scale,
+            acl_types=ALLOWED_TYPES, sco_slaves=(),
+            acl_slaves=(1, 2, 3), acl_load_scale=acl_load_scale,
             channel=ChannelSpec(model="iid", ber=base_bit_error_rate)
             if base_bit_error_rate > 0 else None,
             name=f"p{index}")
         members.append(replace(piconet, rng_namespace=f"room-{index}"))
     return ScenarioSpec(
         piconets=tuple(members),
-        interference=InterferenceSpec(
-            victim="p1",
-            coupled=True,
-            ber_per_collision=ber_per_collision))
+        interference=InterferenceSpec(victim="p1", coupled=True))
 
 
 def churn_recovery_spec(interferers: int = 4,
@@ -309,9 +285,7 @@ def churn_recovery_spec(interferers: int = 4,
                         tolerance: float = 0.02,
                         min_observations: int = 10,
                         max_retries: int = 8,
-                        backoff_s: float = 0.1,
-                        ber_per_collision: Optional[float] = None
-                        ) -> ScenarioSpec:
+                        backoff_s: float = 0.1) -> ScenarioSpec:
     """The Section-4.1 piconet hit by a mid-run interference burst.
 
     The timeline tells the story the ``churn_recovery`` experiment
@@ -348,8 +322,7 @@ def churn_recovery_spec(interferers: int = 4,
         piconets=(figure4_piconet_spec(name="victim"),),
         interference=InterferenceSpec(
             victim="victim",
-            interferer_duties=(1.0,) * interferers,
-            ber_per_collision=ber_per_collision),
+            interferer_duties=(1.0,) * interferers),
         timeline=TimelineSpec(events=tuple(events)))
 
 

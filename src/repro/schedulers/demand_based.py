@@ -36,7 +36,7 @@ class DemandBasedPoller(Poller):
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
-        self._slaves = [s.address for s in piconet.slaves()]
+        self._slaves = piconet.slaves()
         self._demand = {s: 1.0 for s in self._slaves}
         self._credit = {s: 0.0 for s in self._slaves}
 

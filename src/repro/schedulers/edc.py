@@ -37,7 +37,7 @@ class EfficientDoubleCyclePoller(Poller):
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
-        self._slaves = [s.address for s in piconet.slaves()]
+        self._slaves = piconet.slaves()
         self._backoff = {s: 1 for s in self._slaves}
         self._skips_left = {s: 0 for s in self._slaves}
 

@@ -34,7 +34,7 @@ class LimitedRoundRobinPoller(Poller):
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
-        self._slaves = [s.address for s in piconet.slaves()]
+        self._slaves = piconet.slaves()
         self._index = 0
         self._served_this_visit = 0
 

@@ -10,7 +10,7 @@ idle slaves but, as the paper notes, it offers fairness — not delay bounds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.schedulers.base import KIND_BE, Poller, PollOutcome, TransactionPlan
 
@@ -33,7 +33,7 @@ class FairExhaustivePoller(Poller):
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
-        self._active = [s.address for s in piconet.slaves()]
+        self._active = piconet.slaves()
         self._inactive = []
         self._transactions = 0
 
@@ -76,12 +76,3 @@ class FairExhaustivePoller(Poller):
             self._promote(slave)
         else:
             self._demote(slave)
-
-    # -- introspection (used by tests) ----------------------------------------
-    @property
-    def active_slaves(self) -> Set[int]:
-        return set(self._active)
-
-    @property
-    def inactive_slaves(self) -> Set[int]:
-        return set(self._inactive)

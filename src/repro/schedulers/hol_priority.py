@@ -32,7 +32,7 @@ class HolPriorityPoller(Poller):
 
     def attach(self, piconet) -> None:
         super().attach(piconet)
-        self._slaves = [s.address for s in piconet.slaves()]
+        self._slaves = piconet.slaves()
 
     def select(self, now: float) -> Optional[TransactionPlan]:
         self._require_attached()

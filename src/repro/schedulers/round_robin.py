@@ -43,10 +43,10 @@ class PureRoundRobinPoller(Poller):
         cycle carries over, cached plans do not."""
         self._plans = {}
         with_flows = {spec.slave for spec in self.piconet.flow_specs()}
-        self._slave_cycle = [slave.address for slave in self.piconet.slaves()
-                             if slave.address in with_flows
+        self._slave_cycle = [slave for slave in self.piconet.slaves()
+                             if slave in with_flows
                              and (self.only_slaves is None
-                                  or slave.address in self.only_slaves)]
+                                  or slave in self.only_slaves)]
 
     def select(self, now: float) -> Optional[TransactionPlan]:
         cycle = self._slave_cycle

@@ -5,11 +5,16 @@ import math
 import pytest
 
 from repro.analysis import (
-    confidence_interval,
+    aggregate_mean_ci,
     format_table,
     summarize,
     z_value,
 )
+
+
+def confidence_interval(samples, level=0.95):
+    ci = aggregate_mean_ci(samples, level)
+    return ci["ci_low"], ci["ci_high"]
 
 
 def test_summarize_basic_statistics():

@@ -7,8 +7,6 @@ from repro.baseband.constants import (
     SLOT_US,
     SLOTS_PER_SECOND,
     seconds_to_us,
-    slots_to_seconds,
-    slots_to_us,
     us_to_seconds,
 )
 
@@ -18,12 +16,6 @@ def test_slot_grid_matches_paper():
     assert SLOT_US == 625
     assert SLOTS_PER_SECOND == 1600
     assert SLOT_US * SLOTS_PER_SECOND == 1_000_000
-
-
-def test_slot_conversions():
-    assert slots_to_us(6) == 3750
-    assert slots_to_seconds(6) == pytest.approx(3.75e-3)
-    assert slots_to_seconds(1) == SLOT_SECONDS
 
 
 def test_time_conversions_round_trip():

@@ -6,12 +6,10 @@ import pytest
 
 from repro.baseband.fec import (
     CRC_BITS,
-    HAMMING_BLOCK_BITS,
     access_code_error,
     hamming_block_error,
     header_error,
     packet_error_probabilities,
-    payload_air_bits,
     payload_error,
     payload_header_bytes,
     repetition_bit_error,
@@ -82,19 +80,6 @@ def test_hv1_uses_repetition_code():
     bit_fail = repetition_bit_error(1e-3)
     assert payload_error(hv1, 10, 1e-3) == pytest.approx(
         1 - (1 - bit_fail) ** 80)
-
-
-def test_payload_air_bits_expand_with_fec():
-    dm1 = get_packet_type("DM1")
-    dh1 = get_packet_type("DH1")
-    # same user bytes cost ~1.5x the air bits under the (15, 10) code
-    assert payload_air_bits(dm1, 10) == pytest.approx(
-        payload_air_bits(dh1, 10) * 1.5, rel=0.05)
-    # shortened last block keeps its 5 parity bits
-    info = (10 + 1) * 8 + CRC_BITS
-    full, rest = divmod(info, 10)
-    expected = full * HAMMING_BLOCK_BITS + (rest + 5 if rest else 0)
-    assert payload_air_bits(dm1, 10) == expected
 
 
 def test_decomposition_combines_sections():

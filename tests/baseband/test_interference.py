@@ -99,7 +99,7 @@ def test_field_collision_ber_scales_with_colliders_and_caps():
     field.register("victim")
     for index in range(9):
         field.register(f"i{index}", duty_cycle=1.0)
-    bers = {field.collision_ber("victim", slot) for slot in range(2000)}
+    bers = {field.mean_collision_ber("victim", slot, 1) for slot in range(2000)}
     assert 0.0 in bers
     assert all(b in (0.0, 0.2, 0.4, 0.5) for b in bers)
 

@@ -6,9 +6,7 @@ from repro.baseband import (
     BasebandPacket,
     get_packet_type,
     max_transaction_slots,
-    transaction_seconds,
 )
-from repro.baseband.packets import null_packet, poll_packet
 
 
 def test_catalogue_payloads_match_specification():
@@ -49,25 +47,11 @@ def test_baseband_packet_rejects_negative_payload():
         BasebandPacket(get_packet_type("DH1"), payload=-1)
 
 
-def test_poll_and_null_packets_carry_no_data():
-    assert not poll_packet().carries_data
-    assert not null_packet().carries_data
-    assert poll_packet().slots == 1
-    assert null_packet().slots == 1
-
-
 def test_max_transaction_slots_dh3_both_ways():
     # the paper's M_t: DH3 down + DH3 up = 6 slots (3.75 ms)
     assert max_transaction_slots(["DH1", "DH3"]) == 6
     assert max_transaction_slots(["DH1"]) == 2
     assert max_transaction_slots(["DH5"]) == 10
-
-
-def test_transaction_seconds():
-    dh3 = get_packet_type("DH3")
-    poll = get_packet_type("POLL")
-    assert transaction_seconds(poll, dh3) == pytest.approx(4 * 625e-6)
-    assert transaction_seconds(dh3, dh3) == pytest.approx(3.75e-3)
 
 
 def test_packet_ids_are_unique():

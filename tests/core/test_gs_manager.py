@@ -192,7 +192,7 @@ def test_observe_link_feeds_flagging(tspec):
     assert manager.flagged_flows() == []
     for _ in range(100):
         manager.observe_link(1, UPLINK, error=True)
-    assert manager.link_observations(1, UPLINK) == 100
+    assert manager._estimators[(1, UPLINK)].observations == 100
     assert manager.measured_loss(1, UPLINK) > 0.5
     assert manager.flagged_flows() == [1]
     # a link tracking its budget is never flagged

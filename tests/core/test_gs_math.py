@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TSpec, cbr_tspec, delay_bound, rate_for_delay_bound
-from repro.core.gs_math import bound_at_token_rate, evaluate
+from repro.core.gs_math import bound_at_token_rate
 
 
 @pytest.fixture
@@ -74,9 +74,3 @@ def test_rate_for_delay_bound_infeasible_target(paper_tspec):
 def test_rate_for_loose_bound_clamps_to_token_rate(paper_tspec):
     rate = rate_for_delay_bound(paper_tspec, 1.0, ctot=144, dtot=0.00375)
     assert rate == pytest.approx(paper_tspec.r)
-
-
-def test_evaluate_returns_structured_result(paper_tspec):
-    result = evaluate(paper_tspec, 10_000, 144, 0.005)
-    assert float(result) == result.bound
-    assert result.rate == 10_000

@@ -23,7 +23,6 @@ PAPER_TYPES = ("DH1", "DH3")
 
 def test_default_budget_is_ideal_identity():
     budget = LinkBudget()
-    assert budget.is_ideal
     assert budget.retransmission_factor() == 1.0
     # the ideal budget returns the *same* float, not a recomputed one
     interval = 0.0163125
@@ -103,7 +102,7 @@ def test_compose_applies_margins_and_estimated_loss():
     assert budget.residency == pytest.approx(0.4)
     assert budget.absence_seconds == pytest.approx(0.004)
     ideal = LinkBudget.compose(ber=0.0, packet_types=PAPER_TYPES)
-    assert ideal.is_ideal
+    assert ideal == IDEAL_LINK_BUDGET
 
 
 # ------------------------------------------------------ pessimistic merge

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.baseband.segmentation import SegmentationPolicy
-from repro.core import compute_wait_bound, min_poll_efficiency, poll_efficiency
-from repro.core.poll_efficiency import _candidate_sizes, segments_needed
+from repro.baseband.segmentation import BestFitSegmentationPolicy
+from repro.core import compute_wait_bound, min_poll_efficiency
+from repro.core.poll_efficiency import _candidate_sizes
 from repro.core.wait_bound import HigherPriorityStream
 
 MS = 1e-3
@@ -32,14 +33,18 @@ def test_paper_minimum_poll_efficiency_is_144_bytes():
 
 
 def test_poll_efficiency_single_segment_equals_size():
-    assert poll_efficiency(150, ("DH1", "DH3")) == pytest.approx(150.0)
-    assert segments_needed(150, ("DH1", "DH3")) == 1
+    # over the one-size range [L, L] the minimum is L's own efficiency
+    assert min_poll_efficiency(150, 150, ("DH1", "DH3")) \
+        == pytest.approx(150.0)
+    assert BestFitSegmentationPolicy(("DH1", "DH3")).segment_count(150) == 1
 
 
 def test_poll_efficiency_drops_after_capacity_breakpoint():
     # 183 bytes fit in one DH3; 184 bytes need DH3 + DH1
-    assert poll_efficiency(183, ("DH1", "DH3")) == pytest.approx(183.0)
-    assert poll_efficiency(184, ("DH1", "DH3")) == pytest.approx(92.0)
+    assert min_poll_efficiency(183, 183, ("DH1", "DH3")) \
+        == pytest.approx(183.0)
+    assert min_poll_efficiency(184, 184, ("DH1", "DH3")) \
+        == pytest.approx(92.0)
 
 
 def test_min_poll_efficiency_candidate_set_matches_exhaustive():

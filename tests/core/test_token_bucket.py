@@ -27,22 +27,6 @@ def test_paper_cbr_tspec_values():
     assert tspec.m == 144
 
 
-def test_arrival_curve_is_min_of_two_lines():
-    tspec = TSpec(p=1000, r=100, b=500, m=10, M=100)
-    assert tspec.arrival_curve(0) == 100          # M
-    assert tspec.arrival_curve(0.1) == pytest.approx(200)   # M + p t wins early
-    assert tspec.arrival_curve(10) == pytest.approx(1500)   # b + r t wins later
-    with pytest.raises(ValueError):
-        tspec.arrival_curve(-1)
-
-
-def test_scaled_tspec():
-    tspec = cbr_tspec(0.020, 144, 176)
-    double = tspec.scaled(2.0)
-    assert double.r == pytest.approx(2 * tspec.r)
-    assert double.M == tspec.M
-
-
 def test_token_bucket_accepts_conformant_cbr():
     tspec = cbr_tspec(0.020, 144, 176)
     bucket = TokenBucket(tspec)
@@ -99,9 +83,9 @@ def test_token_bucket_tolerance_consume_never_goes_negative():
     shortfall = 176.0 * (1.0 - 2.0 ** -53)
     bucket._refill(shortfall / tspec.r)
     assert bucket.consume(176, shortfall / tspec.r)
-    assert bucket.tokens >= 0.0
+    assert bucket._tokens >= 0.0
     # after a refill long enough for exactly one more packet, the next
     # packet must still conform — a lingering deficit would reject it
     now = shortfall / tspec.r + 176.0 / tspec.r
     assert bucket.consume(176, now)
-    assert bucket.tokens >= 0.0
+    assert bucket._tokens >= 0.0

@@ -1,54 +1,43 @@
-"""Tests of addressing, the device registry and SCO reservations."""
+"""Tests of slave addressing and SCO reservations.
+
+The piconet is its own device registry: a slave is its AM address.
+"""
 
 import pytest
 
-from repro.piconet import AMAddress, BDAddress, ScoReservationTable
-from repro.piconet.device import DeviceRegistry
+from repro.piconet import FlowSpec, Piconet, ScoReservationTable
 from repro.piconet.sco import ScoLink
 from repro.baseband.packets import get_packet_type
 
 
-def test_bd_addr_validation_and_normalisation():
-    addr = BDAddress("aa:bb:cc:dd:ee:ff")
-    assert str(addr) == "AA:BB:CC:DD:EE:FF"
-    with pytest.raises(ValueError):
-        BDAddress("not-an-address")
-
-
-def test_bd_addr_from_int():
-    assert str(BDAddress.from_int(1)) == "00:00:00:00:00:01"
-    with pytest.raises(ValueError):
-        BDAddress.from_int(2 ** 48)
-
-
-def test_am_addr_range_and_broadcast():
-    assert int(AMAddress(3)) == 3
-    assert AMAddress(0).is_broadcast
-    with pytest.raises(ValueError):
-        AMAddress(8)
-
-
 def test_device_registry_assigns_am_addresses_in_order():
-    registry = DeviceRegistry()
-    slaves = [registry.add_slave() for _ in range(3)]
-    assert [s.address for s in slaves] == [1, 2, 3]
-    assert registry.slave(2) is slaves[1]
-    assert len(registry) == 3
-    assert 2 in registry and 5 not in registry
+    piconet = Piconet()
+    assert piconet.slaves() == []
+    assert [piconet.add_slave() for _ in range(3)] == [1, 2, 3]
+    assert piconet.slaves() == [1, 2, 3]
+    piconet.add_flow(FlowSpec(1, slave=3, direction="UL",
+                              traffic_class="BE"))
+    with pytest.raises(ValueError, match="slave 4 is not part of the"):
+        piconet.add_flow(FlowSpec(2, slave=4, direction="UL",
+                                  traffic_class="BE"))
+    with pytest.raises(ValueError, match="slave 0 is not part of the"):
+        piconet.park_slave(0)
 
 
 def test_device_registry_caps_at_seven_slaves():
-    registry = DeviceRegistry()
+    piconet = Piconet()
     for _ in range(7):
-        registry.add_slave()
-    with pytest.raises(ValueError):
-        registry.add_slave()
+        piconet.add_slave()
+    with pytest.raises(ValueError, match="at most 7 active slaves"):
+        piconet.add_slave()
+    assert piconet.slaves() == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_sco_link_parameters():
     link = ScoLink(slave=1, packet_type=get_packet_type("HV3"), t_sco=6)
-    assert link.rate_bps == pytest.approx(64_000)
-    assert link.slots_per_second == pytest.approx(533.33, rel=1e-3)
+    # one 30-byte HV3 payload per direction every 6 slots: 64 kbit/s
+    assert link.packet_type.max_payload * 8 * 1600 / link.t_sco \
+        == pytest.approx(64_000)
     assert link.reserves(0) and link.reserves(6) and not link.reserves(2)
 
 
@@ -65,7 +54,6 @@ def test_sco_table_assigns_non_conflicting_offsets():
     second = table.add_link(2, "HV3")
     assert first.offset != second.offset
     assert len(table) == 2
-    assert table.slots_reserved_per_second() == pytest.approx(1066.7, rel=1e-3)
 
 
 def test_sco_table_rejects_overfull_reservations():

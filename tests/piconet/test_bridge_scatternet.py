@@ -8,7 +8,6 @@ from repro.piconet import (
     DOWNLINK,
     FlowSpec,
     Piconet,
-    PiconetConfig,
     Scatternet,
     UPLINK,
 )
@@ -133,7 +132,7 @@ def test_absent_bridge_polls_are_guaranteed_failures():
         source.start()
     piconet.run(0.5)
     assert piconet.bridge_absent_polls > 0
-    assert piconet.total_throughput_bps() == 0.0
+    assert piconet.slave_throughput_bps(1) == 0.0
     states = piconet.flow_states()
     assert all(state.delivered_bytes == 0 for state in states)
     assert sum(state.segments_not_received for state in states) > 0
@@ -187,7 +186,7 @@ def test_negotiated_bridge_serves_while_present_skips_while_away():
         source.start()
     piconet.run(1.0)
     assert piconet.bridge_skipped_polls > 0
-    assert piconet.total_throughput_bps() > 0
+    assert piconet.slave_throughput_bps(1) > 0
     assert piconet.bridge_absent_polls == 0
 
 
@@ -202,7 +201,7 @@ def test_present_bridge_behaves_like_a_plain_slave():
         for source in sources:
             source.start()
         piconet.run(0.5)
-        return piconet.total_throughput_bps()
+        return piconet.slave_throughput_bps(1)
 
     assert throughput(lambda slot: True) == throughput(None)
 
@@ -226,8 +225,8 @@ def build_bridged_pair(share_a=0.5):
                               switch_slots=2)
     piconets = {}
     for name in ("A", "B"):
-        piconet = scatternet.adopt_piconet(name, Piconet(
-            env=scatternet.env, config=PiconetConfig(name=name)))
+        piconet = scatternet.adopt_piconet(name,
+                                           Piconet(env=scatternet.env))
         piconet.add_slave()
         piconet.add_flow(be_flow(1, 1, DOWNLINK))
         piconet.add_flow(be_flow(2, 1, UPLINK))
@@ -248,7 +247,7 @@ def test_scatternet_split_shares_throughput_between_masters():
     assert a.env is b.env is scatternet.env
     # offered load (281.6 kbit/s) exceeds neither residency alone, but the
     # 25% residency in B cannot carry what the 75% one can
-    assert a.total_throughput_bps() > b.total_throughput_bps() > 0
+    assert a.slave_throughput_bps(1) > b.slave_throughput_bps(1) > 0
     assert a.bridge_absent_polls > 0
     assert b.bridge_absent_polls > 0
     assert scatternet.bridges[0].residences["A"] == ("A", 1)
@@ -284,7 +283,7 @@ def test_set_bridge_presence_roam_resets_the_slaves_accounting():
     assert piconet.topology_changes == 1  # a roam is a topology change
     piconet.run(0.3)
     assert piconet.bridge_absent_polls == 0
-    assert piconet.total_throughput_bps() > 0  # present bridge serves again
+    assert piconet.slave_throughput_bps(1) > 0  # present bridge serves again
 
 
 def test_scatternet_roam_bridge_reregisters_both_masters():
@@ -299,7 +298,7 @@ def test_scatternet_roam_bridge_reregisters_both_masters():
         assert piconet.topology_changes == 1
     scatternet.run(0.4)
     # the bridge now spends most of the cycle in A: A outdelivers B
-    assert piconets["A"].total_throughput_bps() \
-        > piconets["B"].total_throughput_bps()
+    assert piconets["A"].slave_throughput_bps(1) \
+        > piconets["B"].slave_throughput_bps(1)
     with pytest.raises(KeyError, match="unknown bridge"):
         scatternet.roam_bridge("ghost", 0.5)

@@ -29,15 +29,6 @@ def test_flow_spec_default_name_and_predicates():
     assert not spec.is_gs
 
 
-def test_opposite_of_requires_same_slave_and_opposite_direction():
-    a = make_spec(flow_id=1, slave=2, direction=UPLINK)
-    b = make_spec(flow_id=2, slave=2, direction=DOWNLINK)
-    c = make_spec(flow_id=3, slave=3, direction=DOWNLINK)
-    assert a.opposite_of(b) and b.opposite_of(a)
-    assert not a.opposite_of(c)
-    assert not a.opposite_of(a)
-
-
 def test_hl_packet_requires_positive_size():
     with pytest.raises(ValueError):
         HLPacket(flow_id=1, size=0, created=0.0)

@@ -158,6 +158,21 @@ def test_sco_link_carries_voice_and_reserves_slots():
     assert piconet.slots_sco == pytest.approx(533, abs=10)
 
 
+def test_rejected_sco_link_reserves_nothing():
+    piconet = build_piconet(2)
+    with pytest.raises(ValueError, match="slave 3 is not part of the"):
+        piconet.add_sco_link(3)
+    with pytest.raises(ValueError, match="unknown flow id 42"):
+        piconet.add_sco_link(2, ul_flow_id=42)
+    assert len(piconet.sco_table) == 0
+    # no SCO reservation was left behind for slave 2 either
+    assert piconet.park_slave(2) == []
+    # HV3 has three offsets: leaked reservations would leave too few
+    for slave in (1, 2):
+        piconet.add_sco_link(slave)
+    assert len(piconet.sco_table) == 2
+
+
 def test_round_robin_poller_serves_multiple_slaves():
     piconet = build_piconet(2)
     piconet.add_flow(FlowSpec(1, slave=1, direction=UPLINK, traffic_class=BE))
@@ -177,8 +192,7 @@ def test_throughput_helpers():
     CBRSource(piconet, 1, 0.020, 176).start()
     piconet.run(1.0)
     per_slave = piconet.slave_throughput_bps(1)
-    total = piconet.total_throughput_bps()
-    assert per_slave == pytest.approx(total)
+    assert per_slave == pytest.approx(piconet.flow_stats(1)["throughput_bps"])
     assert per_slave == pytest.approx(176 * 8 / 0.020, rel=0.1)
 
 
@@ -285,7 +299,7 @@ def test_explicit_zero_duration_raises():
     with pytest.raises(ValueError):
         piconet.slave_throughput_bps(1, duration_seconds=0.0)
     with pytest.raises(ValueError):
-        piconet.total_throughput_bps(duration_seconds=-1.0)
+        piconet.slave_throughput_bps(1, duration_seconds=-1.0)
     # None still means "use elapsed time"
     assert piconet.flow_stats(1)["delivered_bytes"] == 0
 

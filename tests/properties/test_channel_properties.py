@@ -125,7 +125,7 @@ def test_occupancy_index_equals_pairwise_scan(seed, duties, horizon, data):
     for slot in probes:
         expected = min(0.5, pairwise[slot] * per_collision) \
             if pairwise[slot] else 0.0
-        assert field.collision_ber("victim", slot) == expected
+        assert field.mean_collision_ber("victim", slot, 1) == expected
 
     start = data.draw(st.integers(min_value=0, max_value=horizon - 1))
     slots = data.draw(st.integers(min_value=1, max_value=5))

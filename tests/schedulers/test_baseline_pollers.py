@@ -170,11 +170,11 @@ def test_fep_demotes_idle_slaves_and_promotes_on_data():
     poller = FairExhaustivePoller()
     piconet.attach_poller(poller)
     piconet.run(0.5)   # nothing to send: both slaves end up inactive
-    assert poller.active_slaves == set()
-    assert poller.inactive_slaves == {1, 2}
+    assert poller._active == []
+    assert sorted(poller._inactive) == [1, 2]
     # downlink data for slave 2 re-activates it
     piconet.offer_packet(3, 176)
-    assert 2 in poller.active_slaves
+    assert poller._active == [2]
 
 
 def test_hol_priority_prefers_flagged_downlink_flow():

@@ -57,6 +57,16 @@ def test_default_root_is_the_repository():
     assert "kept on purpose" in result.stdout
 
 
+def test_repository_defines_no_test_only_names():
+    """Every name under ``src/`` is reached by the program or allowlisted
+    with a reason, and every allowlist entry is still needed."""
+    result = run_tool()
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["unreferenced"] == [], result.stdout
+    assert summary["stale"] == [], result.stdout
+
+
 def test_missing_src_is_a_usage_error(tmp_path):
     result = run_tool("--root", str(tmp_path))
     assert result.returncode == 2

@@ -17,8 +17,9 @@ shares its name with a live one is not found::
     python tools/src_census.py              # the repository
     python tools/src_census.py --root DIR   # a tree with DIR/src, ...
 
-The census reports and never fails: exit status 0 whatever it finds.
-The table goes first; the last stdout line is the JSON summary
+The census reports and never fails: exit status 0 whatever it finds
+(``tests/tools/test_src_census.py`` is the tier-1 gate that requires
+an empty report of the repository).  The table goes first; the last stdout line is the JSON summary
 ``{"unreferenced": [...], "allowlisted": [...], "stale": [...]}``,
 where ``stale`` lists allowlist entries that are referenced after all
 or no longer defined.
@@ -49,6 +50,13 @@ ALLOWLIST: Dict[str, str] = {
         "test support: removes a toy experiment a test registered",
     "clear_caches":
         "test support: empties the FEC memo tables between cache tests",
+    "GuaranteedServiceManager.next_planned_poll":
+        "reads the cached earliest planned poll that first_due gates on: "
+        "the incremental-PFP property checks it against every planner",
+    "GuaranteedServiceManager.planner_for":
+        "test access to one stream's planner: the incremental-PFP "
+        "property recomputes the due streams and the earliest poll from "
+        "the planners",
 }
 
 
