@@ -3,8 +3,8 @@
 The package provides:
 
 * ``repro.sim`` — the small discrete-event kernel the model runs on (the
-  ns-2 replacement): generator wake-ups on one heap, per-flow monitors
-  and seeded random streams;
+  ns-2 replacement): generator wake-ups and traffic sources on one heap,
+  per-flow monitors and seeded random streams;
 * ``repro.baseband`` / ``repro.piconet`` — a slot-accurate Bluetooth
   piconet model (packet types, segmentation, channels, master TDD loop,
   SCO reservations);

@@ -103,21 +103,12 @@ MAX_COLLISION_BER = 0.5
 OCCUPANCY_BLOCK_SLOTS = 256
 MAX_GROWTH_SLOTS = 4096
 
-#: Most hop channels the byte-wide draws and occupancy cells can carry.
-MAX_CHANNELS = 255
-
 #: Marks the zero bytes (same channel) of two XORed hop blocks with 1.
 _SAME_CHANNEL = bytes((1,)) + bytes(255)
 
 #: The occupancy row of a field without coupled members: read with a row
 #: width of 0, every slot's hop channel lands on a silent cell.
-_NO_AIR = bytes(MAX_CHANNELS)
-
-
-def _check_channels(channels: int) -> None:
-    if not 1 <= channels <= MAX_CHANNELS:
-        raise ValueError(
-            f"channels must be within [1, {MAX_CHANNELS}], got {channels}")
+_NO_AIR = bytes(HOP_CHANNELS)
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +180,8 @@ class HopSequence:
     of the historical one-at-a-time path.
     """
 
-    def __init__(self, rng: random.Random, channels: int = HOP_CHANNELS):
-        _check_channels(channels)
+    def __init__(self, rng: random.Random):
         self._rng = rng
-        self.channels = channels
         self._sequence = bytearray()
 
     def extend_to(self, length: int) -> None:
@@ -202,7 +191,7 @@ class HopSequence:
         """
         sequence = self._sequence
         if len(sequence) < length:
-            sequence += bulk_randrange(self._rng, self.channels,
+            sequence += bulk_randrange(self._rng, HOP_CHANNELS,
                                        length - len(sequence))
 
     def channels_until(self, length: int) -> bytearray:
@@ -221,8 +210,7 @@ class HopSequence:
         return sequence[slot_index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"HopSequence(channels={self.channels}, "
-                f"drawn={len(self._sequence)})")
+        return f"HopSequence(drawn={len(self._sequence)})"
 
 
 class InterfererProcess:
@@ -408,26 +396,19 @@ class InterferenceField:
     into a BER boost (:meth:`mean_collision_ber`, ``ber_per_collision`` per
     collider, capped at ``0.5``).
 
-    Passing an ``int`` for ``streams`` seeds a fresh
-    :class:`~repro.sim.rng.RandomStreams`; sweep drivers hand in
-    ``RandomStreams(seed).child("interference")`` so the field's draws stay
-    independent of the victim piconet's own channel and traffic streams.
+    Every member hops over the :data:`HOP_CHANNELS` channels.  The
+    compiler hands in ``RandomStreams(seed).child(stream)`` so the field's
+    draws stay independent of the victim piconet's own channel and
+    traffic streams.
     """
 
-    def __init__(self, streams: Union[RandomStreams, int, None] = None,
-                 channels: int = HOP_CHANNELS,
+    def __init__(self, streams: RandomStreams,
                  ber_per_collision: float = DEFAULT_COLLISION_BER):
-        if streams is None:
-            streams = RandomStreams(0)
-        elif isinstance(streams, int):
-            streams = RandomStreams(streams)
-        _check_channels(channels)
         if not 0.0 <= ber_per_collision <= MAX_COLLISION_BER:
             raise ValueError(
                 f"ber_per_collision must be within [0, {MAX_COLLISION_BER}],"
                 f" got {ber_per_collision}")
         self.streams = streams
-        self.channels = channels
         self.ber_per_collision = ber_per_collision
         self._members: Dict[str, object] = {}
         # -- the collision counts (built up to _slots_built) -----------------
@@ -443,7 +424,7 @@ class InterferenceField:
     # -- membership ----------------------------------------------------------
     def _hops_for(self, name: str) -> HopSequence:
         family = self.streams.child(f"piconet:{name}")
-        return HopSequence(family.stream("hops"), channels=self.channels)
+        return HopSequence(family.stream("hops"))
 
     def register(self, name: str,
                  duty_cycle: float = 1.0) -> InterfererProcess:
@@ -456,7 +437,7 @@ class InterferenceField:
         family = self.streams.child(f"piconet:{name}")
         member = InterfererProcess(
             name=name,
-            hops=HopSequence(family.stream("hops"), channels=self.channels),
+            hops=HopSequence(family.stream("hops")),
             activity_rng=family.stream("activity"),
             duty_cycle=duty_cycle)
         self._members[name] = member
@@ -510,7 +491,7 @@ class InterferenceField:
         # zeros up to the built slots: the absent terms of the count rule
         self._silence = bytearray()
         self._slots_built = 0
-        air, width = (self._occ, self.channels) if self._coupled \
+        air, width = (self._occ, HOP_CHANNELS) if self._coupled \
             else (_NO_AIR, 0)
         self._terms = {
             name: (air, width, member.hops._sequence,
@@ -538,7 +519,7 @@ class InterferenceField:
         upto = max(upto, built + min(built, MAX_GROWTH_SLOTS))
         target = -(-upto // OCCUPANCY_BLOCK_SLOTS) * OCCUPANCY_BLOCK_SLOTS
         size = target - built
-        channels = self.channels
+        channels = HOP_CHANNELS
         occ = self._occ
         silence = self._silence
         if len(silence) < target:  # a switch may have cut the counts back
@@ -627,7 +608,7 @@ class InterferenceField:
             activity += bytes(end - len(activity))
         built = self._slots_built
         occ = self._occ
-        channels = self.channels
+        channels = HOP_CHANNELS
         hops = member.hops._sequence  # covers the built slots
         for slot in range(start_slot, end):
             if activity[slot]:
@@ -656,7 +637,7 @@ class InterferenceField:
                 f"reported (report_transmission), not switched")
         member.set_enabled(slot, enabled)
         if self._slots_built > slot:
-            del self._occ[slot * self.channels:]
+            del self._occ[slot * HOP_CHANNELS:]
             for counts in self._duty_counts.values():
                 del counts[slot:]
             self._slots_built = slot
@@ -745,19 +726,18 @@ class InterferenceField:
         """Analytic per-slot collision probability against ``victim``.
 
         Each other member independently collides with probability
-        ``duty_cycle / channels``; the victim is hit when at least one
+        ``duty_cycle / HOP_CHANNELS``; the victim is hit when at least one
         does.
         """
         self.member(victim)
         miss = 1.0
         for name, member in self._members.items():
             if name != victim:
-                miss *= 1.0 - member.duty_cycle / self.channels
+                miss *= 1.0 - member.duty_cycle / HOP_CHANNELS
         return 1.0 - miss
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"InterferenceField({len(self._members)} piconets, "
-                f"{self.channels} channels)")
+        return f"InterferenceField({len(self._members)} piconets)"
 
 
 class InterferenceAwareChannel(_StochasticChannel):

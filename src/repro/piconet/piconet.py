@@ -148,6 +148,10 @@ class Piconet:
         #: that keep the base no-op never look at outcomes, so the hot
         #: path skips building PollOutcome and its deliveries entirely)
         self._poller_wants_outcome = False
+        #: the attached poller, if it overrides Poller.on_arrival (only
+        #: FEP does): every other poller ignores arrivals, so offering a
+        #: packet skips the call
+        self._arrival_listener = None
         #: link observers: ``fn(slave, direction, error)`` called for every
         #: observed data transmission; empty for every scenario that does
         #: not ask for budget-aware admission
@@ -367,6 +371,8 @@ class Piconet:
         """Attach the intra-piconet scheduler."""
         self.poller = poller
         self._poller_wants_outcome = type(poller).notify is not Poller.notify
+        self._arrival_listener = poller \
+            if type(poller).on_arrival is not Poller.on_arrival else None
         poller.attach(self)
 
     def add_link_observer(self,
@@ -454,8 +460,9 @@ class Piconet:
         state.queue.push(packet)
         # Only master-side (downlink) arrivals are visible to the poller: the
         # master has no knowledge of data availability at the slaves.
-        if self.poller is not None and state.spec.direction == DOWNLINK:
-            self.poller.on_arrival(flow_id, packet)
+        listener = self._arrival_listener
+        if listener is not None and state.spec.direction == DOWNLINK:
+            listener.on_arrival(flow_id, packet)
         return packet
 
     # ------------------------------------------------------------------ running

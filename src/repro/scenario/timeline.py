@@ -11,10 +11,10 @@ row-visible trace the ``churn_recovery`` experiment (and any driver)
 reads back.
 
 A runner is a generator of integer microsecond delays driven by a
-:class:`~repro.sim.events.LoopWakeup`, not a traffic source's plain
-wake-up, so a master's loop never fires it inline: whenever one is due
-before the master's next step, the master goes back on the heap and the
-runner fires from :meth:`~repro.sim.engine.Environment.step`.
+:class:`~repro.sim.events.LoopWakeup`, like the master's loop, so a
+master never fires it inline: whenever one is due before the master's
+next step, the master goes back on the heap and the runner fires from
+:meth:`~repro.sim.engine.Environment.step`.
 
 Kinds of event
 --------------

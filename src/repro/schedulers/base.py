@@ -130,10 +130,9 @@ class Poller:
 
     Life cycle: the piconet calls :meth:`attach` once, then alternates
     :meth:`select` / :meth:`notify` for every transaction.  Traffic arrivals
-    at the master (and, for simulation convenience, at the slaves) are
-    reported through :meth:`on_arrival`; a real master would only see its
-    own downlink arrivals, and pollers that must not cheat (everything in
-    this package and in :mod:`repro.core`) only ever use the downlink
+    at the master are reported through :meth:`on_arrival`: a real master
+    only sees its own downlink arrivals, and pollers (everything in this
+    package and in :mod:`repro.core`) only ever use the downlink
     information plus what :class:`PollOutcome` reveals.
     """
 
@@ -159,7 +158,9 @@ class Poller:
         """Digest the outcome of the transaction returned by :meth:`select`."""
 
     def on_arrival(self, flow_id: int, packet) -> None:
-        """A higher-layer packet arrived at the queue of ``flow_id``."""
+        """A higher-layer packet arrived at the queue of downlink flow
+        ``flow_id`` (the piconet calls only a poller that overrides
+        this)."""
 
     # -- topology lifecycle -----------------------------------------------------
     def on_flows_attached(self, states) -> None:

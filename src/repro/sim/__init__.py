@@ -6,29 +6,31 @@ small, dependency-free discrete-event engine plays that role.
 
 The design follows the familiar process-interaction style (generator
 coroutines), so simulation code reads like the pseudo-code in the paper.
-Every simulation generator only waits for time: it yields plain delays
-and runs as a :class:`Wakeup`, one heap entry per wake-up (a traffic
-source, for instance):
+A simulation generator only waits for time: it yields plain delays and
+runs as a :class:`LoopWakeup` (a piconet master's TDD loop, a timeline
+runner):
 
-    def source(queue):
+    def master(piconet):
         while True:
-            yield 20_000                       # 20 ms in microseconds
-            queue.put(Packet(...))
+            ...                                # one transaction
+            yield 2 * 625                      # its slots, in microseconds
 
-    Wakeup(env, source(queue))
+    LoopWakeup(env, master(piconet))
 
-A master's TDD loop and every timeline runner run as a
-:class:`~repro.sim.events.LoopWakeup`: when nothing else is due before
-its next step it resumes at once, without the heap round trip, and a
-traffic source due first fires inline.  Heap order, event ids and
-results are those of the plain wake-up.  Wake-ups are the only entries
-of the heap, apart from the stop entry of ``Environment.run(until)``.
+When nothing else is due before its next step the wake-up resumes at
+once, without the heap round trip, and an entry due first that is not
+another loop (a traffic source, the stop entry) fires inline.  Heap
+order, event ids and results are those of a wake-up that re-arms
+through the heap each time.  A traffic source needs no generator: a
+:class:`~repro.traffic.CBRSource` is its own heap entry.  Loop
+wake-ups, sources and the stop entry of ``Environment.run(until)`` are
+the only entries of the heap.
 
 Public API
 ----------
 Environment
     The event loop and simulation clock.
-Wakeup
+LoopWakeup
     The heap entry that drives a generator of plain delays.
 Monitor
     Per-flow sample collection and summary statistics.
@@ -37,14 +39,14 @@ RandomStreams, derive_seed
 """
 
 from repro.sim.engine import Environment
-from repro.sim.events import Wakeup
+from repro.sim.events import LoopWakeup
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams, derive_seed
 
 __all__ = [
     "Environment",
+    "LoopWakeup",
     "Monitor",
     "RandomStreams",
     "derive_seed",
-    "Wakeup",
 ]

@@ -1,8 +1,10 @@
 """The discrete-event loop.
 
 The environment keeps a priority queue of ``(time, id, entry)`` tuples
-(the entries are defined in :mod:`repro.sim.events`).  Ties on time are
-broken by insertion order, which makes runs fully deterministic.
+(the loop wake-ups and the stop entry are defined in
+:mod:`repro.sim.events`; a traffic source is an entry of its own).  Ties
+on time are broken by insertion order, which makes runs fully
+deterministic.
 
 Time is a plain number.  The Bluetooth layers of this project use integer
 microseconds so that the 625 us slot grid is exact, but the kernel itself is

@@ -74,7 +74,7 @@ def test_interferer_duty_cycle_bounds_and_activity():
 # ------------------------------------------------------------------ field
 
 def test_field_collision_rate_matches_one_in_79():
-    field = InterferenceField(streams=7)
+    field = InterferenceField(streams=RandomStreams(7))
     field.register("victim")
     field.register("other", duty_cycle=1.0)
     horizon = 40_000
@@ -86,7 +86,7 @@ def test_field_collision_rate_matches_one_in_79():
 
 
 def test_field_membership_errors():
-    field = InterferenceField()
+    field = InterferenceField(streams=RandomStreams(0))
     field.register("a")
     with pytest.raises(ValueError, match="already registered"):
         field.register("a")
@@ -95,7 +95,8 @@ def test_field_membership_errors():
 
 
 def test_field_collision_ber_scales_with_colliders_and_caps():
-    field = InterferenceField(streams=1, ber_per_collision=0.2)
+    field = InterferenceField(streams=RandomStreams(1),
+                              ber_per_collision=0.2)
     field.register("victim")
     for index in range(9):
         field.register(f"i{index}", duty_cycle=1.0)
@@ -117,7 +118,8 @@ def test_field_reproducible_for_a_given_stream_seed():
 # ---------------------------------------------------- interference channel
 
 def test_interference_channel_ideal_base_loses_only_on_collisions():
-    field = InterferenceField(streams=11, ber_per_collision=0.5)
+    field = InterferenceField(streams=RandomStreams(11),
+                              ber_per_collision=0.5)
     field.register("victim")
     field.register("other", duty_cycle=1.0)
     channel = InterferenceAwareChannel(IdealChannel(), field, "victim",
@@ -134,7 +136,7 @@ def test_interference_channel_ideal_base_loses_only_on_collisions():
 
 def test_interference_channel_composes_with_base_losses():
     def build(base):
-        field = InterferenceField(streams=13)
+        field = InterferenceField(streams=RandomStreams(13))
         field.register("victim")
         field.register("other", duty_cycle=1.0)
         return InterferenceAwareChannel(base, field, "victim",
@@ -159,7 +161,8 @@ def test_interference_sampling_independent_of_base_model():
     """Swapping the base model must not perturb the interference draws."""
 
     def interference_losses(base):
-        field = InterferenceField(streams=21, ber_per_collision=0.5)
+        field = InterferenceField(streams=RandomStreams(21),
+                                  ber_per_collision=0.5)
         field.register("victim")
         field.register("other", duty_cycle=1.0)
         channel = InterferenceAwareChannel(base, field, "victim",
@@ -185,13 +188,13 @@ def test_interference_sampling_independent_of_base_model():
 
 
 def test_interference_channel_requires_registered_victim():
-    field = InterferenceField()
+    field = InterferenceField(streams=RandomStreams(0))
     with pytest.raises(KeyError, match="unknown piconet"):
         InterferenceAwareChannel(IdealChannel(), field, "ghost")
 
 
 def test_interference_channel_map_wraps_every_link():
-    field = InterferenceField(streams=3)
+    field = InterferenceField(streams=RandomStreams(3))
     field.register("victim")
     field.register("other")
     cmap = interference_channel_map(field, "victim", None,
@@ -226,7 +229,7 @@ def test_hop_sequence_block_extension_matches_per_slot_draws():
 
 def test_occupancy_index_survives_late_registration():
     def build(probe_early):
-        field = InterferenceField(streams=21)
+        field = InterferenceField(streams=RandomStreams(21))
         field.register("victim")
         field.register("a", duty_cycle=0.8)
         if probe_early:  # force index + cache builds before "b" exists
@@ -238,14 +241,14 @@ def test_occupancy_index_survives_late_registration():
 
 
 def test_count_collisions_zero_horizon_skips_membership_check():
-    field = InterferenceField()
+    field = InterferenceField(streams=RandomStreams(0))
     assert field.count_collisions("nobody", 0) == 0
     with pytest.raises(KeyError, match="unknown piconet"):
         field.count_collisions("nobody", 1)
 
 
 def test_coupled_member_is_silent_until_reported():
-    field = InterferenceField(streams=11)
+    field = InterferenceField(streams=RandomStreams(11))
     field.register_coupled("p1")
     field.register_coupled("p2")
     assert field.count_collisions("p1", 1000) == 0
@@ -258,7 +261,7 @@ def test_coupled_member_is_silent_until_reported():
 
 
 def test_mean_collision_ber_validation_names_its_arguments():
-    field = InterferenceField(streams=11)
+    field = InterferenceField(streams=RandomStreams(11))
     field.register("victim")
     with pytest.raises(ValueError, match="start_slot must be >= 0"):
         field.mean_collision_ber("victim", -1, 1)
@@ -266,28 +269,8 @@ def test_mean_collision_ber_validation_names_its_arguments():
         field.mean_collision_ber("victim", 0, 0)
 
 
-@pytest.mark.parametrize("channels", [0, 256, 1000])
-def test_channel_counts_outside_one_byte_are_rejected(channels):
-    message = r"channels must be within \[1, 255\], got "
-    with pytest.raises(ValueError, match=message):
-        HopSequence(random.Random(0), channels=channels)
-    with pytest.raises(ValueError, match=message):
-        InterferenceField(streams=1, channels=channels)
-
-
-def test_widest_byte_channel_count_is_accepted():
-    field = InterferenceField(streams=1, channels=255)
-    field.register("victim")
-    field.register("other")
-    hops = field.member("victim").hops
-    assert all(0 <= hops.channel_at(slot) < 255 for slot in range(2000))
-    assert field.count_collisions("victim", 2000) \
-        == sum(field.collisions_pairwise("victim", slot)
-               for slot in range(2000))
-
-
 def test_coupled_report_validation():
-    field = InterferenceField(streams=11)
+    field = InterferenceField(streams=RandomStreams(11))
     field.register("duty", duty_cycle=1.0)
     field.register_coupled("coupled")
     with pytest.raises(TypeError, match="duty-cycle interferer"):
@@ -301,14 +284,14 @@ def test_coupled_report_validation():
 
 
 def _duty_only_field():
-    field = InterferenceField(streams=11)
+    field = InterferenceField(streams=RandomStreams(11))
     field.register("p1", duty_cycle=0.7)
     field.register("p2", duty_cycle=0.4)
     return field
 
 
 def _coupled_field():
-    field = InterferenceField(streams=11)
+    field = InterferenceField(streams=RandomStreams(11))
     field.register_coupled("p1")
     field.register_coupled("p2")
     field.report_transmission("p2", 0, 10)
@@ -358,7 +341,7 @@ def test_field_entry_points_raise_one_line_errors(kind, method, args, error,
 
 
 def test_recorder_reports_on_the_slot_grid():
-    field = InterferenceField(streams=15)
+    field = InterferenceField(streams=RandomStreams(15))
     field.register_coupled("p1")
     field.register_coupled("p2")
     record = field.recorder("p2")
@@ -371,7 +354,7 @@ def test_recorder_reports_on_the_slot_grid():
 
 
 def test_activity_and_observed_collision_fractions():
-    field = InterferenceField(streams=17)
+    field = InterferenceField(streams=RandomStreams(17))
     field.register_coupled("p1")
     field.register_coupled("p2")
     field.report_transmission("p2", 0, 500)
@@ -388,7 +371,7 @@ def _switched_pair(seed=21):
     """Two identically seeded fields: one always-on, one to be switched."""
     fields = []
     for _ in range(2):
-        field = InterferenceField(streams=seed)
+        field = InterferenceField(streams=RandomStreams(seed))
         field.register("victim")
         field.register("other", duty_cycle=1.0)
         fields.append(field)
@@ -431,7 +414,7 @@ def test_interferer_switches_must_not_move_backwards():
 
 
 def test_interferer_switch_rejects_coupled_members():
-    field = InterferenceField(streams=23)
+    field = InterferenceField(streams=RandomStreams(23))
     field.register_coupled("p1")
     with pytest.raises(TypeError, match="coupled"):
         field.set_interferer_enabled("p1", 0, False)
@@ -457,7 +440,7 @@ def test_masked_activity_slices_match_the_per_slot_switch_reference():
 
 def test_only_reported_air_allocates_occupancy_cells():
     def duty_field():
-        field = InterferenceField(streams=5)
+        field = InterferenceField(streams=RandomStreams(5))
         for name, duty in (("victim", 1.0), ("a", 0.6), ("b", 0.5),
                            ("c", 0.4)):
             field.register(name, duty_cycle=duty)
@@ -471,10 +454,10 @@ def test_only_reported_air_allocates_occupancy_cells():
     mixed = duty_field()
     mixed.register_coupled("peer")
     mixed.count_collisions("victim", 1000)
-    assert len(mixed._occ) >= 1000 * mixed.channels
+    assert len(mixed._occ) >= 1000 * HOP_CHANNELS
 
     # a field without duty-cycle members keeps no bulk counts at all
-    coupled_only = InterferenceField(streams=5)
+    coupled_only = InterferenceField(streams=RandomStreams(5))
     coupled_only.register_coupled("p1")
     coupled_only.register_coupled("p2")
     coupled_only.report_transmission("p2", 0, 500)
@@ -483,7 +466,8 @@ def test_only_reported_air_allocates_occupancy_cells():
 
 
 def _interference_aware(base):
-    field = InterferenceField(streams=8, ber_per_collision=0.002)
+    field = InterferenceField(streams=RandomStreams(8),
+                              ber_per_collision=0.002)
     field.register("victim")
     for index in range(6):
         field.register(f"i{index}", duty_cycle=1.0)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from heap_path import heap_path_fire
 from repro.experiments.golden import (
     GOLDEN_OVERRIDES,
     compare,
@@ -25,7 +26,7 @@ from repro.experiments.golden import (
 )
 from repro.experiments.orchestrator import SweepResult, format_sweep
 from repro.experiments.registry import experiment_names
-from repro.sim.events import LoopWakeup, Wakeup
+from repro.sim.events import LoopWakeup
 
 
 def test_every_registered_experiment_has_a_fixture():
@@ -64,8 +65,8 @@ def test_golden_rows_are_byte_identical_without_fast_path(experiment,
                                                           monkeypatch):
     # the master's heap bypass must be invisible in the results: the same
     # fixtures hold byte-for-byte when every master re-arms through the
-    # heap like a plain wake-up
-    monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+    # heap after every step
+    monkeypatch.setattr(LoopWakeup, "_fire", heap_path_fire)
     diff = compare(experiment)
     assert diff["actual"] == diff["expected"], (
         f"{experiment}: the heap path diverged from the golden fixture — "

@@ -12,7 +12,7 @@ from repro.piconet import (
     UPLINK,
 )
 from repro.schedulers.round_robin import PureRoundRobinPoller
-from repro.sim import Environment, Wakeup
+from repro.sim import Environment, LoopWakeup
 from repro.traffic.sources import CBRSource
 
 TYPES = ("DH1", "DH3")
@@ -102,8 +102,8 @@ def test_shared_clock_advances_all_members_together():
             yield interval_us
             ticks[key] += 1
 
-    Wakeup(scatternet.env, ticker("a", 1000))
-    Wakeup(scatternet.env, ticker("b", 2500))
+    LoopWakeup(scatternet.env, ticker("a", 1000))
+    LoopWakeup(scatternet.env, ticker("b", 2500))
     scatternet.run(0.01)
     # ticks scheduled for exactly the horizon run after the stop event
     assert ticks == {"a": 9, "b": 3}

@@ -2,9 +2,10 @@
 
 A master's :class:`~repro.sim.events.LoopWakeup` resumes its TDD loop
 without the heap round trip whenever nothing is due before its next
-step, and fires traffic-source wake-ups that are due first inline.  The
+step, and fires traffic sources that are due first inline.  The
 byte-identity of the bypass against the plain heap path (``LoopWakeup._fire``
-patched to ``Wakeup._fire``) is covered property-based in
+patched to ``heap_path_fire`` of ``tests/heap_path.py``) is covered
+property-based in
 ``tests/properties/test_fast_path_equivalence`` and fixture-based in
 ``tests/experiments/test_golden``; here its mechanics are pinned
 directly: steady stretches that never touch the heap, and every event
@@ -16,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from heap_path import heap_path_fire
 from repro.piconet.flows import BE, DOWNLINK
 from repro.scenario import compile_scenario
 from repro.scenario.factories import figure4_piconet_spec
@@ -27,7 +29,7 @@ from repro.scenario.specs import (
     ScenarioSpec,
     TimelineSpec,
 )
-from repro.sim.events import LoopWakeup, Wakeup
+from repro.sim.events import LoopWakeup
 from repro.traffic.sources import CBRSource
 
 STEADY_TYPES = ("DH1", "DH3", "DH5")
@@ -62,10 +64,10 @@ def _steady_spec():
 @contextmanager
 def _master_path(bypass):
     """Without ``bypass`` a master started in the block re-arms through
-    the heap like a plain wake-up."""
+    the heap after every step."""
     with pytest.MonkeyPatch.context() as patch:
         if not bypass:
-            patch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+            patch.setattr(LoopWakeup, "_fire", heap_path_fire)
         yield
 
 
@@ -92,7 +94,7 @@ def test_idle_kernel_window_on_pollerless_piconet(heap_fires):
 
 def test_figure4_runs_as_one_window_with_all_but_the_last_transaction_inline(
         heap_fires):
-    # every event of figure 4 but the stop event is a source wake-up,
+    # every event of figure 4 but the stop event is a source arrival,
     # which the bypass fires inline
     spec = ScenarioSpec(piconets=(figure4_piconet_spec(
         delay_requirement=0.040),))
@@ -234,6 +236,7 @@ def test_bypass_leaves_master_and_timeline_wakeups_on_the_heap():
             (when, eid, type(event).__name__)
             for when, eid, event in compiled.env._queue)
     assert heaps[True] == heaps[False]
-    # the master, the timeline runner and the source
+    # the master, the timeline runner and the source, which is its own
+    # entry: one per arrival, and none left for the arrivals it fired
     assert sorted(kind for _when, _eid, kind in heaps[True]) == [
-        "LoopWakeup", "LoopWakeup", "Wakeup"]
+        "CBRSource", "LoopWakeup", "LoopWakeup"]

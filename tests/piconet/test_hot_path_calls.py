@@ -51,13 +51,13 @@ def _figure4():
 
 #: scenario -> (spec builder, simulated seconds, ceiling of calls into
 #: ``repro`` per transaction, counted on a second run so process-wide
-#: memo tables are warm).  Since PFP's poll path became incremental and
-#: the delivered segment became the poller's receipt the counts read
-#: 56.10 on figure 4 (63.22 before) and 28.71 on the room (30.18
-#: before); the slack is far below one call per transaction.
+#: memo tables are warm).  Since a traffic source became its own heap
+#: entry, fired inline by the master, the counts read 50.87 on figure 4
+#: (56.10 before) and 26.07 on the room (28.71 before); the slack is
+#: far below one call per transaction.
 SCENARIOS = {
-    "figure4": (_figure4, 2.0, 56.2),
-    "coupled_room": (lambda: coupled_room_spec(piconets=8), 0.5, 28.8),
+    "figure4": (_figure4, 2.0, 50.9),
+    "coupled_room": (lambda: coupled_room_spec(piconets=8), 0.5, 26.1),
 }
 
 

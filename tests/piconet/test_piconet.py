@@ -7,7 +7,7 @@ from repro.piconet import FlowSpec, Piconet
 from repro.piconet.flows import BE, DOWNLINK, GS, UPLINK
 from repro.schedulers import PureRoundRobinPoller
 from repro.schedulers.base import KIND_BE, Poller, TransactionPlan
-from repro.sim import RandomStreams, Wakeup
+from repro.sim import LoopWakeup, RandomStreams
 from repro.traffic.sources import CBRSource
 
 
@@ -107,7 +107,7 @@ def test_uplink_data_arriving_after_master_tx_start_waits():
         yield 1
         piconet.offer_packet(1, 27)
 
-    Wakeup(piconet.env, late_offer())
+    LoopWakeup(piconet.env, late_offer())
     piconet.run(0.05)
     state = piconet.flow_state(1)
     assert state.delivered_packets == 1

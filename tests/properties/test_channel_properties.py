@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.baseband.channel import GilbertElliottChannel
 from repro.baseband.interference import (
+    HOP_CHANNELS,
     InterferenceField,
     bulk_active,
     bulk_randrange,
@@ -165,26 +166,26 @@ def test_coupled_occupancy_equals_pairwise_scan(seed, reports, horizon):
 @given(duties=st.lists(duty_cycles, min_size=0, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_field_analytic_collision_probability_product_form(duties):
-    field = InterferenceField(streams=5)
+    field = InterferenceField(streams=RandomStreams(5))
     field.register("victim")
     for index, duty in enumerate(duties):
         field.register(f"i{index}", duty_cycle=duty)
     expected = 1.0
     for duty in duties:
-        expected *= 1.0 - duty / field.channels
+        expected *= 1.0 - duty / HOP_CHANNELS
     assert field.expected_collision_probability("victim") == \
         pytest.approx(1.0 - expected)
 
 
 def test_field_empirical_rate_approaches_the_analytic_probability():
-    field = InterferenceField(streams=17)
+    field = InterferenceField(streams=RandomStreams(17))
     field.register("victim")
     field.register("a", duty_cycle=1.0)
     field.register("b", duty_cycle=0.5)
     horizon = 60_000
     # collider-slots over the horizon: the expected count sums each
     # member's own duty/channels rate
-    expected = (1.0 + 0.5) / field.channels * horizon
+    expected = (1.0 + 0.5) / HOP_CHANNELS * horizon
     count = field.count_collisions("victim", horizon)
     assert count == pytest.approx(expected, rel=0.15)
 

@@ -1,19 +1,19 @@
 """Property test: the master's heap bypass is byte-identical to the heap.
 
 A master's :class:`~repro.sim.events.LoopWakeup` resumes its loop without
-the heap round trip when nothing is due first and fires traffic-source
-wake-ups inline.  It promises the heap's event order, event ids and RNG
-draws, so for *any* valid scenario the results must match a run in which
-the master re-arms through the heap like any plain
-:class:`~repro.sim.events.Wakeup` (``LoopWakeup._fire`` patched to
-``Wakeup._fire``) exactly, not approximately.  This test draws randomized
+the heap round trip when nothing is due first and fires traffic sources
+inline.  It promises the heap's event order, event ids and RNG draws, so
+for *any* valid scenario the results must match a run in which the master
+re-arms through the heap after every step (``LoopWakeup._fire`` patched
+to ``heap_path_fire`` of ``tests/heap_path.py``) exactly, not
+approximately.  This test draws randomized
 scenarios (single piconets, interference fields, scatternet bridges; SCO
 links, adaptive segmentation, every poller kind, ideal/iid/Gilbert-Elliott
 channels) from the same strategies the serialization property tests use,
 runs each both ways, and compares every piconet's per-flow statistics,
 per-packet delay samples, slot ledger and the event-id counter.
 
-The bypass fires source wake-ups inline, so a second strategy aims at
+The bypass fires sources inline, so a second strategy aims at
 heap-order ties: slot-aligned CBR sources (intervals of whole slots,
 start offsets on even slots, where transactions end), compiled or added
 beside the compiled ones, and a timeline ``flow-remove`` that stops a
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_scenario_properties import scenario_specs
 
+from heap_path import heap_path_fire
 from repro.scenario import (
     BASELINE_POLLER_KINDS,
     ChannelSpec,
@@ -38,7 +39,7 @@ from repro.scenario import (
     TimelineSpec,
     compile_scenario,
 )
-from repro.sim.events import LoopWakeup, Wakeup
+from repro.sim.events import LoopWakeup
 from repro.traffic.sources import CBRSource
 
 DURATION_S = 0.4
@@ -93,7 +94,7 @@ def _observed(spec, bypass, sources=()):
     """
     with pytest.MonkeyPatch.context() as patch:
         if not bypass:
-            patch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+            patch.setattr(LoopWakeup, "_fire", heap_path_fire)
         try:
             compiled = compile_scenario(spec, seed=SEED)
             primary = compiled.primary

@@ -12,7 +12,7 @@ from repro.core.link_budget import LinkBudget
 from repro.core.planning import PlannerConfig, ServedSegment, VariableIntervalPlanner
 from repro.core.wait_bound import HigherPriorityStream
 from repro.piconet.flows import DOWNLINK, UPLINK
-from repro.sim import Environment, Wakeup
+from repro.sim import Environment, LoopWakeup
 
 MS = 1e-3
 PAPER_TYPES = ("DH1", "DH3")
@@ -273,7 +273,7 @@ def test_event_loop_processes_timeouts_in_order(delays):
         fired.append(env.now)
 
     for delay in delays:
-        Wakeup(env, waiter(env, delay))
+        LoopWakeup(env, waiter(env, delay))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from heap_path import heap_path_fire
 from repro.piconet.piconet import Piconet
 from repro.scenario import (
     EventSpec,
@@ -27,7 +28,7 @@ from repro.scenario import (
     compile_scenario,
 )
 from repro.scenario.factories import figure4_spec
-from repro.sim.events import LoopWakeup, Wakeup
+from repro.sim.events import LoopWakeup
 
 
 def _timeline_spec(*events) -> ScenarioSpec:
@@ -295,8 +296,8 @@ def test_park_unpark_byte_identical_fast_vs_reference(monkeypatch):
     bypassed = compile_scenario(spec, seed=3)
     bypassed.run(0.8)
 
-    # the master re-arms through the heap like a plain wake-up
-    monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+    # the master re-arms through the heap after every step
+    monkeypatch.setattr(LoopWakeup, "_fire", heap_path_fire)
     reference = compile_scenario(spec, seed=3)
     reference.run(0.8)
 
@@ -317,8 +318,8 @@ _MASTER_CODE = Piconet._master_process.__code__
 def test_raising_timeline_action_aborts_the_run_at_its_time(
         monkeypatch, bypass):
     # the runner raises at an instant the master also steps at.  The
-    # runner is not a source wake-up, so the master goes back on the heap
-    # behind it instead of firing it inline: the error leaves
+    # runner is another loop, not a source, so the master goes back on
+    # the heap behind it instead of firing it inline: the error leaves
     # Environment.run from the runner's own firing, never from the master
     boom = _Boom("flow-remove failed")
 
@@ -327,7 +328,7 @@ def test_raising_timeline_action_aborts_the_run_at_its_time(
 
     monkeypatch.setattr("repro.scenario.timeline._run_flow_remove", raising)
     if not bypass:
-        monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+        monkeypatch.setattr(LoopWakeup, "_fire", heap_path_fire)
     compiled = compile_scenario(_timeline_spec(
         EventSpec(at_s=0.2025, kind="flow-remove", flow_id=2)), seed=3)
     with pytest.raises(_Boom) as raised:

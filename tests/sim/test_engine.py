@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Wakeup
+from repro.sim import Environment, LoopWakeup
 from repro.sim.engine import EmptySchedule
 
 
@@ -21,7 +21,7 @@ def test_timeout_advances_clock():
         yield 5
         log.append(env.now)
 
-    Wakeup(env, proc(env))
+    LoopWakeup(env, proc(env))
     env.run()
     assert log == [10, 15]
 
@@ -33,7 +33,7 @@ def test_run_until_time_stops_exactly():
         while True:
             yield 7
 
-    Wakeup(env, proc(env))
+    LoopWakeup(env, proc(env))
     env.run(until=100)
     assert env.now == 100
 
@@ -58,9 +58,9 @@ def test_events_processed_in_time_order():
         yield delay
         order.append(name)
 
-    Wakeup(env, proc(env, 30, "c"))
-    Wakeup(env, proc(env, 10, "a"))
-    Wakeup(env, proc(env, 20, "b"))
+    LoopWakeup(env, proc(env, 30, "c"))
+    LoopWakeup(env, proc(env, 10, "a"))
+    LoopWakeup(env, proc(env, 20, "b"))
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -74,14 +74,14 @@ def test_simultaneous_events_fifo_order():
         order.append(name)
 
     for name in ("first", "second", "third"):
-        Wakeup(env, proc(env, name))
+        LoopWakeup(env, proc(env, name))
     env.run()
     assert order == ["first", "second", "third"]
 
 
 def test_negative_timeout_rejected():
     env = Environment()
-    Wakeup(env, iter([-1]))
+    LoopWakeup(env, iter([-1]))
     with pytest.raises(ValueError, match="negative delay"):
         env.run()
 
@@ -93,7 +93,7 @@ def test_unhandled_process_exception_propagates():
         yield 1
         raise RuntimeError("boom")
 
-    Wakeup(env, broken(env))
+    LoopWakeup(env, broken(env))
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
     assert env.now == 1
@@ -106,6 +106,6 @@ def test_run_without_until_drains_queue():
         for _ in range(3):
             yield 1
 
-    Wakeup(env, proc(env))
+    LoopWakeup(env, proc(env))
     env.run()
     assert env.now == 3

@@ -1,11 +1,10 @@
-"""Tests of the traffic source's wake-up life cycle.
+"""Tests of the traffic source's heap-entry life cycle.
 
-A source runs as a :class:`~repro.sim.events.Wakeup`: one heap entry per
-arrival, re-armed by its own callback.  These tests pin that life cycle
-(start, start offset, stop, errors) and the CBR emission times, which
-must match those of the process-based sources they replaced.  The
-error paths drive a bare ``Wakeup(env, generator)`` the way a source
-does.
+A source is its own heap entry: firing it offers one packet and re-arms
+it with the next event id.  These tests pin that life cycle (start,
+start offset, stop, errors) and the CBR emission times, which must
+match those of the generator-driven sources it replaced.  The error
+paths drive a bare ``LoopWakeup(env, generator)`` that offers packets.
 """
 
 import random
@@ -13,6 +12,7 @@ import random
 import pytest
 from test_sources_sinks import make_piconet
 
+from heap_path import heap_path_fire
 from repro.piconet.flows import BE, DOWNLINK
 from repro.scenario import compile_scenario
 from repro.scenario.specs import (
@@ -21,7 +21,7 @@ from repro.scenario.specs import (
     PollerSpec,
     ScenarioSpec,
 )
-from repro.sim.events import LoopWakeup, Wakeup
+from repro.sim.events import LoopWakeup
 from repro.traffic import CBRSource
 
 
@@ -38,11 +38,15 @@ def record_offers(piconet):
     return offers
 
 
-def wakeups(env):
-    """The sources' heap entries: every wake-up but the master loop's."""
+def source_entries(env):
+    """The sources' heap entries."""
+    return [entry for entry in env._queue if isinstance(entry[2], CBRSource)]
+
+
+def loop_entries(env):
+    """The loop wake-ups' heap entries (the master's, the replays')."""
     return [entry for entry in env._queue
-            if isinstance(entry[2], Wakeup)
-            and not isinstance(entry[2], LoopWakeup)]
+            if isinstance(entry[2], LoopWakeup)]
 
 
 # -- life cycle ----------------------------------------------------------------
@@ -51,10 +55,9 @@ def test_start_is_idempotent():
     piconet = make_piconet()
     source = CBRSource(piconet, 1, interval=0.001, size=10)
     source.start()
-    wakeup = source._wakeup
     source.start()
-    assert source._wakeup is wakeup
-    assert len(wakeups(piconet.env)) == 1
+    assert len(source_entries(piconet.env)) == 1
+    assert piconet.env._eid == 1  # one arming, one event id
     piconet.run(0.0105)
     assert source.packets_generated == 11  # t = 0, 1, ..., 10 ms
 
@@ -77,12 +80,47 @@ def test_stop_mid_run_ends_emissions_and_schedules_nothing_more():
     emitted = source.packets_generated
     assert emitted == 3
     source.stop()
-    assert len(wakeups(piconet.env)) == 1  # the wake-up already armed
+    # the entry already armed for the next arrival
+    assert [when for when, _eid, _entry in source_entries(piconet.env)] \
+        == [3000]
     piconet.run(0.01)
     assert source.packets_generated == emitted
-    assert wakeups(piconet.env) == []
+    assert source_entries(piconet.env) == []
     source.start()  # a stopped source never restarts
-    assert wakeups(piconet.env) == []
+    assert source_entries(piconet.env) == []
+
+
+def test_start_offset_takes_one_event_id_even_when_stopped_before_it():
+    # the start offset is a wake-up of its own, so it takes one event id
+    # whether or not the source emits after it.  Recorded with the
+    # generator-driven source, whose first yield was the offset
+    piconet = make_piconet()
+    source = CBRSource(piconet, 1, interval=0.001, size=10,
+                       start_offset=0.0042)
+    source.start()
+    piconet.run(0.002)
+    source.stop()
+    piconet.run(0.01)
+    assert source.packets_generated == 0
+    assert source_entries(piconet.env) == []
+    assert piconet.env._eid == 25
+    assert [(when, eid) for when, eid, _entry in piconet.env._queue] \
+        == [(12500, 24)]
+
+
+def test_sub_microsecond_interval_is_clamped_with_a_capped_deficit():
+    # a 0.4 us interval runs clamped at one packet per microsecond; the
+    # cumulative target trails the clock by the 0.5 us cap, not by the
+    # 0.6 us each arrival adds.  Recorded with the generator-driven
+    # source (its target_us local after the run)
+    piconet = make_piconet()
+    offers = record_offers(piconet)
+    source = CBRSource(piconet, 1, interval=0.4e-6, size=40)
+    source.start()
+    piconet.run(0.001)
+    assert [when for when, _size in offers] == list(range(1000))
+    assert piconet.env._eid == 1005
+    assert source._target_us == 998.5
 
 
 def replay(piconet, trace):
@@ -94,10 +132,11 @@ def replay(piconet, trace):
 
 def test_finished_trace_source_leaves_nothing_on_the_heap():
     piconet = make_piconet()
-    Wakeup(piconet.env, replay(piconet, [(1000, 10), (1000, 20)]))
+    LoopWakeup(piconet.env, replay(piconet, [(1000, 10), (1000, 20)]))
     piconet.run(0.01)
     assert piconet.flow_state(1).queue.offered_bytes == 30
-    assert wakeups(piconet.env) == []
+    # only the master's own loop is left
+    assert len(loop_entries(piconet.env)) == len(piconet.env._queue) == 1
 
 
 class _Boom(RuntimeError):
@@ -113,7 +152,7 @@ def _failing(piconet):
 
 def test_exception_in_a_source_propagates_out_of_run_at_its_time():
     piconet = make_piconet()
-    Wakeup(piconet.env, _failing(piconet))
+    LoopWakeup(piconet.env, _failing(piconet))
     with pytest.raises(_Boom, match="source failed"):
         piconet.run(0.01)
     assert piconet.env.now == 3000
@@ -127,7 +166,7 @@ def _negative():
 
 def test_negative_delay_is_rejected():
     piconet = make_piconet()
-    Wakeup(piconet.env, _negative())
+    LoopWakeup(piconet.env, _negative())
     with pytest.raises(ValueError, match="negative delay -5"):
         piconet.run(0.01)
     assert piconet.env.now == 1000
@@ -135,7 +174,7 @@ def test_negative_delay_is_rejected():
 
 def _inline_spec():
     """A backlogged round-robin downlink plus a CBR downlink, so the
-    master's wake-up fires the source's wake-ups inline."""
+    master's loop fires the source's arrivals inline."""
     piconet = PiconetSpec(
         name="p", slaves=("S1", "S2"),
         flows=(FlowSpec(1, slave=1, direction=DOWNLINK, traffic_class=BE,
@@ -154,7 +193,7 @@ _BYPASS_CODE = LoopWakeup._fire.__code__
 def test_exception_in_an_inline_arrival_aborts_the_run_at_its_time(
         monkeypatch, bypass):
     if not bypass:
-        monkeypatch.setattr(LoopWakeup, "_fire", Wakeup._fire)
+        monkeypatch.setattr(LoopWakeup, "_fire", heap_path_fire)
     compiled = compile_scenario(_inline_spec(), seed=1)
     piconet = compiled.primary.piconet
     for _ in range(40):
@@ -170,7 +209,7 @@ def test_exception_in_an_inline_arrival_aborts_the_run_at_its_time(
     with pytest.raises(_Boom, match="arrival at 50000") as raised:
         compiled.run(0.1)
     assert compiled.env.now == 50_000
-    # with the bypass the wake-up fired inside the master's
+    # with the bypass the source fired inside the master's loop
     inline = any(entry.frame.code.raw is _BYPASS_CODE
                  for entry in raised.traceback)
     assert inline == bypass

@@ -36,11 +36,19 @@ def test_cbr_source_rate_and_count():
 
 def test_cbr_source_uniform_sizes_within_range():
     piconet = make_piconet()
-    source = CBRSource(piconet, 1, 0.010, (144, 176), rng=random.Random(2))
-    source.start()
+    sizes = []
+    offer = piconet.offer_packet
+
+    def recording(flow_id, size):
+        sizes.append(size)
+        return offer(flow_id, size)
+
+    piconet.offer_packet = recording
+    CBRSource(piconet, 1, 0.010, (144, 176), rng=random.Random(2)).start()
     piconet.run(1.0)
-    sizes = {source.next_size() for _ in range(200)}
+    assert len(sizes) == 100  # t = 0, 10, ..., 990 ms
     assert min(sizes) >= 144 and max(sizes) <= 176
+    assert len(set(sizes)) > 10
 
 
 def test_gs_cbr_source_conforms_to_its_tspec():
@@ -63,6 +71,27 @@ def test_cbr_source_validation():
     piconet = make_piconet()
     with pytest.raises(ValueError):
         CBRSource(piconet, 1, interval=0, size=100)
+
+
+@pytest.mark.parametrize("size", [0, -5, 176.0, True, "176", None,
+                                  (176, 144), (0, 10), (144, 176.0),
+                                  [144, 176], (144,), (144, 160, 176)])
+def test_cbr_source_rejects_a_bad_size_at_construction(size):
+    # a size that cannot be drawn fails here, in one line, instead of
+    # mid-run inside the heap at the first arrival
+    with pytest.raises(ValueError, match="size must be a positive int") \
+            as raised:
+        CBRSource(make_piconet(), 1, interval=0.01, size=size)
+    assert "\n" not in str(raised.value)
+
+
+@pytest.mark.parametrize("size", [1, (1, 1)])
+def test_cbr_source_accepts_the_smallest_size_and_range(size):
+    piconet = make_piconet()
+    source = CBRSource(piconet, 1, interval=0.01, size=size)
+    source.start()
+    piconet.run(0.05)
+    assert source.packets_generated == 5  # t = 0, 10, ..., 40 ms
 
 
 def test_cbr_source_fractional_microsecond_interval_does_not_drift():
